@@ -31,7 +31,7 @@ from .codec import (
     deserialize_shift_key,
 )
 from .crypto import CipherBlob, CryptoSuite, length_prefixed
-from .parties import SystemConfig, unpack_signals
+from .parties import STEPS, SystemConfig, unpack_signals
 from .recovery import RecoveryParams, SensingMatrix, SparsityBasis, omp_reconstruct, prd
 from .scenarios import build_world, run_session
 from .wire import (
@@ -65,16 +65,7 @@ __all__ = [
 
 # (sender, heading) pairs of frames that carry a MAC
 MAC_PROTECTED_FRAMES = frozenset(
-    {
-        ("smartphone", Heading.PAIR_REQ),
-        ("programmer", Heading.READ_AUTH_REQ),
-        ("smartphone", Heading.READ_ALLOW),
-        ("imd", Heading.READ_REQ),
-        ("programmer", Heading.WRITE_AUTH_REQ),
-        ("smartphone", Heading.WRITE_ALLOW),
-        ("programmer", Heading.WRITE_REQ),
-        ("smartphone", Heading.SET_ALLOW),
-    }
+    (step.sender, step.heading) for step in STEPS if step.key is not None
 )
 
 

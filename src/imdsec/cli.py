@@ -22,7 +22,7 @@ from .attacks import (
     mitm_read_attack,
 )
 from .parties import SystemConfig
-from .scenarios import build_world, run_session
+from .scenarios import SCENARIOS, build_world, run_session
 from .wire import Heading
 
 FIXTURE_DIR_ENV = "IMDSEC_FIXTURE_DIR"
@@ -154,8 +154,6 @@ def _cmd_session(args) -> int:
             args.n = int(cfg["N"])
         if "seeds" in cfg:
             args.seed = int(cfg["seeds"].replace(",", " ").split()[0])
-        if "trials" in cfg:
-            args.trials = int(cfg["trials"])
         if "degraded_oob" in cfg:
             args.degraded_oob = cfg["degraded_oob"].lower() in ("1", "true", "yes")
 
@@ -263,14 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_op.set_defaults(func=_cmd_opcount)
 
     p_sess = sub.add_parser("session", help="run one scenario, dump the transcript")
-    p_sess.add_argument("--scenario", choices=("pair", "auth", "read", "write", "full"), default="full")
+    p_sess.add_argument("--scenario", choices=SCENARIOS, default="full")
     p_sess.add_argument("--attacker", choices=("none", "passive", "replay", "mitm"), default="none")
     p_sess.add_argument("--degraded-oob", action="store_true")
     p_sess.add_argument("--seed", type=int, default=0)
     p_sess.add_argument("--n", type=int, default=512)
     p_sess.add_argument("--cr", type=float, nargs="*", default=[50.0])
     p_sess.add_argument("--qs", type=int, nargs="*", default=[20])
-    p_sess.add_argument("--trials", type=int, default=100)
     p_sess.add_argument("--config", help="key = value scenario file")
     p_sess.add_argument("--out", help="transcript dump path")
     p_sess.set_defaults(func=_cmd_session)

@@ -137,10 +137,12 @@ class Certificate:
         return serialization.load_der_public_key(self.public_key_der)
 
 
-def split_length_prefixed(buf: bytes, count: int) -> list[bytes]:
+def split_length_prefixed(buf: bytes, count: Optional[int] = None) -> list[bytes]:
+    """Inverse of length_prefixed: exactly `count` parts, or with no
+    count as many parts as fill the buffer."""
     parts = []
     pos = 0
-    for _ in range(count):
+    while (pos < len(buf)) if count is None else (len(parts) < count):
         if pos + 4 > len(buf):
             raise CryptoError("truncated length-prefixed buffer")
         ln = int.from_bytes(buf[pos : pos + 4], "big")

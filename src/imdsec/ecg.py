@@ -9,7 +9,6 @@ degrades them gradually the way it degrades natural signals.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import struct
@@ -21,9 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .codec import BoundedSignal
-from .recovery import build_basis
-
-_cached_basis = functools.lru_cache(maxsize=8)(build_basis)
+from .recovery import build_basis, cached_operator
 
 __all__ = [
     "EcgRecord",
@@ -130,7 +127,7 @@ def synth_ecg_like(
 ) -> EcgRecord:
     """Generate an integer ECG-like record: s dominant low-frequency atoms
     plus a k^-decay coefficient tail at tail_level relative energy."""
-    basis = _cached_basis(n)
+    basis = cached_operator(build_basis, n, "cosine")
     rng = np.random.default_rng(
         int.from_bytes(hashlib.sha256(b"ecg/" + bytes(seed)).digest(), "big")
     )

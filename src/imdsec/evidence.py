@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .crypto import (
+    CryptoError,
     CryptoSuite,
     SignatureBlob,
     length_prefixed,
@@ -117,30 +118,23 @@ class EvidenceLedger:
         self._path = path
         self._records: list[EvidenceRecord] = []
         if path and os.path.exists(path):
-            self._records = list(self._read_file(path))
+            self._records = self._read_file(path)
 
     @staticmethod
     def _read_file(path: str):
         with open(path, "rb") as fh:
             data = fh.read()
-        pos = 0
-        while pos < len(data):
-            if pos + 4 > len(data):
-                raise ValueError("truncated ledger file")
-            ln = int.from_bytes(data[pos : pos + 4], "big")
-            pos += 4
-            if pos + ln > len(data):
-                raise ValueError("truncated ledger file")
-            yield EvidenceRecord.from_bytes(data[pos : pos + ln])
-            pos += ln
+        try:
+            blobs = split_length_prefixed(data)
+        except CryptoError:
+            raise ValueError("truncated ledger file") from None
+        return [EvidenceRecord.from_bytes(blob) for blob in blobs]
 
     def append(self, record: EvidenceRecord):
         self._records.append(record)
         if self._path:
-            blob = record.to_bytes()
             with open(self._path, "ab") as fh:
-                fh.write(len(blob).to_bytes(4, "big"))
-                fh.write(blob)
+                fh.write(length_prefixed(record.to_bytes()))
 
     @property
     def records(self) -> tuple[EvidenceRecord, ...]:

@@ -1,9 +1,32 @@
 """Per-party state machines for pairing, authentication, read and write.
 
+Every protocol step is one row of STEPS: who sends which heading to
+whom on which link, the names of the frame's fields, the field holding
+its timestamp, the key of its MAC, the party attribute its session
+number must match, and what a MAC failure does.  Party.receive checks
+every frame against its row in one fixed order:
+
+    expected heading and link -> session -> field count -> timestamp
+    parse -> freshness -> step pre-check -> MAC -> handler
+
+A MAC is always the last field and covers auth_bytes(heading, session,
+earlier fields); the implant's telemetry READ_REQ leaves the heading
+byte out.  Outgoing frames are built by Party._send from the same rows,
+so each covered field list is written once.  Handlers, named
+_on_<heading>, hold only each step's effects.
+
 Every party is single-threaded: it holds exactly one expected next
-heading (or none, while idle) and silently drops anything else.  MAC or
-signature failures abort the affected flow; a failed pairing check
-leaves the implant silent so probing reveals nothing.
+heading (or none, while idle).  A rejected frame meets one of three
+failure policies:
+
+- drop: counted in ``drops`` and otherwise ignored.  Every structural
+  failure takes this path, and so does a failed pairing MAC, so probing
+  an unpaired implant reveals nothing.
+- stay: a counted drop that also records the reason in ``incidents``;
+  the flow keeps waiting (read authorisation at the smartphone, read
+  allowance at the implant).
+- abort: the flow ends with ``outcome == "aborted"`` and an
+  ``abort_reason``.
 
 Links: "s-i" smartphone<->implant, "s-d" smartphone<->programmer,
 "d-i" programmer<->implant, plus the out-of-band channel to the
@@ -13,9 +36,9 @@ doctor's phone, which carries only the random message RM.
 from __future__ import annotations
 
 import random
-import struct
 from dataclasses import dataclass
-from typing import Callable, Optional
+from types import SimpleNamespace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -49,7 +72,10 @@ from .wire import (
 
 __all__ = [
     "ProtocolError",
+    "Rejected",
     "SystemConfig",
+    "Step",
+    "STEPS",
     "Outbound",
     "OobSend",
     "Party",
@@ -68,9 +94,20 @@ LINK_DI = "d-i"
 NONCE_BYTES = 16
 RM_BYTES = 16
 
+DROP, STAY, ABORT = "drop", "stay", "abort"
+
 
 class ProtocolError(Exception):
     pass
+
+
+class Rejected(Exception):
+    """A frame failed a check; policy is DROP, STAY or ABORT."""
+
+    def __init__(self, policy: str, reason: str):
+        super().__init__(reason)
+        self.policy = policy
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -91,27 +128,85 @@ class SystemConfig:
         return recovery.cr_to_measurements(self.n, self.cr)
 
     def sensing_matrix(self) -> recovery.SensingMatrix:
-        return _cached_matrix(self.matrix_seed, self.m, self.n)
+        return recovery.cached_operator(
+            recovery.gen_sensing_matrix, self.matrix_seed, self.m, self.n
+        )
 
     def basis(self) -> recovery.SparsityBasis:
-        return _cached_basis(self.n, self.basis_kind)
+        return recovery.cached_operator(recovery.build_basis, self.n, self.basis_kind)
 
 
-_MATRIX_CACHE: dict = {}
-_BASIS_CACHE: dict = {}
+@dataclass(frozen=True)
+class Step:
+    """One protocol frame, as its sender builds it and its receiver checks it.
+
+    fields name the frame's fields; with a key, a MAC tag under that
+    party attribute follows them.  ts names the field holding an 8-byte
+    timestamp that must be fresh.  session names the receiver attribute
+    the session number must equal (None: the step opens a session).
+    check names a receiver method run after freshness and before the
+    MAC; it may raise Rejected or replace frame.key.
+    """
+
+    sender: str
+    receiver: str
+    heading: Heading
+    link: str
+    fields: tuple[str, ...] = ()
+    ts: Optional[str] = None
+    key: Optional[str] = None
+    on_mac_failure: tuple[str, str] = (ABORT, "MAC failure")
+    session: Optional[str] = "session"
+    check: Optional[str] = None
+    mac_heading: bool = True
+
+    def covered(self, session: int, fields: Sequence[bytes]) -> bytes:
+        """The bytes the MAC covers."""
+        return auth_bytes(self.heading if self.mac_heading else None, session, fields)
 
 
-def _cached_matrix(seed: bytes, m: int, n: int) -> recovery.SensingMatrix:
-    key = (bytes(seed), m, n)
-    if key not in _MATRIX_CACHE:
-        _MATRIX_CACHE[key] = recovery.gen_sensing_matrix(seed, m, n)
-    return _MATRIX_CACHE[key]
+STEPS = (
+    # pairing
+    Step("smartphone", "imd", Heading.PAIR_REQ, LINK_SI, ("smartphone_id", "ts1"),
+         ts="ts1", key="k_i", on_mac_failure=(DROP, "pairing MAC failure"),
+         session=None, check="_derive_pairing_key"),
+    Step("imd", "smartphone", Heading.PAIR_SUCC, LINK_SI, session="pair_session"),
+    # authentication
+    Step("programmer", "smartphone", Heading.AUTH_REQ, LINK_SD,
+         ("doctor_id", "ts2", "pk_der", "cert"), ts="ts2", session=None,
+         check="_check_certificate"),
+    Step("smartphone", "programmer", Heading.AUTH_REQ, LINK_SD,
+         ("smartphone_id", "challenge")),
+    # read
+    Step("programmer", "smartphone", Heading.READ_AUTH_REQ, LINK_SD, ("ts4",),
+         ts="ts4", key="k_p", on_mac_failure=(STAY, "read auth MAC failure")),
+    Step("smartphone", "imd", Heading.READ_ALLOW, LINK_SI, ("doctor_id", "c1", "ts5"),
+         ts="ts5", key="k_i", on_mac_failure=(STAY, "read allow MAC failure"),
+         session=None),
+    Step("imd", "smartphone", Heading.READ_READY, LINK_SI),
+    Step("smartphone", "programmer", Heading.READ_READY, LINK_SD, ("enc_kd",)),
+    Step("programmer", "imd", Heading.READ_REQ, LINK_DI),
+    Step("imd", "programmer", Heading.READ_REQ, LINK_DI, ("c2",), key="k_r",
+         on_mac_failure=(ABORT, "telemetry MAC failure"), mac_heading=False),
+    # write
+    Step("programmer", "smartphone", Heading.WRITE_AUTH_REQ, LINK_SD, ("sig", "ts6"),
+         ts="ts6", key="k_p", on_mac_failure=(ABORT, "write auth MAC failure")),
+    Step("smartphone", "imd", Heading.WRITE_ALLOW, LINK_SI, ("doctor_id", "ts7"),
+         ts="ts7", key="k_i", on_mac_failure=(ABORT, "write enable MAC failure"),
+         check="_check_session_doctor"),
+    Step("imd", "smartphone", Heading.WRITE_READY, LINK_SI),
+    Step("smartphone", "programmer", Heading.WRITE_READY, LINK_SD),
+    Step("programmer", "imd", Heading.WRITE_REQ, LINK_DI, ("c3",), key="k_r",
+         on_mac_failure=(ABORT, "command MAC failure")),
+    Step("imd", "smartphone", Heading.WRITE_REQ, LINK_SI, ("c2", "report"),
+         check="_open_command_report"),
+    Step("smartphone", "imd", Heading.SET_ALLOW, LINK_SI, ("ts8",), ts="ts8",
+         key="k_i", on_mac_failure=(ABORT, "apply authorization MAC failure")),
+    Step("imd", "programmer", Heading.WRITE_SUCC, LINK_DI),
+)
 
-
-def _cached_basis(n: int, kind: str) -> recovery.SparsityBasis:
-    if (n, kind) not in _BASIS_CACHE:
-        _BASIS_CACHE[(n, kind)] = recovery.build_basis(n, kind)
-    return _BASIS_CACHE[(n, kind)]
+_BY_RECEIVER = {(step.receiver, step.heading): step for step in STEPS}
+_BY_SENDER = {(step.sender, step.heading): step for step in STEPS}
 
 
 @dataclass(frozen=True)
@@ -127,31 +222,22 @@ class OobSend:
 
 
 def pack_signals(blobs: list[bytes]) -> bytes:
-    return struct.pack(">I", len(blobs)) + length_prefixed(*blobs)
+    return len(blobs).to_bytes(4, "big") + length_prefixed(*blobs)
 
 
 def unpack_signals(buf: bytes) -> list[bytes]:
     if len(buf) < 4:
         raise WireError("short telemetry payload")
-    (count,) = struct.unpack(">I", buf[:4])
-    parts = []
-    pos = 4
-    for _ in range(count):
-        if pos + 4 > len(buf):
-            raise WireError("truncated telemetry payload")
-        ln = int.from_bytes(buf[pos : pos + 4], "big")
-        pos += 4
-        if pos + ln > len(buf):
-            raise WireError("truncated telemetry payload")
-        parts.append(buf[pos : pos + ln])
-        pos += ln
-    if pos != len(buf):
-        raise WireError("trailing telemetry bytes")
-    return parts
+    try:
+        return split_length_prefixed(buf[4:], int.from_bytes(buf[:4], "big"))
+    except CryptoError as exc:
+        raise WireError(f"malformed telemetry payload: {exc}") from None
 
 
 class Party:
-    """Common machinery: expected-heading discipline and clocks."""
+    """Common machinery: the step verifier, the frame sender and clocks."""
+
+    role: str  # the sender/receiver name of this party's STEPS rows
 
     def __init__(self, name: str, seed: int, config: SystemConfig):
         self.name = name
@@ -164,37 +250,75 @@ class Party:
         self.outcome: str = "idle"
         self.abort_reason: Optional[str] = None
         self.drops: int = 0
+        self.incidents: list[str] = []
 
-    def _expect(self, heading: Optional[Heading], link: Optional[str]):
+    def _expect(self, heading: Optional[Heading]):
         self.expected = heading
-        self.expected_link = link
-
-    def _abort(self, reason: str):
-        self.outcome = "aborted"
-        self.abort_reason = reason
-        self._expect(None, None)
+        self.expected_link = (
+            None if heading is None else _BY_RECEIVER[self.role, heading].link
+        )
 
     def _fresh(self, ts: int) -> bool:
         return freshness_check(ts, self.clock, self.config.freshness_window)
 
     def receive(self, raw: bytes, link: str) -> list[Outbound]:
-        """Decode and dispatch; anything unexpected is dropped silently."""
+        """Check a frame against its step row and run the step's handler;
+        a rejected frame is handled by its failure policy."""
+        try:
+            step, frame = self._verify(raw, link)
+            return getattr(self, "_on_" + step.heading.name.lower())(frame)
+        except Rejected as rejected:
+            if rejected.policy == ABORT:
+                self.outcome = "aborted"
+                self.abort_reason = rejected.reason
+                self._expect(None)
+            else:
+                self.drops += 1
+                if rejected.policy == STAY:
+                    self.incidents.append(rejected.reason)
+            return []
+
+    def _verify(self, raw: bytes, link: str) -> tuple[Step, SimpleNamespace]:
         try:
             msg = decode_message(raw)
         except WireError:
-            self.drops += 1
-            return []
-        if (
-            self.expected is None
-            or msg.heading != self.expected
-            or link != self.expected_link
+            raise Rejected(DROP, "undecodable frame") from None
+        if msg.heading != self.expected or link != self.expected_link:
+            raise Rejected(DROP, "unexpected heading")
+        step = _BY_RECEIVER[self.role, msg.heading]
+        if step.session is not None and msg.session != getattr(self, step.session):
+            raise Rejected(DROP, "session mismatch")
+        names = step.fields + (("tag",) if step.key else ())
+        if len(msg.fields) != len(names):
+            raise Rejected(DROP, "field count")
+        frame = SimpleNamespace(session=msg.session, ts=None, key=None)
+        frame.__dict__.update(zip(names, msg.fields))
+        if step.ts is not None:
+            try:
+                frame.ts = ts_from_bytes(getattr(frame, step.ts))
+            except WireError:
+                raise Rejected(DROP, "bad timestamp") from None
+            if not self._fresh(frame.ts):
+                raise Rejected(DROP, "stale timestamp")
+        if step.key is not None:
+            frame.key = getattr(self, step.key)
+        if step.check is not None:
+            getattr(self, step.check)(frame)
+        if step.key is not None and not self.crypto.mac_verify(
+            frame.key,
+            step.covered(msg.session, msg.fields[:-1]),
+            MacTag("hmac-sha1", frame.tag),
         ):
-            self.drops += 1
-            return []
-        return self._handle(msg, link)
+            raise Rejected(*step.on_mac_failure)
+        return step, frame
 
-    def _handle(self, msg: WireMessage, link: str) -> list[Outbound]:
-        raise NotImplementedError
+    def _send(self, heading: Heading, session: int, *fields: bytes) -> Outbound:
+        """Build this party's frame for a step, appending its MAC tag."""
+        step = _BY_SENDER[self.role, heading]
+        if step.key is not None:
+            key = getattr(self, step.key)
+            fields += (self.crypto.mac(key, step.covered(session, fields)).data,)
+        return Outbound(step.link, WireMessage(heading, session, fields))
 
 
 class DoctorPhone:
@@ -209,6 +333,8 @@ class DoctorPhone:
 
 
 class Smartphone(Party):
+    role = "smartphone"
+
     def __init__(
         self,
         name: str,
@@ -226,7 +352,6 @@ class Smartphone(Party):
         self.ca_public_key = ca_public_key
         self.doctor_oob_directory = dict(doctor_oob_directory)
         self.ledger = ledger if ledger is not None else EvidenceLedger()
-        self.incidents: list[str] = []
 
         self.pair_session: Optional[int] = None
         self.session: Optional[int] = None
@@ -250,95 +375,58 @@ class Smartphone(Party):
             length_prefixed(master_key.data, self.smartphone_id, self.implant_id)
         )
         self.pair_session = self.rng.getrandbits(64)
-        ts1 = ts_bytes(self.clock)
-        tag = self.crypto.mac(
-            self.k_i,
-            auth_bytes(
-                Heading.PAIR_REQ, self.pair_session, [self.smartphone_id, ts1]
-            ),
-        )
-        self._expect(Heading.PAIR_SUCC, LINK_SI)
-        msg = WireMessage(
-            Heading.PAIR_REQ,
-            self.pair_session,
-            (self.smartphone_id, ts1, tag.data),
-        )
-        return [Outbound(LINK_SI, msg)]
+        self._expect(Heading.PAIR_SUCC)
+        return [
+            self._send(
+                Heading.PAIR_REQ,
+                self.pair_session,
+                self.smartphone_id,
+                ts_bytes(self.clock),
+            )
+        ]
 
-    def _on_pair_succ(self, msg: WireMessage) -> list[Outbound]:
-        if msg.session != self.pair_session or msg.fields:
-            self.drops += 1
-            return []
+    def _on_pair_succ(self, frame) -> list[Outbound]:
         self.paired = True
-        self._expect(Heading.AUTH_REQ, LINK_SD)
+        self._expect(Heading.AUTH_REQ)
         return []
 
     # -- authentication ------------------------------------------------------
 
-    def _on_auth_req(self, msg: WireMessage) -> list[Outbound]:
-        if len(msg.fields) != 4:
-            self.drops += 1
-            return []
-        doctor_id, ts2_raw, pk_der, cert_raw = msg.fields
+    def _check_certificate(self, frame):
         try:
-            ts2 = ts_from_bytes(ts2_raw)
-            cert = Certificate.from_bytes(cert_raw)
-        except Exception:
-            self.drops += 1
-            return []
-        if not self._fresh(ts2):
-            self.drops += 1
-            return []
-        if doctor_id not in self.doctor_oob_directory:
-            self._abort("unknown doctor")
-            return []
+            frame.certificate = Certificate.from_bytes(frame.cert)
+        except (CryptoError, ValueError):
+            raise Rejected(DROP, "certificate unparseable") from None
+        if frame.doctor_id not in self.doctor_oob_directory:
+            raise Rejected(ABORT, "unknown doctor")
         if (
-            cert.subject_id != doctor_id
-            or cert.public_key_der != pk_der
-            or not self.crypto.cert_verify(self.ca_public_key, cert)
+            frame.certificate.subject_id != frame.doctor_id
+            or frame.certificate.public_key_der != frame.pk_der
+            or not self.crypto.cert_verify(self.ca_public_key, frame.certificate)
         ):
-            self._abort("certificate verification failed")
-            return []
+            raise Rejected(ABORT, "certificate verification failed")
 
-        self.session = msg.session
-        self.doctor_id = doctor_id
-        self.doctor_public_key = cert.public_key()
+    def _on_auth_req(self, frame) -> list[Outbound]:
+        self.session = frame.session
+        self.doctor_id = frame.doctor_id
+        self.doctor_public_key = frame.certificate.public_key()
         self.nonce = self.crypto.random_bytes(NONCE_BYTES)
         self.rm = self.crypto.random_bytes(RM_BYTES)
         self.k_p = self.crypto.kdf(
             length_prefixed(self.rm, u64_bytes(self.session), self.nonce)
         )
         challenge = self.crypto.pk_enc(self.doctor_public_key, self.nonce)
-        self._expect(Heading.READ_AUTH_REQ, LINK_SD)
-        reply = WireMessage(
-            Heading.AUTH_REQ, self.session, (self.smartphone_id, challenge.data)
-        )
-        oob = OobSend(self.doctor_oob_directory[doctor_id], self.rm)
-        return [Outbound(LINK_SD, reply), oob]
+        self._expect(Heading.READ_AUTH_REQ)
+        return [
+            self._send(
+                Heading.AUTH_REQ, self.session, self.smartphone_id, challenge.data
+            ),
+            OobSend(self.doctor_oob_directory[self.doctor_id], self.rm),
+        ]
 
     # -- read ------------------------------------------------------------------
 
-    def _on_read_auth_req(self, msg: WireMessage) -> list[Outbound]:
-        if msg.session != self.session or len(msg.fields) != 2:
-            self.drops += 1
-            return []
-        ts4_raw, tag = msg.fields
-        try:
-            ts4 = ts_from_bytes(ts4_raw)
-        except WireError:
-            self.drops += 1
-            return []
-        if not self._fresh(ts4):
-            self.drops += 1
-            return []
-        if not self.crypto.mac_verify(
-            self.k_p,
-            auth_bytes(Heading.READ_AUTH_REQ, msg.session, [ts4_raw]),
-            MacTag("hmac-sha1", tag),
-        ):
-            self.incidents.append("read auth MAC failure")
-            return []  # stay post-auth
-
+    def _on_read_auth_req(self, frame) -> list[Outbound]:
         key_seed = self.crypto.random_bytes(16)
         self.shift_key = codec.cs_gen(
             key_seed, self.config.n, self.config.L1, self.config.L2
@@ -350,156 +438,88 @@ class Smartphone(Party):
         c1 = self.crypto.sym_enc(
             self.k_i, length_prefixed(kd_bytes, self.k_r.data)
         )
-        ts5 = ts_bytes(self.clock)
-        tag4 = self.crypto.mac(
-            self.k_i,
-            auth_bytes(
+        self._expect(Heading.READ_READY)
+        return [
+            self._send(
                 Heading.READ_ALLOW,
                 self.session,
-                [self.doctor_id, c1.data, ts5],
-            ),
-        )
-        self._expect(Heading.READ_READY, LINK_SI)
-        msg_out = WireMessage(
-            Heading.READ_ALLOW,
-            self.session,
-            (self.doctor_id, c1.data, ts5, tag4.data),
-        )
-        return [Outbound(LINK_SI, msg_out)]
-
-    def _on_read_ready(self, msg: WireMessage) -> list[Outbound]:
-        if msg.session != self.session or msg.fields:
-            self.drops += 1
-            return []
-        kd_bytes = codec.serialize_shift_key(self.shift_key)
-        enc_kd = self.crypto.sym_enc(self.k_p, kd_bytes)
-        self._expect(Heading.WRITE_AUTH_REQ, LINK_SD)
-        return [
-            Outbound(
-                LINK_SD,
-                WireMessage(Heading.READ_READY, self.session, (enc_kd.data,)),
+                self.doctor_id,
+                c1.data,
+                ts_bytes(self.clock),
             )
         ]
+
+    def _on_read_ready(self, frame) -> list[Outbound]:
+        kd_bytes = codec.serialize_shift_key(self.shift_key)
+        enc_kd = self.crypto.sym_enc(self.k_p, kd_bytes)
+        self._expect(Heading.WRITE_AUTH_REQ)
+        return [self._send(Heading.READ_READY, self.session, enc_kd.data)]
 
     # -- write -------------------------------------------------------------------
 
-    def _on_write_auth_req(self, msg: WireMessage) -> list[Outbound]:
-        if msg.session != self.session or len(msg.fields) != 3:
-            self.drops += 1
-            return []
-        sig_raw, ts6_raw, tag = msg.fields
-        try:
-            ts6 = ts_from_bytes(ts6_raw)
-        except WireError:
-            self.drops += 1
-            return []
-        if not self._fresh(ts6):
-            self.drops += 1
-            return []
-        if not self.crypto.mac_verify(
-            self.k_p,
-            auth_bytes(Heading.WRITE_AUTH_REQ, msg.session, [sig_raw, ts6_raw]),
-            MacTag("hmac-sha1", tag),
-        ):
-            self._abort("write auth MAC failure")
-            return []
-        self.pending_sig = SignatureBlob("rsa-pkcs1v15-sha256", sig_raw)
-        self.pending_ts6 = ts6
-        ts7 = ts_bytes(self.clock)
-        tag7 = self.crypto.mac(
-            self.k_i,
-            auth_bytes(Heading.WRITE_ALLOW, self.session, [self.doctor_id, ts7]),
-        )
-        self._expect(Heading.WRITE_READY, LINK_SI)
+    def _on_write_auth_req(self, frame) -> list[Outbound]:
+        self.pending_sig = SignatureBlob("rsa-pkcs1v15-sha256", frame.sig)
+        self.pending_ts6 = frame.ts
+        self._expect(Heading.WRITE_READY)
         return [
-            Outbound(
-                LINK_SI,
-                WireMessage(
-                    Heading.WRITE_ALLOW,
-                    self.session,
-                    (self.doctor_id, ts7, tag7.data),
-                ),
+            self._send(
+                Heading.WRITE_ALLOW,
+                self.session,
+                self.doctor_id,
+                ts_bytes(self.clock),
             )
         ]
 
-    def _on_write_ready(self, msg: WireMessage) -> list[Outbound]:
-        if msg.session != self.session or msg.fields:
-            self.drops += 1
-            return []
-        self._expect(Heading.WRITE_REQ, LINK_SI)
-        return [
-            Outbound(LINK_SD, WireMessage(Heading.WRITE_READY, self.session, ()))
-        ]
+    def _on_write_ready(self, frame) -> list[Outbound]:
+        self._expect(Heading.WRITE_REQ)
+        return [self._send(Heading.WRITE_READY, self.session)]
 
-    def _on_command_report(self, msg: WireMessage) -> list[Outbound]:
-        if msg.session != self.session or len(msg.fields) != 2:
-            self.drops += 1
-            return []
-        c2_bytes, report_raw = msg.fields
+    def _open_command_report(self, frame):
+        """Decrypt the implant's report of the command it is about to apply."""
         try:
             plain = self.crypto.sym_dec(
-                self.k_i, CipherBlob("aes-128-gcm", report_raw)
+                self.k_i, CipherBlob("aes-128-gcm", frame.report)
             )
-            cmd, implant_id, ts7_raw = split_length_prefixed(plain, 3)
+            frame.command, implant_id, ts7_raw = split_length_prefixed(plain, 3)
             ts7 = ts_from_bytes(ts7_raw)
-        except (DecryptionError, CryptoError, WireError, ValueError):
-            self._abort("command report unreadable")
-            return []
+        except (CryptoError, ValueError):
+            raise Rejected(ABORT, "command report unreadable") from None
         if implant_id != self.implant_id or not self._fresh(ts7):
-            self._abort("command report mismatch")
-            return []
+            raise Rejected(ABORT, "command report mismatch")
+
+    def _on_write_req(self, frame) -> list[Outbound]:
         kd_bytes = codec.serialize_shift_key(self.shift_key)
         payload = signed_payload(
             self.doctor_id,
             self.smartphone_id,
             self.implant_id,
-            c2_bytes,
+            frame.c2,
             kd_bytes,
-            cmd,
+            frame.command,
             self.pending_ts6,
         )
         if not self.crypto.verify(self.doctor_public_key, payload, self.pending_sig):
             self.incidents.append("write signature verification failed")
-            self._abort("write signature invalid")
-            return []
+            raise Rejected(ABORT, "write signature invalid")
         record = EvidenceRecord(
             doctor_id=self.doctor_id,
             smartphone_id=self.smartphone_id,
             implant_id=self.implant_id,
             shift_key=kd_bytes,
-            ciphertext=c2_bytes,
-            command=cmd,
+            ciphertext=frame.c2,
+            command=frame.command,
             timestamp=self.pending_ts6,
             signature=self.pending_sig,
         )
         self.ledger.append(record)
-        ts8 = ts_bytes(self.clock)
-        tag9 = self.crypto.mac(
-            self.k_i, auth_bytes(Heading.SET_ALLOW, self.session, [ts8])
-        )
         self.outcome = "ok"
-        self._expect(None, None)
-        return [
-            Outbound(
-                LINK_SI,
-                WireMessage(Heading.SET_ALLOW, self.session, (ts8, tag9.data)),
-            )
-        ]
-
-    def _handle(self, msg: WireMessage, link: str) -> list[Outbound]:
-        handlers = {
-            Heading.PAIR_SUCC: self._on_pair_succ,
-            Heading.AUTH_REQ: self._on_auth_req,
-            Heading.READ_AUTH_REQ: self._on_read_auth_req,
-            Heading.READ_READY: self._on_read_ready,
-            Heading.WRITE_AUTH_REQ: self._on_write_auth_req,
-            Heading.WRITE_READY: self._on_write_ready,
-            Heading.WRITE_REQ: self._on_command_report,
-        }
-        return handlers[msg.heading](msg)
+        self._expect(None)
+        return [self._send(Heading.SET_ALLOW, self.session, ts_bytes(self.clock))]
 
 
 class Imd(Party):
+    role = "imd"
+
     def __init__(
         self,
         name: str,
@@ -524,78 +544,35 @@ class Imd(Party):
         self.c2_bytes: Optional[bytes] = None
         self.pending_cmd: Optional[bytes] = None
         self.applied_commands: list[bytes] = []
-        self._expect(Heading.PAIR_REQ, LINK_SI)
+        self._expect(Heading.PAIR_REQ)
 
-    def _on_pair_req(self, msg: WireMessage) -> list[Outbound]:
-        # failures here are silent: an unauthenticated caller learns nothing
-        if len(msg.fields) != 3:
-            self.drops += 1
-            return []
-        smartphone_id, ts1_raw, tag = msg.fields
-        try:
-            ts1 = ts_from_bytes(ts1_raw)
-        except WireError:
-            self.drops += 1
-            return []
-        if not self._fresh(ts1):
-            self.drops += 1
-            return []
-        k_i = self.crypto.kdf(
-            length_prefixed(self._master_key.data, smartphone_id, self.implant_id)
+    def _derive_pairing_key(self, frame):
+        """K_I for the claimed smartphone id; the PAIR_REQ MAC is under it."""
+        frame.key = self.crypto.kdf(
+            length_prefixed(self._master_key.data, frame.smartphone_id, self.implant_id)
         )
-        if not self.crypto.mac_verify(
-            k_i,
-            auth_bytes(Heading.PAIR_REQ, msg.session, [smartphone_id, ts1_raw]),
-            MacTag("hmac-sha1", tag),
-        ):
-            self.drops += 1
-            return []
-        self.k_i = k_i
-        self.pair_session = msg.session
-        self.paired_smartphone = smartphone_id
-        self._expect(Heading.READ_ALLOW, LINK_SI)
-        return [Outbound(LINK_SI, WireMessage(Heading.PAIR_SUCC, msg.session, ()))]
 
-    def _on_read_allow(self, msg: WireMessage) -> list[Outbound]:
-        if len(msg.fields) != 4:
-            self.drops += 1
-            return []
-        doctor_id, c1_raw, ts5_raw, tag = msg.fields
+    def _on_pair_req(self, frame) -> list[Outbound]:
+        self.k_i = frame.key
+        self.pair_session = frame.session
+        self.paired_smartphone = frame.smartphone_id
+        self._expect(Heading.READ_ALLOW)
+        return [self._send(Heading.PAIR_SUCC, frame.session)]
+
+    def _on_read_allow(self, frame) -> list[Outbound]:
         try:
-            ts5 = ts_from_bytes(ts5_raw)
-        except WireError:
-            self.drops += 1
-            return []
-        if not self._fresh(ts5):
-            self.drops += 1
-            return []
-        if not self.crypto.mac_verify(
-            self.k_i,
-            auth_bytes(
-                Heading.READ_ALLOW, msg.session, [doctor_id, c1_raw, ts5_raw]
-            ),
-            MacTag("hmac-sha1", tag),
-        ):
-            self._expect(Heading.READ_ALLOW, LINK_SI)  # stay paired
-            self.drops += 1
-            return []
-        try:
-            plain = self.crypto.sym_dec(self.k_i, CipherBlob("aes-128-gcm", c1_raw))
+            plain = self.crypto.sym_dec(self.k_i, CipherBlob("aes-128-gcm", frame.c1))
             kd_bytes, kr_bytes = split_length_prefixed(plain, 2)
             self.shift_key = codec.deserialize_shift_key(kd_bytes)
             self.k_r = SymmetricKey(kr_bytes)
-        except (DecryptionError, codec.CodecError, WireError, CryptoError):
-            self.drops += 1
-            return []
-        self.session = msg.session
-        self.session_doctor = doctor_id
-        self._expect(Heading.READ_REQ, LINK_DI)
-        return [Outbound(LINK_SI, WireMessage(Heading.READ_READY, msg.session, ()))]
+        except (codec.CodecError, WireError, CryptoError):
+            raise Rejected(DROP, "key delivery unreadable") from None
+        self.session = frame.session
+        self.session_doctor = frame.doctor_id
+        self._expect(Heading.READ_REQ)
+        return [self._send(Heading.READ_READY, frame.session)]
 
-    def _on_read_req(self, msg: WireMessage) -> list[Outbound]:
-        if msg.session != self.session or msg.fields:
-            self.drops += 1
-            return []
+    def _on_read_req(self, frame) -> list[Outbound]:
         phi = self.config.sensing_matrix()
         blobs = []
         for signal in self.data_source():
@@ -605,115 +582,41 @@ class Imd(Party):
                 cipher = codec.quantize(cipher, self.config.qs)
             blobs.append(codec.serialize_ciphertext(cipher))
         self.c2_bytes = pack_signals(blobs)
-        tag5 = self.crypto.mac(
-            self.k_r, auth_bytes(None, msg.session, [self.c2_bytes])
-        )
-        self._expect(Heading.WRITE_ALLOW, LINK_SI)
-        return [
-            Outbound(
-                LINK_DI,
-                WireMessage(
-                    Heading.READ_REQ, msg.session, (self.c2_bytes, tag5.data)
-                ),
-            )
-        ]
+        self._expect(Heading.WRITE_ALLOW)
+        return [self._send(Heading.READ_REQ, frame.session, self.c2_bytes)]
 
-    def _on_write_allow(self, msg: WireMessage) -> list[Outbound]:
-        if msg.session != self.session or len(msg.fields) != 3:
-            self.drops += 1
-            return []
-        doctor_id, ts7_raw, tag = msg.fields
-        try:
-            ts7 = ts_from_bytes(ts7_raw)
-        except WireError:
-            self.drops += 1
-            return []
-        if not self._fresh(ts7) or doctor_id != self.session_doctor:
-            self.drops += 1
-            return []
-        if not self.crypto.mac_verify(
-            self.k_i,
-            auth_bytes(Heading.WRITE_ALLOW, msg.session, [doctor_id, ts7_raw]),
-            MacTag("hmac-sha1", tag),
-        ):
-            self._abort("write enable MAC failure")
-            return []
-        self._expect(Heading.WRITE_REQ, LINK_DI)
-        return [
-            Outbound(LINK_SI, WireMessage(Heading.WRITE_READY, msg.session, ()))
-        ]
+    def _check_session_doctor(self, frame):
+        if frame.doctor_id != self.session_doctor:
+            raise Rejected(DROP, "doctor mismatch")
 
-    def _on_write_req(self, msg: WireMessage) -> list[Outbound]:
-        if msg.session != self.session or len(msg.fields) != 2:
-            self.drops += 1
-            return []
-        c3_raw, tag = msg.fields
-        if not self.crypto.mac_verify(
-            self.k_r,
-            auth_bytes(Heading.WRITE_REQ, msg.session, [c3_raw]),
-            MacTag("hmac-sha1", tag),
-        ):
-            self._abort("command MAC failure")
-            return []
+    def _on_write_allow(self, frame) -> list[Outbound]:
+        self._expect(Heading.WRITE_REQ)
+        return [self._send(Heading.WRITE_READY, frame.session)]
+
+    def _on_write_req(self, frame) -> list[Outbound]:
         try:
-            cmd = self.crypto.sym_dec(self.k_r, CipherBlob("aes-128-gcm", c3_raw))
+            cmd = self.crypto.sym_dec(self.k_r, CipherBlob("aes-128-gcm", frame.c3))
         except DecryptionError:
-            self._abort("command decryption failure")
-            return []
+            raise Rejected(ABORT, "command decryption failure") from None
         self.pending_cmd = cmd
         report = self.crypto.sym_enc(
             self.k_i,
             length_prefixed(cmd, self.implant_id, ts_bytes(self.clock)),
         )
-        self._expect(Heading.SET_ALLOW, LINK_SI)
-        return [
-            Outbound(
-                LINK_SI,
-                WireMessage(
-                    Heading.WRITE_REQ, msg.session, (self.c2_bytes, report.data)
-                ),
-            )
-        ]
+        self._expect(Heading.SET_ALLOW)
+        return [self._send(Heading.WRITE_REQ, frame.session, self.c2_bytes, report.data)]
 
-    def _on_set_allow(self, msg: WireMessage) -> list[Outbound]:
-        if msg.session != self.session or len(msg.fields) != 2:
-            self.drops += 1
-            return []
-        ts8_raw, tag = msg.fields
-        try:
-            ts8 = ts_from_bytes(ts8_raw)
-        except WireError:
-            self.drops += 1
-            return []
-        if not self._fresh(ts8):
-            self.drops += 1
-            return []
-        if not self.crypto.mac_verify(
-            self.k_i,
-            auth_bytes(Heading.SET_ALLOW, msg.session, [ts8_raw]),
-            MacTag("hmac-sha1", tag),
-        ):
-            self._abort("apply authorization MAC failure")
-            return []
+    def _on_set_allow(self, frame) -> list[Outbound]:
         self.applied_commands.append(self.pending_cmd)
         self.pending_cmd = None
         self.outcome = "ok"
-        self._expect(None, None)
-        return [Outbound(LINK_DI, WireMessage(Heading.WRITE_SUCC, msg.session, ()))]
-
-    def _handle(self, msg: WireMessage, link: str) -> list[Outbound]:
-        handlers = {
-            Heading.PAIR_REQ: self._on_pair_req,
-            Heading.READ_ALLOW: self._on_read_allow,
-            Heading.READ_REQ: self._on_read_req,
-            Heading.WRITE_ALLOW: self._on_write_allow,
-            Heading.WRITE_REQ: self._on_write_req,
-            Heading.SET_ALLOW: self._on_set_allow,
-        }
-        return handlers[msg.heading](msg)
+        self._expect(None)
+        return [self._send(Heading.WRITE_SUCC, frame.session)]
 
 
 class Programmer(Party):
+    role = "programmer"
+
     def __init__(
         self,
         name: str,
@@ -745,31 +648,28 @@ class Programmer(Party):
 
     def start_auth(self) -> list[Outbound]:
         self.session = self.rng.getrandbits(64)
-        pk_der = self.credentials.certificate.public_key_der
-        cert_raw = self.credentials.certificate.to_bytes()
-        self._expect(Heading.AUTH_REQ, LINK_SD)
-        msg = WireMessage(
-            Heading.AUTH_REQ,
-            self.session,
-            (self.doctor_id, ts_bytes(self.clock), pk_der, cert_raw),
-        )
-        return [Outbound(LINK_SD, msg)]
+        self._expect(Heading.AUTH_REQ)
+        return [
+            self._send(
+                Heading.AUTH_REQ,
+                self.session,
+                self.doctor_id,
+                ts_bytes(self.clock),
+                self.credentials.certificate.public_key_der,
+                self.credentials.certificate.to_bytes(),
+            )
+        ]
 
-    def _on_auth_reply(self, msg: WireMessage) -> list[Outbound]:
-        if msg.session != self.session or len(msg.fields) != 2:
-            self.drops += 1
-            return []
-        smartphone_id, challenge_raw = msg.fields
+    def _on_auth_req(self, frame) -> list[Outbound]:
         try:
             self.nonce = self.crypto.pk_dec(
                 self.credentials.private_key,
-                CipherBlob("rsa-oaep-sha256", challenge_raw),
+                CipherBlob("rsa-oaep-sha256", frame.challenge),
             )
         except DecryptionError:
-            self._abort("nonce challenge unreadable")
-            return []
-        self.smartphone_id = smartphone_id
-        self._expect(None, None)  # wait for the doctor to type in RM
+            raise Rejected(ABORT, "nonce challenge unreadable") from None
+        self.smartphone_id = frame.smartphone_id
+        self._expect(None)  # wait for the doctor to type in RM
         return []
 
     def enter_rm(self, rm: bytes):
@@ -790,55 +690,31 @@ class Programmer(Party):
     def start_read(self) -> list[Outbound]:
         if not self.authenticated:
             raise ProtocolError("read requires completed authentication")
-        ts4 = ts_bytes(self.clock)
-        tag3 = self.crypto.mac(
-            self.k_p, auth_bytes(Heading.READ_AUTH_REQ, self.session, [ts4])
-        )
-        self._expect(Heading.READ_READY, LINK_SD)
-        return [
-            Outbound(
-                LINK_SD,
-                WireMessage(Heading.READ_AUTH_REQ, self.session, (ts4, tag3.data)),
-            )
-        ]
+        self._expect(Heading.READ_READY)
+        return [self._send(Heading.READ_AUTH_REQ, self.session, ts_bytes(self.clock))]
 
-    def _on_read_ready(self, msg: WireMessage) -> list[Outbound]:
-        if msg.session != self.session or len(msg.fields) != 1:
-            self.drops += 1
-            return []
+    def _on_read_ready(self, frame) -> list[Outbound]:
         try:
             kd_bytes = self.crypto.sym_dec(
-                self.k_p, CipherBlob("aes-128-gcm", msg.fields[0])
+                self.k_p, CipherBlob("aes-128-gcm", frame.enc_kd)
             )
             self.shift_key = codec.deserialize_shift_key(kd_bytes)
         except (DecryptionError, codec.CodecError):
-            self._abort("shift key unreadable")
-            return []
+            raise Rejected(ABORT, "shift key unreadable") from None
         self.k_r = self.crypto.kdf(
             length_prefixed(kd_bytes, u64_bytes(self.session))
         )
-        self._expect(Heading.READ_REQ, LINK_DI)
-        return [Outbound(LINK_DI, WireMessage(Heading.READ_REQ, self.session, ()))]
+        self._expect(Heading.READ_REQ)
+        return [self._send(Heading.READ_REQ, self.session)]
 
-    def _on_read_response(self, msg: WireMessage) -> list[Outbound]:
-        if msg.session != self.session or len(msg.fields) != 2:
-            self.drops += 1
-            return []
-        c2_bytes, tag = msg.fields
-        if not self.crypto.mac_verify(
-            self.k_r,
-            auth_bytes(None, msg.session, [c2_bytes]),
-            MacTag("hmac-sha1", tag),
-        ):
-            self._abort("telemetry MAC failure")
-            return []
+    def _on_read_req(self, frame) -> list[Outbound]:
         try:
-            blobs = unpack_signals(c2_bytes)
-            ciphers = [codec.deserialize_ciphertext(b) for b in blobs]
+            ciphers = [
+                codec.deserialize_ciphertext(b) for b in unpack_signals(frame.c2)
+            ]
         except (WireError, codec.CodecError):
-            self._abort("telemetry payload malformed")
-            return []
-        self.c2_bytes = c2_bytes
+            raise Rejected(ABORT, "telemetry payload malformed") from None
+        self.c2_bytes = frame.c2
         if self.reconstruct:
             phi = self.config.sensing_matrix()
             psi = self.config.basis()
@@ -848,7 +724,7 @@ class Programmer(Party):
                 )
                 _, x_hat = recovery.omp_reconstruct(y, phi, psi)
                 self.recovered_signals.append(x_hat)
-        self._expect(None, None)
+        self._expect(None)
         return []
 
     @property
@@ -877,55 +753,18 @@ class Programmer(Party):
                 ts6,
             ),
         )
-        tag6 = self.crypto.mac(
-            self.k_p,
-            auth_bytes(
-                Heading.WRITE_AUTH_REQ, self.session, [sig.data, ts_bytes(ts6)]
-            ),
-        )
-        self._expect(Heading.WRITE_READY, LINK_SD)
+        self._expect(Heading.WRITE_READY)
         return [
-            Outbound(
-                LINK_SD,
-                WireMessage(
-                    Heading.WRITE_AUTH_REQ,
-                    self.session,
-                    (sig.data, ts_bytes(ts6), tag6.data),
-                ),
-            )
+            self._send(Heading.WRITE_AUTH_REQ, self.session, sig.data, ts_bytes(ts6))
         ]
 
-    def _on_write_ready(self, msg: WireMessage) -> list[Outbound]:
-        if msg.session != self.session or msg.fields:
-            self.drops += 1
-            return []
+    def _on_write_ready(self, frame) -> list[Outbound]:
         c3 = self.crypto.sym_enc(self.k_r, self.command)
-        tag8 = self.crypto.mac(
-            self.k_r, auth_bytes(Heading.WRITE_REQ, self.session, [c3.data])
-        )
-        self._expect(Heading.WRITE_SUCC, LINK_DI)
-        return [
-            Outbound(
-                LINK_DI,
-                WireMessage(Heading.WRITE_REQ, self.session, (c3.data, tag8.data)),
-            )
-        ]
+        self._expect(Heading.WRITE_SUCC)
+        return [self._send(Heading.WRITE_REQ, self.session, c3.data)]
 
-    def _on_write_succ(self, msg: WireMessage) -> list[Outbound]:
-        if msg.session != self.session or msg.fields:
-            self.drops += 1
-            return []
+    def _on_write_succ(self, frame) -> list[Outbound]:
         self.write_complete = True
         self.outcome = "ok"
-        self._expect(None, None)
+        self._expect(None)
         return []
-
-    def _handle(self, msg: WireMessage, link: str) -> list[Outbound]:
-        handlers = {
-            Heading.AUTH_REQ: self._on_auth_reply,
-            Heading.READ_READY: self._on_read_ready,
-            Heading.READ_REQ: self._on_read_response,
-            Heading.WRITE_READY: self._on_write_ready,
-            Heading.WRITE_SUCC: self._on_write_succ,
-        }
-        return handlers[msg.heading](msg)

@@ -7,6 +7,7 @@ the combined dictionary Theta = Phi @ Psi.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
@@ -23,6 +24,7 @@ __all__ = [
     "SyntheticSignal",
     "gen_sensing_matrix",
     "build_basis",
+    "cached_operator",
     "omp_reconstruct",
     "prd",
     "classify_prd",
@@ -145,6 +147,15 @@ def build_basis(n: int, kind: str = "cosine") -> SparsityBasis:
             cols.append(np.sqrt(2.0 / n) * np.sin(2.0 * np.pi * k * t / n))
         return SparsityBasis(columns=np.column_stack(cols), kind=kind)
     raise RecoveryError(f"unknown basis kind {kind!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def cached_operator(build, *args):
+    """Build an operator once per argument tuple and share it:
+    cached_operator(gen_sensing_matrix, seed, m, n) for Phi,
+    cached_operator(build_basis, n, kind) for Psi.  Callers must not
+    mutate the result."""
+    return build(*args)
 
 
 def omp_reconstruct(

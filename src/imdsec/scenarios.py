@@ -33,7 +33,7 @@ from .parties import (
 
 __all__ = ["World", "SessionResult", "build_world", "run_session", "SCENARIOS"]
 
-SCENARIOS = ("pair", "auth", "read", "write", "full")
+SCENARIOS = ("pair", "auth", "read", "full")
 
 SMARTPHONE_ID = b"SM-2041"
 IMPLANT_ID = b"IMD-7742"
@@ -238,7 +238,6 @@ def run_session(
         "pair": ("pair",),
         "auth": ("pair", "auth"),
         "read": ("pair", "auth", "read"),
-        "write": ("pair", "auth", "read", "write"),
         "full": ("pair", "auth", "read", "write"),
     }[scenario]
 

@@ -1,9 +1,10 @@
 """Canonical message framing for the access-control protocols.
 
 Frame layout: heading (1 byte), session number (8 bytes big-endian),
-field count (1 byte), then each field as a 4-byte big-endian length
-followed by its bytes.  MAC inputs reuse the same encoding over exactly
-the components each protocol step authenticates, in step order.
+field count (1 byte), then the fields in crypto.length_prefixed form:
+each a 4-byte big-endian length followed by its bytes.  MAC inputs
+reuse the same encoding over exactly the components each protocol step
+authenticates, in step order.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Sequence
+
+from .crypto import CryptoError, length_prefixed, split_length_prefixed
 
 __all__ = [
     "WireError",
@@ -64,15 +67,11 @@ class WireMessage:
 
 
 _PREFIX = struct.Struct(">BQB")
-_FIELD_LEN = struct.Struct(">I")
 
 
 def encode_message(msg: WireMessage) -> bytes:
-    out = [_PREFIX.pack(int(msg.heading), msg.session, len(msg.fields))]
-    for f in msg.fields:
-        out.append(_FIELD_LEN.pack(len(f)))
-        out.append(f)
-    return b"".join(out)
+    prefix = _PREFIX.pack(int(msg.heading), msg.session, len(msg.fields))
+    return prefix + length_prefixed(*msg.fields)
 
 
 def decode_message(buf: bytes) -> WireMessage:
@@ -83,19 +82,10 @@ def decode_message(buf: bytes) -> WireMessage:
         heading = Heading(heading)
     except ValueError:
         raise WireError(f"unknown heading {heading}") from None
-    pos = _PREFIX.size
-    fields = []
-    for _ in range(count):
-        if pos + _FIELD_LEN.size > len(buf):
-            raise WireError("truncated field length")
-        (ln,) = _FIELD_LEN.unpack_from(buf, pos)
-        pos += _FIELD_LEN.size
-        if pos + ln > len(buf):
-            raise WireError("truncated field")
-        fields.append(buf[pos : pos + ln])
-        pos += ln
-    if pos != len(buf):
-        raise WireError("trailing bytes after frame")
+    try:
+        fields = split_length_prefixed(buf[_PREFIX.size :], count)
+    except CryptoError as exc:
+        raise WireError(f"malformed frame: {exc}") from None
     return WireMessage(heading=heading, session=session, fields=tuple(fields))
 
 
@@ -111,9 +101,7 @@ def auth_bytes(
         out += struct.pack(">B", int(heading))
     if session is not None:
         out += struct.pack(">Q", session)
-    for f in fields:
-        out += _FIELD_LEN.pack(len(f))
-        out += f
+    out += length_prefixed(*fields)
     return bytes(out)
 
 

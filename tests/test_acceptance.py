@@ -194,7 +194,7 @@ def test_c6_protocol_suite_fuzz():
 
 
 def test_c7_forensic_soundness():
-    result = run_session("write", seed=104, config=FUZZ_CONFIG, command=b"cmd: c7")
+    result = run_session("full", seed=104, config=FUZZ_CONFIG, command=b"cmd: c7")
     assert result.ok
     world = result.world
     applied = world.imd.applied_commands

@@ -127,7 +127,7 @@ class TestActiveAttackers:
     def test_duplicate_command_frame_applies_once(self):
         attacker = DuplicateFrameAttacker("programmer", Heading.WRITE_REQ)
         world = build_world(seed=11, config=FAST, attacker=attacker, reconstruct=False)
-        result = run_session("write", config=FAST, world=world)
+        result = run_session("full", config=FAST, world=world)
         assert attacker.duplicated
         assert result.ok  # the duplicate is dropped, the flow still completes
         assert len(world.imd.applied_commands) == 1
@@ -167,3 +167,15 @@ class TestActiveAttackers:
             if attacker.flipped_frame:
                 seen.add(attacker.flipped_frame)
         assert seen == set(MAC_PROTECTED_FRAMES)
+
+    def test_protected_frames_follow_the_step_table(self):
+        assert MAC_PROTECTED_FRAMES == {
+            ("smartphone", Heading.PAIR_REQ),
+            ("programmer", Heading.READ_AUTH_REQ),
+            ("smartphone", Heading.READ_ALLOW),
+            ("imd", Heading.READ_REQ),
+            ("programmer", Heading.WRITE_AUTH_REQ),
+            ("smartphone", Heading.WRITE_ALLOW),
+            ("programmer", Heading.WRITE_REQ),
+            ("smartphone", Heading.SET_ALLOW),
+        }

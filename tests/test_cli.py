@@ -78,7 +78,7 @@ class TestSession:
 
     def test_replay_attacker_contained(self, capsys):
         code = main(
-            ["session", "--scenario", "write", "--attacker", "replay",
+            ["session", "--scenario", "full", "--attacker", "replay",
              "--n", "64", "--qs", "0", "--seed", "4"]
         )
         captured = capsys.readouterr().out

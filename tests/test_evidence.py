@@ -98,6 +98,16 @@ class TestLedgerFile:
         assert reopened.records[0] == record
         assert reopened.records[1] == second
 
+    def test_truncated_file_raises_value_error(self, tmp_path, signed_record):
+        record, _ = signed_record
+        path = tmp_path / "ledger.bin"
+        EvidenceLedger(str(path)).append(record)
+        data = path.read_bytes()
+        for cut in (2, 4, len(data) - 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match="truncated ledger file"):
+                EvidenceLedger(str(path))
+
     def test_record_serialization_roundtrip(self, signed_record):
         record, _ = signed_record
         assert EvidenceRecord.from_bytes(record.to_bytes()) == record
@@ -105,7 +115,7 @@ class TestLedgerFile:
 
 class TestForensicSoundness:
     def test_each_applied_command_has_one_verifying_record(self):
-        result = run_session("write", seed=31, config=FAST, command=b"cmd: x")
+        result = run_session("full", seed=31, config=FAST, command=b"cmd: x")
         assert result.ok
         world = result.world
         applied = world.imd.applied_commands
@@ -117,7 +127,7 @@ class TestForensicSoundness:
 
     def test_no_authorization_without_stored_record(self):
         # scan the transcript: any set-allow frame must postdate a ledger entry
-        result = run_session("write", seed=32, config=FAST)
+        result = run_session("full", seed=32, config=FAST)
         assert result.ok
         from imdsec.wire import Heading, decode_message
 

@@ -3,10 +3,10 @@ import pytest
 
 from imdsec.crypto import SymmetricKey, generate_authority
 from imdsec.evidence import evidence_verify
-from imdsec.parties import ProtocolError, SystemConfig
+from imdsec.parties import ProtocolError, SystemConfig, pack_signals, unpack_signals
 from imdsec.recovery import classify_prd, prd, QualityClass
 from imdsec.scenarios import build_world, run_session
-from imdsec.wire import Heading, WireMessage, encode_message
+from imdsec.wire import Heading, WireError, WireMessage, encode_message, ts_bytes
 
 FAST = SystemConfig(n=64, cr=50.0, qs=0)
 
@@ -50,7 +50,7 @@ class TestHonestFlows:
         assert classify_prd(quality) == QualityClass.VERY_GOOD
 
     def test_write_applies_command_with_evidence(self):
-        result = run_session("write", seed=6, config=FAST, command=b"cmd: rate=70")
+        result = run_session("full", seed=6, config=FAST, command=b"cmd: rate=70")
         assert result.ok
         w = result.world
         assert w.imd.applied_commands == [b"cmd: rate=70"]
@@ -167,6 +167,28 @@ class TestFailurePaths:
         assert not world.smartphone.paired
         assert world.imd.drops == 1
 
+    def test_forged_read_auth_frames_are_counted_drops(self):
+        result = run_session("auth", seed=19, config=FAST)
+        assert result.ok
+        smartphone = result.world.smartphone
+        session = result.world.programmer.session
+        drops = smartphone.drops
+        expected = (smartphone.expected, smartphone.expected_link)
+        forged = 5
+        for i in range(forged):
+            frame = encode_message(
+                WireMessage(
+                    Heading.READ_AUTH_REQ,
+                    session,
+                    (ts_bytes(smartphone.clock), bytes([i]) * 20),
+                )
+            )
+            assert smartphone.receive(frame, "s-d") == []
+        assert smartphone.drops == drops + forged
+        assert (smartphone.expected, smartphone.expected_link) == expected
+        assert smartphone.incidents == ["read auth MAC failure"] * forged
+        assert smartphone.outcome == "idle"
+
 
 class TestSingleThreadDiscipline:
     def test_unexpected_headings_never_change_state(self):
@@ -230,3 +252,15 @@ class TestSecrecyOnWire:
         oob = [e for e in result.transcript.entries if e.kind == "oob"]
         assert len(oob) == 1
         assert oob[0].payload == result.world.smartphone.rm
+
+
+class TestTelemetryPayload:
+    def test_roundtrip(self):
+        blobs = [b"", b"one", b"\x00" * 300]
+        assert unpack_signals(pack_signals(blobs)) == blobs
+
+    def test_malformed_payloads_raise_wire_error(self):
+        good = pack_signals([b"abc", b"de"])
+        for bad in (b"", good[:3], good[:-1], good + b"\x00", b"\xff" * 4):
+            with pytest.raises(WireError):
+                unpack_signals(bad)
