@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from . import ecg
 from .channel import Attacker, TranscriptEntry
@@ -46,7 +45,6 @@ from .wire import (
 
 __all__ = [
     "default_shift_grid",
-    "guess_recoveries",
     "UniformGuessResult",
     "uniform_guess_attack",
     "RandomGuessResult",
@@ -127,32 +125,12 @@ class BitFlipAttacker(Attacker):
         return [bytes(mutated)]
 
 
-def default_shift_grid(bound: int = 449, step: int = 50) -> list[int]:
-    """Multiples of `step` inside [-bound, bound] plus the interval ends."""
-    grid = {shift for shift in range(0, bound + 1, step)}
+def default_shift_grid(bound: int = 449) -> list[int]:
+    """Multiples of 50 inside [-bound, bound] plus the interval ends."""
+    grid = {shift for shift in range(0, bound + 1, 50)}
     grid.update(-shift for shift in list(grid))
     grid.update((-bound, bound))
     return sorted(grid)
-
-
-def guess_recoveries(
-    cipher: CsCiphertext,
-    phi: SensingMatrix,
-    psi: SparsityBasis,
-    grid: Optional[list[int]] = None,
-    params: Optional[RecoveryParams] = None,
-):
-    """Yield (shift_guess, x_hat) for each constant-shift guess.
-
-    The attacker cannot orient the carry bits without the key signs, so
-    the de-shift assumes no wraps: y_guess = y' - shift * (phi @ 1).
-    """
-    grid = grid if grid is not None else default_shift_grid()
-    column_sum = phi.entries @ np.ones(phi.n)
-    for shift in grid:
-        y_guess = cipher.measurements - shift * column_sum
-        _, x_hat = omp_reconstruct(y_guess, phi, psi, params)
-        yield shift, x_hat
 
 
 @dataclass(frozen=True)
@@ -170,9 +148,17 @@ def uniform_guess_attack(
     grid: Optional[list[int]] = None,
     params: Optional[RecoveryParams] = None,
 ) -> UniformGuessResult:
-    """Score every constant-shift recovery against the ground truth."""
+    """De-shift with every constant guess and score each recovery.
+
+    The attacker cannot orient the carry bits without the key signs, so
+    each de-shift assumes no wraps: y_guess = y' - shift * (phi @ 1).
+    """
+    grid = grid if grid is not None else default_shift_grid()
+    column_sum = phi.entries @ np.ones(phi.n)
     curve = []
-    for shift, x_hat in guess_recoveries(cipher, phi, psi, grid, params):
+    for shift in grid:
+        y_guess = cipher.measurements - shift * column_sum
+        _, x_hat = omp_reconstruct(y_guess, phi, psi, params)
         curve.append((shift, prd(truth, x_hat)))
     best_shift, best_prd = min(curve, key=lambda item: item[1])
     return UniformGuessResult(
@@ -303,7 +289,6 @@ def mitm_read_attack(
     seed: int = 0,
     config: Optional[SystemConfig] = None,
     degraded_oob: bool = False,
-    params: Optional[RecoveryParams] = None,
 ) -> MitmResult:
     """Paired runs: honest baseline, then the same session under attack."""
     config = config or SystemConfig()
@@ -334,12 +319,10 @@ def mitm_read_attack(
     derived = attacker.derive_shift_key()
     if derived is not None:
         y = cs_deshift(derived, cipher, phi, config.L1, config.L2)
-        _, x_hat = omp_reconstruct(y, phi, psi, params)
+        _, x_hat = omp_reconstruct(y, phi, psi)
         attacker_prd = prd(attacked_truth, x_hat)
     else:
-        attacker_prd = uniform_guess_attack(
-            cipher, phi, psi, attacked_truth, params=params
-        ).best_prd
+        attacker_prd = uniform_guess_attack(cipher, phi, psi, attacked_truth).best_prd
     return MitmResult(
         attacker_prd=attacker_prd,
         attacker_derived_key=derived is not None,
@@ -401,24 +384,24 @@ class KsResult:
 def indistinguishability_test(
     samples: int = 100_000,
     seed: int = 0,
-    L1: int = 590,
-    L2: int = 1487,
-    alpha: float = 0.01,
     degenerate_key: bool = False,
-    n: int = ecg.TARGET_SAMPLES,
 ) -> KsResult:
     """Two-sample KS test: masked telemetry entries vs masked zeros.
 
     Telemetry entries come from a diverse pool of integer ECG-like
-    records; the shift key is uniform over its full interval (or all
-    zeros for the degenerate negative control).  Passing means the test
-    cannot tell the two apart at the given significance.
+    records in the default system window; the shift key is uniform over
+    its full interval (or all zeros for the degenerate negative control).
+    Passing means the test cannot tell the two apart at the 1 % level.
     """
-    records_needed = -(-samples // n)
+    from scipy import stats
+
+    config = SystemConfig()
+    L1, L2 = config.L1, config.L2
+    records_needed = -(-samples // config.n)
     values = np.concatenate(
         [
             ecg.synth_ecg_like(
-                f"ks/{seed}/{i}".encode(), n=n, s=10 + (i % 6), L1=L1, L2=L2
+                f"ks/{seed}/{i}".encode(), n=config.n, s=10 + (i % 6), L1=L1, L2=L2
             ).samples
             for i in range(records_needed)
         ]
@@ -436,6 +419,6 @@ def indistinguishability_test(
     return KsResult(
         statistic=float(result.statistic),
         pvalue=float(result.pvalue),
-        passed=bool(result.pvalue > alpha),
+        passed=bool(result.pvalue > 0.01),
         samples=samples,
     )

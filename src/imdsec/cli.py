@@ -89,7 +89,7 @@ def _cmd_attack(args) -> int:
     report = reports.attack_report(
         records,
         cr_grid=tuple(args.cr),
-        qs=args.qs[0] if args.qs else reports.BENCHMARK_QS,
+        qs=args.qs,
         seeds=args.seeds,
         trials=args.trials,
         master_seed=args.master_seed,
@@ -110,14 +110,10 @@ def _cmd_attack(args) -> int:
 
 def _cmd_opcount(args) -> int:
     runs = reports.opcount_report(seeds=tuple(range(args.seeds)))
-    header = "process,sym_enc,sym_dec,mac,kdf,cs_enc"
-    lines = [header]
-    for phase in ("pair", "auth", "read", "write"):
+    lines = [",".join(("process",) + reports.OPCOUNT_OPS)]
+    for phase in reports.EXPECTED_IMD_OPCOUNTS:
         counts = runs[0][phase]
-        lines.append(
-            f"{phase},{counts['sym_enc']},{counts['sym_dec']},"
-            f"{counts['mac']},{counts['kdf']},{counts['cs_enc']}"
-        )
+        lines.append(",".join([phase] + [str(counts[op]) for op in reports.OPCOUNT_OPS]))
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -147,21 +143,22 @@ def _cmd_session(args) -> int:
         args.scenario = cfg.get("scenario", args.scenario)
         args.attacker = cfg.get("attacker", args.attacker)
         if "CR" in cfg:
-            args.cr = [float(cfg["CR"])]
+            args.cr = float(cfg["CR"])
         if "qs" in cfg:
-            args.qs = [int(cfg["qs"])]
+            args.qs = int(cfg["qs"])
         if "N" in cfg:
             args.n = int(cfg["N"])
         if "seeds" in cfg:
-            args.seed = int(cfg["seeds"].replace(",", " ").split()[0])
+            try:
+                args.seed = int(cfg["seeds"])
+            except ValueError:
+                raise SystemExit(
+                    f"{args.config}: seeds takes one integer, got {cfg['seeds']!r}"
+                ) from None
         if "degraded_oob" in cfg:
             args.degraded_oob = cfg["degraded_oob"].lower() in ("1", "true", "yes")
 
-    config = SystemConfig(
-        n=args.n,
-        cr=args.cr[0] if args.cr else 50.0,
-        qs=args.qs[0] if args.qs else 20,
-    )
+    config = SystemConfig(n=args.n, cr=args.cr, qs=args.qs)
     checks_ok = True
 
     if args.attacker == "mitm":
@@ -208,9 +205,7 @@ def _cmd_session(args) -> int:
     problems = []
     if not result.ok:
         problems.append("scenario did not complete")
-    wire_blob = b"".join(
-        e.payload for e in result.transcript.entries if e.kind == "wire"
-    )
+    wire_blob = b"".join(e.payload for e in result.transcript.wire_entries())
     for name, secret in world.secret_values().items():
         if secret in wire_blob:
             problems.append(f"secret {name} visible on the wire")
@@ -239,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--cr", type=float, nargs="*", default=list(reports.DEFAULT_CR_GRID))
-        p.add_argument("--qs", type=int, nargs="*", default=list(reports.DEFAULT_QS_GRID))
         p.add_argument("--seeds", type=int, default=20)
         p.add_argument("--master-seed", type=int, default=0)
         p.add_argument("--records", nargs="*", help="ECG csv files")
@@ -247,11 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="recovery quality over the CR/qs grid")
     common(p_sweep)
+    p_sweep.add_argument("--qs", type=int, nargs="*", default=list(reports.DEFAULT_QS_GRID))
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_attack = sub.add_parser("attack", help="guessing attacks vs legitimate recovery")
     common(p_attack)
     p_attack.set_defaults(cr=list(reports.ATTACK_CR_GRID), seeds=3)
+    p_attack.add_argument("--qs", type=int, default=0, help="quantizer step (0 = none)")
     p_attack.add_argument("--trials", type=int, default=100)
     p_attack.set_defaults(func=_cmd_attack)
 
@@ -266,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sess.add_argument("--degraded-oob", action="store_true")
     p_sess.add_argument("--seed", type=int, default=0)
     p_sess.add_argument("--n", type=int, default=512)
-    p_sess.add_argument("--cr", type=float, nargs="*", default=[50.0])
-    p_sess.add_argument("--qs", type=int, nargs="*", default=[20])
+    p_sess.add_argument("--cr", type=float, default=50.0)
+    p_sess.add_argument("--qs", type=int, default=20)
     p_sess.add_argument("--config", help="key = value scenario file")
     p_sess.add_argument("--out", help="transcript dump path")
     p_sess.set_defaults(func=_cmd_session)

@@ -212,11 +212,7 @@ def _shift_core(values: np.ndarray, shifts: np.ndarray, L1: int, L2: int):
 
 
 def vec_shifting_add(
-    values: np.ndarray,
-    shifts: np.ndarray,
-    L1: int,
-    L2: int,
-    check_bounds: bool = True,
+    values: np.ndarray, shifts: np.ndarray, L1: int, L2: int
 ) -> tuple[np.ndarray, CarryVector]:
     """Entrywise shifting addition of two equal-length vectors."""
     values = np.asarray(values, dtype=np.float64)
@@ -227,7 +223,7 @@ def vec_shifting_add(
         )
     if L1 >= L2:
         raise CodecError(f"need L1 < L2, got ({L1}, {L2})")
-    if check_bounds and not np.all((values > L1) & (values < L2)):
+    if not np.all((values > L1) & (values < L2)):
         raise CodecError("input values must lie strictly inside (L1, L2)")
     u, carries = _shift_core(values, shifts, L1, L2)
     return u, CarryVector(bits=carries)

@@ -76,12 +76,8 @@ def _resample_linear(samples: np.ndarray, target: int) -> np.ndarray:
     return np.interp(dst, src, samples.astype(np.float64))
 
 
-def load_ecg_csv(
-    path,
-    target_len: int = TARGET_SAMPLES,
-    bounds: Optional[tuple[int, int]] = None,
-) -> EcgRecord:
-    """Read one-integer-per-line samples and resample to target_len.
+def load_ecg_csv(path, bounds: Optional[tuple[int, int]] = None) -> EcgRecord:
+    """Read one-integer-per-line samples and resample to TARGET_SAMPLES.
 
     Bounds default to (min - 1, max + 1) of the resampled record; an
     override must still contain every sample.
@@ -98,7 +94,7 @@ def load_ecg_csv(
             raise ValueError(f"{path}:{lineno}: non-numeric sample {text!r}") from None
     if not raw:
         raise ValueError(f"{path}: no samples")
-    resampled = np.rint(_resample_linear(np.asarray(raw), target_len)).astype(np.int64)
+    resampled = np.rint(_resample_linear(np.asarray(raw), TARGET_SAMPLES)).astype(np.int64)
     if resampled.min() == resampled.max():
         warnings.warn(
             f"{path.name}: constant signal is not sparse-compressible",
@@ -121,13 +117,11 @@ def synth_ecg_like(
     s: int = 12,
     L1: int = 590,
     L2: int = 1487,
-    tail_level: float = 0.06,
-    tail_decay: float = 1.0,
-    margin: float = 0.06,
 ) -> EcgRecord:
     """Generate an integer ECG-like record: s dominant low-frequency atoms
-    plus a k^-decay coefficient tail at tail_level relative energy."""
-    basis = cached_operator(build_basis, n, "cosine")
+    plus a 1/k coefficient tail at 6 % relative energy, scaled to keep a
+    6 % margin inside (L1, L2)."""
+    basis = cached_operator(build_basis, n)
     rng = np.random.default_rng(
         int.from_bytes(hashlib.sha256(b"ecg/" + bytes(seed)).digest(), "big")
     )
@@ -136,13 +130,13 @@ def synth_ecg_like(
     coeffs[atoms] = rng.normal(0.0, 1.0, size=s) + np.sign(rng.normal(size=s)) * 0.6
 
     k = np.arange(1, n)
-    tail = rng.normal(0.0, 1.0, size=n - 1) * k ** (-tail_decay)
-    tail *= tail_level * np.linalg.norm(coeffs) / np.linalg.norm(tail)
+    tail = rng.normal(0.0, 1.0, size=n - 1) * (1.0 / k)
+    tail *= 0.06 * np.linalg.norm(coeffs) / np.linalg.norm(tail)
     coeffs[1:] += tail
 
     raw = basis.synthesize(coeffs)
     span = L2 - L1
-    lo, hi = L1 + margin * span, L2 - margin * span
+    lo, hi = L1 + 0.06 * span, L2 - 0.06 * span
     scale = (hi - lo) / (raw.max() - raw.min())
     values = scale * raw + (lo - scale * raw.min())
     samples = np.rint(values).astype(np.int64)

@@ -23,8 +23,10 @@ failure policies:
   failure takes this path, and so does a failed pairing MAC, so probing
   an unpaired implant reveals nothing.
 - stay: a counted drop that also records the reason in ``incidents``;
-  the flow keeps waiting (read authorisation at the smartphone, read
-  allowance at the implant).
+  the flow keeps waiting.  A frame anyone could have injected takes this
+  path: an AUTH_REQ whose doctor or certificate does not check out, an
+  undecryptable challenge, shift key or command report, and a failed
+  read-authorisation or read-allowance MAC.
 - abort: the flow ends with ``outcome == "aborted"`` and an
   ``abort_reason``.
 
@@ -119,7 +121,6 @@ class SystemConfig:
     L2: int = 1487
     cr: float = 50.0
     qs: int = 20  # 0 = transmit unquantized measurements
-    basis_kind: str = "cosine"
     matrix_seed: bytes = b"public-sensing-matrix"
     freshness_window: int = DEFAULT_FRESHNESS_WINDOW
 
@@ -133,7 +134,7 @@ class SystemConfig:
         )
 
     def basis(self) -> recovery.SparsityBasis:
-        return recovery.cached_operator(recovery.build_basis, self.n, self.basis_kind)
+        return recovery.cached_operator(recovery.build_basis, self.n)
 
 
 @dataclass(frozen=True)
@@ -398,13 +399,13 @@ class Smartphone(Party):
         except (CryptoError, ValueError):
             raise Rejected(DROP, "certificate unparseable") from None
         if frame.doctor_id not in self.doctor_oob_directory:
-            raise Rejected(ABORT, "unknown doctor")
+            raise Rejected(STAY, "unknown doctor")
         if (
             frame.certificate.subject_id != frame.doctor_id
             or frame.certificate.public_key_der != frame.pk_der
             or not self.crypto.cert_verify(self.ca_public_key, frame.certificate)
         ):
-            raise Rejected(ABORT, "certificate verification failed")
+            raise Rejected(STAY, "certificate verification failed")
 
     def _on_auth_req(self, frame) -> list[Outbound]:
         self.session = frame.session
@@ -483,7 +484,7 @@ class Smartphone(Party):
             frame.command, implant_id, ts7_raw = split_length_prefixed(plain, 3)
             ts7 = ts_from_bytes(ts7_raw)
         except (CryptoError, ValueError):
-            raise Rejected(ABORT, "command report unreadable") from None
+            raise Rejected(STAY, "command report unreadable") from None
         if implant_id != self.implant_id or not self._fresh(ts7):
             raise Rejected(ABORT, "command report mismatch")
 
@@ -667,7 +668,7 @@ class Programmer(Party):
                 CipherBlob("rsa-oaep-sha256", frame.challenge),
             )
         except DecryptionError:
-            raise Rejected(ABORT, "nonce challenge unreadable") from None
+            raise Rejected(STAY, "nonce challenge unreadable") from None
         self.smartphone_id = frame.smartphone_id
         self._expect(None)  # wait for the doctor to type in RM
         return []
@@ -700,7 +701,7 @@ class Programmer(Party):
             )
             self.shift_key = codec.deserialize_shift_key(kd_bytes)
         except (DecryptionError, codec.CodecError):
-            raise Rejected(ABORT, "shift key unreadable") from None
+            raise Rejected(STAY, "shift key unreadable") from None
         self.k_r = self.crypto.kdf(
             length_prefixed(kd_bytes, u64_bytes(self.session))
         )

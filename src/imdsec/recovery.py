@@ -65,7 +65,6 @@ class SparsityBasis:
     """Real orthonormal N x N basis; columns are the atoms."""
 
     columns: np.ndarray
-    kind: str
 
     @property
     def n(self) -> int:
@@ -120,40 +119,22 @@ def cr_to_measurements(n: int, cr: float) -> int:
     return m
 
 
-def build_basis(n: int, kind: str = "cosine") -> SparsityBasis:
-    """Construct a real orthonormal basis.
-
-    kind="cosine" is the orthonormal cosine transform (default);
-    kind="dft-real" stacks the real/imaginary harmonics of the discrete
-    Fourier basis into a real orthonormal matrix (even N only).
-    """
+def build_basis(n: int) -> SparsityBasis:
+    """The orthonormal cosine transform of size N; columns are the atoms."""
     if n < 2:
         raise RecoveryError("basis size must be at least 2")
-    if kind == "cosine":
-        j = np.arange(n)
-        grid = np.pi * (2.0 * j[:, None] + 1.0) * j[None, :] / (2.0 * n)
-        columns = np.cos(grid) * np.sqrt(2.0 / n)
-        columns[:, 0] = np.sqrt(1.0 / n)
-        return SparsityBasis(columns=columns, kind=kind)
-    if kind == "dft-real":
-        if n % 2 != 0:
-            raise RecoveryError("dft-real basis requires even N")
-        t = np.arange(n)
-        cols = [np.full(n, np.sqrt(1.0 / n))]
-        for k in range(1, n // 2):
-            cols.append(np.sqrt(2.0 / n) * np.cos(2.0 * np.pi * k * t / n))
-        cols.append(np.sqrt(1.0 / n) * np.cos(np.pi * t))
-        for k in range(1, n // 2):
-            cols.append(np.sqrt(2.0 / n) * np.sin(2.0 * np.pi * k * t / n))
-        return SparsityBasis(columns=np.column_stack(cols), kind=kind)
-    raise RecoveryError(f"unknown basis kind {kind!r}")
+    j = np.arange(n)
+    grid = np.pi * (2.0 * j[:, None] + 1.0) * j[None, :] / (2.0 * n)
+    columns = np.cos(grid) * np.sqrt(2.0 / n)
+    columns[:, 0] = np.sqrt(1.0 / n)
+    return SparsityBasis(columns=columns)
 
 
 @functools.lru_cache(maxsize=None)
 def cached_operator(build, *args):
     """Build an operator once per argument tuple and share it:
     cached_operator(gen_sensing_matrix, seed, m, n) for Phi,
-    cached_operator(build_basis, n, kind) for Psi.  Callers must not
+    cached_operator(build_basis, n) for Psi.  Callers must not
     mutate the result."""
     return build(*args)
 
@@ -264,28 +245,27 @@ def synth_sparse_signal(
     s: int,
     L1: int,
     L2: int,
-    basis: Optional[SparsityBasis] = None,
-    margin: float = 0.05,
 ) -> SyntheticSignal:
     """Plant s random non-constant atoms and rescale into (L1, L2).
 
     The affine rescale adds a constant offset, so the returned support
     includes the constant atom (index 0) in addition to the s planted
-    atoms.  Deterministic per seed.
+    atoms.  Values keep a 5 % margin inside the window.  Deterministic
+    per seed.
     """
     if s >= n:
         raise RecoveryError("sparsity must be below the signal length")
     if s < 1:
         raise RecoveryError("need at least one planted atom")
-    basis = basis or build_basis(n)
+    basis = cached_operator(build_basis, n)
     rng = np.random.default_rng(_seed_int(seed, b"synth"))
     atoms = rng.choice(np.arange(1, n), size=s, replace=False)
     weights = rng.normal(0.0, 1.0, size=s) + np.sign(rng.normal(size=s)) * 0.5
     raw = basis.columns[:, atoms] @ weights
 
     span = L2 - L1
-    lo = L1 + margin * span
-    hi = L2 - margin * span
+    lo = L1 + 0.05 * span
+    hi = L2 - 0.05 * span
     raw_lo, raw_hi = float(raw.min()), float(raw.max())
     if raw_hi - raw_lo < 1e-12:
         raise RecoveryError("degenerate draw; use a different seed")

@@ -38,6 +38,7 @@ __all__ = [
     "check_communication_saving",
     "check_attack_separation",
     "evaluate_claims",
+    "OPCOUNT_OPS",
     "EXPECTED_IMD_OPCOUNTS",
     "DEFAULT_CR_GRID",
     "DEFAULT_QS_GRID",
@@ -55,11 +56,15 @@ BENCHMARK_QS = 20
 RAW_SAMPLE_BYTES = 2  # signed 16-bit baseline
 
 # process -> implant-side crypto operation counts for one run (n=1 signal)
+OPCOUNT_OPS = ("sym_enc", "sym_dec", "mac", "kdf", "cs_enc")
 EXPECTED_IMD_OPCOUNTS = {
-    "pair": {"sym_enc": 0, "sym_dec": 0, "mac": 1, "kdf": 1, "cs_enc": 0},
-    "auth": {"sym_enc": 0, "sym_dec": 0, "mac": 0, "kdf": 0, "cs_enc": 0},
-    "read": {"sym_enc": 0, "sym_dec": 1, "mac": 2, "kdf": 0, "cs_enc": 1},
-    "write": {"sym_enc": 1, "sym_dec": 1, "mac": 3, "kdf": 0, "cs_enc": 0},
+    phase: dict(zip(OPCOUNT_OPS, counts))
+    for phase, counts in (
+        ("pair", (0, 0, 1, 1, 0)),
+        ("auth", (0, 0, 0, 0, 0)),
+        ("read", (0, 1, 2, 0, 1)),
+        ("write", (1, 1, 3, 0, 0)),
+    )
 }
 
 
@@ -118,15 +123,25 @@ def _key_seed(master_seed: int, index: int) -> bytes:
     return f"sweep-key/{master_seed}/{index}".encode()
 
 
+def _trial(record, key_seed, phi, psi, params, qs):
+    """One mask -> project -> quantize -> de-shift -> OMP pipeline under
+    a fresh shift key; returns the ciphertext and the recovery PRD."""
+    key = codec.cs_gen(key_seed, record.n, record.L1, record.L2)
+    cipher = codec.cs_enc(key, ecg.to_bounded_signal(record), phi)
+    if qs:
+        cipher = codec.quantize(cipher, qs)
+    y = codec.cs_deshift(key, cipher, phi, record.L1, record.L2)
+    _, x_hat = recovery.omp_reconstruct(y, phi, psi, params)
+    return cipher, recovery.prd(record.samples.astype(np.float64), x_hat)
+
+
 def sweep_prd(
     records: Sequence[ecg.EcgRecord],
     cr_grid: Sequence[float] = DEFAULT_CR_GRID,
     qs_grid: Sequence[int] = DEFAULT_QS_GRID,
     seeds: int = 20,
     master_seed: int = 0,
-    n: Optional[int] = None,
     matrix_seed: bytes = b"public-sensing-matrix",
-    basis_kind: str = "cosine",
 ) -> SweepReport:
     """Median recovery quality per (record, CR, qs) cell.
 
@@ -135,8 +150,8 @@ def sweep_prd(
     """
     if not records:
         raise ValueError("need at least one record")
-    n = n or records[0].n
-    psi = recovery.build_basis(n, basis_kind)
+    n = records[0].n
+    psi = recovery.cached_operator(recovery.build_basis, n)
     rows = []
     for cr in cr_grid:
         m = recovery.cr_to_measurements(n, cr)
@@ -144,23 +159,16 @@ def sweep_prd(
         params = sweep_solver_params(m)
         for qs in qs_grid:
             for record in records:
-                signal = ecg.to_bounded_signal(record)
-                truth = record.samples.astype(np.float64)
                 prds = []
                 payload = 0
                 for s in range(seeds):
-                    key = codec.cs_gen(
-                        _key_seed(master_seed, s), n, record.L1, record.L2
+                    cipher, value = _trial(
+                        record, _key_seed(master_seed, s), phi, psi, params, qs
                     )
-                    cipher = codec.cs_enc(key, signal, phi)
-                    if qs:
-                        cipher = codec.quantize(cipher, qs)
                     payload = max(
                         payload, len(codec.serialize_ciphertext(cipher))
                     )
-                    y = codec.cs_deshift(key, cipher, phi, record.L1, record.L2)
-                    _, x_hat = recovery.omp_reconstruct(y, phi, psi, params)
-                    prds.append(recovery.prd(truth, x_hat))
+                    prds.append(value)
                 median = float(np.median(prds))
                 rows.append(
                     SweepRow(
@@ -183,7 +191,7 @@ def sweep_prd(
         "qs_grid": " ".join(str(q) for q in qs_grid),
         "records": " ".join(r.source_id for r in records),
         "matrix_seed": matrix_seed.hex(),
-        "basis": basis_kind,
+        "basis": "cosine",
         "solver": "omp max_atoms=min(25,M//2)",
     }
     return SweepReport(
@@ -199,7 +207,6 @@ def attack_report(
     trials: int = 100,
     master_seed: int = 0,
     matrix_seed: bytes = b"public-sensing-matrix",
-    basis_kind: str = "cosine",
 ) -> SweepReport:
     """Guessing-attack quality next to the legitimate baseline per CR.
 
@@ -210,7 +217,7 @@ def attack_report(
     if not records:
         raise ValueError("need at least one record")
     n = records[0].n
-    psi = recovery.build_basis(n, basis_kind)
+    psi = recovery.cached_operator(recovery.build_basis, n)
     grid = default_shift_grid(bound=records[0].shift_bound)
     rows = []
     for cr in cr_grid:
@@ -221,21 +228,17 @@ def attack_report(
         curves = []
         random_min = None
         for ri, record in enumerate(records):
-            signal = ecg.to_bounded_signal(record)
             truth = record.samples.astype(np.float64)
             for s in range(seeds):
-                key = codec.cs_gen(
+                cipher, value = _trial(
+                    record,
                     _key_seed(master_seed, 1000 + ri * seeds + s),
-                    n,
-                    record.L1,
-                    record.L2,
+                    phi,
+                    psi,
+                    params,
+                    qs,
                 )
-                cipher = codec.cs_enc(key, signal, phi)
-                if qs:
-                    cipher = codec.quantize(cipher, qs)
-                y = codec.cs_deshift(key, cipher, phi, record.L1, record.L2)
-                _, x_hat = recovery.omp_reconstruct(y, phi, psi, params)
-                legit_prds.append(recovery.prd(truth, x_hat))
+                legit_prds.append(value)
                 result = uniform_guess_attack(
                     cipher, phi, psi, truth, grid=grid, params=params
                 )
@@ -283,7 +286,7 @@ def attack_report(
         "records": " ".join(r.source_id for r in records),
         "matrix_seed": matrix_seed.hex(),
         "shift_grid": " ".join(str(s) for s in grid),
-        "basis": basis_kind,
+        "basis": "cosine",
     }
     header = (
         _BASE_HEADER + ",uniform_best_prd,uniform_best_shift,random_min_prd"
@@ -300,10 +303,7 @@ def opcount_report(seeds: Sequence[int] = (0,), config: Optional[SystemConfig] =
         if not result.ok:
             raise RuntimeError(f"scenario run failed for seed {seed}")
         runs[seed] = {
-            phase: {
-                op: counts.get(op, 0)
-                for op in ("sym_enc", "sym_dec", "mac", "kdf", "cs_enc")
-            }
+            phase: {op: counts.get(op, 0) for op in OPCOUNT_OPS}
             for phase, counts in result.imd_op_counts.items()
         }
     return runs
@@ -324,16 +324,17 @@ def check_opcounts(runs) -> list[str]:
 # --- report invariants ----------------------------------------------------
 
 
-def check_qs_trend(
-    report: SweepReport, cr: float = BENCHMARK_CR, tol: float = 1e-9
-) -> list[str]:
+_TREND_TOL = 1e-9
+
+
+def check_qs_trend(report: SweepReport, cr: float = BENCHMARK_CR) -> list[str]:
     """Medians must not decrease along the positive qs grid at this CR."""
     qs_values = sorted({r.qs for r in report.rows if r.qs > 0})
     problems = []
     previous = None
     for qs in qs_values:
         value = report.cell_median(cr, qs)
-        if previous is not None and value < previous - tol:
+        if previous is not None and value < previous - _TREND_TOL:
             problems.append(
                 f"qs trend violated at CR={cr}: PRD({qs})={value:.4f} < "
                 f"PRD(previous)={previous:.4f}"
@@ -342,7 +343,7 @@ def check_qs_trend(
     return problems
 
 
-def check_cr_trend(report: SweepReport, tol: float = 1e-9) -> list[str]:
+def check_cr_trend(report: SweepReport) -> list[str]:
     """Medians must not decrease along CR, within every qs column."""
     cr_values = sorted({r.cr for r in report.rows})
     qs_values = sorted({r.qs for r in report.rows})
@@ -351,7 +352,7 @@ def check_cr_trend(report: SweepReport, tol: float = 1e-9) -> list[str]:
         previous = None
         for cr in cr_values:
             value = report.cell_median(cr, qs)
-            if previous is not None and value < previous - tol:
+            if previous is not None and value < previous - _TREND_TOL:
                 problems.append(
                     f"CR trend violated at qs={qs}: PRD(CR={cr})={value:.4f} "
                     f"< previous {previous:.4f}"

@@ -75,12 +75,9 @@ class World:
             secrets["nonce"] = self.smartphone.nonce
         if self.programmer.command is not None:
             secrets["command"] = self.programmer.command
-        for i, record in enumerate(self._records()):
+        for i, record in enumerate(self.imd.data_source.records):
             secrets[f"raw_data_{i}"] = ecg.raw_signal_bytes(record)
         return secrets
-
-    def _records(self) -> list[ecg.EcgRecord]:
-        return list(getattr(self.imd.data_source, "records", []))
 
 
 class _TelemetrySource:
@@ -99,9 +96,7 @@ def build_world(
     attacker: Optional[Attacker] = None,
     reconstruct: bool = True,
     n_signals: int = 1,
-    ledger_path: Optional[str] = None,
     start_clock: int = 0,
-    records: Optional[list[ecg.EcgRecord]] = None,
     master_key: Optional[SymmetricKey] = None,
 ) -> World:
     """Wire up the four parties; master_key may be pinned so separate
@@ -111,16 +106,12 @@ def build_world(
         master_key = SymmetricKey(
             hashlib.sha256(f"master/{seed}".encode()).digest()[:16]
         )
-    if records is None:
-        records = [
-            ecg.synth_ecg_like(
-                f"world/{seed}/{i}".encode(),
-                n=config.n,
-                L1=config.L1,
-                L2=config.L2,
-            )
-            for i in range(n_signals)
-        ]
+    records = [
+        ecg.synth_ecg_like(
+            f"world/{seed}/{i}".encode(), n=config.n, L1=config.L1, L2=config.L2
+        )
+        for i in range(n_signals)
+    ]
 
     authority = authority_private_key()
     doctor_key = doctor_private_key()
@@ -136,7 +127,7 @@ def build_world(
         implant_id=IMPLANT_ID,
         ca_public_key=authority.public_key(),
         doctor_oob_directory={DOCTOR_ID: DOCTOR_PHONE},
-        ledger=EvidenceLedger(ledger_path),
+        ledger=EvidenceLedger(),
     )
     imd = Imd(
         name="imd",
@@ -232,64 +223,54 @@ def run_session(
             reconstruct=reconstruct, n_signals=n_signals,
         )
     sched = world.scheduler
-    phases: dict[str, bool] = {}
-    op_counts: dict[str, dict[str, int]] = {}
-    want = {
-        "pair": ("pair",),
-        "auth": ("pair", "auth"),
-        "read": ("pair", "auth", "read"),
-        "full": ("pair", "auth", "read", "write"),
-    }[scenario]
 
-    def phase(name, initiate, check) -> bool:
-        before = world.imd.crypto.snapshot()
-        initiate()
+    def auth_flow():
+        sched.initiate("programmer", world.programmer.start_auth)
         sched.run_until_quiet()
-        op_counts[name] = _counter_delta(before, world.imd.crypto.snapshot())
-        ok = bool(check())
-        phases[name] = ok
-        return ok
+        if world.doctor_phone.rm is not None and world.programmer.nonce is not None:
+            world.programmer.enter_rm(world.doctor_phone.rm)
 
-    done = True
-    if "pair" in want and done:
-        done = phase(
+    # (phase, initiate, check) in protocol order; the i-th scenario of
+    # SCENARIOS runs the first i + 1 phases and stops at the first failure.
+    table = (
+        (
             "pair",
             lambda: sched.initiate(
                 "smartphone", lambda: world.smartphone.start_pair(world.master_key)
             ),
             lambda: world.smartphone.paired and world.imd.k_i is not None,
-        )
-    if "auth" in want and done:
-        def auth_flow():
-            sched.initiate("programmer", world.programmer.start_auth)
-            sched.run_until_quiet()
-            if world.doctor_phone.rm is not None and world.programmer.nonce is not None:
-                world.programmer.enter_rm(world.doctor_phone.rm)
-
-        done = phase(
+        ),
+        (
             "auth",
             auth_flow,
             lambda: world.programmer.authenticated
             and world.smartphone.k_p is not None,
-        )
-    if "read" in want and done:
-        done = phase(
+        ),
+        (
             "read",
             lambda: sched.initiate("programmer", world.programmer.start_read),
             lambda: world.programmer.read_complete,
-        )
-    if "write" in want and done:
-        done = phase(
+        ),
+        (
             "write",
             lambda: sched.initiate(
                 "programmer", lambda: world.programmer.start_write(command)
             ),
             lambda: world.programmer.write_complete
             and len(world.imd.applied_commands) > 0,
-        )
+        ),
+    )[: SCENARIOS.index(scenario) + 1]
 
-    for name in want:
-        phases.setdefault(name, False)
+    phases = {name: False for name, _, _ in table}
+    op_counts: dict[str, dict[str, int]] = {}
+    for name, initiate, check in table:
+        before = world.imd.crypto.snapshot()
+        initiate()
+        sched.run_until_quiet()
+        op_counts[name] = _counter_delta(before, world.imd.crypto.snapshot())
+        phases[name] = bool(check())
+        if not phases[name]:
+            break
 
     outcomes = {
         name: party.outcome

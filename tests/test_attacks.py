@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import imdsec
 from imdsec import codec, ecg, recovery
 from imdsec.attacks import (
     default_shift_grid,
@@ -148,3 +153,18 @@ class TestIndistinguishability:
             if not large.passed:
                 flips.append(seed)
         assert flips == []
+
+
+def test_importing_attacks_and_reports_leaves_scipy_stats_unloaded():
+    # only the KS test needs scipy; the fuzz and sweep paths must not pay for it
+    src = str(Path(imdsec.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "import imdsec.attacks, imdsec.reports; "
+        "print('scipy.stats' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -1,3 +1,5 @@
+import pytest
+
 from imdsec.cli import main
 
 
@@ -99,6 +101,18 @@ class TestSession:
         captured = capsys.readouterr().out
         assert code == 0, captured
         assert "phases: {'pair': True, 'auth': True, 'read': True}" in captured
+
+    def test_config_seeds_takes_one_integer(self, tmp_path):
+        config = tmp_path / "scenario.cfg"
+        config.write_text("scenario = pair\nN = 64\nseeds = 11, 12\n")
+        with pytest.raises(SystemExit, match="seeds takes one integer"):
+            main(["session", "--config", str(config)])
+
+    @pytest.mark.parametrize("verb", ["session", "attack"])
+    def test_qs_takes_one_value(self, verb, capsys):
+        with pytest.raises(SystemExit):
+            main([verb, "--qs", "0", "20"])
+        assert "unrecognized arguments: 20" in capsys.readouterr().err
 
 
 class TestMitmVerb:

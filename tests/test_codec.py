@@ -106,13 +106,12 @@ class TestVecShiftingAdd:
         # the masked-zero reference distribution needs shifts of 0 itself
         with pytest.raises(CodecError):
             vec_shifting_add(np.zeros(4), np.ones(4), ECG_L1, ECG_L2)
-        u, carries = vec_shifting_add(
-            np.zeros(4), np.array([100.0, -100.0, 0.0, 896.0]),
-            ECG_L1, ECG_L2, check_bounds=False,
+        u, carries = _shift_core(
+            np.zeros(4), np.array([100.0, -100.0, 0.0, 896.0]), ECG_L1, ECG_L2
         )
         assert np.all((u >= ECG_L1) & (u < ECG_L2))
         # 0 + 896 already lands inside the window; the rest wrap
-        np.testing.assert_array_equal(carries.bits, [1, 1, 1, 0])
+        np.testing.assert_array_equal(carries, [1, 1, 1, 0])
 
 
 class TestEntrywiseProduct:

@@ -52,9 +52,8 @@ class TestBasis:
         gram = psi.columns.T @ psi.columns
         assert np.max(np.abs(gram - np.eye(4))) < 1e-12
 
-    @pytest.mark.parametrize("kind", ["cosine", "dft-real"])
-    def test_orthonormal(self, kind):
-        psi = build_basis(64, kind)
+    def test_orthonormal(self):
+        psi = build_basis(64)
         gram = psi.columns.T @ psi.columns
         assert np.max(np.abs(gram - np.eye(64))) < 1e-9
 
@@ -74,10 +73,6 @@ class TestBasis:
     def test_too_small(self):
         with pytest.raises(RecoveryError):
             build_basis(1)
-
-    def test_unknown_kind(self):
-        with pytest.raises(RecoveryError):
-            build_basis(8, "wavelet")
 
 
 class TestOmp:
@@ -165,7 +160,7 @@ class TestOmp:
         phi = SensingMatrix(
             entries=np.column_stack([a, a, b, b]), seed=b"dup"
         )
-        psi = SparsityBasis(columns=np.eye(4), kind="identity")
+        psi = SparsityBasis(columns=np.eye(4))
         y = 2.0 * a + 3.0 * b
 
         b_hat, x_hat = omp_reconstruct(
@@ -239,15 +234,6 @@ class TestSynth:
         out = synth_sparse_signal(b"recon", 512, 10, 590, 1487)
         phi = gen_sensing_matrix(b"synthphi", 256, 512)
         psi = build_basis(512)
-        y = phi.entries @ out.signal.values
-        _, x_hat = omp_reconstruct(y, phi, psi)
-        assert prd(out.signal.values, x_hat) < 1.0
-
-    def test_fourier_basis_pipeline(self):
-        # the alternate basis works end to end on signals sparse in it
-        psi = build_basis(256, "dft-real")
-        out = synth_sparse_signal(b"dft", 256, 8, 590, 1487, basis=psi)
-        phi = gen_sensing_matrix(b"dftphi", 128, 256)
         y = phi.entries @ out.signal.values
         _, x_hat = omp_reconstruct(y, phi, psi)
         assert prd(out.signal.values, x_hat) < 1.0
