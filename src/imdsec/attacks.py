@@ -29,18 +29,16 @@ from .codec import (
     deserialize_ciphertext,
     deserialize_shift_key,
 )
-from .crypto import CipherBlob, CryptoSuite, length_prefixed
-from .parties import STEPS, SystemConfig, unpack_signals
+from .crypto import CryptoSuite
+from .parties import STEPS, SystemConfig, derive_k_p, unpack_signals
 from .recovery import RecoveryParams, SensingMatrix, SparsityBasis, omp_reconstruct, prd
 from .scenarios import build_world, run_session
 from .wire import (
     Heading,
     WireMessage,
-    auth_bytes,
     decode_message,
     encode_message,
     ts_bytes,
-    u64_bytes,
 )
 
 __all__ = [
@@ -262,16 +260,9 @@ class MitmReadAttacker(Attacker):
             return None
         suite = CryptoSuite()
         try:
-            nonce = suite.pk_dec(
-                self.stolen_private_key,
-                CipherBlob("rsa-oaep-sha256", challenge.fields[1]),
-            )
-            k_p = suite.kdf(
-                length_prefixed(self.rm, u64_bytes(challenge.session), nonce)
-            )
-            kd_bytes = suite.sym_dec(
-                k_p, CipherBlob("aes-128-gcm", key_delivery.fields[0])
-            )
+            nonce = suite.pk_dec(self.stolen_private_key, challenge.fields[1])
+            k_p = derive_k_p(suite, self.rm, challenge.session, nonce)
+            kd_bytes = suite.sym_dec(k_p, key_delivery.fields[0])
             return deserialize_shift_key(kd_bytes)
         except Exception:
             return None
@@ -352,21 +343,20 @@ def forge_read_auth_attempts(
     nonce = smartphone.nonce  # granted: first factor compromised
     rng = random.Random(seed ^ 0xF0F0)
     suite = CryptoSuite()
+    step = next(
+        s for s in STEPS if s.sender == "programmer" and s.heading == Heading.READ_AUTH_REQ
+    )
 
     rejected = 0
     for _ in range(attempts):
         rm_guess = rng.randbytes(16)
         if rm_guess == smartphone.rm:
             continue  # astronomically unlikely; keep the count honest
-        k_guess = suite.kdf(length_prefixed(rm_guess, u64_bytes(sn), nonce))
+        k_guess = derive_k_p(suite, rm_guess, sn, nonce)
         ts4 = ts_bytes(smartphone.clock)
-        tag = suite.mac(
-            k_guess, auth_bytes(Heading.READ_AUTH_REQ, sn, [ts4])
-        )
-        frame = encode_message(
-            WireMessage(Heading.READ_AUTH_REQ, sn, (ts4, tag.data))
-        )
-        outputs = smartphone.receive(frame, "s-d")
+        tag = suite.mac(k_guess, step.covered(sn, [ts4]))
+        frame = encode_message(WireMessage(step.heading, sn, (ts4, tag)))
+        outputs = smartphone.receive(frame, step.link)
         if outputs or smartphone.expected != Heading.READ_AUTH_REQ:
             break
         rejected += 1

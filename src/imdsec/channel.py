@@ -94,13 +94,11 @@ class Scheduler:
     def __init__(
         self,
         parties: dict[str, Party],
-        links: dict[str, tuple[str, str]],
         oob_parties: Optional[dict[str, DoctorPhone]] = None,
         attacker: Optional[Attacker] = None,
         start_clock: int = 0,
     ):
         self.parties = parties
-        self.links = links
         self.oob_parties = oob_parties or {}
         self.attacker = attacker
         self.clock = start_clock
@@ -108,14 +106,6 @@ class Scheduler:
         self._queue: deque[_Pending] = deque()
         for party in parties.values():
             party.clock = self.clock
-
-    def _peer(self, link: str, sender: str) -> str:
-        a, b = self.links[link]
-        if sender == a:
-            return b
-        if sender == b:
-            return a
-        raise KeyError(f"{sender} is not on link {link}")
 
     def submit(self, sender: str, outputs: list):
         """Queue a party's outbound directives."""
@@ -126,7 +116,7 @@ class Scheduler:
                         kind="wire",
                         link=out.link,
                         sender=sender,
-                        receiver=self._peer(out.link, sender),
+                        receiver=out.receiver,
                         payload=encode_message(out.message),
                     )
                 )

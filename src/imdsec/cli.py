@@ -137,24 +137,29 @@ def _parse_config_file(path) -> dict[str, str]:
     return values
 
 
+# (config key, argument name, type) of the numeric session settings
+_NUMERIC_CONFIG_KEYS = (
+    ("CR", "cr", float),
+    ("qs", "qs", int),
+    ("N", "n", int),
+    ("seeds", "seed", int),
+)
+
+
 def _cmd_session(args) -> int:
     if args.config:
         cfg = _parse_config_file(args.config)
         args.scenario = cfg.get("scenario", args.scenario)
         args.attacker = cfg.get("attacker", args.attacker)
-        if "CR" in cfg:
-            args.cr = float(cfg["CR"])
-        if "qs" in cfg:
-            args.qs = int(cfg["qs"])
-        if "N" in cfg:
-            args.n = int(cfg["N"])
-        if "seeds" in cfg:
-            try:
-                args.seed = int(cfg["seeds"])
-            except ValueError:
-                raise SystemExit(
-                    f"{args.config}: seeds takes one integer, got {cfg['seeds']!r}"
-                ) from None
+        for key, attr, kind in _NUMERIC_CONFIG_KEYS:
+            if key in cfg:
+                try:
+                    setattr(args, attr, kind(cfg[key]))
+                except ValueError:
+                    noun = "number" if kind is float else "integer"
+                    raise SystemExit(
+                        f"{args.config}: {key} takes one {noun}, got {cfg[key]!r}"
+                    ) from None
         if "degraded_oob" in cfg:
             args.degraded_oob = cfg["degraded_oob"].lower() in ("1", "true", "yes")
 
@@ -247,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack = sub.add_parser("attack", help="guessing attacks vs legitimate recovery")
     common(p_attack)
     p_attack.set_defaults(cr=list(reports.ATTACK_CR_GRID), seeds=3)
-    p_attack.add_argument("--qs", type=int, default=0, help="quantizer step (0 = none)")
+    p_attack.add_argument(
+        "--qs", type=int, default=reports.BENCHMARK_QS, help="quantizer step (0 = none)"
+    )
     p_attack.add_argument("--trials", type=int, default=100)
     p_attack.set_defaults(func=_cmd_attack)
 

@@ -6,6 +6,11 @@ symmetric encryption, RSA-2048 with OAEP for the nonce challenge and
 PKCS#1 v1.5 signatures.  Every verify operation is total: it returns
 accept/reject and never raises.
 
+MAC tags and ciphertexts are raw bytes, exactly as they travel on the
+wire.  Only signatures carry an algorithm label (SignatureBlob), because
+certificates and evidence records serialize it and it arrives from
+outside.
+
 A CryptoSuite instance carries its own operation counters and an
 optional deterministic RNG, so each simulated party can account for its
 own crypto workload and whole runs replay bit-for-bit from seeds.
@@ -30,15 +35,12 @@ __all__ = [
     "CryptoError",
     "DecryptionError",
     "SymmetricKey",
-    "MacTag",
-    "CipherBlob",
     "SignatureBlob",
     "Certificate",
     "KeyPairWithCert",
     "CryptoSuite",
     "split_length_prefixed",
     "generate_keypair",
-    "generate_authority",
     "issue_doctor_credentials",
     "length_prefixed",
 ]
@@ -88,18 +90,6 @@ class SymmetricKey:
 
     def __repr__(self):
         return "SymmetricKey(<redacted>)"
-
-
-@dataclass(frozen=True)
-class MacTag:
-    algorithm: str
-    data: bytes
-
-
-@dataclass(frozen=True)
-class CipherBlob:
-    algorithm: str
-    data: bytes
 
 
 @dataclass(frozen=True)
@@ -244,32 +234,28 @@ class CryptoSuite:
 
     # -- message authentication ------------------------------------------
 
-    def mac(self, key: SymmetricKey, message: bytes) -> MacTag:
+    def mac(self, key: SymmetricKey, message: bytes) -> bytes:
         self._count("mac")
-        return MacTag(
-            "hmac-sha1", hmac_mod.new(key.data, message, hashlib.sha1).digest()
-        )
+        return hmac_mod.new(key.data, message, hashlib.sha1).digest()
 
-    def mac_verify(self, key: SymmetricKey, message: bytes, tag: MacTag) -> bool:
+    def mac_verify(self, key: SymmetricKey, message: bytes, tag: bytes) -> bool:
         self._count("mac")
-        if tag.algorithm != "hmac-sha1":
-            return False
         expected = hmac_mod.new(key.data, message, hashlib.sha1).digest()
-        return hmac_mod.compare_digest(expected, tag.data)
+        return hmac_mod.compare_digest(expected, tag)
 
     # -- symmetric encryption ---------------------------------------------
 
-    def sym_enc(self, key: SymmetricKey, plaintext: bytes) -> CipherBlob:
+    def sym_enc(self, key: SymmetricKey, plaintext: bytes) -> bytes:
+        """GCM nonce followed by the ciphertext and its tag."""
         self._count("sym_enc")
         nonce = self.random_bytes(_GCM_NONCE_BYTES)
-        ct = AESGCM(key.data).encrypt(nonce, plaintext, None)
-        return CipherBlob("aes-128-gcm", nonce + ct)
+        return nonce + AESGCM(key.data).encrypt(nonce, plaintext, None)
 
-    def sym_dec(self, key: SymmetricKey, blob: CipherBlob) -> bytes:
+    def sym_dec(self, key: SymmetricKey, blob: bytes) -> bytes:
         self._count("sym_dec")
-        if blob.algorithm != "aes-128-gcm" or len(blob.data) < _GCM_NONCE_BYTES:
+        if len(blob) < _GCM_NONCE_BYTES:
             raise DecryptionError("malformed symmetric blob")
-        nonce, ct = blob.data[:_GCM_NONCE_BYTES], blob.data[_GCM_NONCE_BYTES:]
+        nonce, ct = blob[:_GCM_NONCE_BYTES], blob[_GCM_NONCE_BYTES:]
         try:
             return AESGCM(key.data).decrypt(nonce, ct, None)
         except InvalidTag as exc:
@@ -277,18 +263,16 @@ class CryptoSuite:
 
     # -- public-key encryption ---------------------------------------------
 
-    def pk_enc(self, public_key: rsa.RSAPublicKey, message: bytes) -> CipherBlob:
+    def pk_enc(self, public_key: rsa.RSAPublicKey, message: bytes) -> bytes:
         self._count("pk_enc")
         seed = self.random_bytes(_OAEP_HASH_BYTES)
-        return CipherBlob("rsa-oaep-sha256", _oaep_encrypt(public_key, message, seed))
+        return _oaep_encrypt(public_key, message, seed)
 
-    def pk_dec(self, private_key: rsa.RSAPrivateKey, blob: CipherBlob) -> bytes:
+    def pk_dec(self, private_key: rsa.RSAPrivateKey, blob: bytes) -> bytes:
         self._count("pk_dec")
-        if blob.algorithm != "rsa-oaep-sha256":
-            raise DecryptionError("malformed public-key blob")
         try:
             return private_key.decrypt(
-                blob.data,
+                blob,
                 asym_padding.OAEP(
                     mgf=asym_padding.MGF1(algorithm=hashes.SHA256()),
                     algorithm=hashes.SHA256(),
@@ -348,10 +332,6 @@ class CryptoSuite:
 
 def generate_keypair(bits: int = _RSA_BITS) -> rsa.RSAPrivateKey:
     return rsa.generate_private_key(public_exponent=65537, key_size=bits)
-
-
-def generate_authority() -> rsa.RSAPrivateKey:
-    return generate_keypair()
 
 
 def issue_doctor_credentials(

@@ -128,7 +128,10 @@ class EvidenceLedger:
             blobs = split_length_prefixed(data)
         except CryptoError:
             raise ValueError("truncated ledger file") from None
-        return [EvidenceRecord.from_bytes(blob) for blob in blobs]
+        try:
+            return [EvidenceRecord.from_bytes(blob) for blob in blobs]
+        except (CryptoError, struct.error, UnicodeDecodeError):
+            raise ValueError("corrupt ledger record") from None
 
     def append(self, record: EvidenceRecord):
         self._records.append(record)

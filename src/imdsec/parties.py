@@ -12,8 +12,17 @@ every frame against its row in one fixed order:
 A MAC is always the last field and covers auth_bytes(heading, session,
 earlier fields); the implant's telemetry READ_REQ leaves the heading
 byte out.  Outgoing frames are built by Party._send from the same rows,
-so each covered field list is written once.  Handlers, named
-_on_<heading>, hold only each step's effects.
+so each covered field list is written once, and each frame goes to its
+row's receiver.  Handlers, named _on_<heading>, hold only each step's
+effects.
+
+Each session key has one derivation, a single KDF call, used by every
+party that needs the key (and by the attacks):
+
+- derive_k_i: K_I from the patient's master key and both device ids;
+- derive_k_p: K_P from the out-of-band RM, the session number and the
+  nonce the doctor RSA-decrypts (both factors are needed);
+- derive_k_r: K_R from the serialized shift key and the session number.
 
 Every party is single-threaded: it holds exactly one expected next
 heading (or none, while idle).  A rejected frame meets one of three
@@ -47,12 +56,10 @@ import numpy as np
 from . import codec, recovery
 from .crypto import (
     Certificate,
-    CipherBlob,
     CryptoError,
     CryptoSuite,
     DecryptionError,
     KeyPairWithCert,
-    MacTag,
     SignatureBlob,
     SymmetricKey,
     length_prefixed,
@@ -60,7 +67,6 @@ from .crypto import (
 )
 from .evidence import EvidenceLedger, EvidenceRecord, signed_payload
 from .wire import (
-    DEFAULT_FRESHNESS_WINDOW,
     Heading,
     WireError,
     WireMessage,
@@ -78,6 +84,9 @@ __all__ = [
     "SystemConfig",
     "Step",
     "STEPS",
+    "derive_k_i",
+    "derive_k_p",
+    "derive_k_r",
     "Outbound",
     "OobSend",
     "Party",
@@ -122,7 +131,6 @@ class SystemConfig:
     cr: float = 50.0
     qs: int = 20  # 0 = transmit unquantized measurements
     matrix_seed: bytes = b"public-sensing-matrix"
-    freshness_window: int = DEFAULT_FRESHNESS_WINDOW
 
     @property
     def m(self) -> int:
@@ -210,8 +218,26 @@ _BY_RECEIVER = {(step.receiver, step.heading): step for step in STEPS}
 _BY_SENDER = {(step.sender, step.heading): step for step in STEPS}
 
 
+def derive_k_i(
+    suite: CryptoSuite, master_key: SymmetricKey, smartphone_id: bytes, implant_id: bytes
+) -> SymmetricKey:
+    """Pairing key: the patient's master key bound to both device ids."""
+    return suite.kdf(length_prefixed(master_key.data, smartphone_id, implant_id))
+
+
+def derive_k_p(suite: CryptoSuite, rm: bytes, session: int, nonce: bytes) -> SymmetricKey:
+    """Programmer key: the out-of-band RM plus the RSA-decrypted nonce."""
+    return suite.kdf(length_prefixed(rm, u64_bytes(session), nonce))
+
+
+def derive_k_r(suite: CryptoSuite, kd_bytes: bytes, session: int) -> SymmetricKey:
+    """Read/write key bound to the serialized shift key."""
+    return suite.kdf(length_prefixed(kd_bytes, u64_bytes(session)))
+
+
 @dataclass(frozen=True)
 class Outbound:
+    receiver: str
     link: str
     message: WireMessage
 
@@ -260,7 +286,7 @@ class Party:
         )
 
     def _fresh(self, ts: int) -> bool:
-        return freshness_check(ts, self.clock, self.config.freshness_window)
+        return freshness_check(ts, self.clock)
 
     def receive(self, raw: bytes, link: str) -> list[Outbound]:
         """Check a frame against its step row and run the step's handler;
@@ -308,7 +334,7 @@ class Party:
         if step.key is not None and not self.crypto.mac_verify(
             frame.key,
             step.covered(msg.session, msg.fields[:-1]),
-            MacTag("hmac-sha1", frame.tag),
+            frame.tag,
         ):
             raise Rejected(*step.on_mac_failure)
         return step, frame
@@ -318,8 +344,8 @@ class Party:
         step = _BY_SENDER[self.role, heading]
         if step.key is not None:
             key = getattr(self, step.key)
-            fields += (self.crypto.mac(key, step.covered(session, fields)).data,)
-        return Outbound(step.link, WireMessage(heading, session, fields))
+            fields += (self.crypto.mac(key, step.covered(session, fields)),)
+        return Outbound(step.receiver, step.link, WireMessage(heading, session, fields))
 
 
 class DoctorPhone:
@@ -372,9 +398,7 @@ class Smartphone(Party):
 
     def start_pair(self, master_key: SymmetricKey) -> list[Outbound]:
         """The patient typed the master key; request pairing."""
-        self.k_i = self.crypto.kdf(
-            length_prefixed(master_key.data, self.smartphone_id, self.implant_id)
-        )
+        self.k_i = derive_k_i(self.crypto, master_key, self.smartphone_id, self.implant_id)
         self.pair_session = self.rng.getrandbits(64)
         self._expect(Heading.PAIR_SUCC)
         return [
@@ -413,14 +437,12 @@ class Smartphone(Party):
         self.doctor_public_key = frame.certificate.public_key()
         self.nonce = self.crypto.random_bytes(NONCE_BYTES)
         self.rm = self.crypto.random_bytes(RM_BYTES)
-        self.k_p = self.crypto.kdf(
-            length_prefixed(self.rm, u64_bytes(self.session), self.nonce)
-        )
+        self.k_p = derive_k_p(self.crypto, self.rm, self.session, self.nonce)
         challenge = self.crypto.pk_enc(self.doctor_public_key, self.nonce)
         self._expect(Heading.READ_AUTH_REQ)
         return [
             self._send(
-                Heading.AUTH_REQ, self.session, self.smartphone_id, challenge.data
+                Heading.AUTH_REQ, self.session, self.smartphone_id, challenge
             ),
             OobSend(self.doctor_oob_directory[self.doctor_id], self.rm),
         ]
@@ -433,9 +455,7 @@ class Smartphone(Party):
             key_seed, self.config.n, self.config.L1, self.config.L2
         )
         kd_bytes = codec.serialize_shift_key(self.shift_key)
-        self.k_r = self.crypto.kdf(
-            length_prefixed(kd_bytes, u64_bytes(self.session))
-        )
+        self.k_r = derive_k_r(self.crypto, kd_bytes, self.session)
         c1 = self.crypto.sym_enc(
             self.k_i, length_prefixed(kd_bytes, self.k_r.data)
         )
@@ -445,7 +465,7 @@ class Smartphone(Party):
                 Heading.READ_ALLOW,
                 self.session,
                 self.doctor_id,
-                c1.data,
+                c1,
                 ts_bytes(self.clock),
             )
         ]
@@ -454,7 +474,7 @@ class Smartphone(Party):
         kd_bytes = codec.serialize_shift_key(self.shift_key)
         enc_kd = self.crypto.sym_enc(self.k_p, kd_bytes)
         self._expect(Heading.WRITE_AUTH_REQ)
-        return [self._send(Heading.READ_READY, self.session, enc_kd.data)]
+        return [self._send(Heading.READ_READY, self.session, enc_kd)]
 
     # -- write -------------------------------------------------------------------
 
@@ -478,9 +498,7 @@ class Smartphone(Party):
     def _open_command_report(self, frame):
         """Decrypt the implant's report of the command it is about to apply."""
         try:
-            plain = self.crypto.sym_dec(
-                self.k_i, CipherBlob("aes-128-gcm", frame.report)
-            )
+            plain = self.crypto.sym_dec(self.k_i, frame.report)
             frame.command, implant_id, ts7_raw = split_length_prefixed(plain, 3)
             ts7 = ts_from_bytes(ts7_raw)
         except (CryptoError, ValueError):
@@ -549,8 +567,8 @@ class Imd(Party):
 
     def _derive_pairing_key(self, frame):
         """K_I for the claimed smartphone id; the PAIR_REQ MAC is under it."""
-        frame.key = self.crypto.kdf(
-            length_prefixed(self._master_key.data, frame.smartphone_id, self.implant_id)
+        frame.key = derive_k_i(
+            self.crypto, self._master_key, frame.smartphone_id, self.implant_id
         )
 
     def _on_pair_req(self, frame) -> list[Outbound]:
@@ -562,7 +580,7 @@ class Imd(Party):
 
     def _on_read_allow(self, frame) -> list[Outbound]:
         try:
-            plain = self.crypto.sym_dec(self.k_i, CipherBlob("aes-128-gcm", frame.c1))
+            plain = self.crypto.sym_dec(self.k_i, frame.c1)
             kd_bytes, kr_bytes = split_length_prefixed(plain, 2)
             self.shift_key = codec.deserialize_shift_key(kd_bytes)
             self.k_r = SymmetricKey(kr_bytes)
@@ -596,7 +614,7 @@ class Imd(Party):
 
     def _on_write_req(self, frame) -> list[Outbound]:
         try:
-            cmd = self.crypto.sym_dec(self.k_r, CipherBlob("aes-128-gcm", frame.c3))
+            cmd = self.crypto.sym_dec(self.k_r, frame.c3)
         except DecryptionError:
             raise Rejected(ABORT, "command decryption failure") from None
         self.pending_cmd = cmd
@@ -605,7 +623,7 @@ class Imd(Party):
             length_prefixed(cmd, self.implant_id, ts_bytes(self.clock)),
         )
         self._expect(Heading.SET_ALLOW)
-        return [self._send(Heading.WRITE_REQ, frame.session, self.c2_bytes, report.data)]
+        return [self._send(Heading.WRITE_REQ, frame.session, self.c2_bytes, report)]
 
     def _on_set_allow(self, frame) -> list[Outbound]:
         self.applied_commands.append(self.pending_cmd)
@@ -663,10 +681,7 @@ class Programmer(Party):
 
     def _on_auth_req(self, frame) -> list[Outbound]:
         try:
-            self.nonce = self.crypto.pk_dec(
-                self.credentials.private_key,
-                CipherBlob("rsa-oaep-sha256", frame.challenge),
-            )
+            self.nonce = self.crypto.pk_dec(self.credentials.private_key, frame.challenge)
         except DecryptionError:
             raise Rejected(STAY, "nonce challenge unreadable") from None
         self.smartphone_id = frame.smartphone_id
@@ -678,9 +693,7 @@ class Programmer(Party):
         if self.nonce is None:
             raise ProtocolError("no authentication in progress")
         self.rm = rm
-        self.k_p = self.crypto.kdf(
-            length_prefixed(rm, u64_bytes(self.session), self.nonce)
-        )
+        self.k_p = derive_k_p(self.crypto, rm, self.session, self.nonce)
 
     @property
     def authenticated(self) -> bool:
@@ -696,15 +709,11 @@ class Programmer(Party):
 
     def _on_read_ready(self, frame) -> list[Outbound]:
         try:
-            kd_bytes = self.crypto.sym_dec(
-                self.k_p, CipherBlob("aes-128-gcm", frame.enc_kd)
-            )
+            kd_bytes = self.crypto.sym_dec(self.k_p, frame.enc_kd)
             self.shift_key = codec.deserialize_shift_key(kd_bytes)
         except (DecryptionError, codec.CodecError):
             raise Rejected(STAY, "shift key unreadable") from None
-        self.k_r = self.crypto.kdf(
-            length_prefixed(kd_bytes, u64_bytes(self.session))
-        )
+        self.k_r = derive_k_r(self.crypto, kd_bytes, self.session)
         self._expect(Heading.READ_REQ)
         return [self._send(Heading.READ_REQ, self.session)]
 
@@ -762,7 +771,7 @@ class Programmer(Party):
     def _on_write_ready(self, frame) -> list[Outbound]:
         c3 = self.crypto.sym_enc(self.k_r, self.command)
         self._expect(Heading.WRITE_SUCC)
-        return [self._send(Heading.WRITE_REQ, self.session, c3.data)]
+        return [self._send(Heading.WRITE_REQ, self.session, c3)]
 
     def _on_write_succ(self, frame) -> list[Outbound]:
         self.write_complete = True

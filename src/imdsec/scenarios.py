@@ -20,16 +20,7 @@ from .codec import serialize_shift_key
 from .crypto import CryptoSuite, KeyPairWithCert, SymmetricKey
 from .evidence import EvidenceLedger
 from .keymat import authority_private_key, doctor_private_key
-from .parties import (
-    LINK_DI,
-    LINK_SD,
-    LINK_SI,
-    DoctorPhone,
-    Imd,
-    Programmer,
-    Smartphone,
-    SystemConfig,
-)
+from .parties import DoctorPhone, Imd, Programmer, Smartphone, SystemConfig
 
 __all__ = ["World", "SessionResult", "build_world", "run_session", "SCENARIOS"]
 
@@ -152,11 +143,6 @@ def build_world(
             "smartphone": smartphone,
             "imd": imd,
             "programmer": programmer,
-        },
-        links={
-            LINK_SI: ("smartphone", "imd"),
-            LINK_SD: ("smartphone", "programmer"),
-            LINK_DI: ("programmer", "imd"),
         },
         oob_parties={DOCTOR_PHONE: doctor_phone},
         attacker=attacker,

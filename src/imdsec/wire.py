@@ -25,10 +25,10 @@ __all__ = [
     "auth_bytes",
     "ts_bytes",
     "freshness_check",
-    "DEFAULT_FRESHNESS_WINDOW",
+    "FRESHNESS_WINDOW",
 ]
 
-DEFAULT_FRESHNESS_WINDOW = 30  # simulated seconds
+FRESHNESS_WINDOW = 30  # simulated seconds
 
 
 class WireError(ValueError):
@@ -119,6 +119,6 @@ def ts_from_bytes(data: bytes) -> int:
     return struct.unpack(">Q", data)[0]
 
 
-def freshness_check(ts: int, now: int, window: int = DEFAULT_FRESHNESS_WINDOW) -> bool:
-    """Accept timestamps within the closed window |now - ts| <= window."""
-    return abs(int(now) - int(ts)) <= window
+def freshness_check(ts: int, now: int) -> bool:
+    """Accept timestamps within the closed window |now - ts| <= FRESHNESS_WINDOW."""
+    return abs(int(now) - int(ts)) <= FRESHNESS_WINDOW

@@ -12,6 +12,7 @@ from imdsec.attacks import BitFlipAttacker, indistinguishability_test
 from imdsec.evidence import evidence_verify
 from imdsec.parties import SystemConfig
 from imdsec.scenarios import build_world, run_session
+from imdsec.wire import FRESHNESS_WINDOW
 
 BOUNDS = (590, 1487)
 FUZZ_CONFIG = SystemConfig(n=64, qs=0)
@@ -153,7 +154,7 @@ def test_c6_protocol_suite_fuzz():
                 config=FUZZ_CONFIG,
                 reconstruct=False,
                 master_key=recorded.world.master_key,
-                start_clock=end_clock + FUZZ_CONFIG.freshness_window + 10,
+                start_clock=end_clock + FRESHNESS_WINDOW + 10,
             )
             if checkpoint != "fresh":
                 run_session(checkpoint, config=FUZZ_CONFIG, world=fresh)

@@ -11,7 +11,7 @@ from imdsec.attacks import (
 from imdsec.evidence import evidence_verify
 from imdsec.parties import SystemConfig
 from imdsec.scenarios import build_world, run_session
-from imdsec.wire import Heading
+from imdsec.wire import FRESHNESS_WINDOW, Heading
 
 FAST = SystemConfig(n=64, qs=0)
 
@@ -109,7 +109,7 @@ class TestReplayImmunity:
                 config=FAST,
                 reconstruct=False,
                 master_key=original.world.master_key,
-                start_clock=end_clock + FAST.freshness_window + 10,
+                start_clock=end_clock + FRESHNESS_WINDOW + 10,
             )
             _advance(fresh, checkpoint)
             before = _snapshot(fresh)

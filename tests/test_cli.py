@@ -108,11 +108,25 @@ class TestSession:
         with pytest.raises(SystemExit, match="seeds takes one integer"):
             main(["session", "--config", str(config)])
 
+    @pytest.mark.parametrize("key, value", [("CR", "fifty"), ("qs", "2.5"), ("N", "")])
+    def test_config_numbers_are_checked(self, tmp_path, key, value):
+        config = tmp_path / "scenario.cfg"
+        config.write_text(f"scenario = pair\n{key} = {value}\n")
+        with pytest.raises(SystemExit, match=f"{key} takes one"):
+            main(["session", "--config", str(config)])
+
     @pytest.mark.parametrize("verb", ["session", "attack"])
     def test_qs_takes_one_value(self, verb, capsys):
         with pytest.raises(SystemExit):
             main([verb, "--qs", "0", "20"])
         assert "unrecognized arguments: 20" in capsys.readouterr().err
+
+
+class TestAttack:
+    def test_default_qs_is_the_benchmark_step(self, tmp_path, capsys):
+        out = tmp_path / "attack.csv"
+        main(["attack", "--cr", "50", "--seeds", "1", "--trials", "3", "--out", str(out)])
+        assert "# qs = 20" in out.read_text().splitlines()
 
 
 class TestMitmVerb:

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from imdsec.crypto import CryptoSuite, SignatureBlob
+from imdsec.crypto import CryptoSuite, SignatureBlob, length_prefixed
 from imdsec.evidence import (
     EvidenceLedger,
     EvidenceRecord,
@@ -107,6 +107,31 @@ class TestLedgerFile:
             path.write_bytes(data[:cut])
             with pytest.raises(ValueError, match="truncated ledger file"):
                 EvidenceLedger(str(path))
+
+    @pytest.mark.parametrize("corrupt", ["short record", "bad timestamp", "bad label"])
+    def test_corrupt_record_raises_value_error(self, tmp_path, signed_record, corrupt):
+        record, _ = signed_record
+        fields = [
+            record.doctor_id,
+            record.smartphone_id,
+            record.implant_id,
+            record.shift_key,
+            record.ciphertext,
+            record.command,
+            record.timestamp.to_bytes(8, "big"),
+            record.signature.algorithm.encode(),
+            record.signature.data,
+        ]
+        if corrupt == "short record":
+            fields = fields[:-1]
+        elif corrupt == "bad timestamp":
+            fields[6] = b"\x00\x01"
+        else:
+            fields[7] = b"\xff\xfe"
+        path = tmp_path / "ledger.bin"
+        path.write_bytes(length_prefixed(length_prefixed(*fields)))
+        with pytest.raises(ValueError, match="corrupt ledger record"):
+            EvidenceLedger(str(path))
 
     def test_record_serialization_roundtrip(self, signed_record):
         record, _ = signed_record

@@ -17,6 +17,7 @@ import hashlib
 from imdsec.attacks import BitFlipAttacker
 from imdsec.parties import SystemConfig
 from imdsec.scenarios import build_world, run_session
+from imdsec.wire import FRESHNESS_WINDOW
 
 SMALL = SystemConfig(n=64, qs=0)
 FLIP_BITS = (0, 7, 77, 130, 513, 1024, 2047, 4099)
@@ -63,7 +64,7 @@ def golden_digest() -> str:
                 config=SMALL,
                 reconstruct=False,
                 master_key=recorded.world.master_key,
-                start_clock=end_clock + SMALL.freshness_window + 10,
+                start_clock=end_clock + FRESHNESS_WINDOW + 10,
             )
             if checkpoint != "fresh":
                 run_session(checkpoint, config=SMALL, world=fresh)

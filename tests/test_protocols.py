@@ -2,12 +2,19 @@ import numpy as np
 import pytest
 
 from imdsec.channel import Attacker
-from imdsec.crypto import SymmetricKey, generate_authority
+from imdsec.crypto import SymmetricKey, generate_keypair
 from imdsec.evidence import evidence_verify
-from imdsec.parties import ProtocolError, SystemConfig, pack_signals, unpack_signals
+from imdsec.parties import (
+    STEPS,
+    ProtocolError,
+    SystemConfig,
+    pack_signals,
+    unpack_signals,
+)
 from imdsec.recovery import classify_prd, prd, QualityClass
 from imdsec.scenarios import build_world, run_session
 from imdsec.wire import (
+    FRESHNESS_WINDOW,
     Heading,
     WireError,
     WireMessage,
@@ -104,6 +111,18 @@ class TestOpCounts:
         }
 
 
+@pytest.mark.parametrize(
+    "step", STEPS, ids=[f"{s.sender}-{s.heading.name}" for s in STEPS]
+)
+class TestStepTable:
+    def test_sender_and_receiver_differ(self, step):
+        assert step.sender != step.receiver
+
+    def test_link_joins_the_same_two_parties_in_every_row(self, step):
+        ends = {frozenset((s.sender, s.receiver)) for s in STEPS if s.link == step.link}
+        assert ends == {frozenset((step.sender, step.receiver))}
+
+
 class TestFailurePaths:
     def test_unknown_authority_certificate_is_refused(self):
         world = build_world(seed=11, config=FAST)
@@ -111,7 +130,7 @@ class TestFailurePaths:
         from imdsec.crypto import CryptoSuite, KeyPairWithCert
         from imdsec.keymat import doctor_private_key
 
-        rogue = generate_authority()
+        rogue = generate_keypair()
         suite = CryptoSuite()
         doctor = doctor_private_key()
         world.programmer.credentials = KeyPairWithCert(
@@ -172,7 +191,7 @@ class TestFailurePaths:
             "smartphone", lambda: world.smartphone.start_pair(world.master_key)
         )
         # age the queued pairing request beyond the freshness window
-        sched.clock += world.config.freshness_window + 10
+        sched.clock += FRESHNESS_WINDOW + 10
         sched.run_until_quiet()
         assert not world.smartphone.paired
         assert world.imd.drops == 1

@@ -1,6 +1,7 @@
 import pytest
 
 from imdsec.wire import (
+    FRESHNESS_WINDOW,
     Heading,
     WireError,
     WireMessage,
@@ -78,8 +79,9 @@ class TestTimestamps:
             ts_from_bytes(b"\x00" * 7)
 
     def test_freshness_window(self):
-        assert freshness_check(100, 100, 30)
-        assert freshness_check(70, 100, 30)  # closed boundary
-        assert freshness_check(130, 100, 30)
-        assert not freshness_check(69, 100, 30)
-        assert not freshness_check(131, 100, 30)
+        assert FRESHNESS_WINDOW == 30
+        assert freshness_check(100, 100)
+        assert freshness_check(70, 100)  # closed boundary
+        assert freshness_check(130, 100)
+        assert not freshness_check(69, 100)
+        assert not freshness_check(131, 100)
