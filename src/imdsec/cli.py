@@ -124,19 +124,6 @@ def _cmd_opcount(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_config_file(path) -> dict[str, str]:
-    values = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"{path}: bad config line {line!r}")
-        values[key.strip()] = value.strip()
-    return values
-
-
 # (config key, argument name, type) of the numeric session settings
 _NUMERIC_CONFIG_KEYS = (
     ("CR", "cr", float),
@@ -144,6 +131,27 @@ _NUMERIC_CONFIG_KEYS = (
     ("N", "n", int),
     ("seeds", "seed", int),
 )
+_CONFIG_KEYS = (
+    "scenario", "attacker", *(key for key, _, _ in _NUMERIC_CONFIG_KEYS), "degraded_oob"
+)
+
+
+def _parse_config_file(path) -> dict[str, str]:
+    values = {}
+    for line in Path(path).read_text().splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep:
+            raise SystemExit(f"{path}: bad config line {line!r}")
+        if key not in _CONFIG_KEYS:
+            raise SystemExit(
+                f"{path}: unknown config key {key!r} (known keys: {', '.join(_CONFIG_KEYS)})"
+            )
+        values[key] = value.strip()
+    return values
 
 
 def _cmd_session(args) -> int:

@@ -2,13 +2,20 @@
 
 Signals are modeled as x = Psi @ b with few significant entries in b.
 Measurements y = Phi @ x are inverted by orthogonal matching pursuit on
-the combined dictionary Theta = Phi @ Psi.
+the combined dictionary Theta = Phi @ Psi.  Theta is built once per
+(Phi, Psi) pair and held in a one-entry memo that lets go of it when
+Phi or Psi is collected; the active set is kept as an incremental QR
+factorisation, so no iteration re-solves least squares (the idea
+behind Batch-OMP: Rubinstein, Zibulevsky & Elad, Technion CS-2008-08).
+Only numpy is used: importing scipy.linalg would add a few tenths of a
+second to every process start.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -90,8 +97,8 @@ class RecoveryParams:
 
     def resolve(self, m: int, y_norm: float) -> tuple[int, float]:
         atoms = self.max_atoms if self.max_atoms is not None else max(1, m // 4)
-        if atoms > m:
-            raise RecoveryError(f"max_atoms {atoms} exceeds measurement count {m}")
+        if not 0 <= atoms <= m:
+            raise RecoveryError(f"max_atoms {atoms} outside 0..{m} (the measurement count)")
         tol = self.residual_tol if self.residual_tol is not None else 1e-6 * y_norm
         if tol < 0:
             raise RecoveryError("residual tolerance must be non-negative")
@@ -139,6 +146,46 @@ def cached_operator(build, *args):
     return build(*args)
 
 
+# (weakref to Phi, weakref to Psi, Theta, column norms), or None
+_DICTIONARY_MEMO: list = [None]
+
+
+def _forget_dictionary(ref) -> None:
+    entry = _DICTIONARY_MEMO[0]
+    if entry is not None and (entry[0] is ref or entry[1] is ref):
+        _DICTIONARY_MEMO[0] = None
+
+
+def _dictionary(phi: SensingMatrix, psi: SparsityBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Theta = Phi Psi and its column norms (zero norms as inf), built once
+    per (Phi, Psi) pair.
+
+    One entry is kept.  It holds Phi and Psi by weak reference and drops
+    itself when either is collected, so a Phi built for one call (one CR
+    of a sweep) does not keep its Theta alive after the call.  Phi and
+    Psi are matched by identity: their arrays must not be changed in
+    place.
+    """
+    entry = _DICTIONARY_MEMO[0]
+    if entry is not None and entry[0]() is phi and entry[1]() is psi:
+        return entry[2], entry[3]
+    theta = phi.entries @ psi.columns
+    col_norms = np.linalg.norm(theta, axis=0)
+    col_norms[col_norms == 0.0] = np.inf
+    _DICTIONARY_MEMO[0] = (
+        weakref.ref(phi, _forget_dictionary),
+        weakref.ref(psi, _forget_dictionary),
+        theta,
+        col_norms,
+    )
+    return theta, col_norms
+
+
+# A new active column whose component orthogonal to the active span is
+# below this fraction of its norm makes the active-set system singular.
+_SINGULAR_RTOL = 1e-10
+
+
 def omp_reconstruct(
     y: np.ndarray,
     phi: SensingMatrix,
@@ -149,10 +196,16 @@ def omp_reconstruct(
     """Greedy sparse inversion of y = Phi Psi b.
 
     Each iteration picks the dictionary column best correlated with the
-    residual (after column-norm scaling), re-solves least squares on the
-    active set, and stops at max_atoms or once the residual norm falls
-    to residual_tol.  Returns (b_hat, x_hat); with return_info=True a
-    dict with the residual-norm history is appended.
+    residual (after column-norm scaling) and stops at max_atoms or once
+    the residual norm falls to residual_tol.  The active columns are
+    kept as an incremental QR factorisation (Gram-Schmidt with one
+    re-orthogonalisation pass): each pick removes the residual's
+    projection on the new direction, and R b = Q^T y is solved once at
+    the end.  Theta = Phi Psi comes from a one-entry memo per (Phi, Psi)
+    pair.  Returns (b_hat, x_hat); with return_info=True a dict is
+    appended with the residual-norm history ("residuals") and the stop
+    reason ("stop": "max_atoms", "residual_tol", "no_candidate" or
+    "zero_measurements").
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.size != phi.m:
@@ -166,36 +219,51 @@ def omp_reconstruct(
     n = psi.n
     b_hat = np.zeros(n)
     y_norm = float(np.linalg.norm(y))
-    info = {"residuals": [y_norm]}
+    info = {"residuals": [y_norm], "stop": "zero_measurements"}
     if y_norm == 0.0:
         result = (b_hat, np.zeros(n))
         return (*result, info) if return_info else result
 
     max_atoms, tol = params.resolve(phi.m, y_norm)
-    theta = phi.entries @ psi.columns
-    col_norms = np.linalg.norm(theta, axis=0)
-    col_norms[col_norms == 0.0] = np.inf
+    theta, col_norms = _dictionary(phi, psi)
     residual = y.copy()
     active: list[int] = []
-    available = np.ones(n, dtype=bool)
-    coef = np.zeros(0)
+    q = np.empty((max_atoms, phi.m))  # orthonormal rows spanning the active columns
+    r = np.zeros((max_atoms, max_atoms))
+    qty = np.empty(max_atoms)
 
-    while len(active) < max_atoms and np.linalg.norm(residual) > tol:
+    while True:
+        k = len(active)
+        if k >= max_atoms:
+            info["stop"] = "max_atoms"
+            break
+        if info["residuals"][-1] <= tol:
+            info["stop"] = "residual_tol"
+            break
         scores = np.abs(theta.T @ residual) / col_norms
-        scores[~available] = -1.0
+        scores[active] = -1.0
         pick = int(np.argmax(scores))
         if scores[pick] <= 0.0:
+            info["stop"] = "no_candidate"
             break
-        active.append(pick)
-        available[pick] = False
-        sub = theta[:, active]
-        coef, _, rank, _ = np.linalg.lstsq(sub, y, rcond=None)
-        if rank < len(active):
+        column = theta[:, pick]
+        h = q[:k] @ column
+        w = column - h @ q[:k]
+        h2 = q[:k] @ w
+        w -= h2 @ q[:k]
+        w_norm = float(np.linalg.norm(w))
+        if w_norm <= _SINGULAR_RTOL * col_norms[pick]:
             raise RecoveryError("singular active-set system")
-        residual = y - sub @ coef
+        q[k] = w / w_norm
+        r[:k, k] = h + h2
+        r[k, k] = w_norm
+        qty[k] = q[k] @ residual  # = q[k] @ y: the residual is orthogonal to q[:k]
+        residual -= qty[k] * q[k]
+        active.append(pick)
         info["residuals"].append(float(np.linalg.norm(residual)))
 
-    b_hat[active] = coef
+    k = len(active)
+    b_hat[active] = np.linalg.solve(r[:k, :k], qty[:k])
     x_hat = psi.synthesize(b_hat)
     result = (b_hat, x_hat)
     return (*result, info) if return_info else result

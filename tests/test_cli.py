@@ -115,6 +115,20 @@ class TestSession:
         with pytest.raises(SystemExit, match=f"{key} takes one"):
             main(["session", "--config", str(config)])
 
+    def test_config_line_without_equals_is_refused(self, tmp_path):
+        config = tmp_path / "scenario.cfg"
+        config.write_text("scenario = pair\nbogus line\n")
+        with pytest.raises(SystemExit, match="scenario.cfg: bad config line 'bogus line'"):
+            main(["session", "--config", str(config)])
+
+    @pytest.mark.parametrize("line", ["cr = 70", "seed = 5"])
+    def test_config_unknown_key_is_refused(self, tmp_path, line):
+        config = tmp_path / "scenario.cfg"
+        config.write_text(f"scenario = pair\nN = 64\n{line}\n")
+        known = "scenario, attacker, CR, qs, N, seeds, degraded_oob"
+        with pytest.raises(SystemExit, match=f"unknown config key .*known keys: {known}"):
+            main(["session", "--config", str(config)])
+
     @pytest.mark.parametrize("verb", ["session", "attack"])
     def test_qs_takes_one_value(self, verb, capsys):
         with pytest.raises(SystemExit):

@@ -1,18 +1,31 @@
+import gc
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import imdsec
+from imdsec import codec, ecg, recovery
 from imdsec.recovery import (
     QualityClass,
     RecoveryError,
     RecoveryParams,
+    SensingMatrix,
+    SparsityBasis,
     build_basis,
     classify_prd,
+    cached_operator,
     cr_to_measurements,
     gen_sensing_matrix,
     omp_reconstruct,
     prd,
     synth_sparse_signal,
 )
+from imdsec.reports import sweep_solver_params
 
 
 class TestSensingMatrix:
@@ -81,9 +94,10 @@ class TestOmp:
         phi = gen_sensing_matrix(b"omp1", 8, 64)
         x = 5.0 * psi.columns[:, 3]
         y = phi.entries @ x
-        b_hat, x_hat = omp_reconstruct(y, phi, psi)
+        b_hat, x_hat, info = omp_reconstruct(y, phi, psi, return_info=True)
         assert prd(x, x_hat) < 1e-6
         assert np.argmax(np.abs(b_hat)) == 3
+        assert info["stop"] == "residual_tol"
 
     def test_planted_support_oracle(self):
         # 10-sparse plants at half compression: the recovered support must
@@ -108,9 +122,10 @@ class TestOmp:
     def test_zero_measurements(self):
         psi = build_basis(32)
         phi = gen_sensing_matrix(b"omp0", 8, 32)
-        b_hat, x_hat = omp_reconstruct(np.zeros(8), phi, psi)
+        b_hat, x_hat, info = omp_reconstruct(np.zeros(8), phi, psi, return_info=True)
         assert not b_hat.any()
         assert not x_hat.any()
+        assert info["stop"] == "zero_measurements"
 
     def test_non_finite_rejected(self):
         psi = build_basis(32)
@@ -136,18 +151,31 @@ class TestOmp:
         phi = gen_sensing_matrix(b"cap", 16, 64)
         rng = np.random.default_rng(4)
         y = phi.entries @ rng.normal(size=64)
-        b_hat, _ = omp_reconstruct(
-            y, phi, psi, RecoveryParams(max_atoms=3, residual_tol=0.0)
+        b_hat, _, info = omp_reconstruct(
+            y, phi, psi, RecoveryParams(max_atoms=3, residual_tol=0.0), return_info=True
         )
         assert np.count_nonzero(b_hat) <= 3
+        assert info["stop"] == "max_atoms"
 
     def test_bad_params(self):
         psi = build_basis(64)
         phi = gen_sensing_matrix(b"bad", 16, 64)
-        with pytest.raises(RecoveryError):
-            omp_reconstruct(
-                np.ones(16), phi, psi, RecoveryParams(max_atoms=17)
-            )
+        for atoms in (17, -1):
+            with pytest.raises(RecoveryError):
+                omp_reconstruct(
+                    np.ones(16), phi, psi, RecoveryParams(max_atoms=atoms)
+                )
+
+    def test_no_candidate_stop(self):
+        # one non-zero column cannot fit a y outside its span, and the
+        # zero columns never score
+        a = np.random.default_rng(9).normal(size=4)
+        phi = SensingMatrix(entries=np.column_stack([a, 0 * a, 0 * a, 0 * a]), seed=b"z")
+        psi = SparsityBasis(columns=np.eye(4))
+        y = a + np.array([0.0, 1.0, -1.0, 0.5])
+        params = RecoveryParams(max_atoms=4, residual_tol=0.0)
+        _, _, info = omp_reconstruct(y, phi, psi, params, return_info=True)
+        assert info["stop"] == "no_candidate"
 
     def test_duplicate_atoms(self):
         # a dictionary with repeated columns: with a sane tolerance the
@@ -173,6 +201,134 @@ class TestOmp:
             omp_reconstruct(
                 y, phi, psi, RecoveryParams(max_atoms=4, residual_tol=0.0)
             )
+
+
+def reference_omp(y, phi, psi, params=None):
+    """OMP as first written: Theta rebuilt per call and least squares
+    re-solved from scratch on the active set after every pick.  Returns
+    (b_hat, picks in order, residual-norm history)."""
+    y = np.asarray(y, dtype=np.float64)
+    params = params or RecoveryParams()
+    n = psi.n
+    b_hat = np.zeros(n)
+    y_norm = float(np.linalg.norm(y))
+    residuals = [y_norm]
+    if y_norm == 0.0:
+        return b_hat, [], residuals
+    max_atoms, tol = params.resolve(phi.m, y_norm)
+    theta = phi.entries @ psi.columns
+    col_norms = np.linalg.norm(theta, axis=0)
+    col_norms[col_norms == 0.0] = np.inf
+    residual = y.copy()
+    active = []
+    available = np.ones(n, dtype=bool)
+    coef = np.zeros(0)
+    while len(active) < max_atoms and np.linalg.norm(residual) > tol:
+        scores = np.abs(theta.T @ residual) / col_norms
+        scores[~available] = -1.0
+        pick = int(np.argmax(scores))
+        if scores[pick] <= 0.0:
+            break
+        active.append(pick)
+        available[pick] = False
+        sub = theta[:, active]
+        coef, _, rank, _ = np.linalg.lstsq(sub, y, rcond=None)
+        if rank < len(active):
+            raise RecoveryError("singular active-set system")
+        residual = y - sub @ coef
+        residuals.append(float(np.linalg.norm(residual)))
+    b_hat[active] = coef
+    return b_hat, active, residuals
+
+
+def pick_order(y, phi, psi, atoms):
+    """The solver's picks in order, read off runs with budgets 1..atoms
+    (a run with budget j makes the first j picks of the full run)."""
+    order, seen = [], set()
+    for j in range(1, atoms + 1):
+        b_hat, _ = omp_reconstruct(y, phi, psi, RecoveryParams(max_atoms=j))
+        new = set(np.flatnonzero(b_hat)) - seen
+        order += sorted(new)
+        seen |= new
+    return order
+
+
+def assert_matches_reference(y, phi, psi, params=None):
+    b_hat, _, info = omp_reconstruct(y, phi, psi, params, return_info=True)
+    ref_b, ref_picks, ref_residuals = reference_omp(y, phi, psi, params)
+    assert pick_order(y, phi, psi, len(ref_picks)) == ref_picks
+    assert sorted(np.flatnonzero(b_hat)) == sorted(ref_picks)
+    assert len(info["residuals"]) == len(ref_residuals)
+    np.testing.assert_allclose(
+        info["residuals"], ref_residuals, rtol=1e-9, atol=1e-9 * ref_residuals[0]
+    )
+    assert np.linalg.norm(b_hat - ref_b) <= 1e-9 * np.linalg.norm(ref_b)
+
+
+class TestOmpOracle:
+    """The incremental-QR solver against the lstsq-from-scratch reference."""
+
+    @pytest.mark.parametrize("n", [64, 512])
+    @pytest.mark.parametrize("cr", [50, 75, 90])
+    @pytest.mark.parametrize("qs", [0, 20])
+    @pytest.mark.parametrize("budget", ["sweep", "default"])
+    def test_telemetry_grid(self, n, cr, qs, budget):
+        m = cr_to_measurements(n, cr)
+        phi = gen_sensing_matrix(b"oracle-phi", m, n)
+        psi = cached_operator(build_basis, n)
+        params = sweep_solver_params(m) if budget == "sweep" else None
+        for i in range(2):
+            record = ecg.synth_ecg_like(f"oracle/{i}".encode(), n=n, s=8 + i)
+            key = codec.cs_gen(f"oracle-key/{i}".encode(), n, record.L1, record.L2)
+            cipher = codec.cs_enc(key, ecg.to_bounded_signal(record), phi)
+            if qs:
+                cipher = codec.quantize(cipher, qs)
+            y = codec.cs_deshift(key, cipher, phi, record.L1, record.L2)
+            assert_matches_reference(y, phi, psi, params)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-1000, 1000), min_size=16, max_size=16))
+    def test_random_measurements(self, values):
+        phi = gen_sensing_matrix(b"oracle-small", 16, 32)
+        psi = cached_operator(build_basis, 32)
+        assert_matches_reference(np.array(values) / 100.0, phi, psi)
+
+
+class TestDictionaryMemo:
+    def test_alternating_matrices_of_one_shape(self):
+        psi = build_basis(64)
+        phis = [gen_sensing_matrix(seed, 32, 64) for seed in (b"memo-a", b"memo-b")]
+        rng = np.random.default_rng(11)
+        y = phis[0].entries @ rng.normal(size=64)
+        expected = [reference_omp(y, phi, psi)[0] for phi in phis]
+        assert not np.allclose(expected[0], expected[1])
+        for turn in range(4):
+            b_hat, _ = omp_reconstruct(y, phis[turn % 2], psi)
+            np.testing.assert_allclose(b_hat, expected[turn % 2], rtol=1e-9, atol=1e-12)
+
+    def test_collected_matrix_leaves_no_dictionary(self):
+        psi = build_basis(64)
+        phi = gen_sensing_matrix(b"memo-gc", 32, 64)
+        omp_reconstruct(phi.entries[:, 3], phi, psi)
+        assert recovery._DICTIONARY_MEMO[0] is not None
+        del phi
+        gc.collect()
+        assert recovery._DICTIONARY_MEMO[0] is None
+
+
+def test_solver_modules_do_not_import_scipy():
+    # importing scipy.linalg alone costs a few tenths of a second of set-up
+    src = str(Path(imdsec.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "import imdsec.recovery, imdsec.reports, imdsec.scenarios, imdsec.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestPrd:
