@@ -35,6 +35,7 @@ from .recovery import RecoveryParams, SensingMatrix, SparsityBasis, omp_reconstr
 from .scenarios import build_world, run_session
 from .wire import (
     Heading,
+    WireError,
     WireMessage,
     decode_message,
     encode_message,
@@ -68,7 +69,7 @@ MAC_PROTECTED_FRAMES = frozenset(
 def _frame_heading(payload: bytes) -> Optional[Heading]:
     try:
         return decode_message(payload).heading
-    except Exception:
+    except WireError:
         return None
 
 
@@ -226,7 +227,7 @@ class MitmReadAttacker(Attacker):
     def intercept(self, entry: TranscriptEntry):
         try:
             msg = decode_message(entry.payload)
-        except Exception:
+        except WireError:
             return None
         if (
             entry.link == "d-i"
@@ -244,7 +245,7 @@ class MitmReadAttacker(Attacker):
         for entry in self.seen:
             try:
                 msg = decode_message(entry.payload)
-            except Exception:
+            except WireError:
                 continue
             if msg.heading == heading and entry.sender == sender:
                 return msg

@@ -1,32 +1,34 @@
 """Deterministic message scheduler with attacker taps.
 
-All wireless traffic flows through one FIFO queue; delivering a message
-advances the simulated clock by one second.  An attacker hook may
-observe every wire message and replace, drop, or inject frames on any
-link.  The out-of-band channel (the RM text to the doctor's phone) is
-invisible to the attacker unless the degraded flag is set.
+All traffic flows through one FIFO queue of TranscriptEntry records: a
+party's send builds the record, and delivering it advances the
+simulated clock by one second, stamps the record with that time and
+appends it to the transcript.  An attacker hook may observe every wire
+message and replace, drop, or inject frames on any link.  The
+out-of-band channel (the RM text to the doctor's phone) is invisible to
+the attacker unless the degraded flag is set.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from .parties import DoctorPhone, Outbound, OobSend, Party
-from .wire import encode_message
+if TYPE_CHECKING:
+    from .parties import DoctorPhone, Party
 
 __all__ = ["TranscriptEntry", "Transcript", "Attacker", "Scheduler"]
 
 
 @dataclass(frozen=True)
 class TranscriptEntry:
-    time: int
     kind: str  # "wire" or "oob"
     link: str
     sender: str
     receiver: str
     payload: bytes
+    time: Optional[int] = None  # stamped on delivery
 
     def format(self) -> str:
         return (
@@ -79,15 +81,6 @@ class Attacker:
         pass
 
 
-@dataclass
-class _Pending:
-    kind: str
-    link: str
-    sender: str
-    receiver: str
-    payload: bytes
-
-
 class Scheduler:
     """Owns the clock, the queue, and the party registry."""
 
@@ -103,78 +96,48 @@ class Scheduler:
         self.attacker = attacker
         self.clock = start_clock
         self.transcript = Transcript()
-        self._queue: deque[_Pending] = deque()
+        self._queue: deque[TranscriptEntry] = deque()
         for party in parties.values():
             party.clock = self.clock
 
-    def submit(self, sender: str, outputs: list):
-        """Queue a party's outbound directives."""
-        for out in outputs:
-            if isinstance(out, Outbound):
-                self._queue.append(
-                    _Pending(
-                        kind="wire",
-                        link=out.link,
-                        sender=sender,
-                        receiver=out.receiver,
-                        payload=encode_message(out.message),
-                    )
-                )
-            elif isinstance(out, OobSend):
-                self._queue.append(
-                    _Pending(
-                        kind="oob",
-                        link="s-ds",
-                        sender=sender,
-                        receiver=out.destination,
-                        payload=out.payload,
-                    )
-                )
-            else:
-                raise TypeError(f"unknown outbound directive {out!r}")
+    def submit(self, frames: Iterable[TranscriptEntry]):
+        """Queue the frames a party sent."""
+        self._queue.extend(frames)
 
     def initiate(self, party_name: str, action) -> None:
         """Run an initiator callback (e.g. start_pair) at the current clock."""
         party = self.parties[party_name]
         party.clock = self.clock
-        self.submit(party_name, action())
+        self.submit(action())
 
     def step(self) -> bool:
         """Deliver one queued message; returns False when idle."""
         if not self._queue:
             return False
-        item = self._queue.popleft()
         self.clock += 1
-        entry = TranscriptEntry(
-            time=self.clock,
-            kind=item.kind,
-            link=item.link,
-            sender=item.sender,
-            receiver=item.receiver,
-            payload=item.payload,
-        )
+        entry = replace(self._queue.popleft(), time=self.clock)
         self.transcript.append(entry)
 
-        if item.kind == "oob":
+        if entry.kind == "oob":
             if self.attacker is not None and self.attacker.degraded_oob:
                 self.attacker.observe_oob(entry)
-            dest = self.oob_parties.get(item.receiver)
+            dest = self.oob_parties.get(entry.receiver)
             if dest is not None:
-                dest.receive_oob(item.payload)
+                dest.receive_oob(entry.payload)
             return True
 
-        payloads: list[bytes] = [item.payload]
+        payloads: list[bytes] = [entry.payload]
         if self.attacker is not None:
             self.attacker.observe(entry)
             replacement = self.attacker.intercept(entry)
             if replacement is not None:
                 payloads = replacement
-        receiver = self.parties.get(item.receiver)
+        receiver = self.parties.get(entry.receiver)
         if receiver is None:
             return True
         for payload in payloads:
             receiver.clock = self.clock
-            self.submit(item.receiver, receiver.receive(payload, item.link))
+            self.submit(receiver.receive(payload, entry.link))
         return True
 
     def run_until_quiet(self, max_steps: int = 10_000):
@@ -186,12 +149,4 @@ class Scheduler:
 
     def deliver_raw(self, link: str, sender: str, receiver: str, payload: bytes):
         """Inject a frame directly (used for replay experiments)."""
-        self._queue.append(
-            _Pending(
-                kind="wire",
-                link=link,
-                sender=sender,
-                receiver=receiver,
-                payload=payload,
-            )
-        )
+        self._queue.append(TranscriptEntry("wire", link, sender, receiver, payload))

@@ -30,7 +30,10 @@ BENCHMARK_BOUNDS = (590, 1487)
 
 
 def _load_records(paths, bounds=None):
-    return [ecg.load_ecg_csv(path, bounds=bounds) for path in paths]
+    try:
+        return [ecg.load_ecg_csv(path, bounds=bounds) for path in paths]
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _default_records(args, bounds=None):

@@ -52,8 +52,10 @@ class EcgRecord:
         object.__setattr__(self, "samples", samples)
         if samples.size == 0:
             raise ValueError("empty record")
-        if not (samples.min() >= self.L1 and samples.max() <= self.L2):
-            raise ValueError("samples outside declared bounds")
+        if not (samples.min() > self.L1 and samples.max() < self.L2):
+            raise ValueError(
+                f"samples must lie strictly inside ({self.L1}, {self.L2})"
+            )
 
     @property
     def n(self) -> int:
@@ -79,8 +81,8 @@ def _resample_linear(samples: np.ndarray, target: int) -> np.ndarray:
 def load_ecg_csv(path, bounds: Optional[tuple[int, int]] = None) -> EcgRecord:
     """Read one-integer-per-line samples and resample to TARGET_SAMPLES.
 
-    Bounds default to (min - 1, max + 1) of the resampled record; an
-    override must still contain every sample.
+    Bounds default to (min - 1, max + 1) of the resampled record; every
+    sample must lie strictly inside an override.
     """
     path = Path(path)
     raw = []
@@ -102,13 +104,16 @@ def load_ecg_csv(path, bounds: Optional[tuple[int, int]] = None) -> EcgRecord:
         )
     if bounds is None:
         bounds = (int(resampled.min()) - 1, int(resampled.max()) + 1)
-    return EcgRecord(
-        samples=resampled,
-        source_id=path.stem,
-        sample_rate=SAMPLE_RATE,
-        L1=int(bounds[0]),
-        L2=int(bounds[1]),
-    )
+    try:
+        return EcgRecord(
+            samples=resampled,
+            source_id=path.stem,
+            sample_rate=SAMPLE_RATE,
+            L1=int(bounds[0]),
+            L2=int(bounds[1]),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def synth_ecg_like(

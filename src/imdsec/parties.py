@@ -13,8 +13,9 @@ A MAC is always the last field and covers auth_bytes(heading, session,
 earlier fields); the implant's telemetry READ_REQ leaves the heading
 byte out.  Outgoing frames are built by Party._send from the same rows,
 so each covered field list is written once, and each frame goes to its
-row's receiver.  Handlers, named _on_<heading>, hold only each step's
-effects.
+row's receiver as the channel.TranscriptEntry that the scheduler
+delivers and records.  Handlers, named _on_<heading>, hold only each
+step's effects.
 
 Each session key has one derivation, a single KDF call, used by every
 party that needs the key (and by the attacks):
@@ -24,9 +25,15 @@ party that needs the key (and by the attacks):
   nonce the doctor RSA-decrypts (both factors are needed);
 - derive_k_r: K_R from the serialized shift key and the session number.
 
-Every party is single-threaded: it holds exactly one expected next
-heading (or none, while idle).  A rejected frame meets one of three
-failure policies:
+Every party is single-threaded, and STEPS alone sets its progress: it
+stores the one row it waits for, or none.  Once a party has received or
+sent row i, it waits for the first later row addressed to it.  If a row
+that it sends comes first, it waits for nothing: either its handler is
+sending that row, or it must open the next flow itself (start_read,
+start_write).  Once no later row involves the party, its outcome is
+"ok".  Party._send advances the party from the row it sent; a received
+row advances it only when the handler sent nothing.  A rejected frame
+meets one of three failure policies:
 
 - drop: counted in ``drops`` and otherwise ignored.  Every structural
   failure takes this path, and so does a failed pairing MAC, so probing
@@ -37,7 +44,7 @@ failure policies:
   undecryptable challenge, shift key or command report, and a failed
   read-authorisation or read-allowance MAC.
 - abort: the flow ends with ``outcome == "aborted"`` and an
-  ``abort_reason``.
+  ``abort_reason``, and the party waits for nothing.
 
 Links: "s-i" smartphone<->implant, "s-d" smartphone<->programmer,
 "d-i" programmer<->implant, plus the out-of-band channel to the
@@ -54,6 +61,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import codec, recovery
+from .channel import TranscriptEntry
 from .crypto import (
     Certificate,
     CryptoError,
@@ -72,6 +80,7 @@ from .wire import (
     WireMessage,
     auth_bytes,
     decode_message,
+    encode_message,
     freshness_check,
     ts_bytes,
     ts_from_bytes,
@@ -87,8 +96,7 @@ __all__ = [
     "derive_k_i",
     "derive_k_p",
     "derive_k_r",
-    "Outbound",
-    "OobSend",
+    "next_step",
     "Party",
     "pack_signals",
     "unpack_signals",
@@ -101,6 +109,7 @@ __all__ = [
 LINK_SI = "s-i"
 LINK_SD = "s-d"
 LINK_DI = "d-i"
+LINK_OOB = "s-ds"
 
 NONCE_BYTES = 16
 RM_BYTES = 16
@@ -214,8 +223,14 @@ STEPS = (
     Step("imd", "programmer", Heading.WRITE_SUCC, LINK_DI),
 )
 
-_BY_RECEIVER = {(step.receiver, step.heading): step for step in STEPS}
-_BY_SENDER = {(step.sender, step.heading): step for step in STEPS}
+# (sender, heading) names one row
+_ROW = {(step.sender, step.heading): i for i, step in enumerate(STEPS)}
+
+
+def next_step(role: str, row: int) -> Optional[Step]:
+    """The first row after STEPS[row] (row -1: from the start) that
+    involves role, or None when no later row does."""
+    return next((s for s in STEPS[row + 1 :] if role in (s.sender, s.receiver)), None)
 
 
 def derive_k_i(
@@ -233,19 +248,6 @@ def derive_k_p(suite: CryptoSuite, rm: bytes, session: int, nonce: bytes) -> Sym
 def derive_k_r(suite: CryptoSuite, kd_bytes: bytes, session: int) -> SymmetricKey:
     """Read/write key bound to the serialized shift key."""
     return suite.kdf(length_prefixed(kd_bytes, u64_bytes(session)))
-
-
-@dataclass(frozen=True)
-class Outbound:
-    receiver: str
-    link: str
-    message: WireMessage
-
-
-@dataclass(frozen=True)
-class OobSend:
-    destination: str
-    payload: bytes
 
 
 def pack_signals(blobs: list[bytes]) -> bytes:
@@ -272,47 +274,63 @@ class Party:
         self.rng = random.Random(seed)
         self.crypto = CryptoSuite(rng=random.Random(seed ^ 0x5EED))
         self.clock: int = 0
-        self.expected: Optional[Heading] = None
-        self.expected_link: Optional[str] = None
         self.outcome: str = "idle"
         self.abort_reason: Optional[str] = None
         self.drops: int = 0
         self.incidents: list[str] = []
+        self._advance(-1)
 
-    def _expect(self, heading: Optional[Heading]):
-        self.expected = heading
-        self.expected_link = (
-            None if heading is None else _BY_RECEIVER[self.role, heading].link
-        )
+    @property
+    def expected(self) -> Optional[Heading]:
+        """Heading of the awaited row; None while waiting for nothing."""
+        return None if self._awaiting is None else self._awaiting.heading
+
+    @property
+    def expected_link(self) -> Optional[str]:
+        return None if self._awaiting is None else self._awaiting.link
+
+    def _advance(self, row: int):
+        """STEPS[row] is done: wait for the next row involving this party
+        if it receives that row, else for nothing; with no such row, the
+        flow is over."""
+        step = next_step(self.role, row)
+        if step is None:
+            self.outcome = "ok"
+        elif step.sender == self.role:
+            step = None
+        self._awaiting = step
 
     def _fresh(self, ts: int) -> bool:
         return freshness_check(ts, self.clock)
 
-    def receive(self, raw: bytes, link: str) -> list[Outbound]:
-        """Check a frame against its step row and run the step's handler;
-        a rejected frame is handled by its failure policy."""
+    def receive(self, raw: bytes, link: str) -> list[TranscriptEntry]:
+        """Check a frame against the awaited row and run the step's
+        handler; a rejected frame is handled by its failure policy."""
         try:
             step, frame = self._verify(raw, link)
-            return getattr(self, "_on_" + step.heading.name.lower())(frame)
+            sent = getattr(self, "_on_" + step.heading.name.lower())(frame)
         except Rejected as rejected:
             if rejected.policy == ABORT:
                 self.outcome = "aborted"
                 self.abort_reason = rejected.reason
-                self._expect(None)
+                self._awaiting = None
             else:
                 self.drops += 1
                 if rejected.policy == STAY:
                     self.incidents.append(rejected.reason)
             return []
+        if not sent:
+            self._advance(_ROW[step.sender, step.heading])
+        return sent
 
     def _verify(self, raw: bytes, link: str) -> tuple[Step, SimpleNamespace]:
         try:
             msg = decode_message(raw)
         except WireError:
             raise Rejected(DROP, "undecodable frame") from None
-        if msg.heading != self.expected or link != self.expected_link:
+        step = self._awaiting
+        if step is None or msg.heading != step.heading or link != step.link:
             raise Rejected(DROP, "unexpected heading")
-        step = _BY_RECEIVER[self.role, msg.heading]
         if step.session is not None and msg.session != getattr(self, step.session):
             raise Rejected(DROP, "session mismatch")
         names = step.fields + (("tag",) if step.key else ())
@@ -339,13 +357,17 @@ class Party:
             raise Rejected(*step.on_mac_failure)
         return step, frame
 
-    def _send(self, heading: Heading, session: int, *fields: bytes) -> Outbound:
-        """Build this party's frame for a step, appending its MAC tag."""
-        step = _BY_SENDER[self.role, heading]
+    def _send(self, heading: Heading, session: int, *fields: bytes) -> TranscriptEntry:
+        """Encode this party's frame for a step, appending its MAC tag,
+        and advance past the step."""
+        row = _ROW[self.role, heading]
+        step = STEPS[row]
         if step.key is not None:
             key = getattr(self, step.key)
             fields += (self.crypto.mac(key, step.covered(session, fields)),)
-        return Outbound(step.receiver, step.link, WireMessage(heading, session, fields))
+        self._advance(row)
+        payload = encode_message(WireMessage(heading, session, fields))
+        return TranscriptEntry("wire", step.link, self.role, step.receiver, payload)
 
 
 class DoctorPhone:
@@ -396,11 +418,10 @@ class Smartphone(Party):
 
     # -- pairing -----------------------------------------------------------
 
-    def start_pair(self, master_key: SymmetricKey) -> list[Outbound]:
+    def start_pair(self, master_key: SymmetricKey) -> list[TranscriptEntry]:
         """The patient typed the master key; request pairing."""
         self.k_i = derive_k_i(self.crypto, master_key, self.smartphone_id, self.implant_id)
         self.pair_session = self.rng.getrandbits(64)
-        self._expect(Heading.PAIR_SUCC)
         return [
             self._send(
                 Heading.PAIR_REQ,
@@ -410,9 +431,8 @@ class Smartphone(Party):
             )
         ]
 
-    def _on_pair_succ(self, frame) -> list[Outbound]:
+    def _on_pair_succ(self, frame) -> list[TranscriptEntry]:
         self.paired = True
-        self._expect(Heading.AUTH_REQ)
         return []
 
     # -- authentication ------------------------------------------------------
@@ -431,7 +451,7 @@ class Smartphone(Party):
         ):
             raise Rejected(STAY, "certificate verification failed")
 
-    def _on_auth_req(self, frame) -> list[Outbound]:
+    def _on_auth_req(self, frame) -> list[TranscriptEntry]:
         self.session = frame.session
         self.doctor_id = frame.doctor_id
         self.doctor_public_key = frame.certificate.public_key()
@@ -439,17 +459,18 @@ class Smartphone(Party):
         self.rm = self.crypto.random_bytes(RM_BYTES)
         self.k_p = derive_k_p(self.crypto, self.rm, self.session, self.nonce)
         challenge = self.crypto.pk_enc(self.doctor_public_key, self.nonce)
-        self._expect(Heading.READ_AUTH_REQ)
         return [
             self._send(
                 Heading.AUTH_REQ, self.session, self.smartphone_id, challenge
             ),
-            OobSend(self.doctor_oob_directory[self.doctor_id], self.rm),
+            TranscriptEntry(
+                "oob", LINK_OOB, self.role, self.doctor_oob_directory[self.doctor_id], self.rm
+            ),
         ]
 
     # -- read ------------------------------------------------------------------
 
-    def _on_read_auth_req(self, frame) -> list[Outbound]:
+    def _on_read_auth_req(self, frame) -> list[TranscriptEntry]:
         key_seed = self.crypto.random_bytes(16)
         self.shift_key = codec.cs_gen(
             key_seed, self.config.n, self.config.L1, self.config.L2
@@ -459,7 +480,6 @@ class Smartphone(Party):
         c1 = self.crypto.sym_enc(
             self.k_i, length_prefixed(kd_bytes, self.k_r.data)
         )
-        self._expect(Heading.READ_READY)
         return [
             self._send(
                 Heading.READ_ALLOW,
@@ -470,18 +490,16 @@ class Smartphone(Party):
             )
         ]
 
-    def _on_read_ready(self, frame) -> list[Outbound]:
+    def _on_read_ready(self, frame) -> list[TranscriptEntry]:
         kd_bytes = codec.serialize_shift_key(self.shift_key)
         enc_kd = self.crypto.sym_enc(self.k_p, kd_bytes)
-        self._expect(Heading.WRITE_AUTH_REQ)
         return [self._send(Heading.READ_READY, self.session, enc_kd)]
 
     # -- write -------------------------------------------------------------------
 
-    def _on_write_auth_req(self, frame) -> list[Outbound]:
+    def _on_write_auth_req(self, frame) -> list[TranscriptEntry]:
         self.pending_sig = SignatureBlob("rsa-pkcs1v15-sha256", frame.sig)
         self.pending_ts6 = frame.ts
-        self._expect(Heading.WRITE_READY)
         return [
             self._send(
                 Heading.WRITE_ALLOW,
@@ -491,8 +509,7 @@ class Smartphone(Party):
             )
         ]
 
-    def _on_write_ready(self, frame) -> list[Outbound]:
-        self._expect(Heading.WRITE_REQ)
+    def _on_write_ready(self, frame) -> list[TranscriptEntry]:
         return [self._send(Heading.WRITE_READY, self.session)]
 
     def _open_command_report(self, frame):
@@ -506,7 +523,7 @@ class Smartphone(Party):
         if implant_id != self.implant_id or not self._fresh(ts7):
             raise Rejected(ABORT, "command report mismatch")
 
-    def _on_write_req(self, frame) -> list[Outbound]:
+    def _on_write_req(self, frame) -> list[TranscriptEntry]:
         kd_bytes = codec.serialize_shift_key(self.shift_key)
         payload = signed_payload(
             self.doctor_id,
@@ -531,8 +548,6 @@ class Smartphone(Party):
             signature=self.pending_sig,
         )
         self.ledger.append(record)
-        self.outcome = "ok"
-        self._expect(None)
         return [self._send(Heading.SET_ALLOW, self.session, ts_bytes(self.clock))]
 
 
@@ -563,7 +578,6 @@ class Imd(Party):
         self.c2_bytes: Optional[bytes] = None
         self.pending_cmd: Optional[bytes] = None
         self.applied_commands: list[bytes] = []
-        self._expect(Heading.PAIR_REQ)
 
     def _derive_pairing_key(self, frame):
         """K_I for the claimed smartphone id; the PAIR_REQ MAC is under it."""
@@ -571,14 +585,13 @@ class Imd(Party):
             self.crypto, self._master_key, frame.smartphone_id, self.implant_id
         )
 
-    def _on_pair_req(self, frame) -> list[Outbound]:
+    def _on_pair_req(self, frame) -> list[TranscriptEntry]:
         self.k_i = frame.key
         self.pair_session = frame.session
         self.paired_smartphone = frame.smartphone_id
-        self._expect(Heading.READ_ALLOW)
         return [self._send(Heading.PAIR_SUCC, frame.session)]
 
-    def _on_read_allow(self, frame) -> list[Outbound]:
+    def _on_read_allow(self, frame) -> list[TranscriptEntry]:
         try:
             plain = self.crypto.sym_dec(self.k_i, frame.c1)
             kd_bytes, kr_bytes = split_length_prefixed(plain, 2)
@@ -588,10 +601,9 @@ class Imd(Party):
             raise Rejected(DROP, "key delivery unreadable") from None
         self.session = frame.session
         self.session_doctor = frame.doctor_id
-        self._expect(Heading.READ_REQ)
         return [self._send(Heading.READ_READY, frame.session)]
 
-    def _on_read_req(self, frame) -> list[Outbound]:
+    def _on_read_req(self, frame) -> list[TranscriptEntry]:
         phi = self.config.sensing_matrix()
         blobs = []
         for signal in self.data_source():
@@ -601,18 +613,16 @@ class Imd(Party):
                 cipher = codec.quantize(cipher, self.config.qs)
             blobs.append(codec.serialize_ciphertext(cipher))
         self.c2_bytes = pack_signals(blobs)
-        self._expect(Heading.WRITE_ALLOW)
         return [self._send(Heading.READ_REQ, frame.session, self.c2_bytes)]
 
     def _check_session_doctor(self, frame):
         if frame.doctor_id != self.session_doctor:
             raise Rejected(DROP, "doctor mismatch")
 
-    def _on_write_allow(self, frame) -> list[Outbound]:
-        self._expect(Heading.WRITE_REQ)
+    def _on_write_allow(self, frame) -> list[TranscriptEntry]:
         return [self._send(Heading.WRITE_READY, frame.session)]
 
-    def _on_write_req(self, frame) -> list[Outbound]:
+    def _on_write_req(self, frame) -> list[TranscriptEntry]:
         try:
             cmd = self.crypto.sym_dec(self.k_r, frame.c3)
         except DecryptionError:
@@ -622,14 +632,11 @@ class Imd(Party):
             self.k_i,
             length_prefixed(cmd, self.implant_id, ts_bytes(self.clock)),
         )
-        self._expect(Heading.SET_ALLOW)
         return [self._send(Heading.WRITE_REQ, frame.session, self.c2_bytes, report)]
 
-    def _on_set_allow(self, frame) -> list[Outbound]:
+    def _on_set_allow(self, frame) -> list[TranscriptEntry]:
         self.applied_commands.append(self.pending_cmd)
         self.pending_cmd = None
-        self.outcome = "ok"
-        self._expect(None)
         return [self._send(Heading.WRITE_SUCC, frame.session)]
 
 
@@ -665,9 +672,8 @@ class Programmer(Party):
 
     # -- authentication ----------------------------------------------------
 
-    def start_auth(self) -> list[Outbound]:
+    def start_auth(self) -> list[TranscriptEntry]:
         self.session = self.rng.getrandbits(64)
-        self._expect(Heading.AUTH_REQ)
         return [
             self._send(
                 Heading.AUTH_REQ,
@@ -679,17 +685,16 @@ class Programmer(Party):
             )
         ]
 
-    def _on_auth_req(self, frame) -> list[Outbound]:
+    def _on_auth_req(self, frame) -> list[TranscriptEntry]:
         try:
             self.nonce = self.crypto.pk_dec(self.credentials.private_key, frame.challenge)
         except DecryptionError:
             raise Rejected(STAY, "nonce challenge unreadable") from None
         self.smartphone_id = frame.smartphone_id
-        self._expect(None)  # wait for the doctor to type in RM
         return []
 
     def enter_rm(self, rm: bytes):
-        """The doctor reads RM off her phone and types it in."""
+        """The doctor reads RM off their phone and types it in."""
         if self.nonce is None:
             raise ProtocolError("no authentication in progress")
         self.rm = rm
@@ -701,23 +706,21 @@ class Programmer(Party):
 
     # -- read -------------------------------------------------------------------
 
-    def start_read(self) -> list[Outbound]:
+    def start_read(self) -> list[TranscriptEntry]:
         if not self.authenticated:
             raise ProtocolError("read requires completed authentication")
-        self._expect(Heading.READ_READY)
         return [self._send(Heading.READ_AUTH_REQ, self.session, ts_bytes(self.clock))]
 
-    def _on_read_ready(self, frame) -> list[Outbound]:
+    def _on_read_ready(self, frame) -> list[TranscriptEntry]:
         try:
             kd_bytes = self.crypto.sym_dec(self.k_p, frame.enc_kd)
             self.shift_key = codec.deserialize_shift_key(kd_bytes)
         except (DecryptionError, codec.CodecError):
             raise Rejected(STAY, "shift key unreadable") from None
         self.k_r = derive_k_r(self.crypto, kd_bytes, self.session)
-        self._expect(Heading.READ_REQ)
         return [self._send(Heading.READ_REQ, self.session)]
 
-    def _on_read_req(self, frame) -> list[Outbound]:
+    def _on_read_req(self, frame) -> list[TranscriptEntry]:
         try:
             ciphers = [
                 codec.deserialize_ciphertext(b) for b in unpack_signals(frame.c2)
@@ -734,7 +737,6 @@ class Programmer(Party):
                 )
                 _, x_hat = recovery.omp_reconstruct(y, phi, psi)
                 self.recovered_signals.append(x_hat)
-        self._expect(None)
         return []
 
     @property
@@ -743,7 +745,7 @@ class Programmer(Party):
 
     # -- write --------------------------------------------------------------------
 
-    def start_write(self, command: bytes) -> list[Outbound]:
+    def start_write(self, command: bytes) -> list[TranscriptEntry]:
         if not self.read_complete:
             raise ProtocolError("write requires a completed read in this session")
         if len(command) > 256:
@@ -763,18 +765,14 @@ class Programmer(Party):
                 ts6,
             ),
         )
-        self._expect(Heading.WRITE_READY)
         return [
             self._send(Heading.WRITE_AUTH_REQ, self.session, sig.data, ts_bytes(ts6))
         ]
 
-    def _on_write_ready(self, frame) -> list[Outbound]:
+    def _on_write_ready(self, frame) -> list[TranscriptEntry]:
         c3 = self.crypto.sym_enc(self.k_r, self.command)
-        self._expect(Heading.WRITE_SUCC)
         return [self._send(Heading.WRITE_REQ, self.session, c3)]
 
-    def _on_write_succ(self, frame) -> list[Outbound]:
+    def _on_write_succ(self, frame) -> list[TranscriptEntry]:
         self.write_complete = True
-        self.outcome = "ok"
-        self._expect(None)
         return []

@@ -45,6 +45,26 @@ class TestSweep:
         assert record_id in content
 
 
+class TestRecordsFileErrors:
+    # a sample on the benchmark bound L1 = 590; 512 lines are not resampled
+    ON_BOUND = "590\n" + "700\n" * 511
+    NON_NUMERIC = "700\nabc\n701\n"
+
+    @pytest.mark.parametrize(
+        "verb, text, message",
+        [
+            ("attack", ON_BOUND, r"rec\.csv: samples must lie strictly inside \(590, 1487\)"),
+            ("sweep", NON_NUMERIC, r"rec\.csv:2: non-numeric sample 'abc'"),
+        ],
+        ids=["sample-on-bound", "non-numeric-line"],
+    )
+    def test_loader_message_instead_of_traceback(self, tmp_path, verb, text, message):
+        path = tmp_path / "rec.csv"
+        path.write_text(text)
+        with pytest.raises(SystemExit, match=message):
+            main([verb, "--records", str(path), "--cr", "50", "--seeds", "1"])
+
+
 class TestOpcount:
     def test_table_and_exit_code(self, capsys):
         assert main(["opcount"]) == 0

@@ -28,8 +28,8 @@ class TestLoader:
 
     def test_paper_bounds_give_shift_bound_449(self, tmp_path):
         rng = np.random.default_rng(1)
-        values = rng.integers(590, 1488, size=512)
-        values[0], values[1] = 590, 1487
+        values = rng.integers(591, 1487, size=512)
+        values[0], values[1] = 591, 1486  # the extremes strictly inside
         path = self._write(tmp_path, values)
         record = ecg.load_ecg_csv(path, bounds=(590, 1487))
         assert record.value_range == 897

@@ -8,6 +8,7 @@ from imdsec.parties import (
     STEPS,
     ProtocolError,
     SystemConfig,
+    next_step,
     pack_signals,
     unpack_signals,
 )
@@ -122,6 +123,67 @@ class TestStepTable:
         ends = {frozenset((s.sender, s.receiver)) for s in STEPS if s.link == step.link}
         assert ends == {frozenset((step.sender, step.receiver))}
 
+    def test_each_row_is_a_reply_or_opens_a_flow(self, step):
+        row = STEPS.index(step)
+        reply = row > 0 and STEPS[row - 1].receiver == step.sender
+        # the sender's stored step once the row before is done
+        waits_for_nothing = next_step(step.sender, row - 1) is step
+        assert reply or waits_for_nothing
+
+
+# (expected, expected_link, outcome) of smartphone, implant and programmer
+# after each Scheduler.step of an honest full session
+HONEST_FULL_STATES = [
+    ("PAIR_SUCC s-i idle", "READ_ALLOW s-i idle", "- - idle"),
+    ("AUTH_REQ s-d idle", "READ_ALLOW s-i idle", "- - idle"),
+    ("READ_AUTH_REQ s-d idle", "READ_ALLOW s-i idle", "AUTH_REQ s-d idle"),
+    ("READ_AUTH_REQ s-d idle", "READ_ALLOW s-i idle", "- - idle"),
+    ("READ_AUTH_REQ s-d idle", "READ_ALLOW s-i idle", "- - idle"),
+    ("READ_READY s-i idle", "READ_ALLOW s-i idle", "READ_READY s-d idle"),
+    ("READ_READY s-i idle", "READ_REQ d-i idle", "READ_READY s-d idle"),
+    ("WRITE_AUTH_REQ s-d idle", "READ_REQ d-i idle", "READ_READY s-d idle"),
+    ("WRITE_AUTH_REQ s-d idle", "READ_REQ d-i idle", "READ_REQ d-i idle"),
+    ("WRITE_AUTH_REQ s-d idle", "WRITE_ALLOW s-i idle", "READ_REQ d-i idle"),
+    ("WRITE_AUTH_REQ s-d idle", "WRITE_ALLOW s-i idle", "- - idle"),
+    ("WRITE_READY s-i idle", "WRITE_ALLOW s-i idle", "WRITE_READY s-d idle"),
+    ("WRITE_READY s-i idle", "WRITE_REQ d-i idle", "WRITE_READY s-d idle"),
+    ("WRITE_REQ s-i idle", "WRITE_REQ d-i idle", "WRITE_READY s-d idle"),
+    ("WRITE_REQ s-i idle", "WRITE_REQ d-i idle", "WRITE_SUCC d-i idle"),
+    ("WRITE_REQ s-i idle", "SET_ALLOW s-i idle", "WRITE_SUCC d-i idle"),
+    ("- - ok", "SET_ALLOW s-i idle", "WRITE_SUCC d-i idle"),
+    ("- - ok", "- - ok", "WRITE_SUCC d-i idle"),
+    ("- - ok", "- - ok", "- - ok"),
+]
+
+
+def _state(party):
+    heading = party.expected.name if party.expected else "-"
+    return f"{heading} {party.expected_link or '-'} {party.outcome}"
+
+
+def test_state_after_every_step_of_an_honest_full_session():
+    world = build_world(seed=3, config=FAST)
+    sched = world.scheduler
+    parties = (world.smartphone, world.imd, world.programmer)
+
+    def read():
+        world.programmer.enter_rm(world.doctor_phone.rm)
+        return world.programmer.start_read()
+
+    flows = (
+        ("smartphone", lambda: world.smartphone.start_pair(world.master_key)),
+        ("programmer", world.programmer.start_auth),
+        ("programmer", read),
+        ("programmer", lambda: world.programmer.start_write(b"cmd")),
+    )
+    states = []
+    for name, start in flows:
+        sched.initiate(name, start)
+        while sched.step():
+            states.append(tuple(_state(p) for p in parties))
+    assert states == HONEST_FULL_STATES
+    assert world.imd.applied_commands == [b"cmd"]
+
 
 class TestFailurePaths:
     def test_unknown_authority_certificate_is_refused(self):
@@ -163,7 +225,7 @@ class TestFailurePaths:
 
         outs = programmer.start_write(b"cmd: signed")
         programmer.command = b"cmd: injected"  # C3 will carry this instead
-        world.scheduler.submit("programmer", outs)
+        world.scheduler.submit(outs)
         world.scheduler.run_until_quiet()
 
         assert world.imd.applied_commands == []
