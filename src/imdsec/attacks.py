@@ -31,7 +31,8 @@ from .codec import (
 )
 from .crypto import CryptoSuite
 from .parties import STEPS, SystemConfig, derive_k_p, unpack_signals
-from .recovery import RecoveryParams, SensingMatrix, SparsityBasis, omp_reconstruct, prd
+from .recovery import RecoveryParams, SensingMatrix, SparsityBasis, prd
+from .recovery import omp_reconstruct, omp_reconstruct_batch
 from .scenarios import build_world, run_session
 from .wire import (
     Heading,
@@ -154,11 +155,11 @@ def uniform_guess_attack(
     """
     grid = grid if grid is not None else default_shift_grid()
     column_sum = phi.entries @ np.ones(phi.n)
-    curve = []
-    for shift in grid:
-        y_guess = cipher.measurements - shift * column_sum
-        _, x_hat = omp_reconstruct(y_guess, phi, psi, params)
-        curve.append((shift, prd(truth, x_hat)))
+    shifts = np.array(grid, dtype=np.float64).reshape(-1, 1)
+    _, x_hats = omp_reconstruct_batch(
+        cipher.measurements - shifts * column_sum, phi, psi, params
+    )
+    curve = [(shift, prd(truth, x_hat)) for shift, x_hat in zip(grid, x_hats)]
     best_shift, best_prd = min(curve, key=lambda item: item[1])
     return UniformGuessResult(
         best_shift=best_shift, best_prd=best_prd, curve=tuple(curve)
@@ -188,18 +189,18 @@ def random_guess_attack(
     planted_key, when given, replaces the first trial's guess with the
     true key (sanity anchor: that trial must match legitimate recovery).
     """
-    prds = []
-    for trial in range(trials):
-        if trial == 0 and planted_key is not None:
-            key = planted_key
-        else:
-            key = cs_gen(
-                bytes(seed) + trial.to_bytes(4, "big"), cipher.n, L1, L2
-            )
-        y_guess = cs_deshift(key, cipher, phi, L1, L2)
-        _, x_hat = omp_reconstruct(y_guess, phi, psi, params)
-        prds.append(prd(truth, x_hat))
-    return RandomGuessResult(prds=tuple(prds), min_prd=min(prds))
+    keys = [
+        planted_key
+        if trial == 0 and planted_key is not None
+        else cs_gen(bytes(seed) + trial.to_bytes(4, "big"), cipher.n, L1, L2)
+        for trial in range(trials)
+    ]
+    guesses = [cs_deshift(key, cipher, phi, L1, L2) for key in keys]
+    _, x_hats = omp_reconstruct_batch(
+        np.reshape(guesses, (trials, phi.m)), phi, psi, params
+    )
+    prds = tuple(prd(truth, x_hat) for x_hat in x_hats)
+    return RandomGuessResult(prds=prds, min_prd=min(prds))
 
 
 class MitmReadAttacker(Attacker):

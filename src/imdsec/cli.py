@@ -32,6 +32,8 @@ BENCHMARK_BOUNDS = (590, 1487)
 def _load_records(paths, bounds=None):
     try:
         return [ecg.load_ecg_csv(path, bounds=bounds) for path in paths]
+    except OSError as exc:
+        raise SystemExit(f"{exc.filename}: {exc.strerror}") from None
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
 

@@ -2,13 +2,16 @@
 
 Signals are modeled as x = Psi @ b with few significant entries in b.
 Measurements y = Phi @ x are inverted by orthogonal matching pursuit on
-the combined dictionary Theta = Phi @ Psi.  Theta is built once per
-(Phi, Psi) pair and held in a one-entry memo that lets go of it when
-Phi or Psi is collected; the active set is kept as an incremental QR
-factorisation, so no iteration re-solves least squares (the idea
-behind Batch-OMP: Rubinstein, Zibulevsky & Elad, Technion CS-2008-08).
-Only numpy is used: importing scipy.linalg would add a few tenths of a
-second to every process start.
+the combined dictionary Theta = Phi @ Psi.  There is one OMP core,
+omp_reconstruct_batch: it solves a stack of measurement rows that share
+(Phi, Psi), scoring all running rows with one product per iteration,
+and omp_reconstruct is its one-row case (the idea of Batch-OMP, which
+codes many signals over one dictionary: Rubinstein, Zibulevsky & Elad,
+Technion CS-2008-08).  Theta is built once per (Phi, Psi) pair and held
+in a one-entry memo that lets go of it when Phi or Psi is collected;
+each row's active set is kept as an incremental QR factorisation, so no
+iteration re-solves least squares.  Only numpy is used: importing
+scipy.linalg would add a few tenths of a second to every process start.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "build_basis",
     "cached_operator",
     "omp_reconstruct",
+    "omp_reconstruct_batch",
     "prd",
     "classify_prd",
     "synth_sparse_signal",
@@ -186,6 +190,109 @@ def _dictionary(phi: SensingMatrix, psi: SparsityBasis) -> tuple[np.ndarray, np.
 _SINGULAR_RTOL = 1e-10
 
 
+def omp_reconstruct_batch(
+    Y: np.ndarray,
+    phi: SensingMatrix,
+    psi: SparsityBasis,
+    params: Optional[RecoveryParams] = None,
+    return_info: bool = False,
+):
+    """Greedy sparse inversion of each row y of Y, with y = Phi Psi b.
+
+    Each iteration scores every running row with one product R Theta and
+    picks, per row, the column best correlated with its residual (after
+    column-norm scaling).  A row stops at max_atoms, once its residual
+    norm falls to its own residual_tol, or when no column is left to
+    pick; the others go on.  Each row's active columns are kept as an
+    incremental QR factorisation (Gram-Schmidt with one
+    re-orthogonalisation pass, batched over rows), and R b = Q^T y is
+    solved once, when the row stops.  Returns (B_hat, X_hat), one row
+    per row of Y; with return_info=True a list of per-row dicts is
+    appended, each with the residual-norm history ("residuals") and the
+    stop reason ("stop": "max_atoms", "residual_tol", "no_candidate" or
+    "zero_measurements").
+    """
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim != 2 or Y.shape[1] != phi.m:
+        raise RecoveryError(f"measurement rows must form a 2-D array of width {phi.m}")
+    if not np.all(np.isfinite(Y)):
+        raise RecoveryError("non-finite measurements")
+    if phi.n != psi.n:
+        raise RecoveryError("sensing matrix and basis sizes differ")
+    params = params or RecoveryParams()
+
+    b_hat = np.zeros((Y.shape[0], psi.n))
+    y_norms = np.sqrt(np.vecdot(Y, Y))
+    infos = [{"residuals": [v], "stop": "zero_measurements"} for v in y_norms.tolist()]
+    # State of the rows still running, one entry per row; a row that
+    # stops is solved, recorded and dropped from every array at once.
+    live = np.flatnonzero(y_norms)  # the row of Y behind each state entry
+    limits = [params.resolve(phi.m, y_norms[i]) for i in live]
+    max_atoms = limits[0][0] if limits else 0
+    tol = np.array([t for _, t in limits])
+    residual = Y[live]
+    q = np.empty((live.size, max_atoms, phi.m))  # orthonormal rows spanning the active columns
+    r = np.zeros((live.size, max_atoms, max_atoms))
+    qty = np.empty((live.size, max_atoms))
+    picks = np.empty((live.size, max_atoms), dtype=np.intp)
+    history = np.empty((live.size, max_atoms + 1))  # residual norms
+    history[:, 0] = y_norms[live]
+    row_ids = np.arange(live.size)
+    if live.size:
+        theta, col_norms = _dictionary(phi, psi)
+        singular = _SINGULAR_RTOL * col_norms
+    k = 0
+
+    while live.size:
+        if k < max_atoms:
+            scores = residual @ theta
+            np.abs(scores, out=scores)
+            scores /= col_norms
+            scores[row_ids[:, None], picks[:, :k]] = -1.0
+            # a row at its tolerance picks nothing, so it stops below
+            scores[history[:, k] <= tol] = -1.0
+            pick = scores.argmax(axis=1)
+            ended = scores[row_ids, pick] <= 0.0
+        else:
+            ended = np.ones(live.size, dtype=bool)
+        if np.count_nonzero(ended):
+            rows = live[ended]
+            coef = np.linalg.solve(r[ended, :k, :k], qty[ended, :k, None])
+            b_hat[rows[:, None], picks[ended, :k]] = coef[..., 0]
+            for j, i in zip(np.flatnonzero(ended).tolist(), rows.tolist()):
+                infos[i]["residuals"] = history[j, : k + 1].tolist()
+                infos[i]["stop"] = (
+                    "max_atoms" if k == max_atoms
+                    else "residual_tol" if history[j, k] <= tol[j] else "no_candidate"
+                )
+            if ended.all():
+                break
+            live, tol, residual, q, r, qty, picks, history, pick = (
+                a[~ended] for a in (live, tol, residual, q, r, qty, picks, history, pick)
+            )
+            row_ids = np.arange(live.size)
+        w = theta.T[pick]  # the picked columns, orthogonalised in place
+        basis = q[:, :k]
+        h = np.matvec(basis, w)
+        w -= np.vecmat(h, basis)
+        h2 = np.matvec(basis, w)
+        w -= np.vecmat(h2, basis)
+        w_norm = np.sqrt(np.vecdot(w, w))
+        if np.count_nonzero(w_norm <= singular[pick]):
+            raise RecoveryError("singular active-set system")
+        np.divide(w, w_norm[:, None], out=q[:, k])
+        np.add(h, h2, out=r[:, :k, k])
+        r[:, k, k] = w_norm
+        qty[:, k] = np.vecdot(q[:, k], residual)  # = q[k] y: the residual is orthogonal to q[:k]
+        residual -= qty[:, k, None] * q[:, k]
+        history[:, k + 1] = np.sqrt(np.vecdot(residual, residual))
+        picks[:, k] = pick
+        k += 1
+
+    x_hat = b_hat @ psi.columns.T
+    return (b_hat, x_hat, infos) if return_info else (b_hat, x_hat)
+
+
 def omp_reconstruct(
     y: np.ndarray,
     phi: SensingMatrix,
@@ -193,80 +300,14 @@ def omp_reconstruct(
     params: Optional[RecoveryParams] = None,
     return_info: bool = False,
 ):
-    """Greedy sparse inversion of y = Phi Psi b.
-
-    Each iteration picks the dictionary column best correlated with the
-    residual (after column-norm scaling) and stops at max_atoms or once
-    the residual norm falls to residual_tol.  The active columns are
-    kept as an incremental QR factorisation (Gram-Schmidt with one
-    re-orthogonalisation pass): each pick removes the residual's
-    projection on the new direction, and R b = Q^T y is solved once at
-    the end.  Theta = Phi Psi comes from a one-entry memo per (Phi, Psi)
-    pair.  Returns (b_hat, x_hat); with return_info=True a dict is
-    appended with the residual-norm history ("residuals") and the stop
-    reason ("stop": "max_atoms", "residual_tol", "no_candidate" or
-    "zero_measurements").
-    """
+    """Greedy sparse inversion of one measurement vector y = Phi Psi b, the
+    one-row case of omp_reconstruct_batch.  Returns (b_hat, x_hat), and
+    with return_info=True the row's info dict."""
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.size != phi.m:
         raise RecoveryError(f"measurement vector must have length {phi.m}")
-    if not np.all(np.isfinite(y)):
-        raise RecoveryError("non-finite measurements")
-    if phi.n != psi.n:
-        raise RecoveryError("sensing matrix and basis sizes differ")
-    params = params or RecoveryParams()
-
-    n = psi.n
-    b_hat = np.zeros(n)
-    y_norm = float(np.linalg.norm(y))
-    info = {"residuals": [y_norm], "stop": "zero_measurements"}
-    if y_norm == 0.0:
-        result = (b_hat, np.zeros(n))
-        return (*result, info) if return_info else result
-
-    max_atoms, tol = params.resolve(phi.m, y_norm)
-    theta, col_norms = _dictionary(phi, psi)
-    residual = y.copy()
-    active: list[int] = []
-    q = np.empty((max_atoms, phi.m))  # orthonormal rows spanning the active columns
-    r = np.zeros((max_atoms, max_atoms))
-    qty = np.empty(max_atoms)
-
-    while True:
-        k = len(active)
-        if k >= max_atoms:
-            info["stop"] = "max_atoms"
-            break
-        if info["residuals"][-1] <= tol:
-            info["stop"] = "residual_tol"
-            break
-        scores = np.abs(theta.T @ residual) / col_norms
-        scores[active] = -1.0
-        pick = int(np.argmax(scores))
-        if scores[pick] <= 0.0:
-            info["stop"] = "no_candidate"
-            break
-        column = theta[:, pick]
-        h = q[:k] @ column
-        w = column - h @ q[:k]
-        h2 = q[:k] @ w
-        w -= h2 @ q[:k]
-        w_norm = float(np.linalg.norm(w))
-        if w_norm <= _SINGULAR_RTOL * col_norms[pick]:
-            raise RecoveryError("singular active-set system")
-        q[k] = w / w_norm
-        r[:k, k] = h + h2
-        r[k, k] = w_norm
-        qty[k] = q[k] @ residual  # = q[k] @ y: the residual is orthogonal to q[:k]
-        residual -= qty[k] * q[k]
-        active.append(pick)
-        info["residuals"].append(float(np.linalg.norm(residual)))
-
-    k = len(active)
-    b_hat[active] = np.linalg.solve(r[:k, :k], qty[:k])
-    x_hat = psi.synthesize(b_hat)
-    result = (b_hat, x_hat)
-    return (*result, info) if return_info else result
+    b_hat, x_hat, infos = omp_reconstruct_batch(y[None], phi, psi, params, True)
+    return (b_hat[0], x_hat[0], infos[0]) if return_info else (b_hat[0], x_hat[0])
 
 
 def prd(x: np.ndarray, x_hat: np.ndarray) -> float:

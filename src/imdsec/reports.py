@@ -123,16 +123,27 @@ def _key_seed(master_seed: int, index: int) -> bytes:
     return f"sweep-key/{master_seed}/{index}".encode()
 
 
-def _trial(record, key_seed, phi, psi, params, qs):
-    """One mask -> project -> quantize -> de-shift -> OMP pipeline under
-    a fresh shift key; returns the ciphertext and the recovery PRD."""
-    key = codec.cs_gen(key_seed, record.n, record.L1, record.L2)
-    cipher = codec.cs_enc(key, ecg.to_bounded_signal(record), phi)
+def _keys(signal: codec.BoundedSignal, master_seed: int, first: int, count: int) -> list:
+    return [
+        codec.cs_gen(_key_seed(master_seed, i), signal.n, signal.L1, signal.L2)
+        for i in range(first, first + count)
+    ]
+
+
+def _trials(signal, keys, phi, psi, params, qs):
+    """The mask -> project -> quantize -> de-shift pipeline of one signal
+    under each shift key, and one batched OMP solve over all of them;
+    returns the ciphertexts and the recovery PRDs, in key order."""
+    ciphers = [codec.cs_enc(key, signal, phi) for key in keys]
     if qs:
-        cipher = codec.quantize(cipher, qs)
-    y = codec.cs_deshift(key, cipher, phi, record.L1, record.L2)
-    _, x_hat = recovery.omp_reconstruct(y, phi, psi, params)
-    return cipher, recovery.prd(record.samples.astype(np.float64), x_hat)
+        ciphers = [codec.quantize(cipher, qs) for cipher in ciphers]
+    measurements = [
+        codec.cs_deshift(key, cipher, phi, signal.L1, signal.L2)
+        for key, cipher in zip(keys, ciphers)
+    ]
+    Y = np.reshape(measurements, (len(keys), phi.m))
+    _, x_hats = recovery.omp_reconstruct_batch(Y, phi, psi, params)
+    return ciphers, [recovery.prd(signal.values, x_hat) for x_hat in x_hats]
 
 
 def sweep_prd(
@@ -152,23 +163,17 @@ def sweep_prd(
         raise ValueError("need at least one record")
     n = records[0].n
     psi = recovery.cached_operator(recovery.build_basis, n)
+    signals = [ecg.to_bounded_signal(record) for record in records]
+    keys = [_keys(signal, master_seed, 0, seeds) for signal in signals]
     rows = []
     for cr in cr_grid:
         m = recovery.cr_to_measurements(n, cr)
         phi = recovery.gen_sensing_matrix(matrix_seed, m, n)
         params = sweep_solver_params(m)
         for qs in qs_grid:
-            for record in records:
-                prds = []
-                payload = 0
-                for s in range(seeds):
-                    cipher, value = _trial(
-                        record, _key_seed(master_seed, s), phi, psi, params, qs
-                    )
-                    payload = max(
-                        payload, len(codec.serialize_ciphertext(cipher))
-                    )
-                    prds.append(value)
+            for record, signal, record_keys in zip(records, signals, keys):
+                ciphers, prds = _trials(signal, record_keys, phi, psi, params, qs)
+                payload = max(map(len, map(codec.serialize_ciphertext, ciphers)), default=0)
                 median = float(np.median(prds))
                 rows.append(
                     SweepRow(
@@ -219,6 +224,8 @@ def attack_report(
     n = records[0].n
     psi = recovery.cached_operator(recovery.build_basis, n)
     grid = default_shift_grid(bound=records[0].shift_bound)
+    signals = [ecg.to_bounded_signal(record) for record in records]
+    keys = [_keys(s, master_seed, 1000 + ri * seeds, seeds) for ri, s in enumerate(signals)]
     rows = []
     for cr in cr_grid:
         m = recovery.cr_to_measurements(n, cr)
@@ -226,35 +233,19 @@ def attack_report(
         params = sweep_solver_params(m)
         legit_prds = []
         curves = []
-        random_min = None
-        for ri, record in enumerate(records):
-            truth = record.samples.astype(np.float64)
-            for s in range(seeds):
-                cipher, value = _trial(
-                    record,
-                    _key_seed(master_seed, 1000 + ri * seeds + s),
-                    phi,
-                    psi,
-                    params,
-                    qs,
-                )
-                legit_prds.append(value)
+        for ri, (signal, record_keys) in enumerate(zip(signals, keys)):
+            ciphers, prds = _trials(signal, record_keys, phi, psi, params, qs)
+            legit_prds += prds
+            for cipher in ciphers:
                 result = uniform_guess_attack(
-                    cipher, phi, psi, truth, grid=grid, params=params
+                    cipher, phi, psi, signal.values, grid=grid, params=params
                 )
                 curves.append([p for _, p in result.curve])
-                if ri == 0 and s == 0:
-                    random_min = random_guess_attack(
-                        cipher,
-                        phi,
-                        psi,
-                        truth,
-                        record.L1,
-                        record.L2,
-                        trials=trials,
-                        seed=f"attack/{master_seed}".encode(),
-                        params=params,
-                    ).min_prd
+            if ri == 0:
+                random_min = random_guess_attack(
+                    ciphers[0], phi, psi, signal.values, signal.L1, signal.L2,
+                    trials=trials, seed=f"attack/{master_seed}".encode(), params=params,
+                ).min_prd
         mean_curve = np.asarray(curves).mean(axis=0)
         best_idx = int(np.argmin(mean_curve))
         legit_median = float(np.median(legit_prds))

@@ -64,6 +64,21 @@ class TestRecordsFileErrors:
         with pytest.raises(SystemExit, match=message):
             main([verb, "--records", str(path), "--cr", "50", "--seeds", "1"])
 
+    @pytest.mark.parametrize(
+        "verb, name, reason",
+        [
+            ("attack", "missing.csv", "No such file or directory"),
+            ("sweep", "a-directory", "Is a directory"),
+        ],
+        ids=["missing-file", "directory"],
+    )
+    def test_unreadable_path_exits_with_its_reason(self, tmp_path, verb, name, reason):
+        (tmp_path / "a-directory").mkdir()
+        path = tmp_path / name
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "--records", str(path), "--cr", "50", "--seeds", "1"])
+        assert exit_info.value.code == f"{path}: {reason}"
+
 
 class TestOpcount:
     def test_table_and_exit_code(self, capsys):

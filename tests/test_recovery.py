@@ -22,6 +22,7 @@ from imdsec.recovery import (
     cr_to_measurements,
     gen_sensing_matrix,
     omp_reconstruct,
+    omp_reconstruct_batch,
     prd,
     synth_sparse_signal,
 )
@@ -241,28 +242,45 @@ def reference_omp(y, phi, psi, params=None):
     return b_hat, active, residuals
 
 
-def pick_order(y, phi, psi, atoms):
-    """The solver's picks in order, read off runs with budgets 1..atoms
-    (a run with budget j makes the first j picks of the full run)."""
-    order, seen = [], set()
+def pick_orders(Y, phi, psi, atoms):
+    """Each row's picks in order, read off batched runs with budgets
+    1..atoms (a run with budget j makes the first j picks of the full
+    run)."""
+    orders = [[] for _ in Y]
+    seen = [set() for _ in Y]
     for j in range(1, atoms + 1):
-        b_hat, _ = omp_reconstruct(y, phi, psi, RecoveryParams(max_atoms=j))
-        new = set(np.flatnonzero(b_hat)) - seen
-        order += sorted(new)
-        seen |= new
-    return order
+        b_hats, _ = omp_reconstruct_batch(Y, phi, psi, RecoveryParams(max_atoms=j))
+        for order, known, b_hat in zip(orders, seen, b_hats):
+            new = set(np.flatnonzero(b_hat)) - known
+            order += sorted(new)
+            known |= new
+    return orders
 
 
-def assert_matches_reference(y, phi, psi, params=None):
-    b_hat, _, info = omp_reconstruct(y, phi, psi, params, return_info=True)
-    ref_b, ref_picks, ref_residuals = reference_omp(y, phi, psi, params)
-    assert pick_order(y, phi, psi, len(ref_picks)) == ref_picks
+def assert_row_matches(b_hat, info, order, reference):
+    ref_b, ref_picks, ref_residuals = reference
+    assert order == ref_picks
     assert sorted(np.flatnonzero(b_hat)) == sorted(ref_picks)
     assert len(info["residuals"]) == len(ref_residuals)
     np.testing.assert_allclose(
         info["residuals"], ref_residuals, rtol=1e-9, atol=1e-9 * ref_residuals[0]
     )
     assert np.linalg.norm(b_hat - ref_b) <= 1e-9 * np.linalg.norm(ref_b)
+
+
+def assert_matches_reference(y, phi, psi, params=None):
+    b_hat, _, info = omp_reconstruct(y, phi, psi, params, return_info=True)
+    reference = reference_omp(y, phi, psi, params)
+    order = pick_orders(y[None], phi, psi, len(reference[1]))[0]
+    assert_row_matches(b_hat, info, order, reference)
+
+
+def assert_rows_match_reference(Y, phi, psi, params=None):
+    b_hats, _, infos = omp_reconstruct_batch(Y, phi, psi, params, return_info=True)
+    references = [reference_omp(y, phi, psi, params) for y in Y]
+    orders = pick_orders(Y, phi, psi, max(len(ref[1]) for ref in references))
+    for row in zip(b_hats, infos, orders, references):
+        assert_row_matches(*row)
 
 
 class TestOmpOracle:
@@ -277,6 +295,7 @@ class TestOmpOracle:
         phi = gen_sensing_matrix(b"oracle-phi", m, n)
         psi = cached_operator(build_basis, n)
         params = sweep_solver_params(m) if budget == "sweep" else None
+        rows = []
         for i in range(2):
             record = ecg.synth_ecg_like(f"oracle/{i}".encode(), n=n, s=8 + i)
             key = codec.cs_gen(f"oracle-key/{i}".encode(), n, record.L1, record.L2)
@@ -285,6 +304,9 @@ class TestOmpOracle:
                 cipher = codec.quantize(cipher, qs)
             y = codec.cs_deshift(key, cipher, phi, record.L1, record.L2)
             assert_matches_reference(y, phi, psi, params)
+            rows.append(y)
+        # both records share Phi: one batched solve must match row by row
+        assert_rows_match_reference(np.array(rows), phi, psi, params)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(-1000, 1000), min_size=16, max_size=16))
@@ -292,6 +314,68 @@ class TestOmpOracle:
         phi = gen_sensing_matrix(b"oracle-small", 16, 32)
         psi = cached_operator(build_basis, 32)
         assert_matches_reference(np.array(values) / 100.0, phi, psi)
+
+
+class TestOmpBatch:
+    """Rows of one batch against the same rows solved one at a time."""
+
+    def mixed_rows(self, phi, psi):
+        theta = phi.entries @ psi.columns
+        rng = np.random.default_rng(21)
+        return np.array([
+            5.0 * theta[:, 3],  # one atom, then its residual is below tolerance
+            np.zeros(phi.m),
+            phi.entries @ rng.normal(size=phi.n),  # runs to max_atoms
+            theta[:, 3] + 1e-4 * theta[:, 9],  # two atoms under its own tolerance
+            1e3 * (theta[:, 3] + 1e-8 * theta[:, 9]),  # one atom under its own
+            phi.entries @ rng.normal(size=phi.n),
+        ])
+
+    def test_rows_stop_on_their_own_rules(self):
+        psi = build_basis(64)
+        phi = gen_sensing_matrix(b"batch-mixed", 32, 64)
+        Y = self.mixed_rows(phi, psi)
+        b_hats, x_hats, infos = omp_reconstruct_batch(Y, phi, psi, return_info=True)
+        alone = [omp_reconstruct(y, phi, psi, return_info=True) for y in Y]
+        stops = [(info["stop"], len(info["residuals"]) - 1) for _, _, info in alone]
+        assert stops == [
+            ("residual_tol", 1),
+            ("zero_measurements", 0),
+            ("max_atoms", 8),
+            ("residual_tol", 2),
+            ("residual_tol", 1),
+            ("max_atoms", 8),
+        ]
+        orders = pick_orders(Y, phi, psi, 8)
+        for y, b_hat, x_hat, info, order, (b_one, x_one, info_one) in zip(
+            Y, b_hats, x_hats, infos, orders, alone
+        ):
+            assert order == pick_orders(y[None], phi, psi, 8)[0]
+            assert info == info_one
+            np.testing.assert_allclose(b_hat, b_one, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(x_hat, x_one, rtol=1e-12, atol=1e-9)
+
+    def test_singular_row_fails_the_batch(self):
+        rng = np.random.default_rng(8)
+        a, b = rng.normal(size=4), rng.normal(size=4)
+        phi = SensingMatrix(entries=np.column_stack([a, a, b, b]), seed=b"dup")
+        psi = SparsityBasis(columns=np.eye(4))
+        Y = np.array([3.0 * a, 2.0 * a + 3.0 * b])
+        with pytest.raises(RecoveryError, match="singular"):
+            omp_reconstruct_batch(
+                Y, phi, psi, RecoveryParams(max_atoms=4, residual_tol=0.0)
+            )
+
+    @pytest.mark.parametrize(
+        "Y",
+        [np.ones(8), np.ones((2, 7)), np.array([[0.0] * 7 + [np.inf]])],
+        ids=["one-dimensional", "wrong-width", "non-finite"],
+    )
+    def test_malformed_rows_refused(self, Y):
+        psi = build_basis(32)
+        phi = gen_sensing_matrix(b"batch-bad", 8, 32)
+        with pytest.raises(RecoveryError):
+            omp_reconstruct_batch(Y, phi, psi)
 
 
 class TestDictionaryMemo:
