@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -30,18 +31,11 @@ from .codec import (
     deserialize_shift_key,
 )
 from .crypto import CryptoSuite
-from .parties import STEPS, SystemConfig, derive_k_p, unpack_signals
+from .parties import STEPS, Step, SystemConfig, derive_k_p, step_of, unpack_signals
 from .recovery import RecoveryParams, SensingMatrix, SparsityBasis, prd
 from .recovery import omp_reconstruct, omp_reconstruct_batch
 from .scenarios import build_world, run_session
-from .wire import (
-    Heading,
-    WireError,
-    WireMessage,
-    decode_message,
-    encode_message,
-    ts_bytes,
-)
+from .wire import Heading, WireError, decode_message, ts_bytes
 
 __all__ = [
     "default_shift_grid",
@@ -72,6 +66,17 @@ def _frame_heading(payload: bytes) -> Optional[Heading]:
         return decode_message(payload).heading
     except WireError:
         return None
+
+
+def _read(step: Step, entry: TranscriptEntry) -> Optional[SimpleNamespace]:
+    """entry read by name as a frame of step's row; None when it is not one."""
+    try:
+        msg = decode_message(entry.payload)
+    except WireError:
+        return None
+    if entry.sender != step.sender or msg.heading != step.heading:
+        return None
+    return step.read(msg)
 
 
 class PassiveEavesdropper(Attacker):
@@ -226,45 +231,36 @@ class MitmReadAttacker(Attacker):
         self.rm = entry.payload
 
     def intercept(self, entry: TranscriptEntry):
-        try:
-            msg = decode_message(entry.payload)
-        except WireError:
+        telemetry = step_of("imd", Heading.READ_REQ)
+        frame = _read(telemetry, entry) if entry.link == telemetry.link else None
+        if frame is None:
             return None
-        if (
-            entry.link == "d-i"
-            and entry.sender == "imd"
-            and msg.heading == Heading.READ_REQ
-            and len(msg.fields) == 2
-        ):
-            self.captured_c2 = msg.fields[0]
-            return []  # the real programmer never sees its telemetry
-        return None
+        self.captured_c2 = frame.c2
+        return []  # the real programmer never sees its telemetry
 
     # -- offline analysis ------------------------------------------------
 
-    def _find(self, heading: Heading, sender: str):
+    def _find(self, step: Step) -> Optional[SimpleNamespace]:
+        """The first frame seen on step's row, read by name."""
         for entry in self.seen:
-            try:
-                msg = decode_message(entry.payload)
-            except WireError:
-                continue
-            if msg.heading == heading and entry.sender == sender:
-                return msg
+            frame = _read(step, entry)
+            if frame is not None:
+                return frame
         return None
 
     def derive_shift_key(self) -> Optional[ShiftKey]:
         """Only possible with both factors: stolen SK (nonce) and RM."""
         if self.stolen_private_key is None or self.rm is None:
             return None
-        challenge = self._find(Heading.AUTH_REQ, "smartphone")
-        key_delivery = self._find(Heading.READ_READY, "smartphone")
+        challenge = self._find(step_of("smartphone", Heading.AUTH_REQ))
+        key_delivery = self._find(step_of("smartphone", Heading.READ_READY))
         if challenge is None or key_delivery is None:
             return None
         suite = CryptoSuite()
         try:
-            nonce = suite.pk_dec(self.stolen_private_key, challenge.fields[1])
+            nonce = suite.pk_dec(self.stolen_private_key, challenge.challenge)
             k_p = derive_k_p(suite, self.rm, challenge.session, nonce)
-            kd_bytes = suite.sym_dec(k_p, key_delivery.fields[0])
+            kd_bytes = suite.sym_dec(k_p, key_delivery.enc_kd)
             return deserialize_shift_key(kd_bytes)
         except Exception:
             return None
@@ -345,9 +341,7 @@ def forge_read_auth_attempts(
     nonce = smartphone.nonce  # granted: first factor compromised
     rng = random.Random(seed ^ 0xF0F0)
     suite = CryptoSuite()
-    step = next(
-        s for s in STEPS if s.sender == "programmer" and s.heading == Heading.READ_AUTH_REQ
-    )
+    step = step_of("programmer", Heading.READ_AUTH_REQ)
 
     rejected = 0
     for _ in range(attempts):
@@ -355,9 +349,7 @@ def forge_read_auth_attempts(
         if rm_guess == smartphone.rm:
             continue  # astronomically unlikely; keep the count honest
         k_guess = derive_k_p(suite, rm_guess, sn, nonce)
-        ts4 = ts_bytes(smartphone.clock)
-        tag = suite.mac(k_guess, step.covered(sn, [ts4]))
-        frame = encode_message(WireMessage(step.heading, sn, (ts4, tag)))
+        frame = step.encode(sn, {"ts4": ts_bytes(smartphone.clock)}, suite, k_guess)
         outputs = smartphone.receive(frame, step.link)
         if outputs or smartphone.expected != Heading.READ_AUTH_REQ:
             break

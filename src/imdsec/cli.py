@@ -29,6 +29,14 @@ FIXTURE_DIR_ENV = "IMDSEC_FIXTURE_DIR"
 BENCHMARK_BOUNDS = (590, 1487)
 
 
+def count(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_records(paths, bounds=None):
     try:
         return [ecg.load_ecg_csv(path, bounds=bounds) for path in paths]
@@ -252,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--cr", type=float, nargs="*", default=list(reports.DEFAULT_CR_GRID))
-        p.add_argument("--seeds", type=int, default=20)
+        p.add_argument("--seeds", type=count, default=20)
         p.add_argument("--master-seed", type=int, default=0)
         p.add_argument("--records", nargs="*", help="ECG csv files")
         p.add_argument("--out", help="output file")
@@ -268,11 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument(
         "--qs", type=int, default=reports.BENCHMARK_QS, help="quantizer step (0 = none)"
     )
-    p_attack.add_argument("--trials", type=int, default=100)
+    p_attack.add_argument("--trials", type=count, default=100)
     p_attack.set_defaults(func=_cmd_attack)
 
     p_op = sub.add_parser("opcount", help="implant-side crypto-operation counts")
-    p_op.add_argument("--seeds", type=int, default=1)
+    p_op.add_argument("--seeds", type=count, default=1)
     p_op.add_argument("--out", help="output file")
     p_op.set_defaults(func=_cmd_opcount)
 

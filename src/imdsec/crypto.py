@@ -22,6 +22,7 @@ import hashlib
 import hmac as hmac_mod
 import random
 import secrets
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -201,19 +202,10 @@ class CryptoSuite:
 
     def __init__(self, rng: Optional[random.Random] = None):
         self._rng = rng
-        self.counters: dict[str, int] = {}
+        self.counters: Counter[str] = Counter()
 
-    def _count(self, name: str, amount: int = 1):
-        self.counters[name] = self.counters.get(name, 0) + amount
-
-    def count_external(self, name: str, amount: int = 1):
-        self._count(name, amount)
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(self.counters)
-
-    def reset_counters(self):
-        self.counters.clear()
+    def snapshot(self) -> Counter[str]:
+        return self.counters.copy()
 
     def random_bytes(self, n: int) -> bytes:
         if self._rng is not None:
@@ -226,7 +218,7 @@ class CryptoSuite:
         """Derive a 16-byte key from arbitrary material (PBKDF2-SHA1)."""
         if not material:
             raise CryptoError("empty key-derivation material")
-        self._count("kdf")
+        self.counters["kdf"] += 1
         data = hashlib.pbkdf2_hmac(
             "sha1", material, _KDF_SALT, KDF_ITERATIONS, dklen=KEY_BYTES
         )
@@ -235,11 +227,11 @@ class CryptoSuite:
     # -- message authentication ------------------------------------------
 
     def mac(self, key: SymmetricKey, message: bytes) -> bytes:
-        self._count("mac")
+        self.counters["mac"] += 1
         return hmac_mod.new(key.data, message, hashlib.sha1).digest()
 
     def mac_verify(self, key: SymmetricKey, message: bytes, tag: bytes) -> bool:
-        self._count("mac")
+        self.counters["mac"] += 1
         expected = hmac_mod.new(key.data, message, hashlib.sha1).digest()
         return hmac_mod.compare_digest(expected, tag)
 
@@ -247,12 +239,12 @@ class CryptoSuite:
 
     def sym_enc(self, key: SymmetricKey, plaintext: bytes) -> bytes:
         """GCM nonce followed by the ciphertext and its tag."""
-        self._count("sym_enc")
+        self.counters["sym_enc"] += 1
         nonce = self.random_bytes(_GCM_NONCE_BYTES)
         return nonce + AESGCM(key.data).encrypt(nonce, plaintext, None)
 
     def sym_dec(self, key: SymmetricKey, blob: bytes) -> bytes:
-        self._count("sym_dec")
+        self.counters["sym_dec"] += 1
         if len(blob) < _GCM_NONCE_BYTES:
             raise DecryptionError("malformed symmetric blob")
         nonce, ct = blob[:_GCM_NONCE_BYTES], blob[_GCM_NONCE_BYTES:]
@@ -264,12 +256,12 @@ class CryptoSuite:
     # -- public-key encryption ---------------------------------------------
 
     def pk_enc(self, public_key: rsa.RSAPublicKey, message: bytes) -> bytes:
-        self._count("pk_enc")
+        self.counters["pk_enc"] += 1
         seed = self.random_bytes(_OAEP_HASH_BYTES)
         return _oaep_encrypt(public_key, message, seed)
 
     def pk_dec(self, private_key: rsa.RSAPrivateKey, blob: bytes) -> bytes:
-        self._count("pk_dec")
+        self.counters["pk_dec"] += 1
         try:
             return private_key.decrypt(
                 blob,
@@ -285,7 +277,7 @@ class CryptoSuite:
     # -- signatures ---------------------------------------------------------
 
     def sign(self, private_key: rsa.RSAPrivateKey, message: bytes) -> SignatureBlob:
-        self._count("sign")
+        self.counters["sign"] += 1
         sig = private_key.sign(
             message, asym_padding.PKCS1v15(), hashes.SHA256()
         )
@@ -294,7 +286,7 @@ class CryptoSuite:
     def verify(
         self, public_key: rsa.RSAPublicKey, message: bytes, sig: SignatureBlob
     ) -> bool:
-        self._count("verify")
+        self.counters["verify"] += 1
         if sig.algorithm != "rsa-pkcs1v15-sha256":
             return False
         try:

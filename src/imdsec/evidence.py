@@ -22,7 +22,7 @@ from .crypto import (
     split_length_prefixed,
 )
 
-__all__ = ["EvidenceRecord", "EvidenceLedger", "evidence_verify", "signed_payload"]
+__all__ = ["EvidenceRecord", "EvidenceLedger", "evidence_verify"]
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,20 @@ class EvidenceRecord:
     ciphertext: bytes  # the telemetry ciphertext the command was based on
     command: bytes
     timestamp: int
-    signature: SignatureBlob
+    signature: Optional[SignatureBlob] = None  # None until the doctor signs
+
+    def signed_bytes(self) -> bytes:
+        """The byte string the doctor signs: every field but the
+        signature, with the ciphertext before the shift key."""
+        return length_prefixed(
+            self.doctor_id,
+            self.smartphone_id,
+            self.implant_id,
+            self.ciphertext,
+            self.shift_key,
+            self.command,
+            struct.pack(">Q", self.timestamp),
+        )
 
     def to_bytes(self) -> bytes:
         return length_prefixed(
@@ -64,28 +77,6 @@ class EvidenceRecord:
         )
 
 
-def signed_payload(
-    doctor_id: bytes,
-    smartphone_id: bytes,
-    implant_id: bytes,
-    ciphertext: bytes,
-    shift_key: bytes,
-    command: bytes,
-    timestamp: int,
-) -> bytes:
-    """The byte string the doctor signs; ciphertext precedes the shift
-    key here even though the stored tuple orders them the other way."""
-    return length_prefixed(
-        doctor_id,
-        smartphone_id,
-        implant_id,
-        ciphertext,
-        shift_key,
-        command,
-        struct.pack(">Q", timestamp),
-    )
-
-
 def evidence_verify(record: EvidenceRecord, public_key, suite: Optional[CryptoSuite] = None) -> bool:
     """Recompute the signed byte string in canonical order and verify.
 
@@ -93,15 +84,7 @@ def evidence_verify(record: EvidenceRecord, public_key, suite: Optional[CryptoSu
     """
     suite = suite or CryptoSuite()
     try:
-        payload = signed_payload(
-            record.doctor_id,
-            record.smartphone_id,
-            record.implant_id,
-            record.ciphertext,
-            record.shift_key,
-            record.command,
-            record.timestamp,
-        )
+        payload = record.signed_bytes()
     except Exception:
         return False
     return suite.verify(public_key, payload, record.signature)

@@ -11,11 +11,16 @@ every frame against its row in one fixed order:
 
 A MAC is always the last field and covers auth_bytes(heading, session,
 earlier fields); the implant's telemetry READ_REQ leaves the heading
-byte out.  Outgoing frames are built by Party._send from the same rows,
-so each covered field list is written once, and each frame goes to its
+byte out.  Sending is declarative too.  A handler, named _on_<heading>,
+holds only its step's effects and returns None to send nothing, or its
+reply's fields as a dict keyed by the row's field names; Party.receive
+sends the reply on the party's next row, with the session number of the
+frame it answers.  Party._send, which the start_* openers also call,
+orders the named fields by the row, reads a timestamp field left out
+off the party's clock, appends the MAC tag, and hands the frame to its
 row's receiver as the channel.TranscriptEntry that the scheduler
-delivers and records.  Handlers, named _on_<heading>, hold only each
-step's effects.
+delivers and records.  The smartphone's AUTH_REQ handler returns
+(fields, [RM entry]), so the out-of-band RM follows its reply.
 
 Each session key has one derivation, a single KDF call, used by every
 party that needs the key (and by the attacks):
@@ -32,7 +37,7 @@ that it sends comes first, it waits for nothing: either its handler is
 sending that row, or it must open the next flow itself (start_read,
 start_write).  Once no later row involves the party, its outcome is
 "ok".  Party._send advances the party from the row it sent; a received
-row advances it only when the handler sent nothing.  A rejected frame
+row advances it only when the handler returns None.  A rejected frame
 meets one of three failure policies:
 
 - drop: counted in ``drops`` and otherwise ignored.  Every structural
@@ -73,7 +78,7 @@ from .crypto import (
     length_prefixed,
     split_length_prefixed,
 )
-from .evidence import EvidenceLedger, EvidenceRecord, signed_payload
+from .evidence import EvidenceLedger, EvidenceRecord
 from .wire import (
     Heading,
     WireError,
@@ -97,6 +102,7 @@ __all__ = [
     "derive_k_p",
     "derive_k_r",
     "next_step",
+    "step_of",
     "Party",
     "pack_signals",
     "unpack_signals",
@@ -182,6 +188,28 @@ class Step:
         """The bytes the MAC covers."""
         return auth_bytes(self.heading if self.mac_heading else None, session, fields)
 
+    def read(self, msg: WireMessage) -> Optional[SimpleNamespace]:
+        """The frame's session number and its fields by name, a MAC tag
+        last as "tag"; None when the field count does not fit the row."""
+        names = self.fields + (("tag",) if self.key else ())
+        if len(msg.fields) != len(names):
+            return None
+        return SimpleNamespace(session=msg.session, **dict(zip(names, msg.fields)))
+
+    def encode(
+        self,
+        session: int,
+        fields: dict[str, bytes],
+        suite: CryptoSuite,
+        key: Optional[SymmetricKey],
+    ) -> bytes:
+        """The frame of the named fields in row order, followed by their
+        MAC tag under key when the row has a key."""
+        values = tuple(fields[name] for name in self.fields)
+        if self.key is not None:
+            values += (suite.mac(key, self.covered(session, values)),)
+        return encode_message(WireMessage(self.heading, session, values))
+
 
 STEPS = (
     # pairing
@@ -225,6 +253,11 @@ STEPS = (
 
 # (sender, heading) names one row
 _ROW = {(step.sender, step.heading): i for i, step in enumerate(STEPS)}
+
+
+def step_of(sender: str, heading: Heading) -> Step:
+    """The row on which sender sends heading."""
+    return STEPS[_ROW[sender, heading]]
 
 
 def next_step(role: str, row: int) -> Optional[Step]:
@@ -304,11 +337,12 @@ class Party:
         return freshness_check(ts, self.clock)
 
     def receive(self, raw: bytes, link: str) -> list[TranscriptEntry]:
-        """Check a frame against the awaited row and run the step's
-        handler; a rejected frame is handled by its failure policy."""
+        """Check a frame against the awaited row, run the step's handler
+        and send the reply it returns; a rejected frame is handled by its
+        failure policy."""
         try:
             step, frame = self._verify(raw, link)
-            sent = getattr(self, "_on_" + step.heading.name.lower())(frame)
+            reply = getattr(self, "_on_" + step.heading.name.lower())(frame)
         except Rejected as rejected:
             if rejected.policy == ABORT:
                 self.outcome = "aborted"
@@ -319,9 +353,12 @@ class Party:
                 if rejected.policy == STAY:
                     self.incidents.append(rejected.reason)
             return []
-        if not sent:
-            self._advance(_ROW[step.sender, step.heading])
-        return sent
+        row = _ROW[step.sender, step.heading]
+        if reply is None:
+            self._advance(row)
+            return []
+        fields, extra = reply if isinstance(reply, tuple) else (reply, [])
+        return [self._send(next_step(self.role, row).heading, frame.session, **fields)] + extra
 
     def _verify(self, raw: bytes, link: str) -> tuple[Step, SimpleNamespace]:
         try:
@@ -333,11 +370,10 @@ class Party:
             raise Rejected(DROP, "unexpected heading")
         if step.session is not None and msg.session != getattr(self, step.session):
             raise Rejected(DROP, "session mismatch")
-        names = step.fields + (("tag",) if step.key else ())
-        if len(msg.fields) != len(names):
+        frame = step.read(msg)
+        if frame is None:
             raise Rejected(DROP, "field count")
-        frame = SimpleNamespace(session=msg.session, ts=None, key=None)
-        frame.__dict__.update(zip(names, msg.fields))
+        frame.ts = frame.key = None
         if step.ts is not None:
             try:
                 frame.ts = ts_from_bytes(getattr(frame, step.ts))
@@ -357,16 +393,17 @@ class Party:
             raise Rejected(*step.on_mac_failure)
         return step, frame
 
-    def _send(self, heading: Heading, session: int, *fields: bytes) -> TranscriptEntry:
-        """Encode this party's frame for a step, appending its MAC tag,
-        and advance past the step."""
+    def _send(self, heading: Heading, session: int, **fields: bytes) -> TranscriptEntry:
+        """Encode this party's frame for a step from its named fields,
+        reading a timestamp left out off the clock, and advance past the
+        step."""
         row = _ROW[self.role, heading]
         step = STEPS[row]
-        if step.key is not None:
-            key = getattr(self, step.key)
-            fields += (self.crypto.mac(key, step.covered(session, fields)),)
+        if step.ts is not None:
+            fields.setdefault(step.ts, ts_bytes(self.clock))
+        key = None if step.key is None else getattr(self, step.key)
+        payload = step.encode(session, fields, self.crypto, key)
         self._advance(row)
-        payload = encode_message(WireMessage(heading, session, fields))
         return TranscriptEntry("wire", step.link, self.role, step.receiver, payload)
 
 
@@ -422,18 +459,10 @@ class Smartphone(Party):
         """The patient typed the master key; request pairing."""
         self.k_i = derive_k_i(self.crypto, master_key, self.smartphone_id, self.implant_id)
         self.pair_session = self.rng.getrandbits(64)
-        return [
-            self._send(
-                Heading.PAIR_REQ,
-                self.pair_session,
-                self.smartphone_id,
-                ts_bytes(self.clock),
-            )
-        ]
+        return [self._send(Heading.PAIR_REQ, self.pair_session, smartphone_id=self.smartphone_id)]
 
-    def _on_pair_succ(self, frame) -> list[TranscriptEntry]:
+    def _on_pair_succ(self, frame) -> None:
         self.paired = True
-        return []
 
     # -- authentication ------------------------------------------------------
 
@@ -451,7 +480,7 @@ class Smartphone(Party):
         ):
             raise Rejected(STAY, "certificate verification failed")
 
-    def _on_auth_req(self, frame) -> list[TranscriptEntry]:
+    def _on_auth_req(self, frame) -> tuple[dict[str, bytes], list[TranscriptEntry]]:
         self.session = frame.session
         self.doctor_id = frame.doctor_id
         self.doctor_public_key = frame.certificate.public_key()
@@ -459,18 +488,14 @@ class Smartphone(Party):
         self.rm = self.crypto.random_bytes(RM_BYTES)
         self.k_p = derive_k_p(self.crypto, self.rm, self.session, self.nonce)
         challenge = self.crypto.pk_enc(self.doctor_public_key, self.nonce)
-        return [
-            self._send(
-                Heading.AUTH_REQ, self.session, self.smartphone_id, challenge
-            ),
-            TranscriptEntry(
-                "oob", LINK_OOB, self.role, self.doctor_oob_directory[self.doctor_id], self.rm
-            ),
-        ]
+        rm = TranscriptEntry(
+            "oob", LINK_OOB, self.role, self.doctor_oob_directory[self.doctor_id], self.rm
+        )
+        return dict(smartphone_id=self.smartphone_id, challenge=challenge), [rm]
 
     # -- read ------------------------------------------------------------------
 
-    def _on_read_auth_req(self, frame) -> list[TranscriptEntry]:
+    def _on_read_auth_req(self, frame) -> dict[str, bytes]:
         key_seed = self.crypto.random_bytes(16)
         self.shift_key = codec.cs_gen(
             key_seed, self.config.n, self.config.L1, self.config.L2
@@ -480,37 +505,21 @@ class Smartphone(Party):
         c1 = self.crypto.sym_enc(
             self.k_i, length_prefixed(kd_bytes, self.k_r.data)
         )
-        return [
-            self._send(
-                Heading.READ_ALLOW,
-                self.session,
-                self.doctor_id,
-                c1,
-                ts_bytes(self.clock),
-            )
-        ]
+        return dict(doctor_id=self.doctor_id, c1=c1)
 
-    def _on_read_ready(self, frame) -> list[TranscriptEntry]:
+    def _on_read_ready(self, frame) -> dict[str, bytes]:
         kd_bytes = codec.serialize_shift_key(self.shift_key)
-        enc_kd = self.crypto.sym_enc(self.k_p, kd_bytes)
-        return [self._send(Heading.READ_READY, self.session, enc_kd)]
+        return dict(enc_kd=self.crypto.sym_enc(self.k_p, kd_bytes))
 
     # -- write -------------------------------------------------------------------
 
-    def _on_write_auth_req(self, frame) -> list[TranscriptEntry]:
+    def _on_write_auth_req(self, frame) -> dict[str, bytes]:
         self.pending_sig = SignatureBlob("rsa-pkcs1v15-sha256", frame.sig)
         self.pending_ts6 = frame.ts
-        return [
-            self._send(
-                Heading.WRITE_ALLOW,
-                self.session,
-                self.doctor_id,
-                ts_bytes(self.clock),
-            )
-        ]
+        return dict(doctor_id=self.doctor_id)
 
-    def _on_write_ready(self, frame) -> list[TranscriptEntry]:
-        return [self._send(Heading.WRITE_READY, self.session)]
+    def _on_write_ready(self, frame) -> dict[str, bytes]:
+        return {}
 
     def _open_command_report(self, frame):
         """Decrypt the implant's report of the command it is about to apply."""
@@ -523,32 +532,24 @@ class Smartphone(Party):
         if implant_id != self.implant_id or not self._fresh(ts7):
             raise Rejected(ABORT, "command report mismatch")
 
-    def _on_write_req(self, frame) -> list[TranscriptEntry]:
-        kd_bytes = codec.serialize_shift_key(self.shift_key)
-        payload = signed_payload(
-            self.doctor_id,
-            self.smartphone_id,
-            self.implant_id,
-            frame.c2,
-            kd_bytes,
-            frame.command,
-            self.pending_ts6,
-        )
-        if not self.crypto.verify(self.doctor_public_key, payload, self.pending_sig):
-            self.incidents.append("write signature verification failed")
-            raise Rejected(ABORT, "write signature invalid")
+    def _on_write_req(self, frame) -> dict[str, bytes]:
         record = EvidenceRecord(
             doctor_id=self.doctor_id,
             smartphone_id=self.smartphone_id,
             implant_id=self.implant_id,
-            shift_key=kd_bytes,
+            shift_key=codec.serialize_shift_key(self.shift_key),
             ciphertext=frame.c2,
             command=frame.command,
             timestamp=self.pending_ts6,
             signature=self.pending_sig,
         )
+        if not self.crypto.verify(
+            self.doctor_public_key, record.signed_bytes(), record.signature
+        ):
+            self.incidents.append("write signature verification failed")
+            raise Rejected(ABORT, "write signature invalid")
         self.ledger.append(record)
-        return [self._send(Heading.SET_ALLOW, self.session, ts_bytes(self.clock))]
+        return {}
 
 
 class Imd(Party):
@@ -585,13 +586,13 @@ class Imd(Party):
             self.crypto, self._master_key, frame.smartphone_id, self.implant_id
         )
 
-    def _on_pair_req(self, frame) -> list[TranscriptEntry]:
+    def _on_pair_req(self, frame) -> dict[str, bytes]:
         self.k_i = frame.key
         self.pair_session = frame.session
         self.paired_smartphone = frame.smartphone_id
-        return [self._send(Heading.PAIR_SUCC, frame.session)]
+        return {}
 
-    def _on_read_allow(self, frame) -> list[TranscriptEntry]:
+    def _on_read_allow(self, frame) -> dict[str, bytes]:
         try:
             plain = self.crypto.sym_dec(self.k_i, frame.c1)
             kd_bytes, kr_bytes = split_length_prefixed(plain, 2)
@@ -601,28 +602,28 @@ class Imd(Party):
             raise Rejected(DROP, "key delivery unreadable") from None
         self.session = frame.session
         self.session_doctor = frame.doctor_id
-        return [self._send(Heading.READ_READY, frame.session)]
+        return {}
 
-    def _on_read_req(self, frame) -> list[TranscriptEntry]:
+    def _on_read_req(self, frame) -> dict[str, bytes]:
         phi = self.config.sensing_matrix()
         blobs = []
         for signal in self.data_source():
             cipher = codec.cs_enc(self.shift_key, signal, phi)
-            self.crypto.count_external("cs_enc")
+            self.crypto.counters["cs_enc"] += 1
             if self.config.qs:
                 cipher = codec.quantize(cipher, self.config.qs)
             blobs.append(codec.serialize_ciphertext(cipher))
         self.c2_bytes = pack_signals(blobs)
-        return [self._send(Heading.READ_REQ, frame.session, self.c2_bytes)]
+        return dict(c2=self.c2_bytes)
 
     def _check_session_doctor(self, frame):
         if frame.doctor_id != self.session_doctor:
             raise Rejected(DROP, "doctor mismatch")
 
-    def _on_write_allow(self, frame) -> list[TranscriptEntry]:
-        return [self._send(Heading.WRITE_READY, frame.session)]
+    def _on_write_allow(self, frame) -> dict[str, bytes]:
+        return {}
 
-    def _on_write_req(self, frame) -> list[TranscriptEntry]:
+    def _on_write_req(self, frame) -> dict[str, bytes]:
         try:
             cmd = self.crypto.sym_dec(self.k_r, frame.c3)
         except DecryptionError:
@@ -632,12 +633,12 @@ class Imd(Party):
             self.k_i,
             length_prefixed(cmd, self.implant_id, ts_bytes(self.clock)),
         )
-        return [self._send(Heading.WRITE_REQ, frame.session, self.c2_bytes, report)]
+        return dict(c2=self.c2_bytes, report=report)
 
-    def _on_set_allow(self, frame) -> list[TranscriptEntry]:
+    def _on_set_allow(self, frame) -> dict[str, bytes]:
         self.applied_commands.append(self.pending_cmd)
         self.pending_cmd = None
-        return [self._send(Heading.WRITE_SUCC, frame.session)]
+        return {}
 
 
 class Programmer(Party):
@@ -674,24 +675,16 @@ class Programmer(Party):
 
     def start_auth(self) -> list[TranscriptEntry]:
         self.session = self.rng.getrandbits(64)
-        return [
-            self._send(
-                Heading.AUTH_REQ,
-                self.session,
-                self.doctor_id,
-                ts_bytes(self.clock),
-                self.credentials.certificate.public_key_der,
-                self.credentials.certificate.to_bytes(),
-            )
-        ]
+        cert = self.credentials.certificate
+        fields = dict(doctor_id=self.doctor_id, pk_der=cert.public_key_der, cert=cert.to_bytes())
+        return [self._send(Heading.AUTH_REQ, self.session, **fields)]
 
-    def _on_auth_req(self, frame) -> list[TranscriptEntry]:
+    def _on_auth_req(self, frame) -> None:
         try:
             self.nonce = self.crypto.pk_dec(self.credentials.private_key, frame.challenge)
         except DecryptionError:
             raise Rejected(STAY, "nonce challenge unreadable") from None
         self.smartphone_id = frame.smartphone_id
-        return []
 
     def enter_rm(self, rm: bytes):
         """The doctor reads RM off their phone and types it in."""
@@ -709,18 +702,18 @@ class Programmer(Party):
     def start_read(self) -> list[TranscriptEntry]:
         if not self.authenticated:
             raise ProtocolError("read requires completed authentication")
-        return [self._send(Heading.READ_AUTH_REQ, self.session, ts_bytes(self.clock))]
+        return [self._send(Heading.READ_AUTH_REQ, self.session)]
 
-    def _on_read_ready(self, frame) -> list[TranscriptEntry]:
+    def _on_read_ready(self, frame) -> dict[str, bytes]:
         try:
             kd_bytes = self.crypto.sym_dec(self.k_p, frame.enc_kd)
             self.shift_key = codec.deserialize_shift_key(kd_bytes)
         except (DecryptionError, codec.CodecError):
             raise Rejected(STAY, "shift key unreadable") from None
         self.k_r = derive_k_r(self.crypto, kd_bytes, self.session)
-        return [self._send(Heading.READ_REQ, self.session)]
+        return {}
 
-    def _on_read_req(self, frame) -> list[TranscriptEntry]:
+    def _on_read_req(self, frame) -> None:
         try:
             ciphers = [
                 codec.deserialize_ciphertext(b) for b in unpack_signals(frame.c2)
@@ -737,7 +730,6 @@ class Programmer(Party):
                 )
                 _, x_hat = recovery.omp_reconstruct(y, phi, psi)
                 self.recovered_signals.append(x_hat)
-        return []
 
     @property
     def read_complete(self) -> bool:
@@ -751,28 +743,20 @@ class Programmer(Party):
         if len(command) > 256:
             raise ProtocolError("command too long")
         self.command = command
-        ts6 = self.clock
-        kd_bytes = codec.serialize_shift_key(self.shift_key)
-        sig = self.crypto.sign(
-            self.credentials.private_key,
-            signed_payload(
-                self.doctor_id,
-                self.smartphone_id,
-                self.target_implant_id,
-                self.c2_bytes,
-                kd_bytes,
-                command,
-                ts6,
-            ),
+        record = EvidenceRecord(
+            doctor_id=self.doctor_id,
+            smartphone_id=self.smartphone_id,
+            implant_id=self.target_implant_id,
+            shift_key=codec.serialize_shift_key(self.shift_key),
+            ciphertext=self.c2_bytes,
+            command=command,
+            timestamp=self.clock,
         )
-        return [
-            self._send(Heading.WRITE_AUTH_REQ, self.session, sig.data, ts_bytes(ts6))
-        ]
+        sig = self.crypto.sign(self.credentials.private_key, record.signed_bytes())
+        return [self._send(Heading.WRITE_AUTH_REQ, self.session, sig=sig.data)]
 
-    def _on_write_ready(self, frame) -> list[TranscriptEntry]:
-        c3 = self.crypto.sym_enc(self.k_r, self.command)
-        return [self._send(Heading.WRITE_REQ, self.session, c3)]
+    def _on_write_ready(self, frame) -> dict[str, bytes]:
+        return dict(c3=self.crypto.sym_enc(self.k_r, self.command))
 
-    def _on_write_succ(self, frame) -> list[TranscriptEntry]:
+    def _on_write_succ(self, frame) -> None:
         self.write_complete = True
-        return []

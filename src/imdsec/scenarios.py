@@ -186,11 +186,6 @@ class SessionResult:
         return learned
 
 
-def _counter_delta(before: dict[str, int], after: dict[str, int]) -> dict[str, int]:
-    keys = set(before) | set(after)
-    return {k: after.get(k, 0) - before.get(k, 0) for k in keys if after.get(k, 0) != before.get(k, 0)}
-
-
 def run_session(
     scenario: str = "full",
     seed: int = 0,
@@ -253,7 +248,7 @@ def run_session(
         before = world.imd.crypto.snapshot()
         initiate()
         sched.run_until_quiet()
-        op_counts[name] = _counter_delta(before, world.imd.crypto.snapshot())
+        op_counts[name] = world.imd.crypto.snapshot() - before
         phases[name] = bool(check())
         if not phases[name]:
             break

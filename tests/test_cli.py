@@ -80,6 +80,23 @@ class TestRecordsFileErrors:
         assert exit_info.value.code == f"{path}: {reason}"
 
 
+class TestCountArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["attack", "--cr", "50", "--seeds", "0"],
+            ["attack", "--cr", "50", "--seeds", "1", "--trials", "0"],
+            ["opcount", "--seeds", "0"],
+            ["sweep", "--cr", "50", "--qs", "20", "--seeds", "0"],
+        ],
+    )
+    def test_count_below_one_is_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "must be at least 1, got 0" in capsys.readouterr().err
+
+
 class TestOpcount:
     def test_table_and_exit_code(self, capsys):
         assert main(["opcount"]) == 0

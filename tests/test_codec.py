@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from imdsec import ecg
 from imdsec.codec import (
     BoundedSignal,
     CarryVector,
@@ -22,9 +25,14 @@ from imdsec.codec import (
     sign_vector,
     vec_shifting_add,
 )
-from imdsec.recovery import gen_sensing_matrix
+from imdsec.recovery import cr_to_measurements, gen_sensing_matrix
 
 ECG_L1, ECG_L2 = 590, 1487
+
+# sha256 over the serialized ciphertexts of the CLI's two default
+# records x CR {50, 75, 90} x qs {0, 10, 20, 60, 120} under fixed keys;
+# a codec change that must keep the wire bytes keeps this hash.
+WIRE_SHA256 = "534d29c2665365238d607693043c930e382d4d6720f028b1294c6b118e1f65fc"
 
 
 class TestShiftingAdd:
@@ -301,6 +309,51 @@ class TestSerialization:
         )
         blob = serialize_ciphertext(c)
         assert blob.hex() == "00000002" "00000001" "00000000" "409b5c0000000000" "c0"
+
+    @pytest.mark.parametrize(
+        "measurements, bits, blob",
+        [
+            # multiples -8 and 7 are the edges of width 4
+            ([-80.0, 70.0, 0.0, -10.0], [1, 0, 1, 1, 0],
+             "00000005" "00000004" "0000000a" "04" "870f" "b0"),
+            # multiple 8 needs width 5
+            ([80.0, -80.0], [0, 0, 1], "00000003" "00000002" "0000000a" "05" "4600" "20"),
+        ],
+    )
+    def test_quantized_golden_bytes(self, measurements, bits, blob):
+        c = CsCiphertext(
+            measurements=np.array(measurements),
+            carries=CarryVector(bits=np.array(bits, dtype=np.uint8)),
+            quant_step=10,
+        )
+        assert serialize_ciphertext(c).hex() == blob
+        back = deserialize_ciphertext(bytes.fromhex(blob))
+        np.testing.assert_array_equal(back.measurements, c.measurements)
+        np.testing.assert_array_equal(back.carries.bits, c.carries.bits)
+
+    def test_wire_bytes_pinned_over_the_read_grid(self):
+        h = hashlib.sha256()
+        for i in range(2):
+            record = ecg.synth_ecg_like(
+                f"cli-default/{i}".encode(), s=8 + i, L1=ECG_L1, L2=ECG_L2
+            )
+            signal = ecg.to_bounded_signal(record)
+            key = cs_gen(f"wire-pin/{i}".encode(), signal.n, ECG_L1, ECG_L2)
+            for cr in (50, 75, 90):
+                m = cr_to_measurements(signal.n, cr)
+                phi = gen_sensing_matrix(b"public-sensing-matrix", m, signal.n)
+                for qs in (0, 10, 20, 60, 120):
+                    c = cs_enc(key, signal, phi)
+                    if qs:
+                        c = quantize(c, qs)
+                    blob = serialize_ciphertext(c)
+                    back = deserialize_ciphertext(blob)
+                    np.testing.assert_array_equal(back.measurements, c.measurements)
+                    np.testing.assert_array_equal(back.carries.bits, c.carries.bits)
+                    assert back.quant_step == c.quant_step
+                    assert serialize_ciphertext(back) == blob
+                    h.update(len(blob).to_bytes(8, "big") + blob)
+        assert h.hexdigest() == WIRE_SHA256
 
     def test_unquantized_roundtrip(self):
         rng = np.random.default_rng(12)

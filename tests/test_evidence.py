@@ -7,7 +7,6 @@ from imdsec.evidence import (
     EvidenceLedger,
     EvidenceRecord,
     evidence_verify,
-    signed_payload,
 )
 from imdsec.keymat import doctor_private_key
 from imdsec.parties import SystemConfig
@@ -29,15 +28,7 @@ def signed_record():
         command=b"cmd: amplitude=3",
         timestamp=12345,
     )
-    payload = signed_payload(
-        fields["doctor_id"],
-        fields["smartphone_id"],
-        fields["implant_id"],
-        fields["ciphertext"],
-        fields["shift_key"],
-        fields["command"],
-        fields["timestamp"],
-    )
+    payload = EvidenceRecord(**fields).signed_bytes()
     record = EvidenceRecord(signature=suite.sign(key, payload), **fields)
     return record, key.public_key()
 
