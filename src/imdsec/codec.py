@@ -361,12 +361,9 @@ _HEADER = struct.Struct(">III")
 
 
 def _min_signed_width(values: np.ndarray) -> int:
-    width = 1
-    for value in values:
-        iv = int(value)
-        need = iv.bit_length() + 1 if iv >= 0 else (-iv - 1).bit_length() + 1
-        width = max(width, need)
-    return width
+    # a signed v needs bit_length(max(v, ~v)) + 1 bits, as ~v == -v - 1;
+    # bit_length is monotone, so the largest such magnitude sets the width
+    return int(np.maximum(values, ~values).max()).bit_length() + 1
 
 
 def serialize_ciphertext(c: CsCiphertext) -> bytes:
@@ -377,12 +374,9 @@ def serialize_ciphertext(c: CsCiphertext) -> bytes:
         if width > 32:
             raise CodecError("quantized multiples exceed 32-bit range")
         out.append(struct.pack(">B", width))
-        bits = np.zeros(c.m * width, dtype=np.uint8)
-        for i, value in enumerate(mult):
-            uv = int(value) & ((1 << width) - 1)
-            for j in range(width):
-                bits[i * width + j] = (uv >> (width - 1 - j)) & 1
-        out.append(np.packbits(bits).tobytes())
+        # arithmetic shifts read the two's complement bits, MSB first
+        bits = (mult[:, None] >> np.arange(width - 1, -1, -1)) & 1
+        out.append(np.packbits(bits.astype(np.uint8)).tobytes())
     else:
         out.append(np.asarray(c.measurements, dtype=">f8").tobytes())
     out.append(c.carries.packed())

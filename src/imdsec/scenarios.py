@@ -17,9 +17,9 @@ from typing import Optional
 from . import ecg
 from .channel import Attacker, Scheduler, Transcript
 from .codec import serialize_shift_key
-from .crypto import CryptoSuite, KeyPairWithCert, SymmetricKey
+from .crypto import KeyPairWithCert, SymmetricKey
 from .evidence import EvidenceLedger
-from .keymat import authority_private_key, doctor_private_key
+from .keymat import authority_private_key, doctor_certificate, doctor_private_key
 from .parties import DoctorPhone, Imd, Programmer, Smartphone, SystemConfig
 
 __all__ = ["World", "SessionResult", "build_world", "run_session", "SCENARIOS"]
@@ -105,10 +105,9 @@ def build_world(
     ]
 
     authority = authority_private_key()
-    doctor_key = doctor_private_key()
-    suite = CryptoSuite()
-    cert = suite.cert_issue(authority, doctor_key.public_key(), DOCTOR_ID)
-    credentials = KeyPairWithCert(private_key=doctor_key, certificate=cert)
+    credentials = KeyPairWithCert(
+        private_key=doctor_private_key(), certificate=doctor_certificate(DOCTOR_ID)
+    )
 
     smartphone = Smartphone(
         name="smartphone",

@@ -1,7 +1,10 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from imdsec import ecg
@@ -33,6 +36,39 @@ ECG_L1, ECG_L2 = 590, 1487
 # records x CR {50, 75, 90} x qs {0, 10, 20, 60, 120} under fixed keys;
 # a codec change that must keep the wire bytes keeps this hash.
 WIRE_SHA256 = "534d29c2665365238d607693043c930e382d4d6720f028b1294c6b118e1f65fc"
+
+
+def _width_reference(mult):
+    """The minimal two's-complement width, one value at a time."""
+    width = 1
+    for value in mult:
+        iv = int(value)
+        need = iv.bit_length() + 1 if iv >= 0 else (-iv - 1).bit_length() + 1
+        width = max(width, need)
+    return width
+
+
+def _pack_reference(mult, width):
+    """The multiples as width-bit two's complement, MSB first, one bit at
+    a time, padded to a byte."""
+    bits = np.zeros(len(mult) * width, dtype=np.uint8)
+    for i, value in enumerate(mult):
+        uv = int(value) & ((1 << width) - 1)
+        for j in range(width):
+            bits[i * width + j] = (uv >> (width - 1 - j)) & 1
+    return np.packbits(bits).tobytes()
+
+
+@st.composite
+def multiples_at_a_width(draw):
+    """A multiple vector whose minimal width is exactly w, for w in 1..32:
+    it holds at least one of the width's two edges."""
+    width = draw(st.integers(1, 32))
+    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    edge = st.sampled_from([lo, hi])
+    values = draw(st.lists(st.one_of(edge, st.integers(lo, hi)), max_size=40))
+    values.insert(draw(st.integers(0, len(values))), draw(edge))
+    return values
 
 
 class TestShiftingAdd:
@@ -431,6 +467,63 @@ class TestSerialization:
         blob = serialize_shift_key(key)
         with pytest.raises(CodecError):
             deserialize_shift_key(blob[:-2])
+
+
+class TestPackingOracle:
+    """The numpy packer against the per-bit loop it replaced."""
+
+    @staticmethod
+    def assert_matches_reference(multiples, qs):
+        mult = np.array(multiples, dtype=np.int64)
+        c = CsCiphertext(
+            measurements=mult.astype(np.float64) * qs,
+            carries=CarryVector(bits=np.arange(mult.size + 3, dtype=np.uint8) % 2),
+            quant_step=qs,
+        )
+        width = _width_reference(mult)
+        expected = (
+            struct.pack(">IIIB", c.n, c.m, qs, width)
+            + _pack_reference(mult, width)
+            + c.carries.packed()
+        )
+        blob = serialize_ciphertext(c)
+        assert blob == expected
+        back = deserialize_ciphertext(blob)
+        np.testing.assert_array_equal(back.measurements / qs, mult)
+        assert back.quant_step == qs
+        return blob
+
+    @settings(max_examples=300, deadline=None)
+    @given(multiples_at_a_width(), st.sampled_from([1, 10, 120]))
+    def test_bytes_equal_the_reference_at_every_width(self, multiples, qs):
+        self.assert_matches_reference(multiples, qs)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 64])
+    def test_constant_vectors_pack_at_width_one(self, value, size):
+        assert self.assert_matches_reference([value] * size, 20)[12] == 1
+
+    def test_32_bit_edges_pack_and_round_trip(self):
+        c = CsCiphertext(
+            measurements=np.array([-(2.0**31), 2.0**31 - 1, 0.0]),
+            carries=CarryVector(bits=np.zeros(5, dtype=np.uint8)),
+            quant_step=1,
+        )
+        blob = serialize_ciphertext(c)
+        assert blob[12] == 32
+        assert blob[13:25].hex() == "80000000" "7fffffff" "00000000"
+        back = deserialize_ciphertext(blob)
+        np.testing.assert_array_equal(back.measurements, c.measurements)
+
+    @pytest.mark.parametrize("multiple", [2**31, -(2**31) - 1])
+    def test_multiples_past_32_bits_rejected(self, multiple):
+        c = CsCiphertext(
+            measurements=np.array([float(multiple), 0.0]),
+            carries=CarryVector(bits=np.zeros(3, dtype=np.uint8)),
+            quant_step=1,
+        )
+        with pytest.raises(CodecError, match="quantized multiples exceed 32-bit range"):
+            serialize_ciphertext(c)
 
 
 class TestStatisticalMasking:

@@ -14,7 +14,8 @@ from imdsec.crypto import (
     issue_doctor_credentials,
     length_prefixed,
 )
-from imdsec.keymat import authority_private_key, doctor_private_key
+from imdsec.keymat import authority_private_key, doctor_certificate, doctor_private_key
+from imdsec.scenarios import DOCTOR_ID, build_world
 
 VECTOR_FILE = Path(__file__).parent / "data" / "crypto_vectors.txt"
 
@@ -207,6 +208,17 @@ class TestCertificates:
         cert = issue_doctor_credentials(authority, b"DR-A", suite).certificate
         back = Certificate.from_bytes(cert.to_bytes())
         assert back == cert
+
+    def test_worlds_share_one_demo_certificate(self, suite, authority, doctor_key):
+        doctor_certificate.cache_clear()
+        first, second = (
+            build_world(seed=seed, reconstruct=False).programmer.credentials.certificate
+            for seed in (1, 2)
+        )
+        assert first is second
+        assert suite.cert_verify(authority.public_key(), first)
+        assert first == suite.cert_issue(authority, doctor_key.public_key(), DOCTOR_ID)
+        assert doctor_certificate.cache_info().misses == 1
 
 
 class TestCounters:
