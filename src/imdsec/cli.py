@@ -137,16 +137,24 @@ def _cmd_opcount(args) -> int:
     return 0 if ok else 1
 
 
-# (config key, argument name, type) of the numeric session settings
-_NUMERIC_CONFIG_KEYS = (
-    ("CR", "cr", float),
-    ("qs", "qs", int),
-    ("N", "n", int),
-    ("seeds", "seed", int),
-)
-_CONFIG_KEYS = (
-    "scenario", "attacker", *(key for key, _, _ in _NUMERIC_CONFIG_KEYS), "degraded_oob"
-)
+ATTACKERS = ("none", "passive", "replay", "mitm")
+_TRUTH = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+# config key -> (argument name, conversion, what the value must be) of
+# the session settings; a conversion raises KeyError or ValueError on a
+# value the matching flag would refuse
+_CONFIG_KEYS = {
+    "scenario": ("scenario", {s: s for s in SCENARIOS}.__getitem__,
+                 f"one of {', '.join(SCENARIOS)}"),
+    "attacker": ("attacker", {a: a for a in ATTACKERS}.__getitem__,
+                 f"one of {', '.join(ATTACKERS)}"),
+    "CR": ("cr", float, "one number"),
+    "qs": ("qs", int, "one integer"),
+    "N": ("n", int, "one integer"),
+    "seeds": ("seed", int, "one integer"),
+    "degraded_oob": ("degraded_oob", lambda text: _TRUTH[text.lower()],
+                     f"one of {', '.join(_TRUTH)}"),
+}
 
 
 def _parse_config_file(path) -> dict[str, str]:
@@ -170,21 +178,19 @@ def _parse_config_file(path) -> dict[str, str]:
 def _cmd_session(args) -> int:
     if args.config:
         cfg = _parse_config_file(args.config)
-        args.scenario = cfg.get("scenario", args.scenario)
-        args.attacker = cfg.get("attacker", args.attacker)
-        for key, attr, kind in _NUMERIC_CONFIG_KEYS:
+        for key, (attr, convert, expected) in _CONFIG_KEYS.items():
             if key in cfg:
                 try:
-                    setattr(args, attr, kind(cfg[key]))
-                except ValueError:
-                    noun = "number" if kind is float else "integer"
+                    setattr(args, attr, convert(cfg[key]))
+                except (KeyError, ValueError):
                     raise SystemExit(
-                        f"{args.config}: {key} takes one {noun}, got {cfg[key]!r}"
+                        f"{args.config}: {key} takes {expected}, got {cfg[key]!r}"
                     ) from None
-        if "degraded_oob" in cfg:
-            args.degraded_oob = cfg["degraded_oob"].lower() in ("1", "true", "yes")
 
-    config = SystemConfig(n=args.n, cr=args.cr, qs=args.qs)
+    try:
+        config = SystemConfig(n=args.n, cr=args.cr, qs=args.qs)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     checks_ok = True
 
     if args.attacker == "mitm":
@@ -286,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sess = sub.add_parser("session", help="run one scenario, dump the transcript")
     p_sess.add_argument("--scenario", choices=SCENARIOS, default="full")
-    p_sess.add_argument("--attacker", choices=("none", "passive", "replay", "mitm"), default="none")
+    p_sess.add_argument("--attacker", choices=ATTACKERS, default="none")
     p_sess.add_argument("--degraded-oob", action="store_true")
     p_sess.add_argument("--seed", type=int, default=0)
     p_sess.add_argument("--n", type=int, default=512)

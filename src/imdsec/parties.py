@@ -147,6 +147,14 @@ class SystemConfig:
     qs: int = 20  # 0 = transmit unquantized measurements
     matrix_seed: bytes = b"public-sensing-matrix"
 
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError(f"N must be at least 2, got {self.n}")
+        if self.qs < 0:
+            raise ValueError(f"qs must be at least 0, got {self.qs}")
+        # raises RecoveryError, a ValueError, when CR leaves no valid M
+        recovery.cr_to_measurements(self.n, self.cr)
+
     @property
     def m(self) -> int:
         return recovery.cr_to_measurements(self.n, self.cr)

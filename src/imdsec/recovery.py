@@ -8,7 +8,7 @@ omp_reconstruct_batch: it solves a stack of measurement rows that share
 and omp_reconstruct is its one-row case (the idea of Batch-OMP, which
 codes many signals over one dictionary: Rubinstein, Zibulevsky & Elad,
 Technion CS-2008-08).  Theta is built once per (Phi, Psi) pair and held
-in a one-entry memo that lets go of it when Phi or Psi is collected;
+by its Phi (SensingMatrix.dictionary), so it is freed with Phi;
 each row's active set is kept as an incremental QR factorisation, so no
 iteration re-solves least squares.  Only numpy is used: importing
 scipy.linalg would add a few tenths of a second to every process start.
@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -56,6 +55,8 @@ class SensingMatrix:
 
     entries: np.ndarray
     seed: bytes
+    # (Psi, Theta, column norms) of the last dictionary() call, or None
+    _dictionary: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -69,6 +70,23 @@ class SensingMatrix:
     def compression_rate(self) -> float:
         """CR = 100 (N - M) / N."""
         return 100.0 * (self.n - self.m) / self.n
+
+    def dictionary(self, psi: SparsityBasis) -> tuple[np.ndarray, np.ndarray]:
+        """Theta = Phi Psi and its column norms (zero norms as inf).
+
+        They are kept on this matrix for the last Psi asked for, so Theta
+        is built once per (Phi, Psi) pair and freed with Phi.  The memo
+        holds Psi itself and matches it by identity, so a reused id cannot
+        fool it; the arrays of Phi and Psi must not be changed in place.
+        """
+        memo = self._dictionary
+        if memo is None or memo[0] is not psi:
+            theta = self.entries @ psi.columns
+            col_norms = np.linalg.norm(theta, axis=0)
+            col_norms[col_norms == 0.0] = np.inf
+            memo = (psi, theta, col_norms)
+            object.__setattr__(self, "_dictionary", memo)
+        return memo[1], memo[2]
 
 
 @dataclass(frozen=True)
@@ -124,7 +142,8 @@ def gen_sensing_matrix(seed: bytes, m: int, n: int) -> SensingMatrix:
 
 def cr_to_measurements(n: int, cr: float) -> int:
     """Measurement count for a nominal compression rate."""
-    m = int(round(n * (100.0 - cr) / 100.0))
+    # NaN and inf fail the range test; they would not round
+    m = int(round(n * (100.0 - cr) / 100.0)) if 0.0 < cr < 100.0 else 0
     if not 0 < m < n:
         raise RecoveryError(f"compression rate {cr} leaves no valid M for N={n}")
     return m
@@ -148,41 +167,6 @@ def cached_operator(build, *args):
     cached_operator(build_basis, n) for Psi.  Callers must not
     mutate the result."""
     return build(*args)
-
-
-# (weakref to Phi, weakref to Psi, Theta, column norms), or None
-_DICTIONARY_MEMO: list = [None]
-
-
-def _forget_dictionary(ref) -> None:
-    entry = _DICTIONARY_MEMO[0]
-    if entry is not None and (entry[0] is ref or entry[1] is ref):
-        _DICTIONARY_MEMO[0] = None
-
-
-def _dictionary(phi: SensingMatrix, psi: SparsityBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Theta = Phi Psi and its column norms (zero norms as inf), built once
-    per (Phi, Psi) pair.
-
-    One entry is kept.  It holds Phi and Psi by weak reference and drops
-    itself when either is collected, so a Phi built for one call (one CR
-    of a sweep) does not keep its Theta alive after the call.  Phi and
-    Psi are matched by identity: their arrays must not be changed in
-    place.
-    """
-    entry = _DICTIONARY_MEMO[0]
-    if entry is not None and entry[0]() is phi and entry[1]() is psi:
-        return entry[2], entry[3]
-    theta = phi.entries @ psi.columns
-    col_norms = np.linalg.norm(theta, axis=0)
-    col_norms[col_norms == 0.0] = np.inf
-    _DICTIONARY_MEMO[0] = (
-        weakref.ref(phi, _forget_dictionary),
-        weakref.ref(psi, _forget_dictionary),
-        theta,
-        col_norms,
-    )
-    return theta, col_norms
 
 
 # A new active column whose component orthogonal to the active span is
@@ -239,7 +223,7 @@ def omp_reconstruct_batch(
     history[:, 0] = y_norms[live]
     row_ids = np.arange(live.size)
     if live.size:
-        theta, col_norms = _dictionary(phi, psi)
+        theta, col_norms = phi.dictionary(psi)
         singular = _SINGULAR_RTOL * col_norms
     k = 0
 

@@ -73,6 +73,20 @@ def sweep_solver_params(m: int) -> recovery.RecoveryParams:
     return recovery.RecoveryParams(max_atoms=min(25, m // 2))
 
 
+# (name, cell formatter, parser) of the base CSV columns, in order
+_COLUMNS = (
+    ("record_id", str, str),
+    ("provenance", str, str),
+    ("cr", "{:g}".format, float),
+    ("qs", str, int),
+    ("prd_median", "{:.6f}".format, float),
+    ("quality", str, str),
+    ("payload_bytes", str, int),
+    ("raw_bytes", str, int),
+)
+_BASE_HEADER = ",".join(name for name, _, _ in _COLUMNS)
+
+
 @dataclass(frozen=True)
 class SweepRow:
     record_id: str
@@ -86,23 +100,9 @@ class SweepRow:
     extra: tuple[tuple[str, str], ...] = ()
 
     def as_csv(self) -> str:
-        cells = [
-            self.record_id,
-            self.provenance,
-            f"{self.cr:g}",
-            str(self.qs),
-            f"{self.prd_median:.6f}",
-            self.quality,
-            str(self.payload_bytes),
-            str(self.raw_bytes),
-        ]
+        cells = [format_cell(getattr(self, name)) for name, format_cell, _ in _COLUMNS]
         cells += [value for _, value in self.extra]
         return ",".join(cells)
-
-
-_BASE_HEADER = (
-    "record_id,provenance,cr,qs,prd_median,quality,payload_bytes,raw_bytes"
-)
 
 
 @dataclass
@@ -318,38 +318,37 @@ def check_opcounts(runs) -> list[str]:
 _TREND_TOL = 1e-9
 
 
+def _falls(report: SweepReport, cells) -> list[tuple]:
+    """(cell, median, previous median) for each (cr, qs) cell whose median
+    falls more than _TREND_TOL below that of the cell before it."""
+    medians = [report.cell_median(cr, qs) for cr, qs in cells]
+    return [
+        (cell, value, previous)
+        for cell, value, previous in zip(cells[1:], medians[1:], medians)
+        if value < previous - _TREND_TOL
+    ]
+
+
 def check_qs_trend(report: SweepReport, cr: float = BENCHMARK_CR) -> list[str]:
     """Medians must not decrease along the positive qs grid at this CR."""
     qs_values = sorted({r.qs for r in report.rows if r.qs > 0})
-    problems = []
-    previous = None
-    for qs in qs_values:
-        value = report.cell_median(cr, qs)
-        if previous is not None and value < previous - _TREND_TOL:
-            problems.append(
-                f"qs trend violated at CR={cr}: PRD({qs})={value:.4f} < "
-                f"PRD(previous)={previous:.4f}"
-            )
-        previous = value
-    return problems
+    return [
+        f"qs trend violated at CR={cr}: PRD({qs})={value:.4f} < "
+        f"PRD(previous)={previous:.4f}"
+        for (_, qs), value, previous in _falls(report, [(cr, qs) for qs in qs_values])
+    ]
 
 
 def check_cr_trend(report: SweepReport) -> list[str]:
     """Medians must not decrease along CR, within every qs column."""
     cr_values = sorted({r.cr for r in report.rows})
     qs_values = sorted({r.qs for r in report.rows})
-    problems = []
-    for qs in qs_values:
-        previous = None
-        for cr in cr_values:
-            value = report.cell_median(cr, qs)
-            if previous is not None and value < previous - _TREND_TOL:
-                problems.append(
-                    f"CR trend violated at qs={qs}: PRD(CR={cr})={value:.4f} "
-                    f"< previous {previous:.4f}"
-                )
-            previous = value
-    return problems
+    return [
+        f"CR trend violated at qs={qs}: PRD(CR={cr})={value:.4f} "
+        f"< previous {previous:.4f}"
+        for qs in qs_values
+        for (cr, _), value, previous in _falls(report, [(cr, qs) for cr in cr_values])
+    ]
 
 
 def check_communication_saving(report: SweepReport) -> list[str]:
@@ -424,7 +423,6 @@ def parse_report(path) -> SweepReport:
     metadata: dict[str, str] = {}
     rows: list[SweepRow] = []
     header = None
-    base_fields = _BASE_HEADER.split(",")
     for line in Path(path).read_text().splitlines():
         if line.startswith("#"):
             key, _, value = line[1:].partition("=")
@@ -434,24 +432,10 @@ def parse_report(path) -> SweepReport:
             header = line
             columns = line.split(",")
             continue
-        cells = line.split(",")
-        named = dict(zip(columns, cells))
-        extra = tuple(
-            (name, named[name]) for name in columns if name not in base_fields
-        )
-        rows.append(
-            SweepRow(
-                record_id=named["record_id"],
-                provenance=named["provenance"],
-                cr=float(named["cr"]),
-                qs=int(named["qs"]),
-                prd_median=float(named["prd_median"]),
-                quality=named["quality"],
-                payload_bytes=int(named["payload_bytes"]),
-                raw_bytes=int(named["raw_bytes"]),
-                extra=extra,
-            )
-        )
+        named = dict(zip(columns, line.split(",")))
+        base = {name: parse(named[name]) for name, _, parse in _COLUMNS}
+        extra = tuple((name, named[name]) for name in columns if name not in base)
+        rows.append(SweepRow(**base, extra=extra))
     if header is None:
         raise ValueError(f"{path}: not a report file")
     return SweepReport(

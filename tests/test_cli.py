@@ -167,6 +167,37 @@ class TestSession:
         with pytest.raises(SystemExit, match=f"{key} takes one"):
             main(["session", "--config", str(config)])
 
+    @pytest.mark.parametrize(
+        "key, value, choices",
+        [
+            ("scenario", "bogus", "pair, auth, read, full"),
+            ("attacker", "bogus", "none, passive, replay, mitm"),
+            ("degraded_oob", "maybe", "true, yes, 1, false, no, 0"),
+        ],
+        ids=["scenario", "attacker", "degraded_oob"],
+    )
+    def test_config_choices_are_checked(self, tmp_path, key, value, choices):
+        config = tmp_path / "scenario.cfg"
+        config.write_text(f"N = 64\n{key} = {value}\n")
+        message = f"scenario.cfg: {key} takes one of {choices}, got '{value}'"
+        with pytest.raises(SystemExit, match=message):
+            main(["session", "--config", str(config)])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--cr", "100"], "compression rate 100.0 leaves no valid M for N=512"),
+            (["--cr", "nan"], "compression rate nan leaves no valid M for N=512"),
+            (["--n", "0"], "N must be at least 2, got 0"),
+            (["--n", "1"], "N must be at least 2, got 1"),
+            (["--qs", "-5"], "qs must be at least 0, got -5"),
+        ],
+        ids=["cr-100", "cr-nan", "n-0", "n-1", "qs-negative"],
+    )
+    def test_out_of_range_parameters_are_refused(self, argv, message):
+        with pytest.raises(SystemExit, match=f"^{message}$"):
+            main(["session", *argv])
+
     def test_config_line_without_equals_is_refused(self, tmp_path):
         config = tmp_path / "scenario.cfg"
         config.write_text("scenario = pair\nbogus line\n")

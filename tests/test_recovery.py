@@ -1,6 +1,7 @@
 import gc
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import imdsec
-from imdsec import codec, ecg, recovery
+from imdsec import codec, ecg
 from imdsec.recovery import (
     QualityClass,
     RecoveryError,
@@ -394,10 +395,11 @@ class TestDictionaryMemo:
         psi = build_basis(64)
         phi = gen_sensing_matrix(b"memo-gc", 32, 64)
         omp_reconstruct(phi.entries[:, 3], phi, psi)
-        assert recovery._DICTIONARY_MEMO[0] is not None
+        theta = weakref.ref(phi.dictionary(psi)[0])
+        assert phi.dictionary(psi)[0] is theta()
         del phi
         gc.collect()
-        assert recovery._DICTIONARY_MEMO[0] is None
+        assert theta() is None
 
 
 def test_solver_modules_do_not_import_scipy():

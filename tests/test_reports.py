@@ -3,6 +3,8 @@ import pytest
 from imdsec import ecg
 from imdsec.reports import (
     EXPECTED_IMD_OPCOUNTS,
+    SweepReport,
+    SweepRow,
     attack_report,
     check_attack_separation,
     check_communication_saving,
@@ -43,6 +45,21 @@ class TestSweep:
         assert check_qs_trend(small_sweep, cr=50) == []
         assert check_cr_trend(small_sweep) == []
 
+    def test_trend_checks_name_each_fall(self):
+        # PRD falls from qs 10 to qs 20 at CR 50, and from CR 50 to CR 90 at qs 10
+        medians = {(50, 10): 1.0, (50, 20): 0.5, (90, 10): 0.7, (90, 20): 2.0}
+        rows = [
+            SweepRow("r", "synthetic", float(cr), qs, prd, "very-good", 0, 1024)
+            for (cr, qs), prd in medians.items()
+        ]
+        report = SweepReport(kind="sweep", header="", rows=rows, metadata={})
+        assert check_qs_trend(report) == [
+            "qs trend violated at CR=50: PRD(20)=0.5000 < PRD(previous)=1.0000"
+        ]
+        assert check_cr_trend(report) == [
+            "CR trend violated at qs=10: PRD(CR=90.0)=0.7000 < previous 1.0000"
+        ]
+
     def test_quantized_payloads_halve_the_raw_size(self, small_sweep):
         assert check_communication_saving(small_sweep) == []
         for row in small_sweep.rows:
@@ -78,6 +95,10 @@ class TestEmission:
             assert a.cr == b.cr and a.qs == b.qs
             assert a.prd_median == pytest.approx(b.prd_median, abs=1e-6)
             assert a.payload_bytes == b.payload_bytes
+
+        again = tmp_path / "again.csv"
+        emit_report(parsed, again)
+        assert again.read_bytes() == first
 
     def test_regenerating_from_metadata_is_byte_identical(
         self, small_sweep, records, tmp_path
@@ -125,6 +146,9 @@ class TestAttackReport:
             "uniform_best_shift",
             "random_min_prd",
         }
+        again = tmp_path / "again.csv"
+        emit_report(parsed, again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestOpcounts:
