@@ -125,12 +125,16 @@ def synth_ecg_like(
 ) -> EcgRecord:
     """Generate an integer ECG-like record: s dominant low-frequency atoms
     plus a 1/k coefficient tail at 6 % relative energy, scaled to keep a
-    6 % margin inside (L1, L2)."""
+    6 % margin inside (L1, L2).  The atoms come from the lowest indices,
+    1 up to n // 3 (at least 1 and 2, always below n); s is capped at
+    their number."""
     basis = cached_operator(build_basis, n)
     rng = np.random.default_rng(
         int.from_bytes(hashlib.sha256(b"ecg/" + bytes(seed)).digest(), "big")
     )
-    atoms = rng.choice(np.arange(1, max(3, n // 3)), size=s, replace=False)
+    pool = np.arange(1, min(n, max(3, n // 3)))
+    s = min(s, pool.size)
+    atoms = rng.choice(pool, size=s, replace=False)
     coeffs = np.zeros(n)
     coeffs[atoms] = rng.normal(0.0, 1.0, size=s) + np.sign(rng.normal(size=s)) * 0.6
 

@@ -12,10 +12,9 @@ every frame against its row in one fixed order:
 A MAC is always the last field and covers auth_bytes(heading, session,
 earlier fields); the implant's telemetry READ_REQ leaves the heading
 byte out.  Sending is declarative too.  A handler, named _on_<heading>,
-holds only its step's effects and returns None to send nothing, or its
-reply's fields as a dict keyed by the row's field names; Party.receive
-sends the reply on the party's next row, with the session number of the
-frame it answers.  Party._send, which the start_* openers also call,
+holds only its step's effects and returns its reply's fields, if any, as
+a dict keyed by the row's field names; a row without a handler has no
+effect past its checks.  Party._send, which the start_* openers also call,
 orders the named fields by the row, reads a timestamp field left out
 off the party's clock, appends the MAC tag, and hands the frame to its
 row's receiver as the channel.TranscriptEntry that the scheduler
@@ -30,15 +29,20 @@ party that needs the key (and by the attacks):
   nonce the doctor RSA-decrypts (both factors are needed);
 - derive_k_r: K_R from the serialized shift key and the session number.
 
-Every party is single-threaded, and STEPS alone sets its progress: it
-stores the one row it waits for, or none.  Once a party has received or
-sent row i, it waits for the first later row addressed to it.  If a row
-that it sends comes first, it waits for nothing: either its handler is
-sending that row, or it must open the next flow itself (start_read,
-start_write).  Once no later row involves the party, its outcome is
-"ok".  Party._send advances the party from the row it sent; a received
-row advances it only when the handler returns None.  A rejected frame
-meets one of three failure policies:
+Every row belongs to one of four flows, each a contiguous run of STEPS:
+pair, auth, read and write.  The sender of a flow's first row opens it
+with its start_<flow> method; every later row answers the row before
+it.  Every party is single-threaded, and STEPS alone sets its progress:
+it stores the one row it waits for, or none.  Once a party has received
+or sent row i, it waits for the next row that involves it if it
+receives that row, and otherwise for nothing.  Party.receive sends a
+reply exactly when the party's next row is in the same flow and the
+party sends it; a next row in a later flow waits for the party's opener.
+A party's part of a flow ends with the last row of that flow that
+involves it: the flow's name then joins the party's ``completed`` set,
+so a flow is done once every role named in its rows has completed it.
+Once no later row at all involves the party, its outcome is "ok".  A
+rejected frame meets one of three failure policies:
 
 - drop: counted in ``drops`` and otherwise ignored.  Every structural
   failure takes this path, and so does a failed pairing MAC, so probing
@@ -98,6 +102,7 @@ __all__ = [
     "SystemConfig",
     "Step",
     "STEPS",
+    "FLOW_ROLES",
     "derive_k_i",
     "derive_k_p",
     "derive_k_r",
@@ -172,14 +177,16 @@ class SystemConfig:
 class Step:
     """One protocol frame, as its sender builds it and its receiver checks it.
 
-    fields name the frame's fields; with a key, a MAC tag under that
-    party attribute follows them.  ts names the field holding an 8-byte
-    timestamp that must be fresh.  session names the receiver attribute
-    the session number must equal (None: the step opens a session).
-    check names a receiver method run after freshness and before the
-    MAC; it may raise Rejected or replace frame.key.
+    flow names the flow the row belongs to: "pair", "auth", "read" or
+    "write".  fields name the frame's fields; with a key, a MAC tag under
+    that party attribute follows them.  ts names the field holding an
+    8-byte timestamp that must be fresh.  session names the receiver
+    attribute the session number must equal (None: the step opens a
+    session).  check names a receiver method run after freshness and
+    before the MAC; it may raise Rejected or replace frame.key.
     """
 
+    flow: str
     sender: str
     receiver: str
     heading: Heading
@@ -220,47 +227,58 @@ class Step:
 
 
 STEPS = (
-    # pairing
-    Step("smartphone", "imd", Heading.PAIR_REQ, LINK_SI, ("smartphone_id", "ts1"),
+    Step("pair", "smartphone", "imd", Heading.PAIR_REQ, LINK_SI, ("smartphone_id", "ts1"),
          ts="ts1", key="k_i", on_mac_failure=(DROP, "pairing MAC failure"),
          session=None, check="_derive_pairing_key"),
-    Step("imd", "smartphone", Heading.PAIR_SUCC, LINK_SI, session="pair_session"),
-    # authentication
-    Step("programmer", "smartphone", Heading.AUTH_REQ, LINK_SD,
+    Step("pair", "imd", "smartphone", Heading.PAIR_SUCC, LINK_SI, session="pair_session"),
+    Step("auth", "programmer", "smartphone", Heading.AUTH_REQ, LINK_SD,
          ("doctor_id", "ts2", "pk_der", "cert"), ts="ts2", session=None,
          check="_check_certificate"),
-    Step("smartphone", "programmer", Heading.AUTH_REQ, LINK_SD,
+    Step("auth", "smartphone", "programmer", Heading.AUTH_REQ, LINK_SD,
          ("smartphone_id", "challenge")),
-    # read
-    Step("programmer", "smartphone", Heading.READ_AUTH_REQ, LINK_SD, ("ts4",),
+    Step("read", "programmer", "smartphone", Heading.READ_AUTH_REQ, LINK_SD, ("ts4",),
          ts="ts4", key="k_p", on_mac_failure=(STAY, "read auth MAC failure")),
-    Step("smartphone", "imd", Heading.READ_ALLOW, LINK_SI, ("doctor_id", "c1", "ts5"),
-         ts="ts5", key="k_i", on_mac_failure=(STAY, "read allow MAC failure"),
-         session=None),
-    Step("imd", "smartphone", Heading.READ_READY, LINK_SI),
-    Step("smartphone", "programmer", Heading.READ_READY, LINK_SD, ("enc_kd",)),
-    Step("programmer", "imd", Heading.READ_REQ, LINK_DI),
-    Step("imd", "programmer", Heading.READ_REQ, LINK_DI, ("c2",), key="k_r",
+    Step("read", "smartphone", "imd", Heading.READ_ALLOW, LINK_SI,
+         ("doctor_id", "c1", "ts5"), ts="ts5", key="k_i",
+         on_mac_failure=(STAY, "read allow MAC failure"), session=None),
+    Step("read", "imd", "smartphone", Heading.READ_READY, LINK_SI),
+    Step("read", "smartphone", "programmer", Heading.READ_READY, LINK_SD, ("enc_kd",)),
+    Step("read", "programmer", "imd", Heading.READ_REQ, LINK_DI),
+    Step("read", "imd", "programmer", Heading.READ_REQ, LINK_DI, ("c2",), key="k_r",
          on_mac_failure=(ABORT, "telemetry MAC failure"), mac_heading=False),
-    # write
-    Step("programmer", "smartphone", Heading.WRITE_AUTH_REQ, LINK_SD, ("sig", "ts6"),
-         ts="ts6", key="k_p", on_mac_failure=(ABORT, "write auth MAC failure")),
-    Step("smartphone", "imd", Heading.WRITE_ALLOW, LINK_SI, ("doctor_id", "ts7"),
+    Step("write", "programmer", "smartphone", Heading.WRITE_AUTH_REQ, LINK_SD,
+         ("sig", "ts6"), ts="ts6", key="k_p",
+         on_mac_failure=(ABORT, "write auth MAC failure")),
+    Step("write", "smartphone", "imd", Heading.WRITE_ALLOW, LINK_SI, ("doctor_id", "ts7"),
          ts="ts7", key="k_i", on_mac_failure=(ABORT, "write enable MAC failure"),
          check="_check_session_doctor"),
-    Step("imd", "smartphone", Heading.WRITE_READY, LINK_SI),
-    Step("smartphone", "programmer", Heading.WRITE_READY, LINK_SD),
-    Step("programmer", "imd", Heading.WRITE_REQ, LINK_DI, ("c3",), key="k_r",
+    Step("write", "imd", "smartphone", Heading.WRITE_READY, LINK_SI),
+    Step("write", "smartphone", "programmer", Heading.WRITE_READY, LINK_SD),
+    Step("write", "programmer", "imd", Heading.WRITE_REQ, LINK_DI, ("c3",), key="k_r",
          on_mac_failure=(ABORT, "command MAC failure")),
-    Step("imd", "smartphone", Heading.WRITE_REQ, LINK_SI, ("c2", "report"),
+    Step("write", "imd", "smartphone", Heading.WRITE_REQ, LINK_SI, ("c2", "report"),
          check="_open_command_report"),
-    Step("smartphone", "imd", Heading.SET_ALLOW, LINK_SI, ("ts8",), ts="ts8",
+    Step("write", "smartphone", "imd", Heading.SET_ALLOW, LINK_SI, ("ts8",), ts="ts8",
          key="k_i", on_mac_failure=(ABORT, "apply authorization MAC failure")),
-    Step("imd", "programmer", Heading.WRITE_SUCC, LINK_DI),
+    Step("write", "imd", "programmer", Heading.WRITE_SUCC, LINK_DI),
 )
 
 # (sender, heading) names one row
 _ROW = {(step.sender, step.heading): i for i, step in enumerate(STEPS)}
+
+# next_step(role, row), built once so that no frame scans STEPS
+_NEXT = {
+    (role, row): next((s for s in STEPS[row + 1 :] if role in (s.sender, s.receiver)), None)
+    for role in {step.sender for step in STEPS}
+    for row in range(-1, len(STEPS))
+}
+
+# each flow, in protocol order -> the roles named in its rows, the
+# sender of its first row (who opens it) first
+FLOW_ROLES = {
+    flow: tuple(dict.fromkeys(r for s in STEPS if s.flow == flow for r in (s.sender, s.receiver)))
+    for flow in dict.fromkeys(step.flow for step in STEPS)
+}
 
 
 def step_of(sender: str, heading: Heading) -> Step:
@@ -271,7 +289,7 @@ def step_of(sender: str, heading: Heading) -> Step:
 def next_step(role: str, row: int) -> Optional[Step]:
     """The first row after STEPS[row] (row -1: from the start) that
     involves role, or None when no later row does."""
-    return next((s for s in STEPS[row + 1 :] if role in (s.sender, s.receiver)), None)
+    return _NEXT[role, row]
 
 
 def derive_k_i(
@@ -319,6 +337,7 @@ class Party:
         self.abort_reason: Optional[str] = None
         self.drops: int = 0
         self.incidents: list[str] = []
+        self.completed: set[str] = set()  # the flows this party has finished
         self._advance(-1)
 
     @property
@@ -332,9 +351,12 @@ class Party:
 
     def _advance(self, row: int):
         """STEPS[row] is done: wait for the next row involving this party
-        if it receives that row, else for nothing; with no such row, the
-        flow is over."""
+        if it receives that row, else for nothing.  Unless that row is in
+        the same flow, this party has completed the flow; with no such
+        row at all, its outcome is "ok"."""
         step = next_step(self.role, row)
+        if row >= 0 and (step is None or step.flow != STEPS[row].flow):
+            self.completed.add(STEPS[row].flow)
         if step is None:
             self.outcome = "ok"
         elif step.sender == self.role:
@@ -345,12 +367,13 @@ class Party:
         return freshness_check(ts, self.clock)
 
     def receive(self, raw: bytes, link: str) -> list[TranscriptEntry]:
-        """Check a frame against the awaited row, run the step's handler
-        and send the reply it returns; a rejected frame is handled by its
-        failure policy."""
+        """Check a frame against the awaited row, run the step's handler,
+        if any, and send the reply when this party's next row answers the
+        frame; a rejected frame is handled by its failure policy."""
         try:
             step, frame = self._verify(raw, link)
-            reply = getattr(self, "_on_" + step.heading.name.lower())(frame)
+            handler = getattr(self, "_on_" + step.heading.name.lower(), None)
+            reply = handler(frame) if handler else None
         except Rejected as rejected:
             if rejected.policy == ABORT:
                 self.outcome = "aborted"
@@ -362,11 +385,12 @@ class Party:
                     self.incidents.append(rejected.reason)
             return []
         row = _ROW[step.sender, step.heading]
-        if reply is None:
+        answer = next_step(self.role, row)
+        if answer is None or answer.flow != step.flow or answer.sender != self.role:
             self._advance(row)
             return []
-        fields, extra = reply if isinstance(reply, tuple) else (reply, [])
-        return [self._send(next_step(self.role, row).heading, frame.session, **fields)] + extra
+        fields, extra = reply if isinstance(reply, tuple) else (reply or {}, [])
+        return [self._send(answer.heading, frame.session, **fields)] + extra
 
     def _verify(self, raw: bytes, link: str) -> tuple[Step, SimpleNamespace]:
         try:
@@ -449,7 +473,6 @@ class Smartphone(Party):
 
         self.pair_session: Optional[int] = None
         self.session: Optional[int] = None
-        self.paired = False
         self.k_i: Optional[SymmetricKey] = None
         self.k_p: Optional[SymmetricKey] = None
         self.k_r: Optional[SymmetricKey] = None
@@ -469,8 +492,9 @@ class Smartphone(Party):
         self.pair_session = self.rng.getrandbits(64)
         return [self._send(Heading.PAIR_REQ, self.pair_session, smartphone_id=self.smartphone_id)]
 
-    def _on_pair_succ(self, frame) -> None:
-        self.paired = True
+    @property
+    def paired(self) -> bool:
+        return "pair" in self.completed
 
     # -- authentication ------------------------------------------------------
 
@@ -526,9 +550,6 @@ class Smartphone(Party):
         self.pending_ts6 = frame.ts
         return dict(doctor_id=self.doctor_id)
 
-    def _on_write_ready(self, frame) -> dict[str, bytes]:
-        return {}
-
     def _open_command_report(self, frame):
         """Decrypt the implant's report of the command it is about to apply."""
         try:
@@ -540,7 +561,7 @@ class Smartphone(Party):
         if implant_id != self.implant_id or not self._fresh(ts7):
             raise Rejected(ABORT, "command report mismatch")
 
-    def _on_write_req(self, frame) -> dict[str, bytes]:
+    def _on_write_req(self, frame) -> None:
         record = EvidenceRecord(
             doctor_id=self.doctor_id,
             smartphone_id=self.smartphone_id,
@@ -557,7 +578,6 @@ class Smartphone(Party):
             self.incidents.append("write signature verification failed")
             raise Rejected(ABORT, "write signature invalid")
         self.ledger.append(record)
-        return {}
 
 
 class Imd(Party):
@@ -594,13 +614,12 @@ class Imd(Party):
             self.crypto, self._master_key, frame.smartphone_id, self.implant_id
         )
 
-    def _on_pair_req(self, frame) -> dict[str, bytes]:
+    def _on_pair_req(self, frame) -> None:
         self.k_i = frame.key
         self.pair_session = frame.session
         self.paired_smartphone = frame.smartphone_id
-        return {}
 
-    def _on_read_allow(self, frame) -> dict[str, bytes]:
+    def _on_read_allow(self, frame) -> None:
         try:
             plain = self.crypto.sym_dec(self.k_i, frame.c1)
             kd_bytes, kr_bytes = split_length_prefixed(plain, 2)
@@ -610,7 +629,6 @@ class Imd(Party):
             raise Rejected(DROP, "key delivery unreadable") from None
         self.session = frame.session
         self.session_doctor = frame.doctor_id
-        return {}
 
     def _on_read_req(self, frame) -> dict[str, bytes]:
         phi = self.config.sensing_matrix()
@@ -628,9 +646,6 @@ class Imd(Party):
         if frame.doctor_id != self.session_doctor:
             raise Rejected(DROP, "doctor mismatch")
 
-    def _on_write_allow(self, frame) -> dict[str, bytes]:
-        return {}
-
     def _on_write_req(self, frame) -> dict[str, bytes]:
         try:
             cmd = self.crypto.sym_dec(self.k_r, frame.c3)
@@ -643,10 +658,9 @@ class Imd(Party):
         )
         return dict(c2=self.c2_bytes, report=report)
 
-    def _on_set_allow(self, frame) -> dict[str, bytes]:
+    def _on_set_allow(self, frame) -> None:
         self.applied_commands.append(self.pending_cmd)
         self.pending_cmd = None
-        return {}
 
 
 class Programmer(Party):
@@ -677,7 +691,6 @@ class Programmer(Party):
         self.c2_bytes: Optional[bytes] = None
         self.recovered_signals: list[np.ndarray] = []
         self.command: Optional[bytes] = None
-        self.write_complete = False
 
     # -- authentication ----------------------------------------------------
 
@@ -696,14 +709,15 @@ class Programmer(Party):
 
     def enter_rm(self, rm: bytes):
         """The doctor reads RM off their phone and types it in."""
-        if self.nonce is None:
-            raise ProtocolError("no authentication in progress")
+        if "auth" not in self.completed:
+            raise ProtocolError("authentication has not completed")
         self.rm = rm
         self.k_p = derive_k_p(self.crypto, rm, self.session, self.nonce)
 
     @property
     def authenticated(self) -> bool:
-        return self.k_p is not None
+        """The auth flow completed and the doctor entered RM."""
+        return "auth" in self.completed and self.rm is not None
 
     # -- read -------------------------------------------------------------------
 
@@ -712,14 +726,13 @@ class Programmer(Party):
             raise ProtocolError("read requires completed authentication")
         return [self._send(Heading.READ_AUTH_REQ, self.session)]
 
-    def _on_read_ready(self, frame) -> dict[str, bytes]:
+    def _on_read_ready(self, frame) -> None:
         try:
             kd_bytes = self.crypto.sym_dec(self.k_p, frame.enc_kd)
             self.shift_key = codec.deserialize_shift_key(kd_bytes)
         except (DecryptionError, codec.CodecError):
             raise Rejected(STAY, "shift key unreadable") from None
         self.k_r = derive_k_r(self.crypto, kd_bytes, self.session)
-        return {}
 
     def _on_read_req(self, frame) -> None:
         try:
@@ -741,7 +754,7 @@ class Programmer(Party):
 
     @property
     def read_complete(self) -> bool:
-        return self.c2_bytes is not None
+        return "read" in self.completed
 
     # -- write --------------------------------------------------------------------
 
@@ -766,5 +779,6 @@ class Programmer(Party):
     def _on_write_ready(self, frame) -> dict[str, bytes]:
         return dict(c3=self.crypto.sym_enc(self.k_r, self.command))
 
-    def _on_write_succ(self, frame) -> None:
-        self.write_complete = True
+    @property
+    def write_complete(self) -> bool:
+        return "write" in self.completed

@@ -3,6 +3,7 @@
 A world holds the four parties wired to one scheduler, with the pinned
 demo credentials and a synthetic telemetry source.  run_session drives
 the requested flows (pair -> auth -> read -> write) phase by phase,
+each passing once every role named in the flow's rows completed it,
 snapshotting the implant's crypto-operation counters per phase, and
 returns the transcript plus per-party outcomes.  Everything is
 deterministic in the session seed.
@@ -20,7 +21,7 @@ from .codec import serialize_shift_key
 from .crypto import KeyPairWithCert, SymmetricKey
 from .evidence import EvidenceLedger
 from .keymat import authority_private_key, doctor_certificate, doctor_private_key
-from .parties import DoctorPhone, Imd, Programmer, Smartphone, SystemConfig
+from .parties import FLOW_ROLES, DoctorPhone, Imd, Programmer, Smartphone, SystemConfig
 
 __all__ = ["World", "SessionResult", "build_world", "run_session", "SCENARIOS"]
 
@@ -203,53 +204,30 @@ def run_session(
             reconstruct=reconstruct, n_signals=n_signals,
         )
     sched = world.scheduler
+    openers = {
+        "pair": lambda: world.smartphone.start_pair(world.master_key),
+        "auth": world.programmer.start_auth,
+        "read": world.programmer.start_read,
+        "write": lambda: world.programmer.start_write(command),
+    }
 
-    def auth_flow():
-        sched.initiate("programmer", world.programmer.start_auth)
-        sched.run_until_quiet()
-        if world.doctor_phone.rm is not None and world.programmer.nonce is not None:
-            world.programmer.enter_rm(world.doctor_phone.rm)
-
-    # (phase, initiate, check) in protocol order; the i-th scenario of
-    # SCENARIOS runs the first i + 1 phases and stops at the first failure.
-    table = (
-        (
-            "pair",
-            lambda: sched.initiate(
-                "smartphone", lambda: world.smartphone.start_pair(world.master_key)
-            ),
-            lambda: world.smartphone.paired and world.imd.k_i is not None,
-        ),
-        (
-            "auth",
-            auth_flow,
-            lambda: world.programmer.authenticated
-            and world.smartphone.k_p is not None,
-        ),
-        (
-            "read",
-            lambda: sched.initiate("programmer", world.programmer.start_read),
-            lambda: world.programmer.read_complete,
-        ),
-        (
-            "write",
-            lambda: sched.initiate(
-                "programmer", lambda: world.programmer.start_write(command)
-            ),
-            lambda: world.programmer.write_complete
-            and len(world.imd.applied_commands) > 0,
-        ),
-    )[: SCENARIOS.index(scenario) + 1]
-
-    phases = {name: False for name, _, _ in table}
+    # the i-th scenario of SCENARIOS runs the first i + 1 flows and stops
+    # at the first flow that some role named in its rows did not complete
+    phases = dict.fromkeys(tuple(FLOW_ROLES)[: SCENARIOS.index(scenario) + 1], False)
     op_counts: dict[str, dict[str, int]] = {}
-    for name, initiate, check in table:
+    for flow in phases:
+        roles = FLOW_ROLES[flow]
         before = world.imd.crypto.snapshot()
-        initiate()
+        sched.initiate(roles[0], openers[flow])
         sched.run_until_quiet()
-        op_counts[name] = world.imd.crypto.snapshot() - before
-        phases[name] = bool(check())
-        if not phases[name]:
+        rm = world.doctor_phone.rm
+        if flow == "auth" and "auth" in world.programmer.completed and rm is not None:
+            world.programmer.enter_rm(rm)  # the doctor types in the RM their phone shows
+        op_counts[flow] = world.imd.crypto.snapshot() - before
+        phases[flow] = all(flow in sched.parties[role].completed for role in roles) and (
+            flow != "write" or len(world.imd.applied_commands) > 0
+        )
+        if not phases[flow]:
             break
 
     outcomes = {

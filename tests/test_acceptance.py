@@ -160,14 +160,16 @@ def test_c6_protocol_suite_fuzz():
                 run_session(checkpoint, config=FUZZ_CONFIG, world=fresh)
             parties = [fresh.smartphone, fresh.imd, fresh.programmer]
             before = [
-                (p.expected, p.expected_link, p.outcome, p.session) for p in parties
+                (p.expected, p.expected_link, p.outcome, p.session, sorted(p.completed))
+                for p in parties
             ] + [len(fresh.imd.applied_commands), len(fresh.smartphone.ledger)]
             fresh.scheduler.deliver_raw(
                 entry.link, entry.sender, entry.receiver, entry.payload
             )
             fresh.scheduler.run_until_quiet()
             after = [
-                (p.expected, p.expected_link, p.outcome, p.session) for p in parties
+                (p.expected, p.expected_link, p.outcome, p.session, sorted(p.completed))
+                for p in parties
             ] + [len(fresh.imd.applied_commands), len(fresh.smartphone.ledger)]
             assert after == before, f"replay advanced state at {checkpoint}"
             replays += 1

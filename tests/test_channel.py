@@ -37,6 +37,7 @@ def _snapshot(world):
             p.expected_link,
             p.outcome,
             getattr(p, "session", None),
+            sorted(p.completed),
         )
     snap["applied"] = len(world.imd.applied_commands)
     snap["ledger"] = len(world.smartphone.ledger)

@@ -121,6 +121,13 @@ class TestSession:
         assert "kind=wire" in dump and "link=s-i" in dump
         assert "PASS session invariants" in captured
 
+    @pytest.mark.parametrize("n", [2, 16, 38])
+    def test_short_records_run_a_full_session(self, n, capsys):
+        code = main(["session", "--scenario", "full", "--n", str(n), "--qs", "0"])
+        captured = capsys.readouterr().out
+        assert code == 0, captured
+        assert "PASS session invariants" in captured
+
     def test_transcript_deterministic_across_runs(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         for path in (a, b):

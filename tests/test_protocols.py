@@ -6,7 +6,10 @@ from imdsec.crypto import SymmetricKey, generate_keypair
 from imdsec.evidence import evidence_verify
 from imdsec.parties import (
     STEPS,
+    Imd,
+    Programmer,
     ProtocolError,
+    Smartphone,
     SystemConfig,
     next_step,
     pack_signals,
@@ -82,6 +85,7 @@ class TestHonestFlows:
         sched.initiate("smartphone", lambda: world.smartphone.start_pair(wrong))
         sched.run_until_quiet()
         assert not world.smartphone.paired
+        assert world.smartphone.completed == set()
         assert world.imd.k_i is None
         assert world.imd.drops == 1
         # the implant sent nothing back
@@ -91,6 +95,24 @@ class TestHonestFlows:
         result = run_session("read", seed=8, config=FAST, n_signals=3)
         assert result.ok
         assert len(result.world.programmer.recovered_signals) == 3
+
+    @pytest.mark.parametrize(
+        "scenario, smartphone, imd, programmer",
+        [
+            ("pair", {"pair"}, {"pair"}, set()),
+            ("auth", {"pair", "auth"}, {"pair"}, {"auth"}),
+            ("read", {"pair", "auth", "read"}, {"pair", "read"}, {"auth", "read"}),
+            ("full", {"pair", "auth", "read", "write"}, {"pair", "read", "write"},
+             {"auth", "read", "write"}),
+        ],
+    )
+    def test_completion_record_after_each_scenario(self, scenario, smartphone, imd, programmer):
+        result = run_session(scenario, seed=23, config=FAST)
+        assert result.ok
+        w = result.world
+        assert (w.smartphone.completed, w.imd.completed, w.programmer.completed) == (
+            smartphone, imd, programmer
+        )
 
 
 class TestOpCounts:
@@ -129,6 +151,15 @@ class TestStepTable:
         # the sender's stored step once the row before is done
         waits_for_nothing = next_step(step.sender, row - 1) is step
         assert reply or waits_for_nothing
+        # within a flow every row but the first answers the row before it;
+        # the first comes from its sender's start_<flow> opener
+        first = row == 0 or STEPS[row - 1].flow != step.flow
+        answers = not first and STEPS[row - 1].receiver == step.sender
+        assert answers != first
+        rows = [i for i, s in enumerate(STEPS) if s.flow == step.flow]
+        assert rows == list(range(rows[0], rows[-1] + 1)), "flow rows not contiguous"
+        party = {cls.role: cls for cls in (Smartphone, Imd, Programmer)}[step.sender]
+        assert not first or callable(getattr(party, "start_" + step.flow, None))
 
 
 # (expected, expected_link, outcome) of smartphone, implant and programmer
