@@ -27,7 +27,6 @@ __all__ = [
     "CsCiphertext",
     "shifting_add",
     "vec_shifting_add",
-    "entrywise_product",
     "cs_gen",
     "sign_vector",
     "cs_enc",
@@ -229,15 +228,6 @@ def vec_shifting_add(
     return u, CarryVector(bits=carries)
 
 
-def entrywise_product(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Entrywise product of two same-sized vectors."""
-    v = np.asarray(v, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if v.shape != w.shape or v.ndim != 1:
-        raise CodecError(f"length mismatch: {v.shape} vs {w.shape}")
-    return v * w
-
-
 class _PrfStream:
     """Deterministic byte stream: SHA-256 over seed || counter."""
 
@@ -339,9 +329,8 @@ def cs_deshift(key: ShiftKey, c: CsCiphertext, phi, L1: int, L2: int) -> np.ndar
     if L1 >= L2:
         raise CodecError(f"need L1 < L2, got ({L1}, {L2})")
     rng = L2 - L1
-    correction = rng * entrywise_product(
-        c.carries.bits, sign_vector(key)
-    ) - key.entries
+    # carries and key both have c.n entries (checked above)
+    correction = rng * (c.carries.bits * sign_vector(key)) - key.entries
     return c.measurements + phi.entries @ correction
 
 
@@ -395,6 +384,8 @@ def deserialize_ciphertext(buf: bytes) -> CsCiphertext:
         if len(buf) < end:
             raise CodecError("truncated measurement block")
         measurements = np.frombuffer(buf[pos:end], dtype=">f8").astype(np.float64)
+        if not np.all(np.isfinite(measurements)):
+            raise CodecError("non-finite measurement")
         pos = end
         quant_step = None
     else:

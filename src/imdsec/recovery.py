@@ -8,15 +8,18 @@ omp_reconstruct_batch: it solves a stack of measurement rows that share
 and omp_reconstruct is its one-row case (the idea of Batch-OMP, which
 codes many signals over one dictionary: Rubinstein, Zibulevsky & Elad,
 Technion CS-2008-08).  Theta is built once per (Phi, Psi) pair and held
-by its Phi (SensingMatrix.dictionary), so it is freed with Phi;
-each row's active set is kept as an incremental QR factorisation, so no
+by its Phi (SensingMatrix.dictionary), so it is freed with Phi.  The
+package takes Phi and Psi from cached_operator, which keeps one
+operator per build function, the latest asked for: calls at one
+(seed, M, N) share Phi and its Theta, and moving to another M frees
+the old pair.
+Each row's active set is kept as an incremental QR factorisation, so no
 iteration re-solves least squares.  Only numpy is used: importing
 scipy.linalg would add a few tenths of a second to every process start.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -110,8 +113,8 @@ class SparsityBasis:
 class RecoveryParams:
     """Stopping rules for the greedy solver.
 
-    Defaults resolve to max_atoms = M // 4 and residual_tol scaled to
-    1e-6 * ||y||^2-norm at solve time.
+    Defaults resolve to max_atoms = M // 4 and residual_tol = 1e-6 * ||y||
+    (the Euclidean norm of the measurements) at solve time.
     """
 
     max_atoms: Optional[int] = None
@@ -160,13 +163,21 @@ def build_basis(n: int) -> SparsityBasis:
     return SparsityBasis(columns=columns)
 
 
-@functools.lru_cache(maxsize=None)
+# build -> (args, operator) of the latest call with that build function
+_operators: dict = {}
+
+
 def cached_operator(build, *args):
-    """Build an operator once per argument tuple and share it:
+    """The operator build(*args), shared by every caller:
     cached_operator(gen_sensing_matrix, seed, m, n) for Phi,
-    cached_operator(build_basis, n) for Psi.  Callers must not
-    mutate the result."""
-    return build(*args)
+    cached_operator(build_basis, n) for Psi.  One operator per build
+    function is kept, the latest asked for: a walk over a CR grid holds
+    one Phi (and the Theta it carries), and a Phi never evicts Psi.
+    Callers must not mutate the result."""
+    held = _operators.get(build)
+    if held is None or held[0] != args:
+        held = _operators[build] = (args, build(*args))
+    return held[1]
 
 
 # A new active column whose component orthogonal to the active span is

@@ -168,7 +168,7 @@ def sweep_prd(
     rows = []
     for cr in cr_grid:
         m = recovery.cr_to_measurements(n, cr)
-        phi = recovery.gen_sensing_matrix(matrix_seed, m, n)
+        phi = recovery.cached_operator(recovery.gen_sensing_matrix, matrix_seed, m, n)
         params = sweep_solver_params(m)
         for qs in qs_grid:
             for record, signal, record_keys in zip(records, signals, keys):
@@ -229,7 +229,7 @@ def attack_report(
     rows = []
     for cr in cr_grid:
         m = recovery.cr_to_measurements(n, cr)
-        phi = recovery.gen_sensing_matrix(matrix_seed, m, n)
+        phi = recovery.cached_operator(recovery.gen_sensing_matrix, matrix_seed, m, n)
         params = sweep_solver_params(m)
         legit_prds = []
         curves = []

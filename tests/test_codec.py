@@ -20,7 +20,6 @@ from imdsec.codec import (
     cs_gen,
     deserialize_ciphertext,
     deserialize_shift_key,
-    entrywise_product,
     quantize,
     serialize_ciphertext,
     serialize_shift_key,
@@ -31,6 +30,17 @@ from imdsec.codec import (
 from imdsec.recovery import cr_to_measurements, gen_sensing_matrix
 
 ECG_L1, ECG_L2 = 590, 1487
+
+
+def entrywise_product(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Entrywise product of two same-sized vectors: the oracle for the
+    carries-times-signs term of the de-shift correction."""
+    v = np.asarray(v, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    if v.shape != w.shape or v.ndim != 1:
+        raise CodecError(f"length mismatch: {v.shape} vs {w.shape}")
+    return v * w
+
 
 # sha256 over the serialized ciphertexts of the CLI's two default
 # records x CR {50, 75, 90} x qs {0, 10, 20, 60, 120} under fixed keys;
@@ -268,6 +278,24 @@ class TestEncDeshift:
                 1.0, float(np.max(np.abs(target)))
             )
 
+    @pytest.mark.parametrize("qs", [0, 20])
+    def test_correction_matches_entrywise_oracle(self, qs):
+        # y' + phi @ (range * (carries .* sign) - key), to the last bit
+        rng = np.random.default_rng(7)
+        phi = gen_sensing_matrix(b"deshift-oracle", 32, 64)
+        for trial in range(50):
+            x = _random_signal(rng, 64)
+            key = cs_gen(b"oracle/%d" % trial, 64, ECG_L1, ECG_L2)
+            c = cs_enc(key, x, phi)
+            if qs:
+                c = quantize(c, qs)
+            signs = sign_vector(key)
+            correction = (ECG_L2 - ECG_L1) * entrywise_product(c.carries.bits, signs)
+            expected = c.measurements + phi.entries @ (correction - key.entries)
+            np.testing.assert_array_equal(
+                cs_deshift(key, c, phi, ECG_L1, ECG_L2), expected
+            )
+
     def test_zero_key_zero_carries_decode(self):
         rng = np.random.default_rng(5)
         x = _random_signal(rng, 32)
@@ -454,6 +482,14 @@ class TestSerialization:
             deserialize_ciphertext(blob + b"\x00")
         with pytest.raises(CodecError):
             deserialize_ciphertext(b"\x00\x01")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raw_measurements_rejected(self, bad):
+        c = CsCiphertext(
+            measurements=np.array([1.0, bad]), carries=CarryVector(bits=np.zeros(3))
+        )
+        with pytest.raises(CodecError, match="non-finite"):
+            deserialize_ciphertext(serialize_ciphertext(c))
 
     def test_shift_key_roundtrip(self):
         key = cs_gen(b"wire", 48, ECG_L1, ECG_L2)

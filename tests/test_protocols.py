@@ -1,14 +1,19 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from imdsec import codec
 from imdsec.channel import Attacker
 from imdsec.crypto import SymmetricKey, generate_keypair
 from imdsec.evidence import evidence_verify
 from imdsec.parties import (
+    ABORT,
     STEPS,
     Imd,
     Programmer,
     ProtocolError,
+    Rejected,
     Smartphone,
     SystemConfig,
     next_step,
@@ -276,6 +281,25 @@ class TestFailurePaths:
         assert not result.phases["read"]
         assert world.programmer.recovered_signals == []
         assert world.programmer.abort_reason == "telemetry MAC failure"
+
+    def test_non_finite_telemetry_aborts_before_the_solver(self):
+        # reaching this handler takes a valid k_r MAC; the payload itself
+        # is still outside input and must abort, not raise
+        world = run_session("full", seed=3, config=FAST).world
+        programmer = world.programmer
+        honest = codec.deserialize_ciphertext(unpack_signals(programmer.c2_bytes)[0])
+        measurements = honest.measurements.copy()
+        measurements[0] = np.nan
+        frame = codec.serialize_ciphertext(
+            codec.CsCiphertext(measurements=measurements, carries=honest.carries)
+        )
+        recovered = len(programmer.recovered_signals)
+        with pytest.raises(Rejected) as rejected:
+            programmer._on_read_req(SimpleNamespace(c2=pack_signals([frame])))
+        assert (rejected.value.policy, rejected.value.reason) == (
+            ABORT, "telemetry payload malformed"
+        )
+        assert len(programmer.recovered_signals) == recovered
 
     def test_stale_timestamp_dropped(self):
         world = build_world(seed=15, config=FAST, start_clock=1000)

@@ -1,6 +1,9 @@
+import gc
+import weakref
+
 import pytest
 
-from imdsec import ecg
+from imdsec import ecg, recovery
 from imdsec.reports import (
     EXPECTED_IMD_OPCOUNTS,
     SweepReport,
@@ -76,6 +79,60 @@ class TestSweep:
         verdicts = evaluate_claims(small_sweep)
         assert verdicts["cr50_qs20_very_good"] == "met"
         assert verdicts["cr85_qs100_good"] == "not-evaluated"
+
+
+class TestOperatorCache:
+    """The sweep takes Phi from recovery.cached_operator, which keeps the
+    latest Phi (and the Theta it holds) until the CR changes."""
+
+    @pytest.fixture(scope="class")
+    def short_records(self):
+        return [ecg.synth_ecg_like(f"cache{r}".encode(), n=64, s=4 + r) for r in range(2)]
+
+    def test_cells_at_one_cr_share_one_phi(self, monkeypatch, short_records):
+        drawn, solved = [], []
+        draw, solve = recovery.gen_sensing_matrix, recovery.omp_reconstruct_batch
+
+        def counting_draw(*args):
+            drawn.append(args)
+            return draw(*args)
+
+        def spying_solve(Y, phi, *rest):
+            solved.append(phi)
+            return solve(Y, phi, *rest)
+
+        monkeypatch.setattr(recovery, "gen_sensing_matrix", counting_draw)
+        monkeypatch.setattr(recovery, "omp_reconstruct_batch", spying_solve)
+        for qs in (0, 20):
+            sweep_prd(short_records[:1], cr_grid=(50,), qs_grid=(qs,), seeds=2)
+        assert len(drawn) == 1
+        assert len(solved) == 2 and solved[0] is solved[1]
+
+    def test_grid_walk_keeps_only_the_last_phi_and_theta(self, monkeypatch, short_records):
+        phis, thetas = [], {}
+        draw, dictionary = recovery.gen_sensing_matrix, recovery.SensingMatrix.dictionary
+
+        def recording_draw(*args):
+            phi = draw(*args)
+            phis.append(weakref.ref(phi))
+            return phi
+
+        def recording_dictionary(phi, psi):
+            theta, col_norms = dictionary(phi, psi)
+            owner = next(i for i, ref in enumerate(phis) if ref() is phi)
+            thetas[owner] = weakref.ref(theta)
+            return theta, col_norms
+
+        monkeypatch.setattr(recovery, "gen_sensing_matrix", recording_draw)
+        monkeypatch.setattr(recovery.SensingMatrix, "dictionary", recording_dictionary)
+        psi = recovery.cached_operator(recovery.build_basis, 64)
+        cr_grid = (50, 70, 90)
+        sweep_prd(short_records, cr_grid=cr_grid, qs_grid=(0, 20), seeds=2)
+        gc.collect()
+        resident = [True] + [False] * (len(cr_grid) - 1)
+        assert [ref() is not None for ref in reversed(phis)] == resident
+        assert [thetas[i]() is not None for i in reversed(range(len(phis)))] == resident
+        assert recovery.cached_operator(recovery.build_basis, 64) is psi
 
 
 class TestEmission:
