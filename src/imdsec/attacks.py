@@ -29,6 +29,7 @@ from .codec import (
     cs_gen,
     deserialize_ciphertext,
     deserialize_shift_key,
+    shift_bound,
 )
 from .crypto import CryptoSuite
 from .parties import STEPS, Step, SystemConfig, derive_k_p, step_of, unpack_signals
@@ -130,7 +131,7 @@ class BitFlipAttacker(Attacker):
         return [bytes(mutated)]
 
 
-def default_shift_grid(bound: int = 449) -> list[int]:
+def default_shift_grid(bound: int = shift_bound(SystemConfig.L2 - SystemConfig.L1)) -> list[int]:
     """Multiples of 50 inside [-bound, bound] plus the interval ends."""
     grid = {shift for shift in range(0, bound + 1, 50)}
     grid.update(-shift for shift in list(grid))

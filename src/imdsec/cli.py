@@ -26,7 +26,7 @@ from .scenarios import SCENARIOS, build_world, run_session
 from .wire import Heading
 
 FIXTURE_DIR_ENV = "IMDSEC_FIXTURE_DIR"
-BENCHMARK_BOUNDS = (590, 1487)
+BENCHMARK_BOUNDS = (SystemConfig.L1, SystemConfig.L2)
 
 
 def count(text: str) -> int:
@@ -35,6 +35,23 @@ def count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _config_field(field, convert):
+    """argparse type of one SystemConfig field, refused as a session at
+    N = ecg.TARGET_SAMPLES refuses it."""
+    def parse(text):
+        value = convert(text)
+        try:
+            SystemConfig(n=ecg.TARGET_SAMPLES, **{field: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    parse.__name__ = field  # argparse names it in "invalid cr value"
+    return parse
+
+
+cr_value, qs_value = _config_field("cr", float), _config_field("qs", int)
 
 
 def _load_records(paths, bounds=None):
@@ -265,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p):
-        p.add_argument("--cr", type=float, nargs="*", default=list(reports.DEFAULT_CR_GRID))
+        p.add_argument("--cr", type=cr_value, nargs="+", default=list(reports.DEFAULT_CR_GRID))
         p.add_argument("--seeds", type=count, default=20)
         p.add_argument("--master-seed", type=int, default=0)
         p.add_argument("--records", nargs="*", help="ECG csv files")
@@ -273,14 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="recovery quality over the CR/qs grid")
     common(p_sweep)
-    p_sweep.add_argument("--qs", type=int, nargs="*", default=list(reports.DEFAULT_QS_GRID))
+    p_sweep.add_argument("--qs", type=qs_value, nargs="+", default=list(reports.DEFAULT_QS_GRID))
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_attack = sub.add_parser("attack", help="guessing attacks vs legitimate recovery")
     common(p_attack)
     p_attack.set_defaults(cr=list(reports.ATTACK_CR_GRID), seeds=3)
     p_attack.add_argument(
-        "--qs", type=int, default=reports.BENCHMARK_QS, help="quantizer step (0 = none)"
+        "--qs", type=qs_value, default=reports.BENCHMARK_QS, help="quantizer step (0 = none)"
     )
     p_attack.add_argument("--trials", type=count, default=100)
     p_attack.set_defaults(func=_cmd_attack)
@@ -295,16 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sess.add_argument("--attacker", choices=ATTACKERS, default="none")
     p_sess.add_argument("--degraded-oob", action="store_true")
     p_sess.add_argument("--seed", type=int, default=0)
-    p_sess.add_argument("--n", type=int, default=512)
-    p_sess.add_argument("--cr", type=float, default=50.0)
-    p_sess.add_argument("--qs", type=int, default=20)
+    p_sess.add_argument("--n", type=int, default=SystemConfig.n)
+    p_sess.add_argument("--cr", type=float, default=SystemConfig.cr)
+    p_sess.add_argument("--qs", type=int, default=SystemConfig.qs)
     p_sess.add_argument("--config", help="key = value scenario file")
     p_sess.add_argument("--out", help="transcript dump path")
     p_sess.set_defaults(func=_cmd_session)
 
     p_fix = sub.add_parser("gen-fixtures", help="write synthetic ECG-like records")
     p_fix.add_argument("--out", help="directory (default $IMDSEC_FIXTURE_DIR or ./fixtures)")
-    p_fix.add_argument("--count", type=int, default=4)
+    p_fix.add_argument("--count", type=count, default=4)
     p_fix.add_argument("--fixture-seed", default="fixtures")
     p_fix.set_defaults(func=_cmd_gen_fixtures)
 

@@ -25,7 +25,7 @@ __all__ = [
     "ShiftKey",
     "CarryVector",
     "CsCiphertext",
-    "shifting_add",
+    "shift_bound",
     "vec_shifting_add",
     "cs_gen",
     "sign_vector",
@@ -96,7 +96,7 @@ class ShiftKey:
             raise CodecError("shift key must be a non-empty 1-D integer vector")
         if self.value_range <= 0:
             raise CodecError("value_range must be positive")
-        bound = _shift_bound(self.value_range)
+        bound = shift_bound(self.value_range)
         if np.any(np.abs(entries) > bound):
             raise CodecError(f"shift entries exceed bound {bound}")
 
@@ -171,32 +171,9 @@ class CsCiphertext:
         return self.quant_step is not None
 
 
-def _shift_bound(value_range: int) -> int:
+def shift_bound(value_range: int) -> int:
+    """The largest shift magnitude for a window of this width."""
     return math.ceil(value_range / 2)
-
-
-def shifting_add(v: float, w: float, L1: int, L2: int) -> tuple[float, int]:
-    """Add w to v, wrapping cyclically inside [L1, L2).
-
-    Returns (u, carry) where u = ((v + w - L1) mod (L2 - L1)) + L1 and
-    carry is 1 exactly when v + w fell outside [L1, L2).  v must lie
-    strictly inside (L1, L2).
-    """
-    if L1 >= L2:
-        raise CodecError(f"need L1 < L2, got ({L1}, {L2})")
-    if not (L1 < v < L2):
-        raise CodecError(f"value {v} outside open interval ({L1}, {L2})")
-    return _shift_scalar(v, w, L1, L2)
-
-
-def _shift_scalar(v: float, w: float, L1: int, L2: int) -> tuple[float, int]:
-    rng = L2 - L1
-    total = v + w
-    u = (total - L1) % rng + L1
-    if u >= L2:  # float round-off can land exactly on L2
-        u -= rng
-    carry = 0 if L1 <= total < L2 else 1
-    return u, carry
 
 
 def _shift_core(values: np.ndarray, shifts: np.ndarray, L1: int, L2: int):
@@ -259,7 +236,7 @@ def cs_gen(seed: bytes, k: int, L1: int, L2: int) -> ShiftKey:
     if L1 >= L2:
         raise CodecError(f"need L1 < L2, got ({L1}, {L2})")
     rng = L2 - L1
-    bound = _shift_bound(rng)
+    bound = shift_bound(rng)
     span = 2 * bound + 1
     limit = (2**64 // span) * span
     stream = _PrfStream(seed)

@@ -41,8 +41,6 @@ __all__ = [
     "KeyPairWithCert",
     "CryptoSuite",
     "split_length_prefixed",
-    "generate_keypair",
-    "issue_doctor_credentials",
     "length_prefixed",
 ]
 
@@ -50,7 +48,6 @@ KEY_BYTES = 16
 KDF_ITERATIONS = 1000
 _KDF_SALT = b"imdsec/kdf/v1"
 _GCM_NONCE_BYTES = 12
-_RSA_BITS = 2048
 _OAEP_HASH_BYTES = 32  # SHA-256
 
 
@@ -320,19 +317,3 @@ class CryptoSuite:
         except Exception:
             return False
         return self.verify(authority_public_key, payload, cert.signature)
-
-
-def generate_keypair(bits: int = _RSA_BITS) -> rsa.RSAPrivateKey:
-    return rsa.generate_private_key(public_exponent=65537, key_size=bits)
-
-
-def issue_doctor_credentials(
-    authority_key: rsa.RSAPrivateKey,
-    doctor_id: bytes,
-    suite: Optional[CryptoSuite] = None,
-) -> KeyPairWithCert:
-    """Mint a doctor keypair plus its authority-signed certificate."""
-    suite = suite or CryptoSuite()
-    private_key = generate_keypair()
-    cert = suite.cert_issue(authority_key, private_key.public_key(), doctor_id)
-    return KeyPairWithCert(private_key=private_key, certificate=cert)

@@ -10,7 +10,6 @@ degrades them gradually the way it degrades natural signals.
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import BoundedSignal
+from .codec import BoundedSignal, shift_bound
 from .recovery import build_basis, cached_operator
 
 __all__ = [
@@ -67,7 +66,7 @@ class EcgRecord:
 
     @property
     def shift_bound(self) -> int:
-        return math.ceil(self.value_range / 2)
+        return shift_bound(self.value_range)
 
 
 def _resample_linear(samples: np.ndarray, target: int) -> np.ndarray:

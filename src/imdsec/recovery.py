@@ -33,7 +33,6 @@ __all__ = [
     "SparsityBasis",
     "RecoveryParams",
     "QualityClass",
-    "SyntheticSignal",
     "gen_sensing_matrix",
     "build_basis",
     "cached_operator",
@@ -41,11 +40,8 @@ __all__ = [
     "omp_reconstruct_batch",
     "prd",
     "classify_prd",
-    "synth_sparse_signal",
     "cr_to_measurements",
 ]
-
-from .codec import BoundedSignal
 
 
 class RecoveryError(ValueError):
@@ -68,11 +64,6 @@ class SensingMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[1]
-
-    @property
-    def compression_rate(self) -> float:
-        """CR = 100 (N - M) / N."""
-        return 100.0 * (self.n - self.m) / self.n
 
     def dictionary(self, psi: SparsityBasis) -> tuple[np.ndarray, np.ndarray]:
         """Theta = Phi Psi and its column norms (zero norms as inf).
@@ -101,9 +92,6 @@ class SparsityBasis:
     @property
     def n(self) -> int:
         return self.columns.shape[0]
-
-    def analyze(self, x: np.ndarray) -> np.ndarray:
-        return self.columns.T @ x
 
     def synthesize(self, b: np.ndarray) -> np.ndarray:
         return self.columns @ b
@@ -332,52 +320,3 @@ def classify_prd(value: float) -> QualityClass:
     if value < 9.0:
         return QualityClass.VERY_GOOD_OR_GOOD
     return QualityClass.NOT_GOOD
-
-
-@dataclass(frozen=True)
-class SyntheticSignal:
-    """A generated test signal with its planted basis support."""
-
-    signal: BoundedSignal
-    support: np.ndarray
-    coefficients: np.ndarray
-
-
-def synth_sparse_signal(
-    seed: bytes,
-    n: int,
-    s: int,
-    L1: int,
-    L2: int,
-) -> SyntheticSignal:
-    """Plant s random non-constant atoms and rescale into (L1, L2).
-
-    The affine rescale adds a constant offset, so the returned support
-    includes the constant atom (index 0) in addition to the s planted
-    atoms.  Values keep a 5 % margin inside the window.  Deterministic
-    per seed.
-    """
-    if s >= n:
-        raise RecoveryError("sparsity must be below the signal length")
-    if s < 1:
-        raise RecoveryError("need at least one planted atom")
-    basis = cached_operator(build_basis, n)
-    rng = np.random.default_rng(_seed_int(seed, b"synth"))
-    atoms = rng.choice(np.arange(1, n), size=s, replace=False)
-    weights = rng.normal(0.0, 1.0, size=s) + np.sign(rng.normal(size=s)) * 0.5
-    raw = basis.columns[:, atoms] @ weights
-
-    span = L2 - L1
-    lo = L1 + 0.05 * span
-    hi = L2 - 0.05 * span
-    raw_lo, raw_hi = float(raw.min()), float(raw.max())
-    if raw_hi - raw_lo < 1e-12:
-        raise RecoveryError("degenerate draw; use a different seed")
-    scale = (hi - lo) / (raw_hi - raw_lo)
-    offset = lo - scale * raw_lo
-    values = scale * raw + offset
-
-    signal = BoundedSignal(values=values, L1=L1, L2=L2)
-    coeffs = basis.analyze(values)
-    support = np.sort(np.concatenate(([0], atoms)))
-    return SyntheticSignal(signal=signal, support=support, coefficients=coeffs)

@@ -152,7 +152,7 @@ def sweep_prd(
     qs_grid: Sequence[int] = DEFAULT_QS_GRID,
     seeds: int = 20,
     master_seed: int = 0,
-    matrix_seed: bytes = b"public-sensing-matrix",
+    matrix_seed: bytes = SystemConfig.matrix_seed,
 ) -> SweepReport:
     """Median recovery quality per (record, CR, qs) cell.
 
@@ -211,7 +211,7 @@ def attack_report(
     seeds: int = 3,
     trials: int = 100,
     master_seed: int = 0,
-    matrix_seed: bytes = b"public-sensing-matrix",
+    matrix_seed: bytes = SystemConfig.matrix_seed,
 ) -> SweepReport:
     """Guessing-attack quality next to the legitimate baseline per CR.
 

@@ -174,17 +174,6 @@ class SessionResult:
     def ok(self) -> bool:
         return all(self.phases.values())
 
-    def attacker_learned(self) -> dict[str, object]:
-        """Whatever the attacker walked away with, by attribute name."""
-        if self.attacker is None:
-            return {}
-        learned = {}
-        for name in ("seen", "captured_c2", "rm", "duplicated", "flipped_frame"):
-            value = getattr(self.attacker, name, None)
-            if value:
-                learned[name] = value
-        return learned
-
 
 def run_session(
     scenario: str = "full",

@@ -1,0 +1,70 @@
+"""Test helpers shared by several test modules."""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from imdsec.codec import BoundedSignal
+from imdsec.recovery import RecoveryError, _seed_int, build_basis, cached_operator
+
+
+@dataclass(frozen=True)
+class SyntheticSignal:
+    """A generated test signal with its planted basis support."""
+
+    signal: BoundedSignal
+    support: np.ndarray
+    coefficients: np.ndarray
+
+
+def synth_sparse_signal(
+    seed: bytes,
+    n: int,
+    s: int,
+    L1: int,
+    L2: int,
+) -> SyntheticSignal:
+    """Plant s random non-constant atoms and rescale into (L1, L2).
+
+    The affine rescale adds a constant offset, so the returned support
+    includes the constant atom (index 0) in addition to the s planted
+    atoms.  Values keep a 5 % margin inside the window.  Deterministic
+    per seed.
+    """
+    if s >= n:
+        raise RecoveryError("sparsity must be below the signal length")
+    if s < 1:
+        raise RecoveryError("need at least one planted atom")
+    basis = cached_operator(build_basis, n)
+    rng = np.random.default_rng(_seed_int(seed, b"synth"))
+    atoms = rng.choice(np.arange(1, n), size=s, replace=False)
+    weights = rng.normal(0.0, 1.0, size=s) + np.sign(rng.normal(size=s)) * 0.5
+    raw = basis.columns[:, atoms] @ weights
+
+    span = L2 - L1
+    lo = L1 + 0.05 * span
+    hi = L2 - 0.05 * span
+    raw_lo, raw_hi = float(raw.min()), float(raw.max())
+    if raw_hi - raw_lo < 1e-12:
+        raise RecoveryError("degenerate draw; use a different seed")
+    scale = (hi - lo) / (raw_hi - raw_lo)
+    offset = lo - scale * raw_lo
+    values = scale * raw + offset
+
+    signal = BoundedSignal(values=values, L1=L1, L2=L2)
+    coeffs = basis.columns.T @ values
+    support = np.sort(np.concatenate(([0], atoms)))
+    return SyntheticSignal(signal=signal, support=support, coefficients=coeffs)
+
+
+def party_state(world) -> dict:
+    """The protocol state of a world's parties, for checks that a frame
+    changed nothing."""
+    state = {
+        p.name: (p.expected, p.expected_link, p.outcome, p.session, sorted(p.completed))
+        for p in (world.smartphone, world.imd, world.programmer)
+    }
+    state["applied"] = len(world.imd.applied_commands)
+    state["ledger"] = len(world.smartphone.ledger)
+    state["paired"] = world.smartphone.paired
+    return state

@@ -13,6 +13,7 @@ from imdsec.evidence import evidence_verify
 from imdsec.parties import SystemConfig
 from imdsec.scenarios import build_world, run_session
 from imdsec.wire import FRESHNESS_WINDOW
+from support import party_state, synth_sparse_signal
 
 BOUNDS = (590, 1487)
 FUZZ_CONFIG = SystemConfig(n=64, qs=0)
@@ -61,7 +62,7 @@ def test_c2_unquantized_recovery_very_good():
     psi = recovery.build_basis(n)
     prds = []
     for seed in range(20):
-        planted = recovery.synth_sparse_signal(
+        planted = synth_sparse_signal(
             f"c2/{seed}".encode(), n, s=5 + (seed % 16), L1=BOUNDS[0], L2=BOUNDS[1]
         )
         y = phi.entries @ planted.signal.values
@@ -158,20 +159,12 @@ def test_c6_protocol_suite_fuzz():
             )
             if checkpoint != "fresh":
                 run_session(checkpoint, config=FUZZ_CONFIG, world=fresh)
-            parties = [fresh.smartphone, fresh.imd, fresh.programmer]
-            before = [
-                (p.expected, p.expected_link, p.outcome, p.session, sorted(p.completed))
-                for p in parties
-            ] + [len(fresh.imd.applied_commands), len(fresh.smartphone.ledger)]
+            before = party_state(fresh)
             fresh.scheduler.deliver_raw(
                 entry.link, entry.sender, entry.receiver, entry.payload
             )
             fresh.scheduler.run_until_quiet()
-            after = [
-                (p.expected, p.expected_link, p.outcome, p.session, sorted(p.completed))
-                for p in parties
-            ] + [len(fresh.imd.applied_commands), len(fresh.smartphone.ledger)]
-            assert after == before, f"replay advanced state at {checkpoint}"
+            assert party_state(fresh) == before, f"replay advanced state at {checkpoint}"
             replays += 1
 
     # 10^4 single-bit mutations of MAC-protected frames

@@ -12,6 +12,7 @@ from imdsec.evidence import evidence_verify
 from imdsec.parties import SystemConfig
 from imdsec.scenarios import build_world, run_session
 from imdsec.wire import FRESHNESS_WINDOW, Heading
+from support import party_state
 
 FAST = SystemConfig(n=64, qs=0)
 
@@ -22,27 +23,6 @@ def _advance(world, upto):
         return
     order = {"pair": ["pair"], "auth": ["pair", "auth"], "read": ["pair", "auth", "read"]}
     run_session(order[upto][-1], config=world.config, world=world)
-
-
-def _snapshot(world):
-    parties = {
-        "smartphone": world.smartphone,
-        "imd": world.imd,
-        "programmer": world.programmer,
-    }
-    snap = {}
-    for name, p in parties.items():
-        snap[name] = (
-            p.expected,
-            p.expected_link,
-            p.outcome,
-            getattr(p, "session", None),
-            sorted(p.completed),
-        )
-    snap["applied"] = len(world.imd.applied_commands)
-    snap["ledger"] = len(world.smartphone.ledger)
-    snap["paired"] = world.smartphone.paired
-    return snap
 
 
 class TestDeterminism:
@@ -90,10 +70,9 @@ class TestPassiveAttacker:
         tap = PassiveEavesdropper()
         world = build_world(seed=8, config=FAST, attacker=tap, reconstruct=False)
         result = run_session("read", config=FAST, world=world)
-        learned = result.attacker_learned()
         assert result.attacker is tap
-        assert len(learned["seen"]) == len(result.transcript.wire_entries())
-        assert run_session("pair", seed=8, config=FAST).attacker_learned() == {}
+        assert len(result.attacker.seen) == len(result.transcript.wire_entries())
+        assert run_session("pair", seed=8, config=FAST).attacker is None
 
 
 class TestReplayImmunity:
@@ -113,12 +92,12 @@ class TestReplayImmunity:
                 start_clock=end_clock + FRESHNESS_WINDOW + 10,
             )
             _advance(fresh, checkpoint)
-            before = _snapshot(fresh)
+            before = party_state(fresh)
             fresh.scheduler.deliver_raw(
                 entry.link, entry.sender, entry.receiver, entry.payload
             )
             fresh.scheduler.run_until_quiet()
-            assert _snapshot(fresh) == before, (
+            assert party_state(fresh) == before, (
                 f"replayed frame at t={entry.time} advanced state "
                 f"(checkpoint {checkpoint})"
             )

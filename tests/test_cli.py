@@ -88,6 +88,7 @@ class TestCountArguments:
             ["attack", "--cr", "50", "--seeds", "1", "--trials", "0"],
             ["opcount", "--seeds", "0"],
             ["sweep", "--cr", "50", "--qs", "20", "--seeds", "0"],
+            ["gen-fixtures", "--count", "0"],
         ],
     )
     def test_count_below_one_is_refused(self, argv, capsys):
@@ -193,17 +194,36 @@ class TestSession:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--cr", "100"], "compression rate 100.0 leaves no valid M for N=512"),
-            (["--cr", "nan"], "compression rate nan leaves no valid M for N=512"),
-            (["--n", "0"], "N must be at least 2, got 0"),
-            (["--n", "1"], "N must be at least 2, got 1"),
-            (["--qs", "-5"], "qs must be at least 0, got -5"),
+            (["session", "--cr", "100"], "compression rate 100.0 leaves no valid M for N=512"),
+            (["session", "--cr", "nan"], "compression rate nan leaves no valid M for N=512"),
+            (["session", "--n", "0"], "N must be at least 2, got 0"),
+            (["session", "--n", "1"], "N must be at least 2, got 1"),
+            (["session", "--qs", "-5"], "qs must be at least 0, got -5"),
+            (["sweep", "--cr"], "argument --cr: expected at least one argument"),
+            (["attack", "--cr"], "argument --cr: expected at least one argument"),
+            (["sweep", "--qs"], "argument --qs: expected at least one argument"),
+            (["sweep", "--qs", "-10"], "argument --qs: qs must be at least 0, got -10"),
+            (["attack", "--qs", "-5"], "argument --qs: qs must be at least 0, got -5"),
+            (
+                ["sweep", "--cr", "100"],
+                "argument --cr: compression rate 100.0 leaves no valid M for N=512",
+            ),
         ],
-        ids=["cr-100", "cr-nan", "n-0", "n-1", "qs-negative"],
+        ids=[
+            "cr-100", "cr-nan", "n-0", "n-1", "qs-negative", "sweep-cr-empty", "attack-cr-empty",
+            "sweep-qs-empty", "sweep-qs-negative", "attack-qs-negative", "sweep-cr-100",
+        ],
     )
-    def test_out_of_range_parameters_are_refused(self, argv, message):
-        with pytest.raises(SystemExit, match=f"^{message}$"):
-            main(["session", *argv])
+    def test_out_of_range_parameters_are_refused(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        # session exits with its message; argparse exits 2 and prints the
+        # message last on stderr, after the usage
+        refusal = exit_info.value.code
+        if refusal == 2:
+            refusal = capsys.readouterr().err.splitlines()[-1]
+            message = f"imdsec {argv[0]}: error: {message}"
+        assert refusal == message
 
     def test_config_line_without_equals_is_refused(self, tmp_path):
         config = tmp_path / "scenario.cfg"

@@ -23,13 +23,24 @@ from imdsec.codec import (
     quantize,
     serialize_ciphertext,
     serialize_shift_key,
-    shifting_add,
     sign_vector,
     vec_shifting_add,
 )
 from imdsec.recovery import cr_to_measurements, gen_sensing_matrix
 
 ECG_L1, ECG_L2 = 590, 1487
+
+
+def shifting_add(v: float, w: float, L1: int, L2: int) -> tuple[float, int]:
+    """The paper's scalar shifting addition, the oracle for vec_shifting_add:
+    v + w wrapped into [L1, L2), and carry 1 exactly when v + w fell outside."""
+    if not (L1 < v < L2):
+        raise CodecError(f"value {v} outside open interval ({L1}, {L2})")
+    total = v + w
+    u = (total - L1) % (L2 - L1) + L1
+    if u >= L2:  # float round-off can land exactly on L2
+        u -= L2 - L1
+    return u, 0 if L1 <= total < L2 else 1
 
 
 def entrywise_product(v: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -10,8 +10,6 @@ from imdsec.crypto import (
     DecryptionError,
     SignatureBlob,
     SymmetricKey,
-    generate_keypair,
-    issue_doctor_credentials,
     length_prefixed,
 )
 from imdsec.keymat import authority_private_key, doctor_certificate, doctor_private_key
@@ -172,17 +170,18 @@ class TestSignatures:
 
 
 class TestCertificates:
-    def test_issue_and_verify(self, suite, authority):
-        creds = issue_doctor_credentials(authority, b"DR-ALICE", suite)
-        assert suite.cert_verify(authority.public_key(), creds.certificate)
+    @pytest.fixture
+    def cert(self, suite, authority, doctor_key):
+        return suite.cert_issue(authority, doctor_key.public_key(), b"DR-ALICE")
 
-    def test_unknown_authority_rejects(self, suite, authority):
-        creds = issue_doctor_credentials(authority, b"DR-ALICE", suite)
-        rogue = generate_keypair()
-        assert not suite.cert_verify(rogue.public_key(), creds.certificate)
+    def test_issue_and_verify(self, suite, authority, cert):
+        assert suite.cert_verify(authority.public_key(), cert)
 
-    def test_field_mutation_rejects(self, suite, authority):
-        cert = issue_doctor_credentials(authority, b"DR-ALICE", suite).certificate
+    def test_unknown_authority_rejects(self, suite, doctor_key, cert):
+        # the doctor key stands in for an authority the verifier does not trust
+        assert not suite.cert_verify(doctor_key.public_key(), cert)
+
+    def test_field_mutation_rejects(self, suite, authority, cert):
         pub = authority.public_key()
         variants = [
             Certificate(b"DR-MALLORY", cert.public_key_der, cert.signature),
@@ -204,8 +203,7 @@ class TestCertificates:
         for variant in variants:
             assert not suite.cert_verify(pub, variant)
 
-    def test_cert_serialization_roundtrip(self, suite, authority):
-        cert = issue_doctor_credentials(authority, b"DR-A", suite).certificate
+    def test_cert_serialization_roundtrip(self, cert):
         back = Certificate.from_bytes(cert.to_bytes())
         assert back == cert
 

@@ -5,8 +5,9 @@ import pytest
 
 from imdsec import codec
 from imdsec.channel import Attacker
-from imdsec.crypto import SymmetricKey, generate_keypair
+from imdsec.crypto import CryptoSuite, KeyPairWithCert, SymmetricKey
 from imdsec.evidence import evidence_verify
+from imdsec.keymat import doctor_private_key
 from imdsec.parties import (
     ABORT,
     STEPS,
@@ -224,16 +225,12 @@ def test_state_after_every_step_of_an_honest_full_session():
 class TestFailurePaths:
     def test_unknown_authority_certificate_is_refused(self):
         world = build_world(seed=11, config=FAST)
-        # forge credentials under a different authority
-        from imdsec.crypto import CryptoSuite, KeyPairWithCert
-        from imdsec.keymat import doctor_private_key
-
-        rogue = generate_keypair()
-        suite = CryptoSuite()
+        # forge credentials under a different authority: the doctor
+        # signs its own certificate
         doctor = doctor_private_key()
         world.programmer.credentials = KeyPairWithCert(
             private_key=doctor,
-            certificate=suite.cert_issue(rogue, doctor.public_key(), b"DR-ALICE"),
+            certificate=CryptoSuite().cert_issue(doctor, doctor.public_key(), b"DR-ALICE"),
         )
         result = run_session("auth", config=FAST, world=world)
         # anyone can send an AUTH_REQ, so a bad one is refused without
