@@ -385,9 +385,7 @@ def indistinguishability_test(
     records_needed = -(-samples // config.n)
     values = np.concatenate(
         [
-            ecg.synth_ecg_like(
-                f"ks/{seed}/{i}".encode(), n=config.n, s=10 + (i % 6), L1=L1, L2=L2
-            ).samples
+            ecg.synth_ecg_like(f"ks/{seed}/{i}".encode(), n=config.n, s=10 + (i % 6)).samples
             for i in range(records_needed)
         ]
     )[:samples].astype(np.float64)

@@ -20,6 +20,8 @@ if TYPE_CHECKING:
 
 __all__ = ["TranscriptEntry", "Transcript", "Attacker", "Scheduler"]
 
+MAX_QUIET_STEPS = 10_000  # deliveries before run_until_quiet gives up
+
 
 @dataclass(frozen=True)
 class TranscriptEntry:
@@ -140,11 +142,11 @@ class Scheduler:
             self.submit(receiver.receive(payload, entry.link))
         return True
 
-    def run_until_quiet(self, max_steps: int = 10_000):
+    def run_until_quiet(self):
         steps = 0
         while self.step():
             steps += 1
-            if steps > max_steps:
+            if steps > MAX_QUIET_STEPS:
                 raise RuntimeError("scheduler did not quiesce")
 
     def deliver_raw(self, link: str, sender: str, receiver: str, payload: bytes):

@@ -26,7 +26,6 @@ from .scenarios import SCENARIOS, build_world, run_session
 from .wire import Heading
 
 FIXTURE_DIR_ENV = "IMDSEC_FIXTURE_DIR"
-BENCHMARK_BOUNDS = (SystemConfig.L1, SystemConfig.L2)
 
 
 def count(text: str) -> int:
@@ -39,11 +38,11 @@ def count(text: str) -> int:
 
 def _config_field(field, convert):
     """argparse type of one SystemConfig field, refused as a session at
-    N = ecg.TARGET_SAMPLES refuses it."""
+    the default N refuses it."""
     def parse(text):
         value = convert(text)
         try:
-            SystemConfig(n=ecg.TARGET_SAMPLES, **{field: value})
+            SystemConfig(**{field: value})
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
@@ -64,6 +63,8 @@ def _load_records(paths, bounds=None):
 
 
 def _default_records(args, bounds=None):
+    """The --records files, else the fixture directory, else two synthetic
+    records; bounds apply to files only, synthetic records use ecg.WINDOW."""
     if args.records:
         return _load_records(args.records, bounds=bounds)
     fixture_dir = os.environ.get(FIXTURE_DIR_ENV)
@@ -71,11 +72,7 @@ def _default_records(args, bounds=None):
         paths = sorted(Path(fixture_dir).glob("*.csv"))
         if paths:
             return _load_records(paths, bounds=bounds)
-    L1, L2 = bounds or BENCHMARK_BOUNDS
-    return [
-        ecg.synth_ecg_like(f"cli-default/{i}".encode(), s=8 + i, L1=L1, L2=L2)
-        for i in range(2)
-    ]
+    return [ecg.synth_ecg_like(f"cli-default/{i}".encode(), s=8 + i) for i in range(2)]
 
 
 def _report_checks(name, problems):
@@ -101,7 +98,7 @@ def _cmd_sweep(args) -> int:
         reports.emit_report(report, args.out)
         print(f"wrote {args.out}")
     ok = True
-    if reports.BENCHMARK_CR in args.cr:
+    if SystemConfig.cr in args.cr:
         ok &= _report_checks(
             "qs trend (benchmark CR)", reports.check_qs_trend(report)
         )
@@ -115,7 +112,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    records = _default_records(args, bounds=BENCHMARK_BOUNDS)
+    records = _default_records(args, bounds=ecg.WINDOW)
     report = reports.attack_report(
         records,
         cr_grid=tuple(args.cr),
@@ -297,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_attack)
     p_attack.set_defaults(cr=list(reports.ATTACK_CR_GRID), seeds=3)
     p_attack.add_argument(
-        "--qs", type=qs_value, default=reports.BENCHMARK_QS, help="quantizer step (0 = none)"
+        "--qs", type=qs_value, default=SystemConfig.qs, help="quantizer step (0 = none)"
     )
     p_attack.add_argument("--trials", type=count, default=100)
     p_attack.set_defaults(func=_cmd_attack)

@@ -78,16 +78,11 @@ class BoundedSignal:
 
 @dataclass(frozen=True)
 class ShiftKey:
-    """Per-sample integer shifts, reproducible from a seed.
-
-    Entries are bounded by ceil(value_range / 2) in magnitude.  The seed
-    is kept so the same key can be regenerated; keys parsed off the wire
-    carry seed=None.
-    """
+    """Per-sample integer shifts, bounded by ceil(value_range / 2) in
+    magnitude."""
 
     entries: np.ndarray
     value_range: int
-    seed: Optional[bytes] = None
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=np.int64)
@@ -253,7 +248,7 @@ def cs_gen(seed: bytes, k: int, L1: int, L2: int) -> ShiftKey:
             take % np.uint64(span)
         ).astype(np.int64) - bound
         filled += take.size
-    return ShiftKey(entries=entries, value_range=rng, seed=bytes(seed))
+    return ShiftKey(entries=entries, value_range=rng)
 
 
 def sign_vector(key: ShiftKey) -> np.ndarray:
@@ -419,4 +414,4 @@ def deserialize_shift_key(buf: bytes) -> ShiftKey:
     if len(buf) != end:
         raise CodecError("shift key length mismatch")
     entries = np.frombuffer(buf[_KEY_HEADER.size : end], dtype=">i4").astype(np.int64)
-    return ShiftKey(entries=entries, value_range=rng, seed=None)
+    return ShiftKey(entries=entries, value_range=rng)

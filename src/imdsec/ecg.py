@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .codec import BoundedSignal, shift_bound
-from .recovery import build_basis, cached_operator
+from .recovery import _seed_int, build_basis, cached_operator
 
 __all__ = [
     "EcgRecord",
@@ -31,10 +31,12 @@ __all__ = [
     "generate_fixture_files",
     "TARGET_SAMPLES",
     "SAMPLE_RATE",
+    "WINDOW",
 ]
 
 TARGET_SAMPLES = 512  # 2 seconds at 256 Hz
 SAMPLE_RATE = 256
+WINDOW = (590, 1487)  # the open signal window (L1, L2) of the operating point
 
 
 @dataclass(frozen=True)
@@ -115,22 +117,14 @@ def load_ecg_csv(path, bounds: Optional[tuple[int, int]] = None) -> EcgRecord:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def synth_ecg_like(
-    seed: bytes,
-    n: int = TARGET_SAMPLES,
-    s: int = 12,
-    L1: int = 590,
-    L2: int = 1487,
-) -> EcgRecord:
+def synth_ecg_like(seed: bytes, n: int = TARGET_SAMPLES, s: int = 12) -> EcgRecord:
     """Generate an integer ECG-like record: s dominant low-frequency atoms
     plus a 1/k coefficient tail at 6 % relative energy, scaled to keep a
-    6 % margin inside (L1, L2).  The atoms come from the lowest indices,
+    6 % margin inside WINDOW.  The atoms come from the lowest indices,
     1 up to n // 3 (at least 1 and 2, always below n); s is capped at
     their number."""
     basis = cached_operator(build_basis, n)
-    rng = np.random.default_rng(
-        int.from_bytes(hashlib.sha256(b"ecg/" + bytes(seed)).digest(), "big")
-    )
+    rng = np.random.default_rng(_seed_int(seed, b"ecg"))
     pool = np.arange(1, min(n, max(3, n // 3)))
     s = min(s, pool.size)
     atoms = rng.choice(pool, size=s, replace=False)
@@ -143,6 +137,7 @@ def synth_ecg_like(
     coeffs[1:] += tail
 
     raw = basis.synthesize(coeffs)
+    L1, L2 = WINDOW
     span = L2 - L1
     lo, hi = L1 + 0.06 * span, L2 - 0.06 * span
     scale = (hi - lo) / (raw.max() - raw.min())

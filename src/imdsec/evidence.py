@@ -77,17 +77,16 @@ class EvidenceRecord:
         )
 
 
-def evidence_verify(record: EvidenceRecord, public_key, suite: Optional[CryptoSuite] = None) -> bool:
+def evidence_verify(record: EvidenceRecord, public_key) -> bool:
     """Recompute the signed byte string in canonical order and verify.
 
     Total: returns accept/reject, never raises.
     """
-    suite = suite or CryptoSuite()
     try:
         payload = record.signed_bytes()
     except Exception:
         return False
-    return suite.verify(public_key, payload, record.signature)
+    return CryptoSuite().verify(public_key, payload, record.signature)
 
 
 class EvidenceLedger:

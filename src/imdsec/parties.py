@@ -65,11 +65,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from . import codec, recovery
+from . import codec, ecg, recovery
 from .channel import TranscriptEntry
 from .crypto import (
     Certificate,
@@ -143,14 +143,19 @@ class Rejected(Exception):
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Public parameters shared by all parties."""
+    """The operating point: public parameters shared by all parties.
 
-    n: int = 512
-    L1: int = 590
-    L2: int = 1487
+    n, cr and qs are settings, chosen per instance.  The signal window
+    (L1, L2) and the seed of the sensing matrix are constants of the
+    class; every record, report and session uses the same ones.
+    """
+
+    n: int = ecg.TARGET_SAMPLES
     cr: float = 50.0
     qs: int = 20  # 0 = transmit unquantized measurements
-    matrix_seed: bytes = b"public-sensing-matrix"
+    L1: ClassVar[int] = ecg.WINDOW[0]
+    L2: ClassVar[int] = ecg.WINDOW[1]
+    matrix_seed: ClassVar[bytes] = b"public-sensing-matrix"
 
     def __post_init__(self):
         if self.n < 2:
@@ -599,7 +604,6 @@ class Imd(Party):
 
         self.pair_session: Optional[int] = None
         self.session: Optional[int] = None
-        self.paired_smartphone: Optional[bytes] = None
         self.session_doctor: Optional[bytes] = None
         self.k_i: Optional[SymmetricKey] = None
         self.shift_key: Optional[codec.ShiftKey] = None
@@ -617,7 +621,6 @@ class Imd(Party):
     def _on_pair_req(self, frame) -> None:
         self.k_i = frame.key
         self.pair_session = frame.session
-        self.paired_smartphone = frame.smartphone_id
 
     def _on_read_allow(self, frame) -> None:
         try:

@@ -43,16 +43,12 @@ __all__ = [
     "DEFAULT_CR_GRID",
     "DEFAULT_QS_GRID",
     "ATTACK_CR_GRID",
-    "BENCHMARK_CR",
-    "BENCHMARK_QS",
     "sweep_solver_params",
 ]
 
 DEFAULT_CR_GRID = (50, 60, 70, 80, 85, 90, 95)
 DEFAULT_QS_GRID = (0, 10, 20, 30, 60, 100, 120)
 ATTACK_CR_GRID = (50, 75, 90)
-BENCHMARK_CR = 50
-BENCHMARK_QS = 20
 RAW_SAMPLE_BYTES = 2  # signed 16-bit baseline
 
 # process -> implant-side crypto operation counts for one run (n=1 signal)
@@ -152,7 +148,6 @@ def sweep_prd(
     qs_grid: Sequence[int] = DEFAULT_QS_GRID,
     seeds: int = 20,
     master_seed: int = 0,
-    matrix_seed: bytes = SystemConfig.matrix_seed,
 ) -> SweepReport:
     """Median recovery quality per (record, CR, qs) cell.
 
@@ -167,8 +162,8 @@ def sweep_prd(
     keys = [_keys(signal, master_seed, 0, seeds) for signal in signals]
     rows = []
     for cr in cr_grid:
-        m = recovery.cr_to_measurements(n, cr)
-        phi = recovery.cached_operator(recovery.gen_sensing_matrix, matrix_seed, m, n)
+        config = SystemConfig(n=n, cr=cr)
+        m, phi = config.m, config.sensing_matrix()
         params = sweep_solver_params(m)
         for qs in qs_grid:
             for record, signal, record_keys in zip(records, signals, keys):
@@ -195,7 +190,7 @@ def sweep_prd(
         "cr_grid": " ".join(str(c) for c in cr_grid),
         "qs_grid": " ".join(str(q) for q in qs_grid),
         "records": " ".join(r.source_id for r in records),
-        "matrix_seed": matrix_seed.hex(),
+        "matrix_seed": SystemConfig.matrix_seed.hex(),
         "basis": "cosine",
         "solver": "omp max_atoms=min(25,M//2)",
     }
@@ -207,11 +202,10 @@ def sweep_prd(
 def attack_report(
     records: Sequence[ecg.EcgRecord],
     cr_grid: Sequence[float] = ATTACK_CR_GRID,
-    qs: int = BENCHMARK_QS,
+    qs: int = SystemConfig.qs,
     seeds: int = 3,
     trials: int = 100,
     master_seed: int = 0,
-    matrix_seed: bytes = SystemConfig.matrix_seed,
 ) -> SweepReport:
     """Guessing-attack quality next to the legitimate baseline per CR.
 
@@ -228,8 +222,8 @@ def attack_report(
     keys = [_keys(s, master_seed, 1000 + ri * seeds, seeds) for ri, s in enumerate(signals)]
     rows = []
     for cr in cr_grid:
-        m = recovery.cr_to_measurements(n, cr)
-        phi = recovery.cached_operator(recovery.gen_sensing_matrix, matrix_seed, m, n)
+        config = SystemConfig(n=n, cr=cr)
+        m, phi = config.m, config.sensing_matrix()
         params = sweep_solver_params(m)
         legit_prds = []
         curves = []
@@ -275,7 +269,7 @@ def attack_report(
         "master_seed": str(master_seed),
         "cr_grid": " ".join(str(c) for c in cr_grid),
         "records": " ".join(r.source_id for r in records),
-        "matrix_seed": matrix_seed.hex(),
+        "matrix_seed": SystemConfig.matrix_seed.hex(),
         "shift_grid": " ".join(str(s) for s in grid),
         "basis": "cosine",
     }
@@ -329,11 +323,12 @@ def _falls(report: SweepReport, cells) -> list[tuple]:
     ]
 
 
-def check_qs_trend(report: SweepReport, cr: float = BENCHMARK_CR) -> list[str]:
-    """Medians must not decrease along the positive qs grid at this CR."""
+def check_qs_trend(report: SweepReport) -> list[str]:
+    """Medians must not decrease along the positive qs grid at SystemConfig.cr."""
+    cr = SystemConfig.cr
     qs_values = sorted({r.qs for r in report.rows if r.qs > 0})
     return [
-        f"qs trend violated at CR={cr}: PRD({qs})={value:.4f} < "
+        f"qs trend violated at CR={cr:g}: PRD({qs})={value:.4f} < "
         f"PRD(previous)={previous:.4f}"
         for (_, qs), value, previous in _falls(report, [(cr, qs) for qs in qs_values])
     ]

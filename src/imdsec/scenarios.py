@@ -99,9 +99,7 @@ def build_world(
             hashlib.sha256(f"master/{seed}".encode()).digest()[:16]
         )
     records = [
-        ecg.synth_ecg_like(
-            f"world/{seed}/{i}".encode(), n=config.n, L1=config.L1, L2=config.L2
-        )
+        ecg.synth_ecg_like(f"world/{seed}/{i}".encode(), n=config.n)
         for i in range(n_signals)
     ]
 

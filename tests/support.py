@@ -6,6 +6,10 @@ import numpy as np
 
 from imdsec.codec import BoundedSignal
 from imdsec.recovery import RecoveryError, _seed_int, build_basis, cached_operator
+from imdsec.scenarios import build_world, run_session
+from imdsec.wire import FRESHNESS_WINDOW
+
+CHECKPOINTS = ("fresh", "pair", "auth", "read")
 
 
 @dataclass(frozen=True)
@@ -68,3 +72,31 @@ def party_state(world) -> dict:
     state["ledger"] = len(world.smartphone.ledger)
     state["paired"] = world.smartphone.paired
     return state
+
+
+def replay_recorded(recorded, seed, checkpoints=CHECKPOINTS):
+    """Replay every wire frame of a recorded session into fresh worlds of
+    the same implant, one world per frame, each honestly advanced to a
+    checkpoint first, with the recording's timestamps long stale.
+
+    Yields (checkpoint, entry, world, party_state before the frame) once
+    the world has run quiet after the frame."""
+    config = recorded.world.config
+    start_clock = recorded.world.scheduler.clock + FRESHNESS_WINDOW + 10
+    for checkpoint in checkpoints:
+        for entry in recorded.transcript.wire_entries():
+            fresh = build_world(
+                seed=seed,
+                config=config,
+                reconstruct=False,
+                master_key=recorded.world.master_key,
+                start_clock=start_clock,
+            )
+            if checkpoint != "fresh":
+                run_session(checkpoint, config=config, world=fresh)
+            before = party_state(fresh)
+            fresh.scheduler.deliver_raw(
+                entry.link, entry.sender, entry.receiver, entry.payload
+            )
+            fresh.scheduler.run_until_quiet()
+            yield checkpoint, entry, fresh, before

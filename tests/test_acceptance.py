@@ -12,10 +12,9 @@ from imdsec.attacks import BitFlipAttacker, indistinguishability_test
 from imdsec.evidence import evidence_verify
 from imdsec.parties import SystemConfig
 from imdsec.scenarios import build_world, run_session
-from imdsec.wire import FRESHNESS_WINDOW
-from support import party_state, synth_sparse_signal
+from support import party_state, replay_recorded, synth_sparse_signal
 
-BOUNDS = (590, 1487)
+BOUNDS = ecg.WINDOW
 FUZZ_CONFIG = SystemConfig(n=64, qs=0)
 
 
@@ -78,7 +77,7 @@ def test_c2_unquantized_recovery_very_good():
 def test_c3_quantized_recovery_and_trends(sweep_report):
     benchmark = sweep_report.cell_median(50, 20)
     assert benchmark < 9.0
-    qs_problems = reports.check_qs_trend(sweep_report, cr=50)
+    qs_problems = reports.check_qs_trend(sweep_report)
     cr_problems = reports.check_cr_trend(sweep_report)
     assert qs_problems == [], qs_problems
     assert cr_problems == [], cr_problems
@@ -145,27 +144,10 @@ def test_c6_protocol_suite_fuzz():
     # checkpoint is rejected without a state change
     recorded = run_session("full", seed=101, config=FUZZ_CONFIG, reconstruct=False)
     assert recorded.ok
-    end_clock = recorded.world.scheduler.clock
-    checkpoints = ("fresh", "pair", "auth", "read")
     replays = 0
-    for checkpoint in checkpoints:
-        for entry in recorded.transcript.wire_entries():
-            fresh = build_world(
-                seed=102,
-                config=FUZZ_CONFIG,
-                reconstruct=False,
-                master_key=recorded.world.master_key,
-                start_clock=end_clock + FRESHNESS_WINDOW + 10,
-            )
-            if checkpoint != "fresh":
-                run_session(checkpoint, config=FUZZ_CONFIG, world=fresh)
-            before = party_state(fresh)
-            fresh.scheduler.deliver_raw(
-                entry.link, entry.sender, entry.receiver, entry.payload
-            )
-            fresh.scheduler.run_until_quiet()
-            assert party_state(fresh) == before, f"replay advanced state at {checkpoint}"
-            replays += 1
+    for checkpoint, _, fresh, before in replay_recorded(recorded, seed=102):
+        assert party_state(fresh) == before, f"replay advanced state at {checkpoint}"
+        replays += 1
 
     # 10^4 single-bit mutations of MAC-protected frames
     rng = random.Random(20260809)

@@ -11,18 +11,10 @@ from imdsec.attacks import (
 from imdsec.evidence import evidence_verify
 from imdsec.parties import SystemConfig
 from imdsec.scenarios import build_world, run_session
-from imdsec.wire import FRESHNESS_WINDOW, Heading
-from support import party_state
+from imdsec.wire import Heading
+from support import CHECKPOINTS, party_state, replay_recorded
 
 FAST = SystemConfig(n=64, qs=0)
-
-
-def _advance(world, upto):
-    """Honestly advance a world to a quiescent checkpoint."""
-    if upto == "fresh":
-        return
-    order = {"pair": ["pair"], "auth": ["pair", "auth"], "read": ["pair", "auth", "read"]}
-    run_session(order[upto][-1], config=world.config, world=world)
 
 
 class TestDeterminism:
@@ -76,27 +68,11 @@ class TestPassiveAttacker:
 
 
 class TestReplayImmunity:
-    @pytest.mark.parametrize("checkpoint", ["fresh", "pair", "auth", "read"])
+    @pytest.mark.parametrize("checkpoint", CHECKPOINTS)
     def test_recorded_messages_never_advance_fresh_sessions(self, checkpoint):
         original = run_session("full", seed=9, config=FAST, reconstruct=False)
         assert original.ok
-        recorded = original.transcript.wire_entries()
-        end_clock = original.world.scheduler.clock
-
-        for entry in recorded:
-            fresh = build_world(
-                seed=10,
-                config=FAST,
-                reconstruct=False,
-                master_key=original.world.master_key,
-                start_clock=end_clock + FRESHNESS_WINDOW + 10,
-            )
-            _advance(fresh, checkpoint)
-            before = party_state(fresh)
-            fresh.scheduler.deliver_raw(
-                entry.link, entry.sender, entry.receiver, entry.payload
-            )
-            fresh.scheduler.run_until_quiet()
+        for _, entry, fresh, before in replay_recorded(original, 10, (checkpoint,)):
             assert party_state(fresh) == before, (
                 f"replayed frame at t={entry.time} advanced state "
                 f"(checkpoint {checkpoint})"

@@ -17,7 +17,7 @@ import hashlib
 from imdsec.attacks import BitFlipAttacker
 from imdsec.parties import SystemConfig
 from imdsec.scenarios import build_world, run_session
-from imdsec.wire import FRESHNESS_WINDOW
+from support import replay_recorded
 
 SMALL = SystemConfig(n=64, qs=0)
 FLIP_BITS = (0, 7, 77, 130, 513, 1024, 2047, 4099)
@@ -56,23 +56,8 @@ def golden_digest() -> str:
             h.update(repr(attacker.flipped_frame).encode())
 
     recorded = run_session("full", seed=101, config=SMALL, reconstruct=False)
-    end_clock = recorded.world.scheduler.clock
-    for checkpoint in ("fresh", "pair", "auth", "read"):
-        for entry in recorded.transcript.wire_entries():
-            fresh = build_world(
-                seed=102,
-                config=SMALL,
-                reconstruct=False,
-                master_key=recorded.world.master_key,
-                start_clock=end_clock + FRESHNESS_WINDOW + 10,
-            )
-            if checkpoint != "fresh":
-                run_session(checkpoint, config=SMALL, world=fresh)
-            fresh.scheduler.deliver_raw(
-                entry.link, entry.sender, entry.receiver, entry.payload
-            )
-            fresh.scheduler.run_until_quiet()
-            _absorb(h, fresh, fresh.scheduler.transcript)
+    for _, _, fresh, _ in replay_recorded(recorded, seed=102):
+        _absorb(h, fresh, fresh.scheduler.transcript)
     return h.hexdigest()
 
 

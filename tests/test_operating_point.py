@@ -1,0 +1,43 @@
+"""The operating point is defined once: SystemConfig holds N, CR and qs as
+settings, and the window and the sensing-matrix seed are constants."""
+
+import ast
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from imdsec import ecg
+from imdsec.parties import SystemConfig
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "imdsec"
+
+
+def _literals(value):
+    """(file, line) of each literal in the package equal to value, of its type."""
+    return [
+        (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant)
+        and type(node.value) is type(value)
+        and node.value == value
+    ]
+
+
+@pytest.mark.parametrize("value", [512, 590, 1487, b"public-sensing-matrix"])
+def test_each_value_of_the_operating_point_is_written_once(value):
+    assert len(_literals(value)) == 1, _literals(value)
+
+
+def test_settings_and_constants():
+    assert [f.name for f in dataclasses.fields(SystemConfig)] == ["n", "cr", "qs"]
+    assert SystemConfig().n == ecg.TARGET_SAMPLES
+    assert (SystemConfig.L1, SystemConfig.L2) == ecg.WINDOW
+    config = SystemConfig(n=64, cr=75.0, qs=0)
+    assert (config.L1, config.L2, config.matrix_seed) == (
+        590, 1487, b"public-sensing-matrix"
+    )
+    assert config.sensing_matrix().seed == config.matrix_seed
+    with pytest.raises(TypeError):
+        SystemConfig(L1=0)

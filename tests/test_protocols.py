@@ -10,6 +10,7 @@ from imdsec.evidence import evidence_verify
 from imdsec.keymat import doctor_private_key
 from imdsec.parties import (
     ABORT,
+    LINK_DI,
     STEPS,
     Imd,
     Programmer,
@@ -384,6 +385,63 @@ class TestInjectedFramesDoNotWedge:
         assert reason in party.incidents
         assert len(world.imd.applied_commands) == 1
         assert len(world.smartphone.ledger) == 1
+
+
+class _DropCommand(Attacker):
+    """Drops the programmer's command WRITE_REQ and keeps its public
+    session number."""
+
+    session = None
+
+    def intercept(self, entry):
+        msg = decode_message(entry.payload)
+        if entry.sender == "programmer" and msg.heading == Heading.WRITE_REQ:
+            self.session = msg.session
+            return []
+        return None
+
+
+class TestOpenBugs:
+    """The intended behaviour for two bugs that CHANGES.md names in FOUND
+    lines; ROADMAP item 2 mends both."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="CHANGES.md FOUND line on the WRITE_SUCC row without a MAC; "
+        "ROADMAP item 2",
+    )
+    def test_forged_write_succ_does_not_complete_the_write(self):
+        attacker = _DropCommand()
+        world = build_world(seed=5, config=FAST, attacker=attacker)
+        result = run_session("full", config=FAST, world=world)
+        assert not result.phases["write"]
+        forged = encode_message(WireMessage(Heading.WRITE_SUCC, attacker.session, ()))
+        world.scheduler.deliver_raw(LINK_DI, "imd", "programmer", forged)
+        world.scheduler.run_until_quiet()
+        assert world.imd.applied_commands == []
+        assert len(world.smartphone.ledger) == 0
+        assert not world.programmer.write_complete
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="CHANGES.md FOUND line on Party._advance and session reuse; "
+        "ROADMAP item 2",
+    )
+    def test_second_session_on_one_pairing_is_answered(self):
+        world = run_session("full", seed=3, config=FAST).world
+        smartphone, sched = world.smartphone, world.scheduler
+        drops, sent = smartphone.drops, len(sched.transcript.entries)
+        sched.initiate("programmer", world.programmer.start_auth)
+        sched.run_until_quiet()
+        assert smartphone.drops == drops
+        replies = [
+            decode_message(e.payload)
+            for e in sched.transcript.entries[sent:]
+            if e.sender == "smartphone"
+        ]
+        assert [(m.heading, m.session) for m in replies] == [
+            (Heading.AUTH_REQ, world.programmer.session)
+        ]
 
 
 class TestSingleThreadDiscipline:

@@ -4,6 +4,7 @@ import weakref
 import pytest
 
 from imdsec import ecg, recovery
+from imdsec.parties import SystemConfig
 from imdsec.reports import (
     EXPECTED_IMD_OPCOUNTS,
     SweepReport,
@@ -45,7 +46,7 @@ class TestSweep:
         assert small_sweep.cell_median(50, 0) < 2.0
 
     def test_trend_checks_pass(self, small_sweep):
-        assert check_qs_trend(small_sweep, cr=50) == []
+        assert check_qs_trend(small_sweep) == []
         assert check_cr_trend(small_sweep) == []
 
     def test_trend_checks_name_each_fall(self):
@@ -73,7 +74,7 @@ class TestSweep:
         md = small_sweep.metadata
         assert md["seeds"] == "6"
         assert md["cr_grid"] == "50 70 90"
-        assert "matrix_seed" in md
+        assert md["matrix_seed"] == SystemConfig.matrix_seed.hex()
 
     def test_claims_evaluation(self, small_sweep):
         verdicts = evaluate_claims(small_sweep)
@@ -169,7 +170,6 @@ class TestEmission:
             qs_grid=tuple(int(q) for q in md["qs_grid"].split()),
             seeds=int(md["seeds"]),
             master_seed=int(md["master_seed"]),
-            matrix_seed=bytes.fromhex(md["matrix_seed"]),
         )
         path_b = tmp_path / "b.csv"
         emit_report(regenerated, path_b)
