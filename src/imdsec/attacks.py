@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import ecg
-from .channel import Attacker, TranscriptEntry
+from .channel import Attacker, Transcript, TranscriptEntry
 from .codec import (
     CsCiphertext,
     ShiftKey,
@@ -36,7 +36,7 @@ from .parties import STEPS, Step, SystemConfig, derive_k_p, step_of, unpack_sign
 from .recovery import RecoveryParams, SensingMatrix, SparsityBasis, prd
 from .recovery import omp_reconstruct, omp_reconstruct_batch
 from .scenarios import build_world, run_session
-from .wire import Heading, WireError, decode_message, ts_bytes
+from .wire import Heading, WireError, decode_message, u64_bytes
 
 __all__ = [
     "default_shift_grid",
@@ -47,7 +47,6 @@ __all__ = [
     "MitmResult",
     "mitm_read_attack",
     "MitmReadAttacker",
-    "PassiveEavesdropper",
     "DuplicateFrameAttacker",
     "BitFlipAttacker",
     "MAC_PROTECTED_FRAMES",
@@ -80,14 +79,13 @@ def _read(step: Step, entry: TranscriptEntry) -> Optional[SimpleNamespace]:
     return step.read(msg)
 
 
-class PassiveEavesdropper(Attacker):
-    """Records every frame; never touches delivery."""
-
-    def __init__(self):
-        self.seen: list[TranscriptEntry] = []
-
-    def observe(self, entry: TranscriptEntry):
-        self.seen.append(entry)
+def _first(step: Step, transcript: Transcript) -> Optional[SimpleNamespace]:
+    """The first wire frame of the transcript on step's row, read by name."""
+    for entry in transcript.wire_entries():
+        frame = _read(step, entry)
+        if frame is not None:
+            return frame
+    return None
 
 
 class DuplicateFrameAttacker(Attacker):
@@ -212,21 +210,17 @@ def random_guess_attack(
 class MitmReadAttacker(Attacker):
     """Fake programmer wedged into the read flow.
 
-    Blocks the telemetry response so the real programmer stalls, while
-    keeping a copy of every frame it saw.  With the out-of-band channel
-    exposed (and the doctor's USB credentials stolen, the worst case the
-    dual-factor design considers), it can rebuild the session keys.
+    Blocks the telemetry response so the real programmer stalls.  With
+    the out-of-band channel exposed (and the doctor's USB credentials
+    stolen, the worst case the dual-factor design considers), it can
+    rebuild the session keys from the wire frames of the transcript.
     """
 
     def __init__(self, degraded_oob: bool = False, stolen_private_key=None):
         self.degraded_oob = degraded_oob
         self.stolen_private_key = stolen_private_key
-        self.seen: list[TranscriptEntry] = []
         self.rm: Optional[bytes] = None
         self.captured_c2: Optional[bytes] = None
-
-    def observe(self, entry: TranscriptEntry):
-        self.seen.append(entry)
 
     def observe_oob(self, entry: TranscriptEntry):
         self.rm = entry.payload
@@ -241,20 +235,12 @@ class MitmReadAttacker(Attacker):
 
     # -- offline analysis ------------------------------------------------
 
-    def _find(self, step: Step) -> Optional[SimpleNamespace]:
-        """The first frame seen on step's row, read by name."""
-        for entry in self.seen:
-            frame = _read(step, entry)
-            if frame is not None:
-                return frame
-        return None
-
-    def derive_shift_key(self) -> Optional[ShiftKey]:
+    def derive_shift_key(self, transcript: Transcript) -> Optional[ShiftKey]:
         """Only possible with both factors: stolen SK (nonce) and RM."""
         if self.stolen_private_key is None or self.rm is None:
             return None
-        challenge = self._find(step_of("smartphone", Heading.AUTH_REQ))
-        key_delivery = self._find(step_of("smartphone", Heading.READ_READY))
+        challenge = _first(step_of("smartphone", Heading.AUTH_REQ), transcript)
+        key_delivery = _first(step_of("smartphone", Heading.READ_READY), transcript)
         if challenge is None or key_delivery is None:
             return None
         suite = CryptoSuite()
@@ -306,7 +292,7 @@ def mitm_read_attack(
     psi = config.basis()
     attacked_truth = attacked.world.imd.data_source.records[0].samples.astype(float)
 
-    derived = attacker.derive_shift_key()
+    derived = attacker.derive_shift_key(attacked.transcript)
     if derived is not None:
         y = cs_deshift(derived, cipher, phi, config.L1, config.L2)
         _, x_hat = omp_reconstruct(y, phi, psi)
@@ -321,19 +307,14 @@ def mitm_read_attack(
     )
 
 
-def forge_read_auth_attempts(
-    attempts: int = 1000,
-    seed: int = 0,
-    config: Optional[SystemConfig] = None,
-) -> int:
+def forge_read_auth_attempts(attempts: int = 1000, seed: int = 0) -> int:
     """Brute-force RM guesses against the read-auth MAC.
 
     Models the worst-case adversary who already holds the decrypted
     nonce (stolen credentials) but not RM.  Returns how many forgeries
     the smartphone rejected; any acceptance stops the probe early.
     """
-    config = config or SystemConfig(n=64)
-    result = run_session("auth", seed=seed, config=config)
+    result = run_session("auth", seed=seed, config=SystemConfig(n=64))
     if not result.ok:
         raise RuntimeError("auth setup failed")
     world = result.world
@@ -350,7 +331,7 @@ def forge_read_auth_attempts(
         if rm_guess == smartphone.rm:
             continue  # astronomically unlikely; keep the count honest
         k_guess = derive_k_p(suite, rm_guess, sn, nonce)
-        frame = step.encode(sn, {"ts4": ts_bytes(smartphone.clock)}, suite, k_guess)
+        frame = step.encode(sn, {"ts4": u64_bytes(smartphone.clock)}, suite, k_guess)
         outputs = smartphone.receive(frame, step.link)
         if outputs or smartphone.expected != Heading.READ_AUTH_REQ:
             break

@@ -1,12 +1,14 @@
-"""Deterministic message scheduler with attacker taps.
+"""Deterministic message scheduler with one attacker hook.
 
 All traffic flows through one FIFO queue of TranscriptEntry records: a
 party's send builds the record, and delivering it advances the
 simulated clock by one second, stamps the record with that time and
-appends it to the transcript.  An attacker hook may observe every wire
-message and replace, drop, or inject frames on any link.  The
-out-of-band channel (the RM text to the doctor's phone) is invisible to
-the attacker unless the degraded flag is set.
+appends it to the transcript.  The transcript is the one record of what
+crossed the channel; an eavesdropper's view is its wire entries.  An
+attacker's intercept hook sees each wire frame as it is delivered and
+may replace, drop, or inject frames on any link.  The out-of-band
+channel (the RM text to the doctor's phone) is invisible to the
+attacker unless the degraded flag is set.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class Transcript:
 
 
 class Attacker:
-    """Base attacker: sees every wire frame, passes everything through.
+    """Base attacker: a passive tap that passes everything through.
 
     intercept() returns None to deliver the original frame, or a list of
     frames to deliver instead (empty list = drop).  observe_oob() fires
@@ -72,9 +74,6 @@ class Attacker:
     """
 
     degraded_oob = False
-
-    def observe(self, entry: TranscriptEntry):
-        pass
 
     def intercept(self, entry: TranscriptEntry) -> Optional[list[bytes]]:
         return None
@@ -106,9 +105,9 @@ class Scheduler:
         """Queue the frames a party sent."""
         self._queue.extend(frames)
 
-    def initiate(self, party_name: str, action) -> None:
+    def initiate(self, role: str, action) -> None:
         """Run an initiator callback (e.g. start_pair) at the current clock."""
-        party = self.parties[party_name]
+        party = self.parties[role]
         party.clock = self.clock
         self.submit(action())
 
@@ -130,7 +129,6 @@ class Scheduler:
 
         payloads: list[bytes] = [entry.payload]
         if self.attacker is not None:
-            self.attacker.observe(entry)
             replacement = self.attacker.intercept(entry)
             if replacement is not None:
                 payloads = replacement

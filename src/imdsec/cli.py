@@ -15,12 +15,8 @@ import sys
 from pathlib import Path
 
 from . import ecg, reports
-from .attacks import (
-    DuplicateFrameAttacker,
-    PassiveEavesdropper,
-    indistinguishability_test,
-    mitm_read_attack,
-)
+from .attacks import DuplicateFrameAttacker, indistinguishability_test, mitm_read_attack
+from .channel import Attacker
 from .parties import SystemConfig
 from .scenarios import SCENARIOS, build_world, run_session
 from .wire import Heading
@@ -235,7 +231,7 @@ def _cmd_session(args) -> int:
 
     attacker = None
     if args.attacker == "passive":
-        attacker = PassiveEavesdropper()
+        attacker = Attacker()  # a plain tap: what it sees is the transcript
     elif args.attacker == "replay":
         attacker = DuplicateFrameAttacker("programmer", Heading.WRITE_REQ)
 

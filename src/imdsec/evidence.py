@@ -10,7 +10,6 @@ all of it.  The ledger file is append-only.
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,6 +20,7 @@ from .crypto import (
     length_prefixed,
     split_length_prefixed,
 )
+from .wire import WireError, ts_from_bytes, u64_bytes
 
 __all__ = ["EvidenceRecord", "EvidenceLedger", "evidence_verify"]
 
@@ -46,7 +46,7 @@ class EvidenceRecord:
             self.ciphertext,
             self.shift_key,
             self.command,
-            struct.pack(">Q", self.timestamp),
+            u64_bytes(self.timestamp),
         )
 
     def to_bytes(self) -> bytes:
@@ -57,7 +57,7 @@ class EvidenceRecord:
             self.shift_key,
             self.ciphertext,
             self.command,
-            struct.pack(">Q", self.timestamp),
+            u64_bytes(self.timestamp),
             self.signature.algorithm.encode(),
             self.signature.data,
         )
@@ -72,7 +72,7 @@ class EvidenceRecord:
             shift_key=parts[3],
             ciphertext=parts[4],
             command=parts[5],
-            timestamp=struct.unpack(">Q", parts[6])[0],
+            timestamp=ts_from_bytes(parts[6]),
             signature=SignatureBlob(parts[7].decode(), parts[8]),
         )
 
@@ -112,7 +112,7 @@ class EvidenceLedger:
             raise ValueError("truncated ledger file") from None
         try:
             return [EvidenceRecord.from_bytes(blob) for blob in blobs]
-        except (CryptoError, struct.error, UnicodeDecodeError):
+        except (CryptoError, WireError, UnicodeDecodeError):
             raise ValueError("corrupt ledger record") from None
 
     def append(self, record: EvidenceRecord):

@@ -55,6 +55,10 @@ rejected frame meets one of three failure policies:
 - abort: the flow ends with ``outcome == "aborted"`` and an
   ``abort_reason``, and the party waits for nothing.
 
+A party's name is its role, "smartphone", "imd" or "programmer": the
+sender or receiver of its STEPS rows, its key in the scheduler's
+registry and FLOW_ROLES, and the sender of its transcript entries.
+
 Links: "s-i" smartphone<->implant, "s-d" smartphone<->programmer,
 "d-i" programmer<->implant, plus the out-of-band channel to the
 doctor's phone, which carries only the random message RM.
@@ -91,7 +95,6 @@ from .wire import (
     decode_message,
     encode_message,
     freshness_check,
-    ts_bytes,
     ts_from_bytes,
     u64_bytes,
 )
@@ -330,10 +333,9 @@ def unpack_signals(buf: bytes) -> list[bytes]:
 class Party:
     """Common machinery: the step verifier, the frame sender and clocks."""
 
-    role: str  # the sender/receiver name of this party's STEPS rows
+    role: str  # this party's name: the sender/receiver of its STEPS rows
 
-    def __init__(self, name: str, seed: int, config: SystemConfig):
-        self.name = name
+    def __init__(self, seed: int, config: SystemConfig):
         self.config = config
         self.rng = random.Random(seed)
         self.crypto = CryptoSuite(rng=random.Random(seed ^ 0x5EED))
@@ -437,7 +439,7 @@ class Party:
         row = _ROW[self.role, heading]
         step = STEPS[row]
         if step.ts is not None:
-            fields.setdefault(step.ts, ts_bytes(self.clock))
+            fields.setdefault(step.ts, u64_bytes(self.clock))
         key = None if step.key is None else getattr(self, step.key)
         payload = step.encode(session, fields, self.crypto, key)
         self._advance(row)
@@ -445,9 +447,10 @@ class Party:
 
 
 class DoctorPhone:
-    """Holds the doctor's out-of-band address; stores the RM it receives."""
+    """Holds the doctor's out-of-band address, its name, and stores the
+    RM it receives; it has no STEPS row and so no role."""
 
-    def __init__(self, name: str = "doctor-phone"):
+    def __init__(self, name: str):
         self.name = name
         self.rm: Optional[bytes] = None
 
@@ -460,7 +463,6 @@ class Smartphone(Party):
 
     def __init__(
         self,
-        name: str,
         seed: int,
         config: SystemConfig,
         smartphone_id: bytes,
@@ -469,7 +471,7 @@ class Smartphone(Party):
         doctor_oob_directory: dict[bytes, str],
         ledger: Optional[EvidenceLedger] = None,
     ):
-        super().__init__(name, seed, config)
+        super().__init__(seed, config)
         self.smartphone_id = smartphone_id
         self.implant_id = implant_id
         self.ca_public_key = ca_public_key
@@ -590,14 +592,13 @@ class Imd(Party):
 
     def __init__(
         self,
-        name: str,
         seed: int,
         config: SystemConfig,
         implant_id: bytes,
         master_key: SymmetricKey,
         data_source: Callable[[], list[codec.BoundedSignal]],
     ):
-        super().__init__(name, seed, config)
+        super().__init__(seed, config)
         self.implant_id = implant_id
         self._master_key = master_key
         self.data_source = data_source
@@ -657,7 +658,7 @@ class Imd(Party):
         self.pending_cmd = cmd
         report = self.crypto.sym_enc(
             self.k_i,
-            length_prefixed(cmd, self.implant_id, ts_bytes(self.clock)),
+            length_prefixed(cmd, self.implant_id, u64_bytes(self.clock)),
         )
         return dict(c2=self.c2_bytes, report=report)
 
@@ -671,14 +672,13 @@ class Programmer(Party):
 
     def __init__(
         self,
-        name: str,
         seed: int,
         config: SystemConfig,
         credentials: KeyPairWithCert,
         target_implant_id: bytes,
         reconstruct: bool = True,
     ):
-        super().__init__(name, seed, config)
+        super().__init__(seed, config)
         self.credentials = credentials
         self.doctor_id = credentials.certificate.subject_id
         self.target_implant_id = target_implant_id

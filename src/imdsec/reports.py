@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -279,12 +279,14 @@ def attack_report(
     return SweepReport(kind="attack", header=header, rows=rows, metadata=metadata)
 
 
-def opcount_report(seeds: Sequence[int] = (0,), config: Optional[SystemConfig] = None):
-    """Implant-side crypto-operation counts per protocol phase."""
-    config = config or SystemConfig(n=64, qs=0)
+def opcount_report(seeds: Sequence[int] = (0,)):
+    """Implant-side crypto-operation counts per protocol phase, at N = 64
+    unquantized: the counts do not depend on the operating point."""
     runs = {}
     for seed in seeds:
-        result = run_session("full", seed=seed, config=config, reconstruct=False)
+        result = run_session(
+            "full", seed=seed, config=SystemConfig(n=64, qs=0), reconstruct=False
+        )
         if not result.ok:
             raise RuntimeError(f"scenario run failed for seed {seed}")
         runs[seed] = {

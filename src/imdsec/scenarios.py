@@ -1,12 +1,14 @@
 """End-to-end session scenarios over the simulated channel.
 
 A world holds the four parties wired to one scheduler, with the pinned
-demo credentials and a synthetic telemetry source.  run_session drives
-the requested flows (pair -> auth -> read -> write) phase by phase,
-each passing once every role named in the flow's rows completed it,
+demo credentials and a synthetic telemetry source; the scheduler holds
+the attacker, if any, and the transcript.  run_session drives the
+requested flows (pair -> auth -> read -> write) phase by phase, each
+passing once every role named in the flow's rows completed it,
 snapshotting the implant's crypto-operation counters per phase, and
-returns the transcript plus per-party outcomes.  Everything is
-deterministic in the session seed.
+returns the transcript plus per-party outcomes.  It runs a given world,
+or else builds the default one of its seed, config and reconstruct flag.
+Everything is deterministic in the session seed.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ class World:
     doctor_phone: DoctorPhone
     scheduler: Scheduler
     master_key: SymmetricKey
-    seed: int
 
     def secret_values(self) -> dict[str, bytes]:
         """Material that must never appear on the wire in the clear."""
@@ -109,7 +110,6 @@ def build_world(
     )
 
     smartphone = Smartphone(
-        name="smartphone",
         seed=_party_seed(seed, "smartphone"),
         config=config,
         smartphone_id=SMARTPHONE_ID,
@@ -119,7 +119,6 @@ def build_world(
         ledger=EvidenceLedger(),
     )
     imd = Imd(
-        name="imd",
         seed=_party_seed(seed, "imd"),
         config=config,
         implant_id=IMPLANT_ID,
@@ -127,7 +126,6 @@ def build_world(
         data_source=_TelemetrySource(records),
     )
     programmer = Programmer(
-        name="programmer",
         seed=_party_seed(seed, "programmer"),
         config=config,
         credentials=credentials,
@@ -137,11 +135,7 @@ def build_world(
     doctor_phone = DoctorPhone(DOCTOR_PHONE)
 
     scheduler = Scheduler(
-        parties={
-            "smartphone": smartphone,
-            "imd": imd,
-            "programmer": programmer,
-        },
+        parties={party.role: party for party in (smartphone, imd, programmer)},
         oob_parties={DOCTOR_PHONE: doctor_phone},
         attacker=attacker,
         start_clock=start_clock,
@@ -154,19 +148,16 @@ def build_world(
         doctor_phone=doctor_phone,
         scheduler=scheduler,
         master_key=master_key,
-        seed=seed,
     )
 
 
 @dataclass
 class SessionResult:
-    scenario: str
     transcript: Transcript
     outcomes: dict[str, str]
     phases: dict[str, bool]
     imd_op_counts: dict[str, dict[str, int]]
     world: World
-    attacker: Optional[Attacker] = None
 
     @property
     def ok(self) -> bool:
@@ -177,19 +168,16 @@ def run_session(
     scenario: str = "full",
     seed: int = 0,
     config: Optional[SystemConfig] = None,
-    attacker: Optional[Attacker] = None,
     command: bytes = DEFAULT_COMMAND,
     reconstruct: bool = True,
-    n_signals: int = 1,
     world: Optional[World] = None,
 ) -> SessionResult:
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
     if world is None:
-        world = build_world(
-            seed=seed, config=config, attacker=attacker,
-            reconstruct=reconstruct, n_signals=n_signals,
-        )
+        world = build_world(seed=seed, config=config, reconstruct=reconstruct)
+    elif config is not None and config != world.config:
+        raise ValueError(f"config {config} differs from the world's {world.config}")
     sched = world.scheduler
     openers = {
         "pair": lambda: world.smartphone.start_pair(world.master_key),
@@ -222,11 +210,9 @@ def run_session(
         for name, party in sched.parties.items()
     }
     return SessionResult(
-        scenario=scenario,
         transcript=sched.transcript,
         outcomes=outcomes,
         phases=phases,
         imd_op_counts=op_counts,
         world=world,
-        attacker=sched.attacker,
     )

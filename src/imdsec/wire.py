@@ -23,7 +23,7 @@ __all__ = [
     "encode_message",
     "decode_message",
     "auth_bytes",
-    "ts_bytes",
+    "u64_bytes",
     "freshness_check",
     "FRESHNESS_WINDOW",
 ]
@@ -100,17 +100,14 @@ def auth_bytes(
     if heading is not None:
         out += struct.pack(">B", int(heading))
     if session is not None:
-        out += struct.pack(">Q", session)
+        out += u64_bytes(session)
     out += length_prefixed(*fields)
     return bytes(out)
 
 
 def u64_bytes(value: int) -> bytes:
+    """An 8-byte big-endian integer: a session number or a timestamp."""
     return struct.pack(">Q", int(value))
-
-
-def ts_bytes(seconds: int) -> bytes:
-    return u64_bytes(seconds)
 
 
 def ts_from_bytes(data: bytes) -> int:

@@ -215,7 +215,8 @@ def test_c8_imd_operation_counts():
     problems = reports.check_opcounts(runs)
     assert problems == [], problems
 
-    multi = run_session("read", seed=105, config=FUZZ_CONFIG, n_signals=3)
+    world = build_world(seed=105, config=FUZZ_CONFIG, n_signals=3)
+    multi = run_session("read", world=world)
     assert multi.imd_op_counts["read"] == {"sym_dec": 1, "mac": 2, "cs_enc": 3}
     _announce(
         8,

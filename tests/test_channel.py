@@ -2,12 +2,8 @@ import random
 
 import pytest
 
-from imdsec.attacks import (
-    MAC_PROTECTED_FRAMES,
-    BitFlipAttacker,
-    DuplicateFrameAttacker,
-    PassiveEavesdropper,
-)
+from imdsec.attacks import MAC_PROTECTED_FRAMES, BitFlipAttacker, DuplicateFrameAttacker
+from imdsec.channel import Attacker
 from imdsec.evidence import evidence_verify
 from imdsec.parties import SystemConfig
 from imdsec.scenarios import build_world, run_session
@@ -36,35 +32,45 @@ class TestDeterminism:
         assert result.ok
 
 
+class TestGivenWorld:
+    def test_config_other_than_the_worlds_is_refused(self):
+        world = build_world(seed=1)
+        with pytest.raises(ValueError, match="differs from the world's"):
+            run_session("pair", config=SystemConfig(n=64), world=world)
+        assert len(world.scheduler.transcript) == 0
+
+    def test_the_worlds_own_config_is_accepted(self):
+        world = build_world(seed=1, config=FAST)
+        result = run_session("pair", config=SystemConfig(n=64, qs=0), world=world)
+        assert result.ok and result.world is world
+
+
 class TestPassiveAttacker:
     def test_observer_never_alters_honest_outcomes(self):
         baseline = run_session("full", seed=7, config=FAST, reconstruct=False)
-        tap = PassiveEavesdropper()
-        world = build_world(seed=7, config=FAST, attacker=tap, reconstruct=False)
+        world = build_world(seed=7, config=FAST, attacker=Attacker(), reconstruct=False)
         observed = run_session("full", config=FAST, world=world)
         assert observed.ok
         assert observed.transcript.dump() == baseline.transcript.dump()
-        # the tap saw exactly the wire frames
-        assert len(tap.seen) == len(baseline.transcript.wire_entries())
 
     def test_eavesdropper_sees_ciphertext_but_no_secrets(self):
-        tap = PassiveEavesdropper()
-        world = build_world(seed=8, attacker=tap)
+        world = build_world(seed=8, attacker=Attacker())
         result = run_session("read", world=world)
         assert result.ok
-        blob = b"".join(e.payload for e in tap.seen)
+        # what a tap sees is the transcript's wire entries
+        blob = b"".join(e.payload for e in result.transcript.wire_entries())
         assert world.imd.c2_bytes is not None
         assert world.imd.c2_bytes in blob  # the ciphertext is public
         for name, secret in world.secret_values().items():
             assert secret not in blob, name
 
     def test_result_reports_what_the_attacker_learned(self):
-        tap = PassiveEavesdropper()
+        tap = Attacker()
         world = build_world(seed=8, config=FAST, attacker=tap, reconstruct=False)
         result = run_session("read", config=FAST, world=world)
-        assert result.attacker is tap
-        assert len(result.attacker.seen) == len(result.transcript.wire_entries())
-        assert run_session("pair", seed=8, config=FAST).attacker is None
+        assert result.world.scheduler.attacker is tap
+        assert result.transcript is world.scheduler.transcript
+        assert run_session("pair", seed=8, config=FAST).world.scheduler.attacker is None
 
 
 class TestReplayImmunity:

@@ -1,5 +1,8 @@
 """Every name a module exports through __all__ exists in that module and
-is read by the package or the benchmark, not only by the tests."""
+is read by the package or the benchmark, not only by the tests.  Every
+defaulted parameter of a public function, method or constructor is passed
+by some call in the package or the benchmark, or is listed in TEST_ONLY
+with the reason it stays."""
 
 import ast
 import importlib
@@ -30,6 +33,21 @@ ENTRY_POINTS = {
     "reports.parse_report": "reads back a report that emit_report wrote",
     "attacks.forge_read_auth_attempts": "the brute-force experiment against the RM",
 }
+# defaulted parameters that only the tests pass, each kept on purpose
+TEST_ONLY = {
+    "evidence.EvidenceLedger(path)": "the append-only ledger file, the forensic record",
+    "scenarios.build_world(start_clock)": "a later session of the same implant",
+    "scenarios.build_world(master_key)": "separate worlds of one implant",
+    "scenarios.build_world(n_signals)": "several records in one telemetry frame",
+    "scenarios.run_session(command)": "a write of another command",
+    "attacks.random_guess_attack(planted_key)": "the true key as the attack's sanity anchor",
+    "attacks.indistinguishability_test(samples)": "a KS test of unit-test size",
+    "attacks.indistinguishability_test(degenerate_key)": "the all-zero key negative control",
+    "attacks.forge_read_auth_attempts(attempts)": "a brute-force probe of unit-test size",
+    "attacks.forge_read_auth_attempts(seed)": "the probe against another session",
+    "recovery.RecoveryParams(residual_tol)": "solves that stop on the atom count alone",
+    "cli.main(argv)": "the command line given as a list",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -44,3 +62,86 @@ def test_all_names_have_callers(name):
     exported = getattr(importlib.import_module(f"imdsec.{name}"), "__all__", ())
     unread = [a for a in exported if a not in READ and f"{name}.{a}" not in ENTRY_POINTS]
     assert unread == []
+
+
+def _defaulted(args: ast.arguments, method: bool) -> list[tuple[int, str]]:
+    """(position, or -1 when keyword-only; name) of each defaulted
+    parameter, self or cls left out of the positions of a method."""
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return [(i - method, a.arg) for i, a in enumerate(positional) if i >= first] + [
+        (-1, a.arg) for a, default in zip(args.kwonlyargs, args.kw_defaults) if default
+    ]
+
+
+def _fields(cls: ast.ClassDef) -> list[tuple[int, str]]:
+    """(position, name) of each defaulted constructor field of a dataclass."""
+    if not any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+        return []
+    fields = [
+        node for node in cls.body
+        if isinstance(node, ast.AnnAssign) and "ClassVar" not in ast.unparse(node.annotation)
+    ]
+    return [
+        (i, f.target.id) for i, f in enumerate(fields)
+        if f.value is not None and "init=False" not in ast.unparse(f.value)
+    ]
+
+
+def _settings():
+    """Each public defaulted parameter as ("module.callee(param)", param,
+    the (called name, position) pairs that set it); a dataclass field is
+    also set by keyword through dataclasses.replace."""
+    for path in sorted((ROOT / "src" / "imdsec").glob("*.py")):
+        public = [
+            node for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        ]
+        for node in public:
+            if isinstance(node, ast.FunctionDef):
+                for pos, param in _defaulted(node.args, method=False):
+                    yield f"{path.stem}.{node.name}({param})", param, ((node.name, pos),)
+                continue
+            for pos, param in _fields(node):
+                yield (f"{path.stem}.{node.name}({param})", param,
+                       ((node.name, pos), ("replace", -1)))
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                if item.name == "__init__":
+                    callee, where = node.name, node.name
+                elif not item.name.startswith("_"):
+                    callee, where = item.name, f"{node.name}.{item.name}"
+                else:
+                    continue
+                static = any("staticmethod" in ast.unparse(d) for d in item.decorator_list)
+                for pos, param in _defaulted(item.args, method=not static):
+                    yield f"{path.stem}.{where}({param})", param, ((callee, pos),)
+
+
+def _passes(call: ast.Call, pos: int, param: str) -> bool:
+    """Whether call sets the parameter at pos (-1: keyword only) named param."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return pos >= 0 and (starred or pos < len(call.args))
+
+
+def test_defaulted_parameters_have_callers():
+    calls = [
+        (node.func.id if isinstance(node.func, ast.Name) else node.func.attr, node)
+        for path in CALLERS
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    ]
+    settings = list(_settings())
+    unpassed = [
+        key for key, param, setters in settings
+        if key not in TEST_ONLY and not any(
+            name == callee and _passes(call, pos, param)
+            for callee, pos in setters
+            for name, call in calls
+        )
+    ]
+    assert unpassed == []
+    assert sorted(set(TEST_ONLY) - {key for key, _, _ in settings}) == []

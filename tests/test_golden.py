@@ -28,7 +28,7 @@ def _absorb(h, world, transcript):
     h.update(transcript.dump().encode())
     for party in (world.smartphone, world.imd, world.programmer):
         expected = party.expected.name if party.expected is not None else None
-        state = (party.name, party.outcome, party.abort_reason, expected,
+        state = (party.role, party.outcome, party.abort_reason, expected,
                  party.expected_link)
         h.update(repr(state).encode())
     h.update(repr(sorted(world.imd.crypto.counters.items())).encode())

@@ -31,7 +31,7 @@ from imdsec.wire import (
     WireMessage,
     decode_message,
     encode_message,
-    ts_bytes,
+    u64_bytes,
 )
 
 FAST = SystemConfig(n=64, cr=50.0, qs=0)
@@ -99,7 +99,8 @@ class TestHonestFlows:
         assert all(e.sender != "imd" for e in sched.transcript.entries)
 
     def test_multi_signal_read(self):
-        result = run_session("read", seed=8, config=FAST, n_signals=3)
+        world = build_world(seed=8, config=FAST, n_signals=3)
+        result = run_session("read", world=world)
         assert result.ok
         assert len(result.world.programmer.recovered_signals) == 3
 
@@ -133,7 +134,8 @@ class TestOpCounts:
         assert counts["write"] == {"sym_enc": 1, "sym_dec": 1, "mac": 3}
 
     def test_read_scales_with_signal_count(self):
-        result = run_session("read", seed=10, config=FAST, n_signals=3)
+        world = build_world(seed=10, config=FAST, n_signals=3)
+        result = run_session("read", world=world)
         assert result.imd_op_counts["read"] == {
             "sym_dec": 1,
             "mac": 2,
@@ -324,7 +326,7 @@ class TestFailurePaths:
                 WireMessage(
                     Heading.READ_AUTH_REQ,
                     session,
-                    (ts_bytes(smartphone.clock), bytes([i]) * 20),
+                    (u64_bytes(smartphone.clock), bytes([i]) * 20),
                 )
             )
             assert smartphone.receive(frame, "s-d") == []

@@ -9,8 +9,8 @@ from imdsec.wire import (
     decode_message,
     encode_message,
     freshness_check,
-    ts_bytes,
     ts_from_bytes,
+    u64_bytes,
 )
 
 
@@ -72,7 +72,7 @@ class TestAuthBytes:
 
 class TestTimestamps:
     def test_roundtrip(self):
-        assert ts_from_bytes(ts_bytes(123456)) == 123456
+        assert ts_from_bytes(u64_bytes(123456)) == 123456
 
     def test_bad_length(self):
         with pytest.raises(WireError):
