@@ -35,7 +35,7 @@ from .crypto import CryptoSuite
 from .parties import STEPS, Step, SystemConfig, derive_k_p, step_of, unpack_signals
 from .recovery import RecoveryParams, SensingMatrix, SparsityBasis, prd
 from .recovery import omp_reconstruct, omp_reconstruct_batch
-from .scenarios import build_world, run_session
+from .scenarios import SCENARIOS, build_world, drive, run_session
 from .wire import Heading, WireError, decode_message, u64_bytes
 
 __all__ = [
@@ -282,17 +282,16 @@ def mitm_read_attack(
         stolen = doctor_private_key()
     attacker = MitmReadAttacker(degraded_oob=degraded_oob, stolen_private_key=stolen)
     world = build_world(seed=seed, config=config, attacker=attacker)
-    attacked = run_session("read", config=config, world=world)
-    honest_completed = attacked.world.programmer.read_complete
+    drive(world, SCENARIOS["read"])
 
     if attacker.captured_c2 is None:
         raise RuntimeError("attacker never captured the telemetry frame")
     cipher = deserialize_ciphertext(unpack_signals(attacker.captured_c2)[0])
     phi = config.sensing_matrix()
     psi = config.basis()
-    attacked_truth = attacked.world.imd.data_source.records[0].samples.astype(float)
+    attacked_truth = world.imd.data_source.records[0].samples.astype(float)
 
-    derived = attacker.derive_shift_key(attacked.transcript)
+    derived = attacker.derive_shift_key(world.scheduler.transcript)
     if derived is not None:
         y = cs_deshift(derived, cipher, phi, config.L1, config.L2)
         _, x_hat = omp_reconstruct(y, phi, psi)
@@ -302,7 +301,7 @@ def mitm_read_attack(
     return MitmResult(
         attacker_prd=attacker_prd,
         attacker_derived_key=derived is not None,
-        honest_programmer_completed=honest_completed,
+        honest_programmer_completed=world.programmer.read_complete,
         honest_baseline_prd=baseline_prd,
     )
 

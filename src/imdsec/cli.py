@@ -18,7 +18,7 @@ from . import ecg, reports
 from .attacks import DuplicateFrameAttacker, indistinguishability_test, mitm_read_attack
 from .channel import Attacker
 from .parties import SystemConfig
-from .scenarios import SCENARIOS, build_world, run_session
+from .scenarios import SCENARIOS, build_world, drive
 from .wire import Heading
 
 FIXTURE_DIR_ENV = "IMDSEC_FIXTURE_DIR"
@@ -201,7 +201,6 @@ def _cmd_session(args) -> int:
         config = SystemConfig(n=args.n, cr=args.cr, qs=args.qs)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    checks_ok = True
 
     if args.attacker == "mitm":
         result = mitm_read_attack(
@@ -236,12 +235,12 @@ def _cmd_session(args) -> int:
         attacker = DuplicateFrameAttacker("programmer", Heading.WRITE_REQ)
 
     world = build_world(seed=args.seed, config=config, attacker=attacker)
-    result = run_session(args.scenario, config=config, world=world)
+    result = drive(world, SCENARIOS[args.scenario])
     if args.out:
         Path(args.out).write_text(result.transcript.dump())
         print(f"wrote {args.out}")
-    for name, outcome in sorted(result.outcomes.items()):
-        print(f"{name}: outcome={outcome}")
+    for name, party in sorted(world.scheduler.parties.items()):
+        print(f"{name}: outcome={party.outcome}")
     print(f"phases: {result.phases}")
 
     problems = []
@@ -253,8 +252,7 @@ def _cmd_session(args) -> int:
             problems.append(f"secret {name} visible on the wire")
     if args.attacker == "replay" and len(world.imd.applied_commands) > 1:
         problems.append("replayed command applied twice")
-    checks_ok = _report_checks("session invariants", problems)
-    return 0 if checks_ok else 1
+    return 0 if _report_checks("session invariants", problems) else 1
 
 
 def _cmd_gen_fixtures(args) -> int:

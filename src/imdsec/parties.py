@@ -39,8 +39,8 @@ receives that row, and otherwise for nothing.  Party.receive sends a
 reply exactly when the party's next row is in the same flow and the
 party sends it; a next row in a later flow waits for the party's opener.
 A party's part of a flow ends with the last row of that flow that
-involves it: the flow's name then joins the party's ``completed`` set,
-so a flow is done once every role named in its rows has completed it.
+involves it: the party's ``completed`` count of that flow then rises by
+one, so a flow is done once every role named in its rows has completed it.
 Once no later row at all involves the party, its outcome is "ok".  A
 rejected frame meets one of three failure policies:
 
@@ -67,6 +67,7 @@ doctor's phone, which carries only the random message RM.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, ClassVar, Optional, Sequence
@@ -344,7 +345,7 @@ class Party:
         self.abort_reason: Optional[str] = None
         self.drops: int = 0
         self.incidents: list[str] = []
-        self.completed: set[str] = set()  # the flows this party has finished
+        self.completed: Counter[str] = Counter()  # times this party finished each flow
         self._advance(-1)
 
     @property
@@ -363,7 +364,7 @@ class Party:
         row at all, its outcome is "ok"."""
         step = next_step(self.role, row)
         if row >= 0 and (step is None or step.flow != STEPS[row].flow):
-            self.completed.add(STEPS[row].flow)
+            self.completed[STEPS[row].flow] += 1
         if step is None:
             self.outcome = "ok"
         elif step.sender == self.role:

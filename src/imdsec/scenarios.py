@@ -2,12 +2,13 @@
 
 A world holds the four parties wired to one scheduler, with the pinned
 demo credentials and a synthetic telemetry source; the scheduler holds
-the attacker, if any, and the transcript.  run_session drives the
-requested flows (pair -> auth -> read -> write) phase by phase, each
-passing once every role named in the flow's rows completed it,
-snapshotting the implant's crypto-operation counters per phase, and
-returns the transcript plus per-party outcomes.  It runs a given world,
-or else builds the default one of its seed, config and reconstruct flag.
+the attacker, if any, and the transcript.  drive runs flows (pair ->
+auth -> read -> write) on a world from where it stands, snapshotting
+the implant's crypto-operation counters per phase; a phase passes once
+every role named in the flow's rows completed it during the call, and a
+write only once a command was applied.  SCENARIOS maps each scenario to
+its flows.  run_session drives one on a given world, refusing a seed,
+reconstruct flag or other config with it, or else on the default world.
 Everything is deterministic in the session seed.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import ecg
 from .channel import Attacker, Scheduler, Transcript
@@ -25,9 +26,9 @@ from .evidence import EvidenceLedger
 from .keymat import authority_private_key, doctor_certificate, doctor_private_key
 from .parties import FLOW_ROLES, DoctorPhone, Imd, Programmer, Smartphone, SystemConfig
 
-__all__ = ["World", "SessionResult", "build_world", "run_session", "SCENARIOS"]
+__all__ = ["World", "SessionResult", "build_world", "drive", "run_session", "SCENARIOS"]
 
-SCENARIOS = ("pair", "auth", "read", "full")
+SCENARIOS = {s: tuple(FLOW_ROLES)[:i] for i, s in enumerate(("pair", "auth", "read", "full"), 1)}
 
 SMARTPHONE_ID = b"SM-2041"
 IMPLANT_ID = b"IMD-7742"
@@ -153,31 +154,22 @@ def build_world(
 
 @dataclass
 class SessionResult:
-    transcript: Transcript
-    outcomes: dict[str, str]
     phases: dict[str, bool]
     imd_op_counts: dict[str, dict[str, int]]
     world: World
+
+    @property
+    def transcript(self) -> Transcript:
+        return self.world.scheduler.transcript
 
     @property
     def ok(self) -> bool:
         return all(self.phases.values())
 
 
-def run_session(
-    scenario: str = "full",
-    seed: int = 0,
-    config: Optional[SystemConfig] = None,
-    command: bytes = DEFAULT_COMMAND,
-    reconstruct: bool = True,
-    world: Optional[World] = None,
-) -> SessionResult:
-    if scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}")
-    if world is None:
-        world = build_world(seed=seed, config=config, reconstruct=reconstruct)
-    elif config is not None and config != world.config:
-        raise ValueError(f"config {config} differs from the world's {world.config}")
+def drive(world: World, flows: Sequence[str], command: bytes = DEFAULT_COMMAND) -> SessionResult:
+    """Run the flows in order from the world's current state, stopping at
+    the first one that fails; a flow not reached reads False."""
     sched = world.scheduler
     openers = {
         "pair": lambda: world.smartphone.start_pair(world.master_key),
@@ -185,34 +177,43 @@ def run_session(
         "read": world.programmer.start_read,
         "write": lambda: world.programmer.start_write(command),
     }
-
-    # the i-th scenario of SCENARIOS runs the first i + 1 flows and stops
-    # at the first flow that some role named in its rows did not complete
-    phases = dict.fromkeys(tuple(FLOW_ROLES)[: SCENARIOS.index(scenario) + 1], False)
+    phases = dict.fromkeys(flows, False)
     op_counts: dict[str, dict[str, int]] = {}
     for flow in phases:
         roles = FLOW_ROLES[flow]
-        before = world.imd.crypto.snapshot()
+        done = {role: sched.parties[role].completed[flow] for role in roles}
+        applied, before = len(world.imd.applied_commands), world.imd.crypto.snapshot()
         sched.initiate(roles[0], openers[flow])
         sched.run_until_quiet()
+        ran = {role for role in roles if sched.parties[role].completed[flow] > done[role]}
         rm = world.doctor_phone.rm
-        if flow == "auth" and "auth" in world.programmer.completed and rm is not None:
+        if flow == "auth" and "programmer" in ran and rm is not None:
             world.programmer.enter_rm(rm)  # the doctor types in the RM their phone shows
         op_counts[flow] = world.imd.crypto.snapshot() - before
-        phases[flow] = all(flow in sched.parties[role].completed for role in roles) and (
-            flow != "write" or len(world.imd.applied_commands) > 0
+        phases[flow] = len(ran) == len(roles) and (
+            flow != "write" or len(world.imd.applied_commands) > applied
         )
         if not phases[flow]:
             break
+    return SessionResult(phases=phases, imd_op_counts=op_counts, world=world)
 
-    outcomes = {
-        name: party.outcome
-        for name, party in sched.parties.items()
-    }
-    return SessionResult(
-        transcript=sched.transcript,
-        outcomes=outcomes,
-        phases=phases,
-        imd_op_counts=op_counts,
-        world=world,
-    )
+
+def run_session(
+    scenario: str = "full",
+    *,
+    seed: Optional[int] = None,
+    config: Optional[SystemConfig] = None,
+    command: bytes = DEFAULT_COMMAND,
+    reconstruct: Optional[bool] = None,
+    world: Optional[World] = None,
+) -> SessionResult:
+    """Drive the scenario's flows on the world, by default seed 0's with reconstruction."""
+    if scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    if world is None:
+        world = build_world(seed=seed or 0, config=config, reconstruct=reconstruct is not False)
+    elif seed is not None or reconstruct is not None:
+        raise ValueError("seed and reconstruct build a world; a given world has its own")
+    elif config is not None and config != world.config:
+        raise ValueError(f"config {config} differs from the world's {world.config}")
+    return drive(world, SCENARIOS[scenario], command)

@@ -6,7 +6,7 @@ import numpy as np
 
 from imdsec.codec import BoundedSignal
 from imdsec.recovery import RecoveryError, _seed_int, build_basis, cached_operator
-from imdsec.scenarios import build_world, run_session
+from imdsec.scenarios import SCENARIOS, build_world, drive
 from imdsec.wire import FRESHNESS_WINDOW
 
 CHECKPOINTS = ("fresh", "pair", "auth", "read")
@@ -93,7 +93,7 @@ def replay_recorded(recorded, seed, checkpoints=CHECKPOINTS):
                 start_clock=start_clock,
             )
             if checkpoint != "fresh":
-                run_session(checkpoint, config=config, world=fresh)
+                drive(fresh, SCENARIOS[checkpoint])
             before = party_state(fresh)
             fresh.scheduler.deliver_raw(
                 entry.link, entry.sender, entry.receiver, entry.payload

@@ -6,7 +6,8 @@ from imdsec.attacks import MAC_PROTECTED_FRAMES, BitFlipAttacker, DuplicateFrame
 from imdsec.channel import Attacker
 from imdsec.evidence import evidence_verify
 from imdsec.parties import SystemConfig
-from imdsec.scenarios import build_world, run_session
+from imdsec.reports import EXPECTED_IMD_OPCOUNTS, OPCOUNT_OPS
+from imdsec.scenarios import build_world, drive, run_session
 from imdsec.wire import Heading
 from support import CHECKPOINTS, party_state, replay_recorded
 
@@ -33,16 +34,37 @@ class TestDeterminism:
 
 
 class TestGivenWorld:
-    def test_config_other_than_the_worlds_is_refused(self):
+    @pytest.mark.parametrize(
+        "setting, match",
+        [
+            ({"config": SystemConfig(n=64)}, "differs from the world's"),
+            ({"seed": 3}, "a given world has its own"),
+            ({"reconstruct": False}, "a given world has its own"),
+        ],
+        ids=["config", "seed", "reconstruct"],
+    )
+    def test_settings_of_another_world_are_refused(self, setting, match):
         world = build_world(seed=1)
-        with pytest.raises(ValueError, match="differs from the world's"):
-            run_session("pair", config=SystemConfig(n=64), world=world)
+        with pytest.raises(ValueError, match=match):
+            run_session("pair", world=world, **setting)
         assert len(world.scheduler.transcript) == 0
 
     def test_the_worlds_own_config_is_accepted(self):
         world = build_world(seed=1, config=FAST)
         result = run_session("pair", config=SystemConfig(n=64, qs=0), world=world)
         assert result.ok and result.world is world
+
+    def test_drive_continues_a_paired_world(self):
+        world = build_world(seed=4, config=FAST)
+        assert run_session("pair", world=world).ok
+        result = drive(world, ("auth", "read", "write"))
+        assert result.ok
+        assert {
+            flow: {op: counts[op] for op in OPCOUNT_OPS}
+            for flow, counts in result.imd_op_counts.items()
+        } == {flow: EXPECTED_IMD_OPCOUNTS[flow] for flow in ("auth", "read", "write")}
+        whole = run_session("full", seed=4, config=FAST)
+        assert world.scheduler.transcript.dump() == whole.transcript.dump()
 
 
 class TestPassiveAttacker:
