@@ -102,6 +102,7 @@ from .wire import (
 
 __all__ = [
     "ProtocolError",
+    "NotReady",
     "Rejected",
     "SystemConfig",
     "Step",
@@ -134,6 +135,10 @@ DROP, STAY, ABORT = "drop", "stay", "abort"
 
 class ProtocolError(Exception):
     pass
+
+
+class NotReady(ProtocolError):
+    """A flow's opener refused: an earlier flow has not completed."""
 
 
 class Rejected(Exception):
@@ -727,7 +732,7 @@ class Programmer(Party):
 
     def start_read(self) -> list[TranscriptEntry]:
         if not self.authenticated:
-            raise ProtocolError("read requires completed authentication")
+            raise NotReady("read requires completed authentication")
         return [self._send(Heading.READ_AUTH_REQ, self.session)]
 
     def _on_read_ready(self, frame) -> None:
@@ -764,7 +769,7 @@ class Programmer(Party):
 
     def start_write(self, command: bytes) -> list[TranscriptEntry]:
         if not self.read_complete:
-            raise ProtocolError("write requires a completed read in this session")
+            raise NotReady("write requires a completed read in this session")
         if len(command) > 256:
             raise ProtocolError("command too long")
         self.command = command

@@ -158,10 +158,11 @@ _operators: dict = {}
 def cached_operator(build, *args):
     """The operator build(*args), shared by every caller:
     cached_operator(gen_sensing_matrix, seed, m, n) for Phi,
-    cached_operator(build_basis, n) for Psi.  One operator per build
+    cached_operator(build_basis, n) for Psi; the sweep's shift-key set
+    comes from it too (reports._key_set).  One operator per build
     function is kept, the latest asked for: a walk over a CR grid holds
-    one Phi (and the Theta it carries), and a Phi never evicts Psi.
-    Callers must not mutate the result."""
+    one Phi (and the Theta it carries), and neither a Phi nor a key set
+    evicts Psi.  Callers must not mutate the result."""
     held = _operators.get(build)
     if held is None or held[0] != args:
         held = _operators[build] = (args, build(*args))

@@ -115,15 +115,22 @@ class SweepReport:
         return float(np.median(values))
 
 
-def _key_seed(master_seed: int, index: int) -> bytes:
-    return f"sweep-key/{master_seed}/{index}".encode()
-
-
-def _keys(signal: codec.BoundedSignal, master_seed: int, first: int, count: int) -> list:
-    return [
-        codec.cs_gen(_key_seed(master_seed, i), signal.n, signal.L1, signal.L2)
+def _key_set(master_seed: int, first: int, count: int, n: int, L1: int, L2: int) -> tuple:
+    """Shift keys first .. first + count - 1 of the master seed, made
+    read-only because recovery.cached_operator shares them."""
+    keys = tuple(
+        codec.cs_gen(f"sweep-key/{master_seed}/{i}".encode(), n, L1, L2)
         for i in range(first, first + count)
-    ]
+    )
+    for key in keys:
+        key.entries.flags.writeable = False
+    return keys
+
+
+def _keys(signal: codec.BoundedSignal, master_seed: int, first: int, count: int) -> tuple:
+    return recovery.cached_operator(
+        _key_set, master_seed, first, count, signal.n, signal.L1, signal.L2
+    )
 
 
 def _trials(signal, keys, phi, psi, params, qs):
@@ -152,7 +159,9 @@ def sweep_prd(
     """Median recovery quality per (record, CR, qs) cell.
 
     The same shift keys are reused across cells (common random numbers)
-    so grid trends reflect the parameters, not key luck.
+    so grid trends reflect the parameters, not key luck.  They come from
+    recovery.cached_operator, so records of one window, and calls that
+    walk the grid one cell at a time, share one key set per master seed.
     """
     if not records:
         raise ValueError("need at least one record")

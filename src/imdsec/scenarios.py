@@ -24,7 +24,7 @@ from .codec import serialize_shift_key
 from .crypto import KeyPairWithCert, SymmetricKey
 from .evidence import EvidenceLedger
 from .keymat import authority_private_key, doctor_certificate, doctor_private_key
-from .parties import FLOW_ROLES, DoctorPhone, Imd, Programmer, Smartphone, SystemConfig
+from .parties import FLOW_ROLES, DoctorPhone, Imd, NotReady, Programmer, Smartphone, SystemConfig
 
 __all__ = ["World", "SessionResult", "build_world", "drive", "run_session", "SCENARIOS"]
 
@@ -169,7 +169,9 @@ class SessionResult:
 
 def drive(world: World, flows: Sequence[str], command: bytes = DEFAULT_COMMAND) -> SessionResult:
     """Run the flows in order from the world's current state, stopping at
-    the first one that fails; a flow not reached reads False."""
+    the first one that fails; a flow not reached, or whose opener needs
+    an earlier flow that has not completed, reads False.  A flow named
+    twice raises ValueError: drive each session in its own call."""
     sched = world.scheduler
     openers = {
         "pair": lambda: world.smartphone.start_pair(world.master_key),
@@ -178,12 +180,18 @@ def drive(world: World, flows: Sequence[str], command: bytes = DEFAULT_COMMAND) 
         "write": lambda: world.programmer.start_write(command),
     }
     phases = dict.fromkeys(flows, False)
+    if len(phases) < len(flows):
+        twice = next(flow for i, flow in enumerate(flows) if flow in flows[:i])
+        raise ValueError(f"flow {twice!r} named twice; drive each session in its own call")
     op_counts: dict[str, dict[str, int]] = {}
     for flow in phases:
         roles = FLOW_ROLES[flow]
         done = {role: sched.parties[role].completed[flow] for role in roles}
         applied, before = len(world.imd.applied_commands), world.imd.crypto.snapshot()
-        sched.initiate(roles[0], openers[flow])
+        try:
+            sched.initiate(roles[0], openers[flow])
+        except NotReady:
+            break
         sched.run_until_quiet()
         ran = {role for role in roles if sched.parties[role].completed[flow] > done[role]}
         rm = world.doctor_phone.rm

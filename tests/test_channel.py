@@ -5,9 +5,9 @@ import pytest
 from imdsec.attacks import MAC_PROTECTED_FRAMES, BitFlipAttacker, DuplicateFrameAttacker
 from imdsec.channel import Attacker
 from imdsec.evidence import evidence_verify
-from imdsec.parties import SystemConfig
+from imdsec.parties import ProtocolError, SystemConfig
 from imdsec.reports import EXPECTED_IMD_OPCOUNTS, OPCOUNT_OPS
-from imdsec.scenarios import build_world, drive, run_session
+from imdsec.scenarios import SCENARIOS, build_world, drive, run_session
 from imdsec.wire import Heading
 from support import CHECKPOINTS, party_state, replay_recorded
 
@@ -65,6 +65,26 @@ class TestGivenWorld:
         } == {flow: EXPECTED_IMD_OPCOUNTS[flow] for flow in ("auth", "read", "write")}
         whole = run_session("full", seed=4, config=FAST)
         assert world.scheduler.transcript.dump() == whole.transcript.dump()
+
+    def test_a_flow_named_twice_is_refused(self):
+        world = build_world(seed=4, config=FAST)
+        with pytest.raises(ValueError, match="'pair' named twice"):
+            drive(world, ("pair", "pair"))
+        assert len(world.scheduler.transcript) == 0
+
+    @pytest.mark.parametrize("flow", ["read", "write"])
+    def test_a_flow_before_the_one_it_needs_reads_false(self, flow):
+        world = build_world(seed=4, config=FAST, reconstruct=False)
+        result = drive(world, (flow,))
+        assert result.phases == {flow: False} and result.imd_op_counts == {}
+        assert len(world.scheduler.transcript) == 0
+        result = drive(world, ("pair", "auth", "write"))
+        assert result.phases == {"pair": True, "auth": True, "write": False}
+
+    def test_an_over_long_command_still_raises(self):
+        world = build_world(seed=4, config=FAST, reconstruct=False)
+        with pytest.raises(ProtocolError, match="command too long"):
+            drive(world, SCENARIOS["full"], command=bytes(257))
 
 
 class TestPassiveAttacker:

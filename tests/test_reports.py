@@ -1,9 +1,10 @@
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
-from imdsec import ecg, recovery
+from imdsec import codec, ecg, recovery, reports
 from imdsec.parties import SystemConfig
 from imdsec.reports import (
     EXPECTED_IMD_OPCOUNTS,
@@ -84,11 +85,64 @@ class TestSweep:
 
 class TestOperatorCache:
     """The sweep takes Phi from recovery.cached_operator, which keeps the
-    latest Phi (and the Theta it holds) until the CR changes."""
+    latest Phi (and the Theta it holds) until the CR changes, and the
+    latest shift-key set until the master seed changes."""
 
     @pytest.fixture(scope="class")
     def short_records(self):
         return [ecg.synth_ecg_like(f"cache{r}".encode(), n=64, s=4 + r) for r in range(2)]
+
+    @staticmethod
+    def _count_draws(monkeypatch) -> list:
+        drawn = []
+        draw = codec.cs_gen
+
+        def counting_draw(*args):
+            drawn.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(codec, "cs_gen", counting_draw)
+        return drawn
+
+    def test_cells_and_records_share_one_key_set(self, monkeypatch, short_records):
+        assert len({(r.L1, r.L2) for r in short_records}) == 1
+        drawn = self._count_draws(monkeypatch)
+        for qs in (0, 20):
+            sweep_prd(short_records, cr_grid=(50,), qs_grid=(qs,), seeds=3, master_seed=7101)
+        assert len(drawn) == 3
+
+    def test_cached_keys_equal_fresh_draws(self, short_records):
+        signal = ecg.to_bounded_signal(short_records[0])
+        cached = reports._keys(signal, 7102, 5, 3)
+        assert len(cached) == 3
+        for index, key in zip(range(5, 8), cached):
+            fresh = codec.cs_gen(
+                f"sweep-key/7102/{index}".encode(), signal.n, signal.L1, signal.L2
+            )
+            assert np.array_equal(key.entries, fresh.entries)
+            assert key.value_range == fresh.value_range
+
+    def test_a_new_master_seed_draws_a_new_set(self, monkeypatch, short_records):
+        signal = ecg.to_bounded_signal(short_records[0])
+        drawn = self._count_draws(monkeypatch)
+        first = reports._keys(signal, 7103, 0, 2)
+        assert reports._keys(signal, 7103, 0, 2) is first
+        second = reports._keys(signal, 7104, 0, 2)
+        assert len(drawn) == 4
+        assert not np.array_equal(first[0].entries, second[0].entries)
+
+    def test_phi_and_psi_stay_resident_across_a_key_set_change(self, short_records):
+        config = SystemConfig(n=64, cr=50)
+        sweep_prd(short_records[:1], cr_grid=(50,), qs_grid=(0,), seeds=2, master_seed=7105)
+        phi, psi = config.sensing_matrix(), config.basis()
+        sweep_prd(short_records[:1], cr_grid=(50,), qs_grid=(0,), seeds=2, master_seed=7106)
+        assert config.sensing_matrix() is phi and config.basis() is psi
+
+    def test_shared_keys_are_read_only(self, short_records):
+        keys = reports._keys(ecg.to_bounded_signal(short_records[0]), 7107, 0, 2)
+        for key in keys:
+            with pytest.raises(ValueError, match="read-only"):
+                key.entries[0] = 0
 
     def test_cells_at_one_cr_share_one_phi(self, monkeypatch, short_records):
         drawn, solved = [], []
