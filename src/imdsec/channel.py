@@ -3,10 +3,11 @@
 All traffic flows through one FIFO queue of TranscriptEntry records: a
 party's send builds the record, and delivering it advances the
 simulated clock by one second, stamps the record with that time and
-appends it to the transcript.  The transcript is the one record of what
-crossed the channel; an eavesdropper's view is its wire entries.  An
-attacker's intercept hook sees each wire frame as it is delivered and
-may replace, drop, or inject frames on any link.  The out-of-band
+appends it to the transcript as its sender sent it, before the
+attacker's intercept hook runs.  The hook may then replace, drop or
+inject frames on any link; what it delivers instead is not recorded, so
+a flipped, duplicated or injected frame is not in the transcript.  An
+eavesdropper's view is the transcript's wire entries.  The out-of-band
 channel (the RM text to the doctor's phone) is invisible to the
 attacker unless the degraded flag is set.
 """
@@ -43,7 +44,7 @@ class TranscriptEntry:
 
 
 class Transcript:
-    """Append-only record of everything that crossed a channel."""
+    """Append-only record of every frame sent on a channel."""
 
     def __init__(self):
         self._entries: list[TranscriptEntry] = []

@@ -1,8 +1,9 @@
 """ECG record ingestion and synthetic fixture generation.
 
-Records are one integer sample per line (optional '#' header lines) and
-are resampled to 2 seconds at 256 Hz.  Because the real arrhythmia
-corpus cannot be bundled, a generator produces ECG-like fixtures: a few
+Records are one integer sample per line (optional '#' header lines),
+each of magnitude below 2**51, resampled to 2 seconds at 256 Hz.
+Because the real arrhythmia corpus cannot be bundled, a generator
+produces ECG-like fixtures: a few
 dominant cosine atoms plus a decaying coefficient tail, so compression
 degrades them gradually the way it degrades natural signals.
 """
@@ -37,6 +38,9 @@ __all__ = [
 TARGET_SAMPLES = 512  # 2 seconds at 256 Hz
 SAMPLE_RATE = 256
 WINDOW = (590, 1487)  # the open signal window (L1, L2) of the operating point
+# float64 holds integers exactly up to 2**53, and the shifting add forms
+# sample - L1 + shift, up to three times the largest sample magnitude
+_SAMPLE_LIMIT = 2**51
 
 
 @dataclass(frozen=True)
@@ -92,9 +96,12 @@ def load_ecg_csv(path, bounds: Optional[tuple[int, int]] = None) -> EcgRecord:
         if not text or text.startswith("#"):
             continue
         try:
-            raw.append(int(text))
+            value = int(text)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-numeric sample {text!r}") from None
+        if abs(value) >= _SAMPLE_LIMIT:
+            raise ValueError(f"{path}:{lineno}: sample {value} is not below 2**51 in magnitude")
+        raw.append(value)
     if not raw:
         raise ValueError(f"{path}: no samples")
     resampled = np.rint(_resample_linear(np.asarray(raw), TARGET_SAMPLES)).astype(np.int64)

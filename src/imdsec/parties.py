@@ -3,23 +3,27 @@
 Every protocol step is one row of STEPS: who sends which heading to
 whom on which link, the names of the frame's fields, the field holding
 its timestamp, the key of its MAC, the party attribute its session
-number must match, and what a MAC failure does.  Party.receive checks
-every frame against its row in one fixed order:
+number must match, and what a failed MAC or unreadable content costs.
+Party.receive checks every frame against its row in one fixed order:
 
     expected heading and link -> session -> field count -> timestamp
     parse -> freshness -> step pre-check -> MAC -> handler
 
-A MAC is always the last field and covers auth_bytes(heading, session,
-earlier fields); the implant's telemetry READ_REQ leaves the heading
-byte out.  Sending is declarative too.  A handler, named _on_<heading>,
-holds only its step's effects and returns its reply's fields, if any, as
-a dict keyed by the row's field names; a row without a handler has no
-effect past its checks.  Party._send, which the start_* openers also call,
-orders the named fields by the row, reads a timestamp field left out
-off the party's clock, appends the MAC tag, and hands the frame to its
-row's receiver as the channel.TranscriptEntry that the scheduler
-delivers and records.  The smartphone's AUTH_REQ handler returns
-(fields, [RM entry]), so the out-of-band RM follows its reply.
+Only PAIR_REQ and WRITE_ALLOW have a pre-check, which must run before
+the MAC.  A MAC is always the last field and covers auth_bytes(heading,
+session, earlier fields); the implant's telemetry READ_REQ leaves the
+heading byte out.  A handler, named _on_<heading>, only computes: it
+assigns its step's effects last, so a rejected frame changes nothing,
+and Party.receive alone applies a policy, turning a decryption, parse
+or codec error out of the handler into the row's ``unreadable``.  A
+handler returns its reply's fields, if any, as a dict keyed by the
+row's field names; a row without a handler has no effect past its
+checks.  Party._send, which the start_* openers also call, orders the
+named fields by the row, reads a timestamp field left out off the
+party's clock, appends the MAC tag, and hands the frame to its row's
+receiver as the channel.TranscriptEntry that the scheduler delivers and
+records.  The smartphone's AUTH_REQ handler returns (fields, [RM
+entry]), so the out-of-band RM follows its reply.
 
 Each session key has one derivation, a single KDF call, used by every
 party that needs the key (and by the attacks):
@@ -45,15 +49,19 @@ Once no later row at all involves the party, its outcome is "ok".  A
 rejected frame meets one of three failure policies:
 
 - drop: counted in ``drops`` and otherwise ignored.  Every structural
-  failure takes this path, and so does a failed pairing MAC, so probing
-  an unpaired implant reveals nothing.
+  failure takes this path, and so do an unparseable certificate, an
+  unreadable key delivery and a failed pairing MAC, so probing an
+  unpaired implant reveals nothing.
 - stay: a counted drop that also records the reason in ``incidents``;
   the flow keeps waiting.  A frame anyone could have injected takes this
   path: an AUTH_REQ whose doctor or certificate does not check out, an
-  undecryptable challenge, shift key or command report, and a failed
+  unreadable nonce challenge, shift key or command report, and a failed
   read-authorisation or read-allowance MAC.
 - abort: the flow ends with ``outcome == "aborted"`` and an
-  ``abort_reason``, and the party waits for nothing.
+  ``abort_reason``, and the party waits for nothing.  Every other failed
+  MAC takes this path, and so do an unreadable telemetry payload or
+  command, a command report that names another implant or a stale
+  time, and a write signature that does not verify.
 
 A party's name is its role, "smartphone", "imd" or "programmer": the
 sender or receiver of its STEPS rows, its key in the scheduler's
@@ -80,7 +88,6 @@ from .crypto import (
     Certificate,
     CryptoError,
     CryptoSuite,
-    DecryptionError,
     KeyPairWithCert,
     SignatureBlob,
     SymmetricKey,
@@ -198,6 +205,8 @@ class Step:
     attribute the session number must equal (None: the step opens a
     session).  check names a receiver method run after freshness and
     before the MAC; it may raise Rejected or replace frame.key.
+    unreadable is the (policy, reason) for a CryptoError or ValueError
+    out of the handler; on a row without it, the error propagates.
     """
 
     flow: str
@@ -212,6 +221,7 @@ class Step:
     session: Optional[str] = "session"
     check: Optional[str] = None
     mac_heading: bool = True
+    unreadable: Optional[tuple[str, str]] = None
 
     def covered(self, session: int, fields: Sequence[bytes]) -> bytes:
         """The bytes the MAC covers."""
@@ -247,19 +257,22 @@ STEPS = (
     Step("pair", "imd", "smartphone", Heading.PAIR_SUCC, LINK_SI, session="pair_session"),
     Step("auth", "programmer", "smartphone", Heading.AUTH_REQ, LINK_SD,
          ("doctor_id", "ts2", "pk_der", "cert"), ts="ts2", session=None,
-         check="_check_certificate"),
+         unreadable=(DROP, "certificate unparseable")),
     Step("auth", "smartphone", "programmer", Heading.AUTH_REQ, LINK_SD,
-         ("smartphone_id", "challenge")),
+         ("smartphone_id", "challenge"), unreadable=(STAY, "nonce challenge unreadable")),
     Step("read", "programmer", "smartphone", Heading.READ_AUTH_REQ, LINK_SD, ("ts4",),
          ts="ts4", key="k_p", on_mac_failure=(STAY, "read auth MAC failure")),
     Step("read", "smartphone", "imd", Heading.READ_ALLOW, LINK_SI,
          ("doctor_id", "c1", "ts5"), ts="ts5", key="k_i",
-         on_mac_failure=(STAY, "read allow MAC failure"), session=None),
+         on_mac_failure=(STAY, "read allow MAC failure"), session=None,
+         unreadable=(DROP, "key delivery unreadable")),
     Step("read", "imd", "smartphone", Heading.READ_READY, LINK_SI),
-    Step("read", "smartphone", "programmer", Heading.READ_READY, LINK_SD, ("enc_kd",)),
+    Step("read", "smartphone", "programmer", Heading.READ_READY, LINK_SD, ("enc_kd",),
+         unreadable=(STAY, "shift key unreadable")),
     Step("read", "programmer", "imd", Heading.READ_REQ, LINK_DI),
     Step("read", "imd", "programmer", Heading.READ_REQ, LINK_DI, ("c2",), key="k_r",
-         on_mac_failure=(ABORT, "telemetry MAC failure"), mac_heading=False),
+         on_mac_failure=(ABORT, "telemetry MAC failure"), mac_heading=False,
+         unreadable=(ABORT, "telemetry payload malformed")),
     Step("write", "programmer", "smartphone", Heading.WRITE_AUTH_REQ, LINK_SD,
          ("sig", "ts6"), ts="ts6", key="k_p",
          on_mac_failure=(ABORT, "write auth MAC failure")),
@@ -269,9 +282,10 @@ STEPS = (
     Step("write", "imd", "smartphone", Heading.WRITE_READY, LINK_SI),
     Step("write", "smartphone", "programmer", Heading.WRITE_READY, LINK_SD),
     Step("write", "programmer", "imd", Heading.WRITE_REQ, LINK_DI, ("c3",), key="k_r",
-         on_mac_failure=(ABORT, "command MAC failure")),
+         on_mac_failure=(ABORT, "command MAC failure"),
+         unreadable=(ABORT, "command decryption failure")),
     Step("write", "imd", "smartphone", Heading.WRITE_REQ, LINK_SI, ("c2", "report"),
-         check="_open_command_report"),
+         unreadable=(STAY, "command report unreadable")),
     Step("write", "smartphone", "imd", Heading.SET_ALLOW, LINK_SI, ("ts8",), ts="ts8",
          key="k_i", on_mac_failure=(ABORT, "apply authorization MAC failure")),
     Step("write", "imd", "programmer", Heading.WRITE_SUCC, LINK_DI),
@@ -382,11 +396,16 @@ class Party:
     def receive(self, raw: bytes, link: str) -> list[TranscriptEntry]:
         """Check a frame against the awaited row, run the step's handler,
         if any, and send the reply when this party's next row answers the
-        frame; a rejected frame is handled by its failure policy."""
+        frame; a rejected or unreadable frame meets its failure policy."""
         try:
             step, frame = self._verify(raw, link)
             handler = getattr(self, "_on_" + step.heading.name.lower(), None)
-            reply = handler(frame) if handler else None
+            try:
+                reply = handler(frame) if handler else None
+            except (CryptoError, ValueError):
+                if step.unreadable is None:
+                    raise
+                raise Rejected(*step.unreadable) from None
         except Rejected as rejected:
             if rejected.policy == ABORT:
                 self.outcome = "aborted"
@@ -511,45 +530,37 @@ class Smartphone(Party):
 
     # -- authentication ------------------------------------------------------
 
-    def _check_certificate(self, frame):
-        try:
-            frame.certificate = Certificate.from_bytes(frame.cert)
-        except (CryptoError, ValueError):
-            raise Rejected(DROP, "certificate unparseable") from None
+    def _on_auth_req(self, frame) -> tuple[dict[str, bytes], list[TranscriptEntry]]:
+        certificate = Certificate.from_bytes(frame.cert)
         if frame.doctor_id not in self.doctor_oob_directory:
             raise Rejected(STAY, "unknown doctor")
         if (
-            frame.certificate.subject_id != frame.doctor_id
-            or frame.certificate.public_key_der != frame.pk_der
-            or not self.crypto.cert_verify(self.ca_public_key, frame.certificate)
+            certificate.subject_id != frame.doctor_id
+            or certificate.public_key_der != frame.pk_der
+            or not self.crypto.cert_verify(self.ca_public_key, certificate)
         ):
             raise Rejected(STAY, "certificate verification failed")
-
-    def _on_auth_req(self, frame) -> tuple[dict[str, bytes], list[TranscriptEntry]]:
-        self.session = frame.session
-        self.doctor_id = frame.doctor_id
-        self.doctor_public_key = frame.certificate.public_key()
-        self.nonce = self.crypto.random_bytes(NONCE_BYTES)
-        self.rm = self.crypto.random_bytes(RM_BYTES)
-        self.k_p = derive_k_p(self.crypto, self.rm, self.session, self.nonce)
-        challenge = self.crypto.pk_enc(self.doctor_public_key, self.nonce)
-        rm = TranscriptEntry(
-            "oob", LINK_OOB, self.role, self.doctor_oob_directory[self.doctor_id], self.rm
+        public_key = certificate.public_key()
+        nonce = self.crypto.random_bytes(NONCE_BYTES)
+        rm = self.crypto.random_bytes(RM_BYTES)
+        k_p = derive_k_p(self.crypto, rm, frame.session, nonce)
+        challenge = self.crypto.pk_enc(public_key, nonce)
+        self.session, self.doctor_id = frame.session, frame.doctor_id
+        self.doctor_public_key, self.nonce, self.rm, self.k_p = public_key, nonce, rm, k_p
+        oob = TranscriptEntry(
+            "oob", LINK_OOB, self.role, self.doctor_oob_directory[self.doctor_id], rm
         )
-        return dict(smartphone_id=self.smartphone_id, challenge=challenge), [rm]
+        return dict(smartphone_id=self.smartphone_id, challenge=challenge), [oob]
 
     # -- read ------------------------------------------------------------------
 
     def _on_read_auth_req(self, frame) -> dict[str, bytes]:
         key_seed = self.crypto.random_bytes(16)
-        self.shift_key = codec.cs_gen(
-            key_seed, self.config.n, self.config.L1, self.config.L2
-        )
-        kd_bytes = codec.serialize_shift_key(self.shift_key)
-        self.k_r = derive_k_r(self.crypto, kd_bytes, self.session)
-        c1 = self.crypto.sym_enc(
-            self.k_i, length_prefixed(kd_bytes, self.k_r.data)
-        )
+        shift_key = codec.cs_gen(key_seed, self.config.n, self.config.L1, self.config.L2)
+        kd_bytes = codec.serialize_shift_key(shift_key)
+        k_r = derive_k_r(self.crypto, kd_bytes, self.session)
+        c1 = self.crypto.sym_enc(self.k_i, length_prefixed(kd_bytes, k_r.data))
+        self.shift_key, self.k_r = shift_key, k_r
         return dict(doctor_id=self.doctor_id, c1=c1)
 
     def _on_read_ready(self, frame) -> dict[str, bytes]:
@@ -563,25 +574,20 @@ class Smartphone(Party):
         self.pending_ts6 = frame.ts
         return dict(doctor_id=self.doctor_id)
 
-    def _open_command_report(self, frame):
-        """Decrypt the implant's report of the command it is about to apply."""
-        try:
-            plain = self.crypto.sym_dec(self.k_i, frame.report)
-            frame.command, implant_id, ts7_raw = split_length_prefixed(plain, 3)
-            ts7 = ts_from_bytes(ts7_raw)
-        except (CryptoError, ValueError):
-            raise Rejected(STAY, "command report unreadable") from None
+    def _on_write_req(self, frame) -> None:
+        """Log the command the implant reports, once the doctor signed it."""
+        plain = self.crypto.sym_dec(self.k_i, frame.report)
+        command, implant_id, ts7_raw = split_length_prefixed(plain, 3)
+        ts7 = ts_from_bytes(ts7_raw)
         if implant_id != self.implant_id or not self._fresh(ts7):
             raise Rejected(ABORT, "command report mismatch")
-
-    def _on_write_req(self, frame) -> None:
         record = EvidenceRecord(
             doctor_id=self.doctor_id,
             smartphone_id=self.smartphone_id,
             implant_id=self.implant_id,
             shift_key=codec.serialize_shift_key(self.shift_key),
             ciphertext=frame.c2,
-            command=frame.command,
+            command=command,
             timestamp=self.pending_ts6,
             signature=self.pending_sig,
         )
@@ -630,15 +636,10 @@ class Imd(Party):
         self.pair_session = frame.session
 
     def _on_read_allow(self, frame) -> None:
-        try:
-            plain = self.crypto.sym_dec(self.k_i, frame.c1)
-            kd_bytes, kr_bytes = split_length_prefixed(plain, 2)
-            self.shift_key = codec.deserialize_shift_key(kd_bytes)
-            self.k_r = SymmetricKey(kr_bytes)
-        except (codec.CodecError, WireError, CryptoError):
-            raise Rejected(DROP, "key delivery unreadable") from None
-        self.session = frame.session
-        self.session_doctor = frame.doctor_id
+        plain = self.crypto.sym_dec(self.k_i, frame.c1)
+        kd_bytes, kr_bytes = split_length_prefixed(plain, 2)
+        self.shift_key, self.k_r = codec.deserialize_shift_key(kd_bytes), SymmetricKey(kr_bytes)
+        self.session, self.session_doctor = frame.session, frame.doctor_id
 
     def _on_read_req(self, frame) -> dict[str, bytes]:
         phi = self.config.sensing_matrix()
@@ -657,15 +658,11 @@ class Imd(Party):
             raise Rejected(DROP, "doctor mismatch")
 
     def _on_write_req(self, frame) -> dict[str, bytes]:
-        try:
-            cmd = self.crypto.sym_dec(self.k_r, frame.c3)
-        except DecryptionError:
-            raise Rejected(ABORT, "command decryption failure") from None
-        self.pending_cmd = cmd
+        cmd = self.crypto.sym_dec(self.k_r, frame.c3)
         report = self.crypto.sym_enc(
-            self.k_i,
-            length_prefixed(cmd, self.implant_id, u64_bytes(self.clock)),
+            self.k_i, length_prefixed(cmd, self.implant_id, u64_bytes(self.clock))
         )
+        self.pending_cmd = cmd
         return dict(c2=self.c2_bytes, report=report)
 
     def _on_set_allow(self, frame) -> None:
@@ -710,10 +707,7 @@ class Programmer(Party):
         return [self._send(Heading.AUTH_REQ, self.session, **fields)]
 
     def _on_auth_req(self, frame) -> None:
-        try:
-            self.nonce = self.crypto.pk_dec(self.credentials.private_key, frame.challenge)
-        except DecryptionError:
-            raise Rejected(STAY, "nonce challenge unreadable") from None
+        self.nonce = self.crypto.pk_dec(self.credentials.private_key, frame.challenge)
         self.smartphone_id = frame.smartphone_id
 
     def enter_rm(self, rm: bytes):
@@ -736,30 +730,23 @@ class Programmer(Party):
         return [self._send(Heading.READ_AUTH_REQ, self.session)]
 
     def _on_read_ready(self, frame) -> None:
-        try:
-            kd_bytes = self.crypto.sym_dec(self.k_p, frame.enc_kd)
-            self.shift_key = codec.deserialize_shift_key(kd_bytes)
-        except (DecryptionError, codec.CodecError):
-            raise Rejected(STAY, "shift key unreadable") from None
-        self.k_r = derive_k_r(self.crypto, kd_bytes, self.session)
+        kd_bytes = self.crypto.sym_dec(self.k_p, frame.enc_kd)
+        shift_key = codec.deserialize_shift_key(kd_bytes)
+        self.shift_key, self.k_r = shift_key, derive_k_r(self.crypto, kd_bytes, self.session)
 
     def _on_read_req(self, frame) -> None:
-        try:
-            ciphers = [
-                codec.deserialize_ciphertext(b) for b in unpack_signals(frame.c2)
-            ]
-        except (WireError, codec.CodecError):
-            raise Rejected(ABORT, "telemetry payload malformed") from None
-        self.c2_bytes = frame.c2
+        # every signal is de-shifted, so reconstruct changes no verdict
+        phi, window = self.config.sensing_matrix(), (self.config.L1, self.config.L2)
+        measurements = [
+            codec.cs_deshift(self.shift_key, codec.deserialize_ciphertext(blob), phi, *window)
+            for blob in unpack_signals(frame.c2)
+        ]
+        signals = []
         if self.reconstruct:
-            phi = self.config.sensing_matrix()
             psi = self.config.basis()
-            for cipher in ciphers:
-                y = codec.cs_deshift(
-                    self.shift_key, cipher, phi, self.config.L1, self.config.L2
-                )
-                _, x_hat = recovery.omp_reconstruct(y, phi, psi)
-                self.recovered_signals.append(x_hat)
+            signals = [recovery.omp_reconstruct(y, phi, psi)[1] for y in measurements]
+        self.c2_bytes = frame.c2
+        self.recovered_signals.extend(signals)
 
     @property
     def read_complete(self) -> bool:

@@ -49,14 +49,20 @@ class TestRecordsFileErrors:
     # a sample on the benchmark bound L1 = 590; 512 lines are not resampled
     ON_BOUND = "590\n" + "700\n" * 511
     NON_NUMERIC = "700\nabc\n701\n"
+    # past float64's exact integers: 10**20 wraps in the int64 cast, and
+    # 2**53 + 1 rounds onto 2**53 and closes the (min - 1, max + 1) window
+    HUGE = "700\n" * 511 + f"{10**20}\n"
+    PAST_2_53 = "700\n" * 511 + f"{2**53 + 1}\n"
 
     @pytest.mark.parametrize(
         "verb, text, message",
         [
             ("attack", ON_BOUND, r"rec\.csv: samples must lie strictly inside \(590, 1487\)"),
             ("sweep", NON_NUMERIC, r"rec\.csv:2: non-numeric sample 'abc'"),
+            ("sweep", HUGE, rf"rec\.csv:512: sample {10**20} is not below 2\*\*51"),
+            ("sweep", PAST_2_53, rf"rec\.csv:512: sample {2**53 + 1} is not below 2\*\*51"),
         ],
-        ids=["sample-on-bound", "non-numeric-line"],
+        ids=["sample-on-bound", "non-numeric-line", "sample-1e20", "sample-2**53+1"],
     )
     def test_loader_message_instead_of_traceback(self, tmp_path, verb, text, message):
         path = tmp_path / "rec.csv"

@@ -53,6 +53,22 @@ class TestLoader:
         with pytest.raises(ValueError, match="non-numeric"):
             ecg.load_ecg_csv(path)
 
+    @pytest.mark.parametrize(
+        "value", [10**20, 2**53 + 1, -(2**51)], ids=["1e20", "2**53+1", "-2**51"]
+    )
+    def test_sample_past_exact_float64_range_rejected(self, tmp_path, value):
+        # 10**20 wraps in the int64 cast; 2**53 + 1 rounds onto 2**53 and
+        # closes the (min - 1, max + 1) window in float64
+        path = self._write(tmp_path, [700] * 511 + [value])
+        with pytest.raises(ValueError, match=rf"rec\.csv:513: sample {value} is not below"):
+            ecg.load_ecg_csv(path)
+
+    def test_samples_just_inside_exact_range_load(self, tmp_path):
+        path = self._write(tmp_path, [-(2**51 - 1)] + [0] * 510 + [2**51 - 1])
+        record = ecg.load_ecg_csv(path)
+        assert (record.L1, record.L2) == (-(2**51), 2**51)
+        assert ecg.to_bounded_signal(record).values[-1] == 2**51 - 1
+
     def test_bounds_must_contain_samples(self, tmp_path):
         path = self._write(tmp_path, [700, 1450])
         with pytest.raises(ValueError):

@@ -1,30 +1,34 @@
+import ast
+import inspect
+import textwrap
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from imdsec import codec
+from imdsec import codec, parties
 from imdsec.channel import Attacker
-from imdsec.crypto import CryptoSuite, KeyPairWithCert, SymmetricKey
+from imdsec.crypto import CryptoSuite, KeyPairWithCert, SymmetricKey, length_prefixed
 from imdsec.evidence import evidence_verify
 from imdsec.keymat import doctor_private_key
 from imdsec.parties import (
     ABORT,
+    DROP,
     LINK_DI,
+    STAY,
     STEPS,
     Imd,
     Programmer,
     ProtocolError,
-    Rejected,
     Smartphone,
     SystemConfig,
     next_step,
     pack_signals,
+    step_of,
     unpack_signals,
 )
 from imdsec.recovery import classify_prd, prd, QualityClass
-from imdsec.scenarios import build_world, drive, run_session
+from imdsec.scenarios import SCENARIOS, build_world, drive, run_session
 from imdsec.wire import (
     FRESHNESS_WINDOW,
     Heading,
@@ -34,8 +38,60 @@ from imdsec.wire import (
     encode_message,
     u64_bytes,
 )
+from support import party_state
 
 FAST = SystemConfig(n=64, cr=50.0, qs=0)
+
+
+@pytest.fixture
+def rejections(monkeypatch):
+    """The (policy, reason) of every Rejected the parties raise."""
+    seen = []
+
+    class Recorded(parties.Rejected):
+        def __init__(self, policy, reason):
+            super().__init__(policy, reason)
+            seen.append((policy, reason))
+
+    monkeypatch.setattr(parties, "Rejected", Recorded)
+    return seen
+
+
+class _Withhold(Attacker):
+    """Drops the first frame that sender sends with heading, and keeps it."""
+
+    def __init__(self, sender, heading):
+        self.sender, self.heading, self.msg = sender, heading, None
+
+    def intercept(self, entry):
+        if self.msg is None and entry.sender == self.sender:
+            msg = decode_message(entry.payload)
+            if msg.heading == self.heading:
+                self.msg = msg
+                return []
+        return None
+
+
+def _withheld(sender, heading):
+    """A world driven through every flow with sender's heading frame
+    dropped, so that the row's receiver waits for it; returns the world,
+    the row and the dropped message."""
+    attacker = _Withhold(sender, heading)
+    world = build_world(seed=3, config=FAST, attacker=attacker)
+    drive(world, SCENARIOS["full"])
+    step = step_of(sender, heading)
+    assert getattr(world, step.receiver).expected == heading
+    return world, step, attacker.msg
+
+
+def _forged(step, msg, receiver, **fields):
+    """msg with fields replaced, a fresh timestamp, and a MAC under the
+    receiver's own key on a row with a MAC."""
+    named = dict(zip(step.fields, msg.fields), **fields)
+    if step.ts is not None:
+        named[step.ts] = u64_bytes(receiver.clock)
+    key = None if step.key is None else getattr(receiver, step.key)
+    return step.encode(msg.session, named, CryptoSuite(), key)
 
 
 class TestHonestFlows:
@@ -283,23 +339,21 @@ class TestFailurePaths:
         assert world.programmer.recovered_signals == []
         assert world.programmer.abort_reason == "telemetry MAC failure"
 
-    def test_non_finite_telemetry_aborts_before_the_solver(self):
+    def test_non_finite_telemetry_aborts_before_the_solver(self, rejections):
         # reaching this handler takes a valid k_r MAC; the payload itself
         # is still outside input and must abort, not raise
-        world = run_session("full", seed=3, config=FAST).world
+        world, step, msg = _withheld("imd", Heading.READ_REQ)
         programmer = world.programmer
-        honest = codec.deserialize_ciphertext(unpack_signals(programmer.c2_bytes)[0])
+        honest = codec.deserialize_ciphertext(unpack_signals(msg.fields[0])[0])
         measurements = honest.measurements.copy()
         measurements[0] = np.nan
         frame = codec.serialize_ciphertext(
             codec.CsCiphertext(measurements=measurements, carries=honest.carries)
         )
         recovered = len(programmer.recovered_signals)
-        with pytest.raises(Rejected) as rejected:
-            programmer._on_read_req(SimpleNamespace(c2=pack_signals([frame])))
-        assert (rejected.value.policy, rejected.value.reason) == (
-            ABORT, "telemetry payload malformed"
-        )
+        raw = _forged(step, msg, programmer, c2=pack_signals([frame]))
+        assert programmer.receive(raw, LINK_DI) == []
+        assert rejections == [(ABORT, "telemetry payload malformed")]
         assert len(programmer.recovered_signals) == recovered
 
     def test_stale_timestamp_dropped(self):
@@ -361,22 +415,27 @@ class TestInjectedFramesDoNotWedge:
     leave the honest flow free to finish."""
 
     @pytest.mark.parametrize(
-        "sender,heading,forge,victim,reason",
+        "sender,heading,forge,victim,policy,reason",
         [
             ("programmer", Heading.AUTH_REQ,
-             lambda f: (b"DR-MALLORY",) + f[1:], "smartphone", "unknown doctor"),
+             lambda f: (b"DR-MALLORY",) + f[1:], "smartphone", STAY, "unknown doctor"),
+            ("programmer", Heading.AUTH_REQ,
+             lambda f: f[:3] + (b"junk",), "smartphone", DROP, "certificate unparseable"),
             ("smartphone", Heading.AUTH_REQ,
              lambda f: (f[0], b"\x00" * len(f[1])), "programmer",
-             "nonce challenge unreadable"),
+             STAY, "nonce challenge unreadable"),
             ("smartphone", Heading.READ_READY,
-             lambda f: (b"\x00" * len(f[0]),), "programmer", "shift key unreadable"),
+             lambda f: (b"\x00" * len(f[0]),), "programmer", STAY, "shift key unreadable"),
             ("imd", Heading.WRITE_REQ,
              lambda f: (f[0], b"\x00" * len(f[1])), "smartphone",
-             "command report unreadable"),
+             STAY, "command report unreadable"),
         ],
-        ids=["unknown-doctor", "junk-challenge", "junk-shift-key", "junk-report"],
+        ids=["unknown-doctor", "junk-certificate", "junk-challenge", "junk-shift-key",
+             "junk-report"],
     )
-    def test_honest_session_completes(self, sender, heading, forge, victim, reason):
+    def test_honest_session_completes(
+        self, rejections, sender, heading, forge, victim, policy, reason
+    ):
         attacker = _InjectBefore(sender, heading, forge)
         world = build_world(seed=22, config=FAST, attacker=attacker)
         result = run_session("full", config=FAST, world=world)
@@ -385,9 +444,114 @@ class TestInjectedFramesDoNotWedge:
         party = getattr(world, victim)
         assert party.outcome == "ok"
         assert party.abort_reason is None
-        assert reason in party.incidents
+        # a drop records no incident, so only the count shows it
+        assert rejections == [(policy, reason)]
+        assert party.drops == 1
+        assert party.incidents == ([reason] if policy == STAY else [])
         assert len(world.imd.applied_commands) == 1
         assert len(world.smartphone.ledger) == 1
+
+
+def _telemetry(world, config):
+    """The implant's telemetry payload, encoded at config's operating point."""
+    signal = world.imd.data_source()[0]
+    cipher = codec.cs_enc(world.programmer.shift_key, signal, config.sensing_matrix())
+    return pack_signals([codec.serialize_ciphertext(cipher)])
+
+
+# (sender, heading) of each row that sets unreadable, what makes its
+# content unreadable once every earlier check passes, and the verdict
+UNREADABLE = [
+    ("programmer", Heading.AUTH_REQ, lambda w: dict(cert=b"junk"),
+     (DROP, "certificate unparseable")),
+    ("smartphone", Heading.AUTH_REQ, lambda w: dict(challenge=bytes(256)),
+     (STAY, "nonce challenge unreadable")),
+    # decrypts and carries a shift key, but K_R is 5 bytes long
+    ("smartphone", Heading.READ_ALLOW, lambda w: dict(c1=CryptoSuite().sym_enc(
+        w.imd.k_i, length_prefixed(codec.serialize_shift_key(w.smartphone.shift_key), b"short"),
+    )), (DROP, "key delivery unreadable")),
+    ("smartphone", Heading.READ_READY,
+     lambda w: dict(enc_kd=CryptoSuite().sym_enc(w.programmer.k_p, b"junk")),
+     (STAY, "shift key unreadable")),
+    # telemetry of another operating point: CR 75 sent to a CR-50 programmer
+    ("imd", Heading.READ_REQ,
+     lambda w: dict(c2=_telemetry(w, SystemConfig(n=FAST.n, cr=75.0, qs=0))),
+     (ABORT, "telemetry payload malformed")),
+    ("programmer", Heading.WRITE_REQ, lambda w: dict(c3=bytes(40)),
+     (ABORT, "command decryption failure")),
+    ("imd", Heading.WRITE_REQ,
+     lambda w: dict(report=CryptoSuite().sym_enc(w.smartphone.k_i, b"junk")),
+     (STAY, "command report unreadable")),
+]
+
+# what each policy may change on the party it rejects a frame for
+RECORDED_BY = {
+    DROP: {"drops"},
+    STAY: {"drops", "incidents"},
+    ABORT: {"outcome", "abort_reason", "_awaiting"},
+}
+
+
+def _held(party):
+    """A party's attributes, a list as a tuple of its items."""
+    return {name: tuple(v) if isinstance(v, list) else v for name, v in vars(party).items()}
+
+
+def _same(a, b):
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+    return a is b
+
+
+class TestUnreadableContent:
+    """A frame that passes every check before its handler, but whose
+    sealed or encoded content cannot be read, meets its row's declared
+    policy and changes nothing else."""
+
+    @pytest.mark.parametrize(
+        "sender, heading, forge, verdict", UNREADABLE,
+        ids=["certificate", "challenge", "key-delivery", "shift-key",
+             "telemetry-at-another-operating-point", "command", "command-report"],
+    )
+    def test_row_verdict_and_nothing_else(self, rejections, sender, heading, forge, verdict):
+        world, step, msg = _withheld(sender, heading)
+        victim = getattr(world, step.receiver)
+        raw = _forged(step, msg, victim, **forge(world))
+        state, held = party_state(world), _held(victim)
+        rejections.clear()
+        assert victim.receive(raw, step.link) == []
+        assert rejections == [verdict]
+        policy = verdict[0]
+        if policy == ABORT:
+            state[victim.role] = (None, None, "aborted") + state[victim.role][3:]
+        assert party_state(world) == state
+        after = _held(victim)
+        assert {name for name in after if not _same(after[name], held[name])} == RECORDED_BY[policy]
+
+    def test_cases_cover_every_row_with_unreadable(self):
+        rows = {(s.sender, s.heading) for s in STEPS if s.unreadable is not None}
+        assert rows == {(sender, heading) for sender, heading, _, _ in UNREADABLE}
+        for sender, heading, _, verdict in UNREADABLE:
+            assert step_of(sender, heading).unreadable == verdict
+
+    def test_an_error_on_a_row_without_unreadable_propagates(self):
+        # the implant's own data failing to encode is a fault, not a frame to reject
+        world = build_world(seed=3, config=FAST)
+        world.imd.data_source = lambda: [codec.BoundedSignal(np.full(3, 1000.0), FAST.L1, FAST.L2)]
+        assert step_of("programmer", Heading.READ_REQ).unreadable is None
+        with pytest.raises(codec.CodecError, match="key length"):
+            drive(world, SCENARIOS["read"])
+
+    def test_only_pair_req_and_write_allow_check_before_the_mac(self):
+        assert [s.heading for s in STEPS if s.check] == [Heading.PAIR_REQ, Heading.WRITE_ALLOW]
+
+    def test_handlers_hold_no_try(self):
+        for cls in (Smartphone, Imd, Programmer):
+            for name, method in vars(cls).items():
+                if name.startswith("_on_"):
+                    tree = ast.parse(textwrap.dedent(inspect.getsource(method)))
+                    tries = [n for n in ast.walk(tree) if isinstance(n, ast.Try)]
+                    assert not tries, f"{cls.__name__}.{name}"
 
 
 class _DropCommand(Attacker):
