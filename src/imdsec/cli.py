@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import ecg, reports
+from . import codec, ecg, reports
 from .attacks import DuplicateFrameAttacker, indistinguishability_test, mitm_read_attack
 from .channel import Attacker
 from .parties import SystemConfig
@@ -83,13 +83,16 @@ def _report_checks(name, problems):
 
 def _cmd_sweep(args) -> int:
     records = _default_records(args)
-    report = reports.sweep_prd(
-        records,
-        cr_grid=tuple(args.cr),
-        qs_grid=tuple(args.qs),
-        seeds=args.seeds,
-        master_seed=args.master_seed,
-    )
+    try:
+        report = reports.sweep_prd(
+            records,
+            cr_grid=tuple(args.cr),
+            qs_grid=tuple(args.qs),
+            seeds=args.seeds,
+            master_seed=args.master_seed,
+        )
+    except codec.CodecError as exc:  # a file's samples can outgrow the packer
+        raise SystemExit(str(exc)) from None
     if args.out:
         reports.emit_report(report, args.out)
         print(f"wrote {args.out}")

@@ -314,9 +314,10 @@ def cs_deshift(key: ShiftKey, c: CsCiphertext, phi, L1: int, L2: int) -> np.ndar
 #              two's complement, packed MSB-first and padded to a byte
 # then ceil(N/8) bytes of carry bits, MSB-first.
 #
-# Quantized multiples are packed at the minimal width that holds them;
-# a step-qs grid occupies few levels, so the packed payload stays well
-# below the raw signal size.
+# The packer picks the minimal width b, so the payload stays well below
+# the raw signal size.  The decoder accepts any b from 1 to 32 and ignores
+# the padding bits, so two byte strings can decode to one ciphertext; the
+# telemetry frame's k_r MAC covers the bytes as sent.
 
 _HEADER = struct.Struct(">III")
 
@@ -367,21 +368,13 @@ def deserialize_ciphertext(buf: bytes) -> CsCiphertext:
         pos += 1
         if not 1 <= width <= 32:
             raise CodecError(f"bad multiple width {width}")
-        nbytes = (m * width + 7) // 8
-        end = pos + nbytes
+        end = pos + (m * width + 7) // 8
         if len(buf) < end:
             raise CodecError("truncated measurement block")
-        bits = np.unpackbits(
-            np.frombuffer(buf[pos:end], dtype=np.uint8), count=m * width
-        )
-        mult = np.empty(m, dtype=np.int64)
-        for i in range(m):
-            uv = 0
-            for j in range(width):
-                uv = (uv << 1) | int(bits[i * width + j])
-            if uv >= 1 << (width - 1):
-                uv -= 1 << width
-            mult[i] = uv
+        block = np.frombuffer(buf[pos:end], dtype=np.uint8)
+        bits = np.unpackbits(block, count=m * width).reshape(m, width)
+        uv = bits @ (1 << np.arange(width - 1, -1, -1, dtype=np.int64))
+        mult = uv - ((uv >> (width - 1)) << width)  # two's-complement sign fold
         measurements = mult.astype(np.float64) * qs
         pos = end
         quant_step = qs

@@ -177,7 +177,10 @@ def sweep_prd(
         for qs in qs_grid:
             for record, signal, record_keys in zip(records, signals, keys):
                 ciphers, prds = _trials(signal, record_keys, phi, psi, params, qs)
-                payload = max(map(len, map(codec.serialize_ciphertext, ciphers)), default=0)
+                try:
+                    payload = max(map(len, map(codec.serialize_ciphertext, ciphers)), default=0)
+                except codec.CodecError as exc:
+                    raise codec.CodecError(f"record {record.source_id}, qs {qs}: {exc}") from exc
                 median = float(np.median(prds))
                 rows.append(
                     SweepRow(

@@ -86,6 +86,17 @@ class TestRecordsFileErrors:
         assert exit_info.value.code == f"{path}: {reason}"
 
 
+    def test_samples_past_the_packer_exit_with_the_record_and_qs(self, tmp_path):
+        # inside the loader's 2**51 limit, but 10**11 outgrows the 32-bit
+        # step multiples the packer holds
+        path = tmp_path / "big.csv"
+        path.write_text(f"700\n{10**11}\n701\n")
+        argv = ["sweep", "--records", str(path), "--cr", "50", "--qs", "1", "20", "--seeds", "1"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == "record big, qs 1: quantized multiples exceed 32-bit range"
+
+
 class TestCountArguments:
     @pytest.mark.parametrize(
         "argv",

@@ -80,6 +80,39 @@ def _pack_reference(mult, width):
     return np.packbits(bits).tobytes()
 
 
+def _unpack_reference(block, m, width):
+    """m width-bit two's-complement multiples from a packed block, MSB
+    first, one bit at a time; bits past m * width are ignored."""
+    bits = np.unpackbits(np.frombuffer(block, dtype=np.uint8), count=m * width)
+    mult = np.empty(m, dtype=np.int64)
+    for i in range(m):
+        uv = 0
+        for j in range(width):
+            uv = (uv << 1) | int(bits[i * width + j])
+        if uv >= 1 << (width - 1):
+            uv -= 1 << width
+        mult[i] = uv
+    return mult
+
+
+@st.composite
+def measurement_blocks(draw):
+    """(width, m, block): a quantized measurement block as a forged frame
+    may carry it.  Either arbitrary bytes, or multiples that fit a narrower
+    width packed at this one; both with arbitrary padding bits."""
+    width, m = draw(st.integers(1, 32)), draw(st.integers(1, 300))
+    size = (m * width + 7) // 8
+    if draw(st.booleans()):
+        return width, m, draw(st.binary(min_size=size, max_size=size))
+    narrow = draw(st.integers(1, width))
+    values = st.integers(-(1 << (narrow - 1)), (1 << (narrow - 1)) - 1)
+    multiples = draw(st.lists(values, min_size=m, max_size=m))
+    block = bytearray(_pack_reference(multiples, width))
+    padding = (-m * width) % 8
+    block[-1] |= draw(st.integers(0, (1 << padding) - 1))
+    return width, m, bytes(block)
+
+
 @st.composite
 def multiples_at_a_width(draw):
     """A multiple vector whose minimal width is exactly w, for w in 1..32:
@@ -568,6 +601,37 @@ class TestPackingOracle:
         )
         with pytest.raises(CodecError, match="quantized multiples exceed 32-bit range"):
             serialize_ciphertext(c)
+
+
+class TestUnpackOracle:
+    """The numpy unpacker against the per-bit loop it replaced, on blocks
+    the packer never writes: non-minimal widths and set padding bits."""
+
+    @staticmethod
+    def frame(width, m, block, qs):
+        n = m + 3
+        return struct.pack(">IIIB", n, m, qs, width) + block + bytes((n + 7) // 8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(measurement_blocks(), st.sampled_from([1, 10, 120]))
+    def test_multiples_equal_the_reference(self, block, qs):
+        width, m, payload = block
+        back = deserialize_ciphertext(self.frame(width, m, payload, qs))
+        expected = _unpack_reference(payload, m, width) * qs
+        np.testing.assert_array_equal(back.measurements, expected)
+        assert back.quant_step == qs
+
+    def test_three_byte_strings_decode_to_one_ciphertext(self):
+        # multiples -1 and 2: as packed (width 3), with both padding bits
+        # set, and at width 8
+        packed = self.frame(3, 2, bytes([0b111_010_00]), 20)
+        padded = self.frame(3, 2, bytes([0b111_010_11]), 20)
+        wide = self.frame(8, 2, bytes([0xFF, 0x02]), 20)
+        assert len({packed, padded, wide}) == 3
+        for blob in (packed, padded, wide):
+            back = deserialize_ciphertext(blob)
+            np.testing.assert_array_equal(back.measurements, [-20.0, 40.0])
+            assert serialize_ciphertext(back) == packed
 
 
 class TestStatisticalMasking:
