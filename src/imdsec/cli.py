@@ -52,8 +52,6 @@ cr_value, qs_value = _config_field("cr", float), _config_field("qs", int)
 def _load_records(paths, bounds=None):
     try:
         return [ecg.load_ecg_csv(path, bounds=bounds) for path in paths]
-    except OSError as exc:
-        raise SystemExit(f"{exc.filename}: {exc.strerror}") from None
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
 
@@ -324,7 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        if exc.filename is None:  # not a --records, --config or --out path
+            raise
+        raise SystemExit(f"{exc.filename}: {exc.strerror}") from None
 
 
 if __name__ == "__main__":

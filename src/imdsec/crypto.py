@@ -14,10 +14,16 @@ outside.
 A CryptoSuite instance carries its own operation counters and an
 optional deterministic RNG, so each simulated party can account for its
 own crypto workload and whole runs replay bit-for-bit from seeds.
+
+The process memoizes the last _KDF_MEMO_SIZE PBKDF2 results by exact
+material, so the second party to derive a shared key looks it up.  A key
+is a pure function of its material and every kdf call is still counted,
+so keys, transcripts and op counts are those of an uncached run.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as hmac_mod
 import random
@@ -47,6 +53,8 @@ __all__ = [
 KEY_BYTES = 16
 KDF_ITERATIONS = 1000
 _KDF_SALT = b"imdsec/kdf/v1"
+# three materials per session (K_I, K_P, K_R) plus a fuzz world's flipped ones
+_KDF_MEMO_SIZE = 16
 _GCM_NONCE_BYTES = 12
 _OAEP_HASH_BYTES = 32  # SHA-256
 
@@ -154,6 +162,11 @@ class KeyPairWithCert:
         return self.private_key.public_key()
 
 
+@functools.lru_cache(maxsize=_KDF_MEMO_SIZE)
+def _pbkdf2(material: bytes) -> bytes:
+    return hashlib.pbkdf2_hmac("sha1", material, _KDF_SALT, KDF_ITERATIONS, KEY_BYTES)
+
+
 def _mgf1(seed: bytes, length: int) -> bytes:
     out = bytearray()
     counter = 0
@@ -216,10 +229,7 @@ class CryptoSuite:
         if not material:
             raise CryptoError("empty key-derivation material")
         self.counters["kdf"] += 1
-        data = hashlib.pbkdf2_hmac(
-            "sha1", material, _KDF_SALT, KDF_ITERATIONS, dklen=KEY_BYTES
-        )
-        return SymmetricKey(data)
+        return SymmetricKey(_pbkdf2(material))
 
     # -- message authentication ------------------------------------------
 

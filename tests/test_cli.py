@@ -97,6 +97,41 @@ class TestRecordsFileErrors:
         assert exit_info.value.code == "record big, qs 1: quantized multiples exceed 32-bit range"
 
 
+class TestPathErrors:
+    """A --out or --config path that cannot be written or read ends the
+    run with one `<path>: <reason>` line, as a --records path does."""
+
+    @pytest.mark.parametrize(
+        "argv, name, reason",
+        [
+            (["session", "--scenario", "pair", "--n", "16", "--qs", "0", "--out"],
+             "missing/x.txt", "No such file or directory"),
+            (["session", "--scenario", "pair", "--n", "16", "--qs", "0", "--out"],
+             "a-directory", "Is a directory"),
+            (["sweep", "--cr", "50", "--qs", "0", "--seeds", "1", "--out"],
+             "missing/x.csv", "No such file or directory"),
+            (["attack", "--cr", "50", "--seeds", "1", "--trials", "1", "--out"],
+             "missing/x.csv", "No such file or directory"),
+            (["opcount", "--out"], "missing/x.csv", "No such file or directory"),
+            (["session", "--config"], "missing.cfg", "No such file or directory"),
+            (["session", "--config"], "a-directory", "Is a directory"),
+            (["gen-fixtures", "--count", "1", "--out"], "a-file", "File exists"),
+        ],
+        ids=[
+            "session-out-missing-dir", "session-out-directory", "sweep-out",
+            "attack-out", "opcount-out", "config-missing", "config-directory",
+            "gen-fixtures-out-file",
+        ],
+    )
+    def test_exits_with_the_path_and_its_reason(self, tmp_path, argv, name, reason):
+        (tmp_path / "a-directory").mkdir()
+        (tmp_path / "a-file").write_text("")
+        path = tmp_path / name
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [str(path)])
+        assert exit_info.value.code == f"{path}: {reason}"
+
+
 class TestCountArguments:
     @pytest.mark.parametrize(
         "argv",

@@ -1,19 +1,25 @@
+import hashlib
 import random
 from pathlib import Path
 
 import pytest
 
+from imdsec.attacks import forge_read_auth_attempts
 from imdsec.crypto import (
+    _KDF_MEMO_SIZE,
+    _KDF_SALT,
     Certificate,
     CryptoError,
     CryptoSuite,
     DecryptionError,
     SignatureBlob,
     SymmetricKey,
+    _pbkdf2,
     length_prefixed,
 )
 from imdsec.keymat import authority_private_key, doctor_certificate, doctor_private_key
-from imdsec.scenarios import DOCTOR_ID, build_world
+from imdsec.parties import SystemConfig
+from imdsec.scenarios import DOCTOR_ID, build_world, run_session
 
 VECTOR_FILE = Path(__file__).parent / "data" / "crypto_vectors.txt"
 
@@ -63,6 +69,68 @@ class TestKdf:
         corpus = {rng.randbytes(rng.randint(1, 32)) for _ in range(2000)}
         keys = {suite.kdf(m).data for m in corpus}
         assert len(keys) == len(corpus)
+
+
+class TestKdfMemo:
+    """The PBKDF2 memo changes wall time only: keys, counts and an
+    attacker's cost per guess are those of an uncached derivation."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        _pbkdf2.cache_clear()
+
+    def test_equals_plain_pbkdf2(self, suite):
+        rng = random.Random(21)
+        for _ in range(1000):
+            material = rng.randbytes(rng.randint(1, 32))
+            expected = hashlib.pbkdf2_hmac("sha1", material, _KDF_SALT, 1000, 16)
+            assert suite.kdf(material).data == expected  # computed
+            assert suite.kdf(material).data == expected  # from the memo
+
+    def test_key_derived_after_eviction_equals_the_first(self, suite):
+        first = suite.kdf(b"evicted")
+        for i in range(_KDF_MEMO_SIZE):
+            suite.kdf(b"filler-%d" % i)
+        misses = _pbkdf2.cache_info().misses
+        assert suite.kdf(b"evicted") == first
+        assert _pbkdf2.cache_info().misses == misses + 1
+
+    def test_every_call_is_counted(self):
+        suite = CryptoSuite()
+        for _ in range(3):
+            suite.kdf(b"counted")
+        assert suite.counters["kdf"] == 3
+        info = _pbkdf2.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+
+    def test_memo_is_bounded(self, suite):
+        assert _pbkdf2.cache_info().maxsize == _KDF_MEMO_SIZE
+        for i in range(3 * _KDF_MEMO_SIZE):
+            suite.kdf(b"bounded-%d" % i)
+            assert _pbkdf2.cache_info().currsize <= _KDF_MEMO_SIZE
+
+    def test_empty_material_leaves_no_entry(self):
+        suite = CryptoSuite()
+        with pytest.raises(CryptoError):
+            suite.kdf(b"")
+        assert _pbkdf2.cache_info().currsize == 0
+        assert suite.counters["kdf"] == 0
+
+    def test_honest_session_computes_each_key_once(self):
+        result = run_session("full")
+        assert result.ok
+        parties = result.world.scheduler.parties.values()
+        assert sum(party.crypto.counters["kdf"] for party in parties) == 6
+        assert _pbkdf2.cache_info().misses == 3
+
+    def test_each_rm_guess_costs_a_full_derivation(self):
+        run_session("auth", config=SystemConfig(n=64))
+        setup = _pbkdf2.cache_info()
+        _pbkdf2.cache_clear()
+        assert forge_read_auth_attempts(attempts=50) == 50
+        info = _pbkdf2.cache_info()
+        assert info.misses == setup.misses + 50
+        assert info.hits == setup.hits
 
 
 class TestMac:
