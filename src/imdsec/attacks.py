@@ -2,11 +2,12 @@
 
 The guessing attacks model an eavesdropper who holds a telemetry
 ciphertext and the public projection/basis but not the shift key: it
-de-shifts with guessed keys and reconstructs.  Recovery quality is
-scored against the ground truth by a separate scorer, never inside the
-attacker logic.  The man-in-the-middle scenario replays the blocked-link
-attack on the read flow; the statistical test checks that masked
-telemetry is indistinguishable from masked silence.
+de-shifts with guessed keys and reconstructs.  Each returns the PRD of
+every guess's recovery against the ground truth, in guess order, scored
+by recovery.batch_prds outside the attacker logic; the caller takes the
+best guess with min.  The man-in-the-middle scenario replays the
+blocked-link attack on the read flow; the statistical test checks that
+masked telemetry is indistinguishable from masked silence.
 """
 
 from __future__ import annotations
@@ -33,16 +34,14 @@ from .codec import (
 )
 from .crypto import CryptoSuite
 from .parties import STEPS, Step, SystemConfig, derive_k_p, step_of, unpack_signals
-from .recovery import RecoveryParams, SensingMatrix, SparsityBasis, prd
-from .recovery import omp_reconstruct, omp_reconstruct_batch
+from .recovery import RecoveryParams, SensingMatrix, SparsityBasis, batch_prds, prd
+from .recovery import omp_reconstruct
 from .scenarios import SCENARIOS, build_world, drive, run_session
 from .wire import Heading, WireError, decode_message, u64_bytes
 
 __all__ = [
     "default_shift_grid",
-    "UniformGuessResult",
     "uniform_guess_attack",
-    "RandomGuessResult",
     "random_guess_attack",
     "MitmResult",
     "mitm_read_attack",
@@ -129,19 +128,12 @@ class BitFlipAttacker(Attacker):
         return [bytes(mutated)]
 
 
-def default_shift_grid(bound: int = shift_bound(SystemConfig.L2 - SystemConfig.L1)) -> list[int]:
+def default_shift_grid(bound: int = shift_bound(ecg.WINDOW[1] - ecg.WINDOW[0])) -> list[int]:
     """Multiples of 50 inside [-bound, bound] plus the interval ends."""
     grid = {shift for shift in range(0, bound + 1, 50)}
     grid.update(-shift for shift in list(grid))
     grid.update((-bound, bound))
     return sorted(grid)
-
-
-@dataclass(frozen=True)
-class UniformGuessResult:
-    best_shift: int
-    best_prd: float
-    curve: tuple[tuple[int, float], ...]
 
 
 def uniform_guess_attack(
@@ -151,8 +143,9 @@ def uniform_guess_attack(
     truth: np.ndarray,
     grid: Optional[list[int]] = None,
     params: Optional[RecoveryParams] = None,
-) -> UniformGuessResult:
-    """De-shift with every constant guess and score each recovery.
+) -> list[float]:
+    """De-shift with every constant guess; the PRD of each recovery, in
+    grid order.
 
     The attacker cannot orient the carry bits without the key signs, so
     each de-shift assumes no wraps: y_guess = y' - shift * (phi @ 1).
@@ -160,20 +153,7 @@ def uniform_guess_attack(
     grid = grid if grid is not None else default_shift_grid()
     column_sum = phi.entries @ np.ones(phi.n)
     shifts = np.array(grid, dtype=np.float64).reshape(-1, 1)
-    _, x_hats = omp_reconstruct_batch(
-        cipher.measurements - shifts * column_sum, phi, psi, params
-    )
-    curve = [(shift, prd(truth, x_hat)) for shift, x_hat in zip(grid, x_hats)]
-    best_shift, best_prd = min(curve, key=lambda item: item[1])
-    return UniformGuessResult(
-        best_shift=best_shift, best_prd=best_prd, curve=tuple(curve)
-    )
-
-
-@dataclass(frozen=True)
-class RandomGuessResult:
-    prds: tuple[float, ...]
-    min_prd: float
+    return batch_prds(cipher.measurements - shifts * column_sum, phi, psi, truth, params)
 
 
 def random_guess_attack(
@@ -187,8 +167,9 @@ def random_guess_attack(
     seed: bytes = b"random-guess",
     params: Optional[RecoveryParams] = None,
     planted_key: Optional[ShiftKey] = None,
-) -> RandomGuessResult:
-    """Draw fresh shift keys the way the smartphone would and de-shift.
+) -> list[float]:
+    """Draw fresh shift keys the way the smartphone would and de-shift;
+    the PRD of each trial's recovery, in trial order.
 
     planted_key, when given, replaces the first trial's guess with the
     true key (sanity anchor: that trial must match legitimate recovery).
@@ -200,11 +181,7 @@ def random_guess_attack(
         for trial in range(trials)
     ]
     guesses = [cs_deshift(key, cipher, phi, L1, L2) for key in keys]
-    _, x_hats = omp_reconstruct_batch(
-        np.reshape(guesses, (trials, phi.m)), phi, psi, params
-    )
-    prds = tuple(prd(truth, x_hat) for x_hat in x_hats)
-    return RandomGuessResult(prds=prds, min_prd=min(prds))
+    return batch_prds(guesses, phi, psi, truth, params)
 
 
 class MitmReadAttacker(Attacker):
@@ -293,11 +270,11 @@ def mitm_read_attack(
 
     derived = attacker.derive_shift_key(world.scheduler.transcript)
     if derived is not None:
-        y = cs_deshift(derived, cipher, phi, config.L1, config.L2)
+        y = cs_deshift(derived, cipher, phi, *ecg.WINDOW)
         _, x_hat = omp_reconstruct(y, phi, psi)
         attacker_prd = prd(attacked_truth, x_hat)
     else:
-        attacker_prd = uniform_guess_attack(cipher, phi, psi, attacked_truth).best_prd
+        attacker_prd = min(uniform_guess_attack(cipher, phi, psi, attacked_truth))
     return MitmResult(
         attacker_prd=attacker_prd,
         attacker_derived_key=derived is not None,
@@ -361,7 +338,7 @@ def indistinguishability_test(
     from scipy import stats
 
     config = SystemConfig()
-    L1, L2 = config.L1, config.L2
+    L1, L2 = ecg.WINDOW
     records_needed = -(-samples // config.n)
     values = np.concatenate(
         [

@@ -323,7 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe fails here, not at exit
+        return code
+    except BrokenPipeError:  # end quietly; the exit-time flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except OSError as exc:
         if exc.filename is None:  # not a --records, --config or --out path
             raise

@@ -1,7 +1,7 @@
 """ECG record ingestion and synthetic fixture generation.
 
 Records are one integer sample per line (optional '#' header lines),
-each of magnitude below 2**51, resampled to 2 seconds at 256 Hz.
+each of magnitude below 2**51, resampled to 2 seconds at 256 Hz (SAMPLE_RATE).
 Because the real arrhythmia corpus cannot be bundled, a generator
 produces ECG-like fixtures: a few
 dominant cosine atoms plus a decaying coefficient tail, so compression
@@ -47,7 +47,6 @@ _SAMPLE_LIMIT = 2**51
 class EcgRecord:
     samples: np.ndarray  # integer-valued
     source_id: str
-    sample_rate: int
     L1: int
     L2: int
     provenance: str = "file"
@@ -116,7 +115,6 @@ def load_ecg_csv(path, bounds: Optional[tuple[int, int]] = None) -> EcgRecord:
         return EcgRecord(
             samples=resampled,
             source_id=path.stem,
-            sample_rate=SAMPLE_RATE,
             L1=int(bounds[0]),
             L2=int(bounds[1]),
         )
@@ -153,7 +151,6 @@ def synth_ecg_like(seed: bytes, n: int = TARGET_SAMPLES, s: int = 12) -> EcgReco
     return EcgRecord(
         samples=samples,
         source_id="synth-" + hashlib.sha256(bytes(seed)).hexdigest()[:10],
-        sample_rate=SAMPLE_RATE,
         L1=L1,
         L2=L2,
         provenance="synthetic",
@@ -175,7 +172,7 @@ def raw_signal_bytes(record: EcgRecord) -> bytes:
 
 def write_fixture(record: EcgRecord, path):
     path = Path(path)
-    lines = [f"# id={record.source_id} rate={record.sample_rate}"]
+    lines = [f"# id={record.source_id} rate={SAMPLE_RATE}"]
     lines += [str(v) for v in record.samples.tolist()]
     path.write_text("\n".join(lines) + "\n")
 

@@ -4,7 +4,8 @@ Each applied command leaves one signed tuple on the patient's phone:
 who wrote (doctor id), through what (smartphone id), to what device
 (implant id), with which session key material, based on which telemetry
 ciphertext, the command itself, when, and the doctor's signature over
-all of it.  The ledger file is append-only.
+all of it.  The ledger file is append-only; each entry holds the fields
+in the order the doctor signs them, then the signature.
 """
 
 from __future__ import annotations
@@ -30,15 +31,15 @@ class EvidenceRecord:
     doctor_id: bytes
     smartphone_id: bytes
     implant_id: bytes
-    shift_key: bytes  # serialized form of the session shift key
     ciphertext: bytes  # the telemetry ciphertext the command was based on
+    shift_key: bytes  # serialized form of the session shift key
     command: bytes
     timestamp: int
     signature: Optional[SignatureBlob] = None  # None until the doctor signs
 
     def signed_bytes(self) -> bytes:
         """The byte string the doctor signs: every field but the
-        signature, with the ciphertext before the shift key."""
+        signature, in field order (the ciphertext before the shift key)."""
         return length_prefixed(
             self.doctor_id,
             self.smartphone_id,
@@ -50,16 +51,9 @@ class EvidenceRecord:
         )
 
     def to_bytes(self) -> bytes:
-        return length_prefixed(
-            self.doctor_id,
-            self.smartphone_id,
-            self.implant_id,
-            self.shift_key,
-            self.ciphertext,
-            self.command,
-            u64_bytes(self.timestamp),
-            self.signature.algorithm.encode(),
-            self.signature.data,
+        """The signed byte string followed by the signature."""
+        return self.signed_bytes() + length_prefixed(
+            self.signature.algorithm.encode(), self.signature.data
         )
 
     @classmethod
@@ -69,8 +63,8 @@ class EvidenceRecord:
             doctor_id=parts[0],
             smartphone_id=parts[1],
             implant_id=parts[2],
-            shift_key=parts[3],
-            ciphertext=parts[4],
+            ciphertext=parts[3],
+            shift_key=parts[4],
             command=parts[5],
             timestamp=ts_from_bytes(parts[6]),
             signature=SignatureBlob(parts[7].decode(), parts[8]),

@@ -33,6 +33,9 @@ party that needs the key (and by the attacks):
   nonce the doctor RSA-decrypts (both factors are needed);
 - derive_k_r: K_R from the serialized shift key and the session number.
 
+The smartphone keeps the session shift key only as kd_bytes, the
+serialized form it derives K_R from, sends and logs.
+
 Every row belongs to one of four flows, each a contiguous run of STEPS:
 pair, auth, read and write.  The sender of a flow's first row opens it
 with its start_<flow> method; every later row answers the row before
@@ -161,16 +164,14 @@ class Rejected(Exception):
 class SystemConfig:
     """The operating point: public parameters shared by all parties.
 
-    n, cr and qs are settings, chosen per instance.  The signal window
-    (L1, L2) and the seed of the sensing matrix are constants of the
-    class; every record, report and session uses the same ones.
+    n, cr and qs are settings, chosen per instance.  The seed of the
+    sensing matrix is a constant of the class and the signal window is
+    ecg.WINDOW; every record, report and session uses the same ones.
     """
 
     n: int = ecg.TARGET_SAMPLES
     cr: float = 50.0
     qs: int = 20  # 0 = transmit unquantized measurements
-    L1: ClassVar[int] = ecg.WINDOW[0]
-    L2: ClassVar[int] = ecg.WINDOW[1]
     matrix_seed: ClassVar[bytes] = b"public-sensing-matrix"
 
     def __post_init__(self):
@@ -508,7 +509,7 @@ class Smartphone(Party):
         self.k_i: Optional[SymmetricKey] = None
         self.k_p: Optional[SymmetricKey] = None
         self.k_r: Optional[SymmetricKey] = None
-        self.shift_key: Optional[codec.ShiftKey] = None
+        self.kd_bytes: Optional[bytes] = None  # the serialized session shift key
         self.doctor_id: Optional[bytes] = None
         self.doctor_public_key = None
         self.nonce: Optional[bytes] = None
@@ -556,16 +557,14 @@ class Smartphone(Party):
 
     def _on_read_auth_req(self, frame) -> dict[str, bytes]:
         key_seed = self.crypto.random_bytes(16)
-        shift_key = codec.cs_gen(key_seed, self.config.n, self.config.L1, self.config.L2)
-        kd_bytes = codec.serialize_shift_key(shift_key)
+        kd_bytes = codec.serialize_shift_key(codec.cs_gen(key_seed, self.config.n, *ecg.WINDOW))
         k_r = derive_k_r(self.crypto, kd_bytes, self.session)
         c1 = self.crypto.sym_enc(self.k_i, length_prefixed(kd_bytes, k_r.data))
-        self.shift_key, self.k_r = shift_key, k_r
+        self.kd_bytes, self.k_r = kd_bytes, k_r
         return dict(doctor_id=self.doctor_id, c1=c1)
 
     def _on_read_ready(self, frame) -> dict[str, bytes]:
-        kd_bytes = codec.serialize_shift_key(self.shift_key)
-        return dict(enc_kd=self.crypto.sym_enc(self.k_p, kd_bytes))
+        return dict(enc_kd=self.crypto.sym_enc(self.k_p, self.kd_bytes))
 
     # -- write -------------------------------------------------------------------
 
@@ -585,8 +584,8 @@ class Smartphone(Party):
             doctor_id=self.doctor_id,
             smartphone_id=self.smartphone_id,
             implant_id=self.implant_id,
-            shift_key=codec.serialize_shift_key(self.shift_key),
             ciphertext=frame.c2,
+            shift_key=self.kd_bytes,
             command=command,
             timestamp=self.pending_ts6,
             signature=self.pending_sig,
@@ -736,9 +735,9 @@ class Programmer(Party):
 
     def _on_read_req(self, frame) -> None:
         # every signal is de-shifted, so reconstruct changes no verdict
-        phi, window = self.config.sensing_matrix(), (self.config.L1, self.config.L2)
+        phi = self.config.sensing_matrix()
         measurements = [
-            codec.cs_deshift(self.shift_key, codec.deserialize_ciphertext(blob), phi, *window)
+            codec.cs_deshift(self.shift_key, codec.deserialize_ciphertext(blob), phi, *ecg.WINDOW)
             for blob in unpack_signals(frame.c2)
         ]
         signals = []
@@ -764,8 +763,8 @@ class Programmer(Party):
             doctor_id=self.doctor_id,
             smartphone_id=self.smartphone_id,
             implant_id=self.target_implant_id,
-            shift_key=codec.serialize_shift_key(self.shift_key),
             ciphertext=self.c2_bytes,
+            shift_key=codec.serialize_shift_key(self.shift_key),
             command=command,
             timestamp=self.clock,
         )

@@ -39,6 +39,7 @@ __all__ = [
     "omp_reconstruct",
     "omp_reconstruct_batch",
     "prd",
+    "batch_prds",
     "classify_prd",
     "cr_to_measurements",
 ]
@@ -304,6 +305,17 @@ def prd(x: np.ndarray, x_hat: np.ndarray) -> float:
     if ref == 0.0:
         raise RecoveryError("reference signal has zero norm")
     return 100.0 * float(np.linalg.norm(x - x_hat)) / float(ref)
+
+
+def batch_prds(
+    Y, phi: SensingMatrix, psi: SparsityBasis, truth: np.ndarray,
+    params: Optional[RecoveryParams],
+) -> list[float]:
+    """The PRD against truth of each row's recovery, in row order.  Y is
+    a 2-D array or a sequence of measurement vectors, stacked and solved
+    by one omp_reconstruct_batch call (params None: solver defaults)."""
+    _, x_hats = omp_reconstruct_batch(Y, phi, psi, params)
+    return [prd(truth, x_hat) for x_hat in x_hats]
 
 
 class QualityClass(str, Enum):

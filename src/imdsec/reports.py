@@ -144,9 +144,7 @@ def _trials(signal, keys, phi, psi, params, qs):
         codec.cs_deshift(key, cipher, phi, signal.L1, signal.L2)
         for key, cipher in zip(keys, ciphers)
     ]
-    Y = np.reshape(measurements, (len(keys), phi.m))
-    _, x_hats = recovery.omp_reconstruct_batch(Y, phi, psi, params)
-    return ciphers, [recovery.prd(signal.values, x_hat) for x_hat in x_hats]
+    return ciphers, recovery.batch_prds(measurements, phi, psi, signal.values, params)
 
 
 def sweep_prd(
@@ -242,16 +240,15 @@ def attack_report(
         for ri, (signal, record_keys) in enumerate(zip(signals, keys)):
             ciphers, prds = _trials(signal, record_keys, phi, psi, params, qs)
             legit_prds += prds
-            for cipher in ciphers:
-                result = uniform_guess_attack(
-                    cipher, phi, psi, signal.values, grid=grid, params=params
-                )
-                curves.append([p for _, p in result.curve])
+            curves += [
+                uniform_guess_attack(cipher, phi, psi, signal.values, grid=grid, params=params)
+                for cipher in ciphers
+            ]
             if ri == 0:
-                random_min = random_guess_attack(
+                random_min = min(random_guess_attack(
                     ciphers[0], phi, psi, signal.values, signal.L1, signal.L2,
                     trials=trials, seed=f"attack/{master_seed}".encode(), params=params,
-                ).min_prd
+                ))
         mean_curve = np.asarray(curves).mean(axis=0)
         best_idx = int(np.argmin(mean_curve))
         legit_median = float(np.median(legit_prds))

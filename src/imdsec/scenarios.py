@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 from . import ecg
 from .channel import Attacker, Scheduler, Transcript
-from .codec import serialize_shift_key
 from .crypto import KeyPairWithCert, SymmetricKey
 from .evidence import EvidenceLedger
 from .keymat import authority_private_key, doctor_certificate, doctor_private_key
@@ -61,8 +60,8 @@ class World:
             secrets["k_p"] = self.smartphone.k_p.data
         if self.smartphone.k_r is not None:
             secrets["k_r"] = self.smartphone.k_r.data
-        if self.smartphone.shift_key is not None:
-            secrets["shift_key"] = serialize_shift_key(self.smartphone.shift_key)
+        if self.smartphone.kd_bytes is not None:
+            secrets["shift_key"] = self.smartphone.kd_bytes
         if self.smartphone.rm is not None:
             secrets["rm"] = self.smartphone.rm
         if self.smartphone.nonce is not None:

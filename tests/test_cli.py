@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import imdsec
 from imdsec.cli import main
 
 
@@ -317,3 +323,22 @@ class TestMitmVerb:
         captured = capsys.readouterr().out
         assert code == 0, captured
         assert "PASS degraded out-of-band attack succeeds" in captured
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [["session", "--n", "16", "--qs", "0"], ["opcount"]])
+    def test_a_reader_gone_before_any_write_ends_quietly(self, argv):
+        src = str(Path(imdsec.__file__).resolve().parent.parent)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader left before the verb wrote a byte
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "imdsec", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+        finally:
+            os.close(write_end)
+        assert "BrokenPipeError" not in done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.returncode == 1

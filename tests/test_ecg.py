@@ -18,7 +18,7 @@ class TestLoader:
         path = self._write(tmp_path, rng.integers(600, 1400, size=720))
         record = ecg.load_ecg_csv(path)
         assert record.n == 512
-        assert record.sample_rate == 256
+        assert ecg.SAMPLE_RATE == 256
 
     def test_default_bounds_hug_the_data(self, tmp_path):
         path = self._write(tmp_path, [700, 800, 900])
@@ -100,6 +100,7 @@ class TestSynthetic:
         record = ecg.synth_ecg_like(b"file-roundtrip")
         path = tmp_path / "fix.csv"
         ecg.write_fixture(record, path)
+        assert path.read_text().splitlines()[0] == f"# id={record.source_id} rate=256"
         back = ecg.load_ecg_csv(path, bounds=(record.L1, record.L2))
         np.testing.assert_array_equal(back.samples, record.samples)
 
@@ -122,7 +123,6 @@ class TestRawBaseline:
         record = ecg.EcgRecord(
             samples=np.array([700, 1486]),
             source_id="tiny",
-            sample_rate=256,
             L1=590,
             L2=1487,
         )

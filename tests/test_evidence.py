@@ -106,8 +106,8 @@ class TestLedgerFile:
             record.doctor_id,
             record.smartphone_id,
             record.implant_id,
-            record.shift_key,
             record.ciphertext,
+            record.shift_key,
             record.command,
             record.timestamp.to_bytes(8, "big"),
             record.signature.algorithm.encode(),
@@ -127,6 +127,13 @@ class TestLedgerFile:
     def test_record_serialization_roundtrip(self, signed_record):
         record, _ = signed_record
         assert EvidenceRecord.from_bytes(record.to_bytes()) == record
+
+    def test_stored_record_is_the_signed_bytes_then_the_signature(self, signed_record):
+        record, _ = signed_record
+        signature = record.signature
+        assert record.to_bytes() == record.signed_bytes() + length_prefixed(
+            signature.algorithm.encode(), signature.data
+        )
 
 
 class TestForensicSoundness:

@@ -1,5 +1,6 @@
 """The operating point is defined once: SystemConfig holds N, CR and qs as
-settings, and the window and the sensing-matrix seed are constants."""
+settings and the sensing-matrix seed as a constant, and the window is
+ecg.WINDOW."""
 
 import ast
 import dataclasses
@@ -33,11 +34,12 @@ def test_each_value_of_the_operating_point_is_written_once(value):
 def test_settings_and_constants():
     assert [f.name for f in dataclasses.fields(SystemConfig)] == ["n", "cr", "qs"]
     assert SystemConfig().n == ecg.TARGET_SAMPLES
-    assert (SystemConfig.L1, SystemConfig.L2) == ecg.WINDOW
     config = SystemConfig(n=64, cr=75.0, qs=0)
-    assert (config.L1, config.L2, config.matrix_seed) == (
-        590, 1487, b"public-sensing-matrix"
-    )
+    assert (*ecg.WINDOW, config.matrix_seed) == (590, 1487, b"public-sensing-matrix")
     assert config.sensing_matrix().seed == config.matrix_seed
     with pytest.raises(TypeError):
         SystemConfig(L1=0)
+
+
+def test_the_window_is_not_copied_into_the_config():
+    assert not hasattr(SystemConfig, "L1") and not hasattr(SystemConfig, "L2")

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from imdsec import codec, parties
+from imdsec import codec, ecg, parties
 from imdsec.channel import Attacker
 from imdsec.crypto import CryptoSuite, KeyPairWithCert, SymmetricKey, length_prefixed
 from imdsec.evidence import evidence_verify
@@ -115,12 +115,9 @@ class TestHonestFlows:
         assert result.ok
         w = result.world
         assert w.smartphone.k_r == w.imd.k_r == w.programmer.k_r
-        np.testing.assert_array_equal(
-            w.smartphone.shift_key.entries, w.imd.shift_key.entries
-        )
-        np.testing.assert_array_equal(
-            w.smartphone.shift_key.entries, w.programmer.shift_key.entries
-        )
+        sent = codec.deserialize_shift_key(w.smartphone.kd_bytes)
+        np.testing.assert_array_equal(sent.entries, w.imd.shift_key.entries)
+        np.testing.assert_array_equal(sent.entries, w.programmer.shift_key.entries)
 
     def test_read_recovers_telemetry(self):
         # full-size benchmark: half compression, step-20 quantizer
@@ -468,7 +465,7 @@ UNREADABLE = [
      (STAY, "nonce challenge unreadable")),
     # decrypts and carries a shift key, but K_R is 5 bytes long
     ("smartphone", Heading.READ_ALLOW, lambda w: dict(c1=CryptoSuite().sym_enc(
-        w.imd.k_i, length_prefixed(codec.serialize_shift_key(w.smartphone.shift_key), b"short"),
+        w.imd.k_i, length_prefixed(w.smartphone.kd_bytes, b"short"),
     )), (DROP, "key delivery unreadable")),
     ("smartphone", Heading.READ_READY,
      lambda w: dict(enc_kd=CryptoSuite().sym_enc(w.programmer.k_p, b"junk")),
@@ -537,7 +534,7 @@ class TestUnreadableContent:
     def test_an_error_on_a_row_without_unreadable_propagates(self):
         # the implant's own data failing to encode is a fault, not a frame to reject
         world = build_world(seed=3, config=FAST)
-        world.imd.data_source = lambda: [codec.BoundedSignal(np.full(3, 1000.0), FAST.L1, FAST.L2)]
+        world.imd.data_source = lambda: [codec.BoundedSignal(np.full(3, 1000.0), *ecg.WINDOW)]
         assert step_of("programmer", Heading.READ_REQ).unreadable is None
         with pytest.raises(codec.CodecError, match="key length"):
             drive(world, SCENARIOS["read"])
