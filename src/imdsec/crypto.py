@@ -15,10 +15,19 @@ A CryptoSuite instance carries its own operation counters and an
 optional deterministic RNG, so each simulated party can account for its
 own crypto workload and whole runs replay bit-for-bit from seeds.
 
-The process memoizes the last _KDF_MEMO_SIZE PBKDF2 results by exact
-material, so the second party to derive a shared key looks it up.  A key
-is a pure function of its material and every kdf call is still counted,
-so keys, transcripts and op counts are those of an uncached run.
+The process memoizes the last _MEMO_SIZE results of each deterministic
+primitive by its exact input: PBKDF2 by material, so the second party to
+derive a shared key looks it up; the seeded OAEP encode by the public
+key's numbers, message and seed; OAEP decryption by private key and
+ciphertext; PKCS#1 v1.5 signing by private key and message; and
+verification by the public key's numbers, message and signature bytes.
+Public keys are keyed by their numbers, because each load of a
+certificate makes a new, unhashable key object.  Each result, a
+rejecting verify's False included, is a pure function of its input; an
+exception (a failed decryption) is never stored, and every call is still
+counted, so keys, transcripts and op counts are those of an uncached
+run.  The memos hold up to _MEMO_SIZE plaintexts and _MEMO_SIZE
+signatures in process memory, all made with the simulator's demo keys.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from cryptography.exceptions import InvalidTag
+from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding as asym_padding
 from cryptography.hazmat.primitives.asymmetric import rsa
@@ -53,8 +62,9 @@ __all__ = [
 KEY_BYTES = 16
 KDF_ITERATIONS = 1000
 _KDF_SALT = b"imdsec/kdf/v1"
-# three materials per session (K_I, K_P, K_R) plus a fuzz world's flipped ones
-_KDF_MEMO_SIZE = 16
+# per primitive: a session's three KDF materials (K_I, K_P, K_R) or few RSA
+# inputs, plus the ones a fuzz world's flipped frame makes
+_MEMO_SIZE = 16
 _GCM_NONCE_BYTES = 12
 _OAEP_HASH_BYTES = 32  # SHA-256
 
@@ -162,7 +172,7 @@ class KeyPairWithCert:
         return self.private_key.public_key()
 
 
-@functools.lru_cache(maxsize=_KDF_MEMO_SIZE)
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _pbkdf2(material: bytes) -> bytes:
     return hashlib.pbkdf2_hmac("sha1", material, _KDF_SALT, KDF_ITERATIONS, KEY_BYTES)
 
@@ -180,11 +190,11 @@ def _xor(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 
 
-def _oaep_encrypt(public_key: rsa.RSAPublicKey, message: bytes, seed: bytes) -> bytes:
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _oaep_encrypt(numbers: rsa.RSAPublicNumbers, message: bytes, seed: bytes) -> bytes:
     """RFC 8017 OAEP(SHA-256) with a caller-supplied seed, so ciphertexts
     are reproducible under a seeded RNG.  Interoperates with the library
     decryptor."""
-    numbers = public_key.public_numbers()
     k = (numbers.n.bit_length() + 7) // 8
     h = _OAEP_HASH_BYTES
     if len(message) > k - 2 * h - 2:
@@ -199,6 +209,37 @@ def _oaep_encrypt(public_key: rsa.RSAPublicKey, message: bytes, seed: bytes) -> 
     em = b"\x00" + masked_seed + masked_db
     c = pow(int.from_bytes(em, "big"), numbers.e, numbers.n)
     return c.to_bytes(k, "big")
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _oaep_decrypt(private_key: rsa.RSAPrivateKey, blob: bytes) -> bytes:
+    try:
+        return private_key.decrypt(
+            blob,
+            asym_padding.OAEP(
+                mgf=asym_padding.MGF1(algorithm=hashes.SHA256()),
+                algorithm=hashes.SHA256(),
+                label=None,
+            ),
+        )
+    except ValueError as exc:
+        raise DecryptionError("public-key decryption failed") from exc
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _pkcs1_sign(private_key: rsa.RSAPrivateKey, message: bytes) -> bytes:
+    return private_key.sign(message, asym_padding.PKCS1v15(), hashes.SHA256())
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _pkcs1_verify(numbers: rsa.RSAPublicNumbers, message: bytes, signature: bytes) -> bool:
+    try:
+        numbers.public_key().verify(
+            signature, message, asym_padding.PKCS1v15(), hashes.SHA256()
+        )
+    except InvalidSignature:
+        return False
+    return True
 
 
 class CryptoSuite:
@@ -265,30 +306,17 @@ class CryptoSuite:
     def pk_enc(self, public_key: rsa.RSAPublicKey, message: bytes) -> bytes:
         self.counters["pk_enc"] += 1
         seed = self.random_bytes(_OAEP_HASH_BYTES)
-        return _oaep_encrypt(public_key, message, seed)
+        return _oaep_encrypt(public_key.public_numbers(), message, seed)
 
     def pk_dec(self, private_key: rsa.RSAPrivateKey, blob: bytes) -> bytes:
         self.counters["pk_dec"] += 1
-        try:
-            return private_key.decrypt(
-                blob,
-                asym_padding.OAEP(
-                    mgf=asym_padding.MGF1(algorithm=hashes.SHA256()),
-                    algorithm=hashes.SHA256(),
-                    label=None,
-                ),
-            )
-        except ValueError as exc:
-            raise DecryptionError("public-key decryption failed") from exc
+        return _oaep_decrypt(private_key, blob)
 
     # -- signatures ---------------------------------------------------------
 
     def sign(self, private_key: rsa.RSAPrivateKey, message: bytes) -> SignatureBlob:
         self.counters["sign"] += 1
-        sig = private_key.sign(
-            message, asym_padding.PKCS1v15(), hashes.SHA256()
-        )
-        return SignatureBlob("rsa-pkcs1v15-sha256", sig)
+        return SignatureBlob("rsa-pkcs1v15-sha256", _pkcs1_sign(private_key, message))
 
     def verify(
         self, public_key: rsa.RSAPublicKey, message: bytes, sig: SignatureBlob
@@ -297,10 +325,7 @@ class CryptoSuite:
         if sig.algorithm != "rsa-pkcs1v15-sha256":
             return False
         try:
-            public_key.verify(
-                sig.data, message, asym_padding.PKCS1v15(), hashes.SHA256()
-            )
-            return True
+            return _pkcs1_verify(public_key.public_numbers(), message, sig.data)
         except Exception:
             return False
 

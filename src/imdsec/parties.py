@@ -693,6 +693,7 @@ class Programmer(Party):
         self.k_p: Optional[SymmetricKey] = None
         self.k_r: Optional[SymmetricKey] = None
         self.shift_key: Optional[codec.ShiftKey] = None
+        self.kd_bytes: Optional[bytes] = None  # shift_key as received and signed
         self.c2_bytes: Optional[bytes] = None
         self.recovered_signals: list[np.ndarray] = []
         self.command: Optional[bytes] = None
@@ -731,7 +732,8 @@ class Programmer(Party):
     def _on_read_ready(self, frame) -> None:
         kd_bytes = self.crypto.sym_dec(self.k_p, frame.enc_kd)
         shift_key = codec.deserialize_shift_key(kd_bytes)
-        self.shift_key, self.k_r = shift_key, derive_k_r(self.crypto, kd_bytes, self.session)
+        k_r = derive_k_r(self.crypto, kd_bytes, self.session)
+        self.shift_key, self.kd_bytes, self.k_r = shift_key, kd_bytes, k_r
 
     def _on_read_req(self, frame) -> None:
         # every signal is de-shifted, so reconstruct changes no verdict
@@ -764,7 +766,7 @@ class Programmer(Party):
             smartphone_id=self.smartphone_id,
             implant_id=self.target_implant_id,
             ciphertext=self.c2_bytes,
-            shift_key=codec.serialize_shift_key(self.shift_key),
+            shift_key=self.kd_bytes,
             command=command,
             timestamp=self.clock,
         )

@@ -3,25 +3,42 @@ import random
 from pathlib import Path
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import padding as asym_padding
 
 from imdsec.attacks import forge_read_auth_attempts
 from imdsec.crypto import (
-    _KDF_MEMO_SIZE,
     _KDF_SALT,
+    _MEMO_SIZE,
     Certificate,
     CryptoError,
     CryptoSuite,
     DecryptionError,
     SignatureBlob,
     SymmetricKey,
+    _oaep_decrypt,
+    _oaep_encrypt,
     _pbkdf2,
+    _pkcs1_sign,
+    _pkcs1_verify,
     length_prefixed,
 )
 from imdsec.keymat import authority_private_key, doctor_certificate, doctor_private_key
-from imdsec.parties import SystemConfig
-from imdsec.scenarios import DOCTOR_ID, build_world, run_session
+from imdsec.parties import SystemConfig, step_of
+from imdsec.scenarios import DOCTOR_ID, SMARTPHONE_ID, build_world, run_session
+from imdsec.wire import Heading
 
 VECTOR_FILE = Path(__file__).parent / "data" / "crypto_vectors.txt"
+OAEP = asym_padding.OAEP(
+    mgf=asym_padding.MGF1(algorithm=hashes.SHA256()), algorithm=hashes.SHA256(), label=None
+)
+RSA_MEMOS = {
+    "pk_enc": _oaep_encrypt,
+    "pk_dec": _oaep_decrypt,
+    "sign": _pkcs1_sign,
+    "verify": _pkcs1_verify,
+}
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +106,7 @@ class TestKdfMemo:
 
     def test_key_derived_after_eviction_equals_the_first(self, suite):
         first = suite.kdf(b"evicted")
-        for i in range(_KDF_MEMO_SIZE):
+        for i in range(_MEMO_SIZE):
             suite.kdf(b"filler-%d" % i)
         misses = _pbkdf2.cache_info().misses
         assert suite.kdf(b"evicted") == first
@@ -104,10 +121,10 @@ class TestKdfMemo:
         assert (info.hits, info.misses) == (2, 1)
 
     def test_memo_is_bounded(self, suite):
-        assert _pbkdf2.cache_info().maxsize == _KDF_MEMO_SIZE
-        for i in range(3 * _KDF_MEMO_SIZE):
+        assert _pbkdf2.cache_info().maxsize == _MEMO_SIZE
+        for i in range(3 * _MEMO_SIZE):
             suite.kdf(b"bounded-%d" % i)
-            assert _pbkdf2.cache_info().currsize <= _KDF_MEMO_SIZE
+            assert _pbkdf2.cache_info().currsize <= _MEMO_SIZE
 
     def test_empty_material_leaves_no_entry(self):
         suite = CryptoSuite()
@@ -131,6 +148,122 @@ class TestKdfMemo:
         info = _pbkdf2.cache_info()
         assert info.misses == setup.misses + 50
         assert info.hits == setup.hits
+
+
+class TestRsaMemo:
+    """The RSA memos change wall time only: ciphertexts, plaintexts,
+    signatures, verdicts, counts and an attacker's cost per forged
+    challenge are those of uncached library calls."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memos(self):
+        for memo in RSA_MEMOS.values():
+            memo.cache_clear()
+
+    @staticmethod
+    def _info():
+        return {op: memo.cache_info() for op, memo in RSA_MEMOS.items()}
+
+    def test_equals_uncached_library_calls(self, suite, doctor_key):
+        rng = random.Random(23)
+        pub = doctor_key.public_key()
+        for _ in range(20):
+            message = rng.randbytes(rng.randint(1, 64))
+            blob = pub.encrypt(message, OAEP)
+            assert suite.pk_dec(doctor_key, blob) == message  # computed
+            assert suite.pk_dec(doctor_key, blob) == message  # from the memo
+            expected = doctor_key.sign(message, asym_padding.PKCS1v15(), hashes.SHA256())
+            for _ in range(2):
+                sig = suite.sign(doctor_key, message)
+                assert sig.data == expected
+                assert suite.verify(pub, message, sig) is True
+                forged = SignatureBlob(sig.algorithm, rng.randbytes(len(sig.data)))
+                with pytest.raises(InvalidSignature):
+                    pub.verify(forged.data, message, asym_padding.PKCS1v15(), hashes.SHA256())
+                assert suite.verify(pub, message, forged) is False
+            rng_seed = rng.getrandbits(32)
+            oaep_seed = random.Random(rng_seed).randbytes(32)
+            uncached = _oaep_encrypt.__wrapped__(pub.public_numbers(), message, oaep_seed)
+            assert doctor_key.decrypt(uncached, OAEP) == message
+            for _ in range(2):
+                seeded = CryptoSuite(rng=random.Random(rng_seed))
+                assert seeded.pk_enc(pub, message) == uncached
+        assert all(info.hits and info.misses for info in self._info().values())
+
+    def test_every_call_is_counted(self, doctor_key):
+        blob = CryptoSuite().pk_enc(doctor_key.public_key(), b"counted")
+        suite = CryptoSuite()
+        for _ in range(3):
+            assert suite.pk_dec(doctor_key, blob) == b"counted"
+        assert suite.counters["pk_dec"] == 3
+        info = _oaep_decrypt.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+
+    def test_public_keys_are_keyed_by_their_numbers(self, doctor_key):
+        suite = CryptoSuite()
+        sig = suite.sign(doctor_key, b"m")
+        for _ in range(3):  # a new key object per call, as from a certificate
+            assert suite.verify(doctor_key.public_key(), b"m", sig)
+        info = _pkcs1_verify.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+
+    def test_tampered_challenge_raises_every_call_and_leaves_no_entry(self, doctor_key):
+        blob = bytearray(CryptoSuite().pk_enc(doctor_key.public_key(), b"nonce"))
+        blob[17] ^= 1
+        suite = CryptoSuite()
+        for _ in range(3):
+            with pytest.raises(DecryptionError):
+                suite.pk_dec(doctor_key, bytes(blob))
+        assert suite.counters["pk_dec"] == 3
+        info = _oaep_decrypt.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
+
+    def test_memos_are_bounded(self, suite, doctor_key):
+        pub = doctor_key.public_key()
+        for i in range(3 * _MEMO_SIZE):
+            message = b"bounded-%d" % i
+            suite.pk_dec(doctor_key, suite.pk_enc(pub, message))
+            suite.verify(pub, message, suite.sign(doctor_key, message))
+            for info in self._info().values():
+                assert info.maxsize == _MEMO_SIZE
+                assert info.currsize <= _MEMO_SIZE
+        assert all(info.currsize == _MEMO_SIZE for info in self._info().values())
+
+    def test_each_forged_challenge_costs_a_full_decryption(self):
+        world = build_world(seed=3, config=SystemConfig(n=64))
+        programmer = world.programmer
+        programmer.start_auth()
+        step = step_of("smartphone", Heading.AUTH_REQ)
+        rng = random.Random(31)
+        forged = {rng.randbytes(256) for _ in range(50)}
+        before = _oaep_decrypt.cache_info()
+        for challenge in forged:
+            fields = dict(smartphone_id=SMARTPHONE_ID, challenge=challenge)
+            frame = step.encode(programmer.session, fields, CryptoSuite(), None)
+            assert programmer.receive(frame, step.link) == []
+        assert programmer.expected == Heading.AUTH_REQ
+        assert programmer.crypto.counters["pk_dec"] == len(forged) == 50
+        info = _oaep_decrypt.cache_info()
+        assert info.misses == before.misses + 50
+        assert info.hits == before.hits
+
+    def test_an_honest_session_repeats_no_rsa_input(self):
+        def session(seed):
+            world = build_world(seed=seed)  # issues the demo certificate
+            before = self._info()
+            assert run_session("full", world=world).ok
+            after = self._info()
+            parties = world.scheduler.parties.values()
+            counts = {op: sum(p.crypto.counters[op] for p in parties) for op in RSA_MEMOS}
+            calls = {op: after[op].hits + after[op].misses - before[op].hits - before[op].misses
+                     for op in RSA_MEMOS}
+            assert calls == counts
+            return {op: after[op].hits - before[op].hits for op in RSA_MEMOS}
+
+        # the certificate check and the evidence check are the two verifies
+        assert session(41) == dict(pk_enc=0, pk_dec=0, sign=0, verify=0)
+        # across sessions only the certificate, the same in every world, repeats
+        assert session(43) == dict(pk_enc=0, pk_dec=0, sign=0, verify=1)
 
 
 class TestMac:
