@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 KEY_BYTES = 16
+SIGNATURE_ALGORITHM = "rsa-pkcs1v15-sha256"  # the only label sign makes and verify accepts
 KDF_ITERATIONS = 1000
 _KDF_SALT = b"imdsec/kdf/v1"
 # per primitive: a session's three KDF materials (K_I, K_P, K_R) or few RSA
@@ -316,13 +317,13 @@ class CryptoSuite:
 
     def sign(self, private_key: rsa.RSAPrivateKey, message: bytes) -> SignatureBlob:
         self.counters["sign"] += 1
-        return SignatureBlob("rsa-pkcs1v15-sha256", _pkcs1_sign(private_key, message))
+        return SignatureBlob(SIGNATURE_ALGORITHM, _pkcs1_sign(private_key, message))
 
     def verify(
         self, public_key: rsa.RSAPublicKey, message: bytes, sig: SignatureBlob
     ) -> bool:
         self.counters["verify"] += 1
-        if sig.algorithm != "rsa-pkcs1v15-sha256":
+        if sig.algorithm != SIGNATURE_ALGORITHM:
             return False
         try:
             return _pkcs1_verify(public_key.public_numbers(), message, sig.data)

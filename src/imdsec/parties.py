@@ -49,22 +49,22 @@ A party's part of a flow ends with the last row of that flow that
 involves it: the party's ``completed`` count of that flow then rises by
 one, so a flow is done once every role named in its rows has completed it.
 Once no later row at all involves the party, its outcome is "ok".  A
-rejected frame meets one of three failure policies:
+rejected frame meets one of three failure policies, and Party.receive
+alone records it as one (policy, reason) in ``rejections``:
 
-- drop: counted in ``drops`` and otherwise ignored.  Every structural
-  failure takes this path, and so do an unparseable certificate, an
-  unreadable key delivery and a failed pairing MAC, so probing an
-  unpaired implant reveals nothing.
-- stay: a counted drop that also records the reason in ``incidents``;
-  the flow keeps waiting.  A frame anyone could have injected takes this
-  path: an AUTH_REQ whose doctor or certificate does not check out, an
-  unreadable nonce challenge, shift key or command report, and a failed
-  read-authorisation or read-allowance MAC.
-- abort: the flow ends with ``outcome == "aborted"`` and an
-  ``abort_reason``, and the party waits for nothing.  Every other failed
-  MAC takes this path, and so do an unreadable telemetry payload or
-  command, a command report that names another implant or a stale
-  time, and a write signature that does not verify.
+- drop: recorded and otherwise ignored.  Every structural failure takes
+  this path, and so do an unparseable certificate, an unreadable key
+  delivery and a failed pairing MAC, so probing an unpaired implant
+  reveals nothing.  ``drops`` counts the drop and stay entries.
+- stay: an incident; the flow keeps waiting.  A frame anyone could have
+  injected takes this path: an AUTH_REQ whose doctor or certificate does
+  not check out, an unreadable nonce challenge, shift key or command
+  report, and a failed read-authorisation or read-allowance MAC.
+- abort: the flow ends with ``outcome == "aborted"`` and the entry's
+  reason as ``abort_reason``, and the party waits for nothing.  Every
+  other failed MAC takes this path, and so do an unreadable telemetry
+  payload or command, a command report that names another implant or a
+  stale time, and a write signature that does not verify.
 
 A party's name is its role, "smartphone", "imd" or "programmer": the
 sender or receiver of its STEPS rows, its key in the scheduler's
@@ -85,7 +85,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from . import codec, ecg, recovery
+from . import codec, crypto, ecg, recovery
 from .channel import TranscriptEntry
 from .crypto import (
     Certificate,
@@ -362,11 +362,17 @@ class Party:
         self.crypto = CryptoSuite(rng=random.Random(seed ^ 0x5EED))
         self.clock: int = 0
         self.outcome: str = "idle"
-        self.abort_reason: Optional[str] = None
-        self.drops: int = 0
-        self.incidents: list[str] = []
+        self.rejections: list[tuple[str, str]] = []  # (policy, reason) per rejected frame
         self.completed: Counter[str] = Counter()  # times this party finished each flow
         self._advance(-1)
+
+    @property
+    def drops(self) -> int:
+        return sum(policy != ABORT for policy, _ in self.rejections)
+
+    @property
+    def abort_reason(self) -> Optional[str]:
+        return next((r for p, r in reversed(self.rejections) if p == ABORT), None)
 
     @property
     def expected(self) -> Optional[Heading]:
@@ -408,14 +414,10 @@ class Party:
                     raise
                 raise Rejected(*step.unreadable) from None
         except Rejected as rejected:
+            self.rejections.append((rejected.policy, rejected.reason))
             if rejected.policy == ABORT:
                 self.outcome = "aborted"
-                self.abort_reason = rejected.reason
                 self._awaiting = None
-            else:
-                self.drops += 1
-                if rejected.policy == STAY:
-                    self.incidents.append(rejected.reason)
             return []
         row = _ROW[step.sender, step.heading]
         answer = next_step(self.role, row)
@@ -569,7 +571,7 @@ class Smartphone(Party):
     # -- write -------------------------------------------------------------------
 
     def _on_write_auth_req(self, frame) -> dict[str, bytes]:
-        self.pending_sig = SignatureBlob("rsa-pkcs1v15-sha256", frame.sig)
+        self.pending_sig = SignatureBlob(crypto.SIGNATURE_ALGORITHM, frame.sig)
         self.pending_ts6 = frame.ts
         return dict(doctor_id=self.doctor_id)
 
@@ -593,7 +595,6 @@ class Smartphone(Party):
         if not self.crypto.verify(
             self.doctor_public_key, record.signed_bytes(), record.signature
         ):
-            self.incidents.append("write signature verification failed")
             raise Rejected(ABORT, "write signature invalid")
         self.ledger.append(record)
 
@@ -614,7 +615,6 @@ class Imd(Party):
         self._master_key = master_key
         self.data_source = data_source
 
-        self.pair_session: Optional[int] = None
         self.session: Optional[int] = None
         self.session_doctor: Optional[bytes] = None
         self.k_i: Optional[SymmetricKey] = None
@@ -632,7 +632,6 @@ class Imd(Party):
 
     def _on_pair_req(self, frame) -> None:
         self.k_i = frame.key
-        self.pair_session = frame.session
 
     def _on_read_allow(self, frame) -> None:
         plain = self.crypto.sym_dec(self.k_i, frame.c1)

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from imdsec import codec, ecg, parties
+from imdsec import codec, ecg
 from imdsec.channel import Attacker
 from imdsec.crypto import CryptoSuite, KeyPairWithCert, SymmetricKey, length_prefixed
 from imdsec.evidence import evidence_verify
@@ -15,6 +15,7 @@ from imdsec.parties import (
     ABORT,
     DROP,
     LINK_DI,
+    LINK_SI,
     STAY,
     STEPS,
     Imd,
@@ -41,20 +42,6 @@ from imdsec.wire import (
 from support import party_state
 
 FAST = SystemConfig(n=64, cr=50.0, qs=0)
-
-
-@pytest.fixture
-def rejections(monkeypatch):
-    """The (policy, reason) of every Rejected the parties raise."""
-    seen = []
-
-    class Recorded(parties.Rejected):
-        def __init__(self, policy, reason):
-            super().__init__(policy, reason)
-            seen.append((policy, reason))
-
-    monkeypatch.setattr(parties, "Rejected", Recorded)
-    return seen
 
 
 class _Withhold(Attacker):
@@ -294,7 +281,7 @@ class TestFailurePaths:
         # ending the smartphone's wait for an honest doctor
         assert not result.phases["auth"]
         assert world.smartphone.outcome != "aborted"
-        assert "certificate verification failed" in world.smartphone.incidents
+        assert (STAY, "certificate verification failed") in world.smartphone.rejections
 
     def test_write_requires_read(self):
         result = run_session("auth", seed=12, config=FAST)
@@ -321,8 +308,20 @@ class TestFailurePaths:
         assert world.imd.applied_commands == []
         assert len(world.smartphone.ledger) == 0
         assert world.smartphone.outcome == "aborted"
-        assert "write signature verification failed" in world.smartphone.incidents
+        assert (ABORT, "write signature invalid") in world.smartphone.rejections
         assert not programmer.write_complete
+
+    def test_write_signature_abort_changes_nothing_else(self):
+        # the world above, with the implant's command report held back
+        attacker = _Withhold("imd", Heading.WRITE_REQ)
+        world = build_world(seed=14, config=FAST, attacker=attacker)
+        assert run_session("read", config=FAST, world=world).ok
+        outs = world.programmer.start_write(b"cmd: signed")
+        world.programmer.command = b"cmd: injected"
+        world.scheduler.submit(outs)
+        world.scheduler.run_until_quiet()
+        _only_the_verdict(world, world.smartphone, encode_message(attacker.msg), LINK_SI,
+                          (ABORT, "write signature invalid"))
 
     def test_tampered_telemetry_never_reaches_the_solver(self):
         from imdsec.attacks import BitFlipAttacker
@@ -336,7 +335,7 @@ class TestFailurePaths:
         assert world.programmer.recovered_signals == []
         assert world.programmer.abort_reason == "telemetry MAC failure"
 
-    def test_non_finite_telemetry_aborts_before_the_solver(self, rejections):
+    def test_non_finite_telemetry_aborts_before_the_solver(self):
         # reaching this handler takes a valid k_r MAC; the payload itself
         # is still outside input and must abort, not raise
         world, step, msg = _withheld("imd", Heading.READ_REQ)
@@ -347,10 +346,10 @@ class TestFailurePaths:
         frame = codec.serialize_ciphertext(
             codec.CsCiphertext(measurements=measurements, carries=honest.carries)
         )
-        recovered = len(programmer.recovered_signals)
+        recovered, seen = len(programmer.recovered_signals), len(programmer.rejections)
         raw = _forged(step, msg, programmer, c2=pack_signals([frame]))
         assert programmer.receive(raw, LINK_DI) == []
-        assert rejections == [(ABORT, "telemetry payload malformed")]
+        assert programmer.rejections[seen:] == [(ABORT, "telemetry payload malformed")]
         assert len(programmer.recovered_signals) == recovered
 
     def test_stale_timestamp_dropped(self):
@@ -384,7 +383,7 @@ class TestFailurePaths:
             assert smartphone.receive(frame, "s-d") == []
         assert smartphone.drops == drops + forged
         assert (smartphone.expected, smartphone.expected_link) == expected
-        assert smartphone.incidents == ["read auth MAC failure"] * forged
+        assert smartphone.rejections == [(STAY, "read auth MAC failure")] * forged
         assert smartphone.outcome == "idle"
 
 
@@ -430,9 +429,7 @@ class TestInjectedFramesDoNotWedge:
         ids=["unknown-doctor", "junk-certificate", "junk-challenge", "junk-shift-key",
              "junk-report"],
     )
-    def test_honest_session_completes(
-        self, rejections, sender, heading, forge, victim, policy, reason
-    ):
+    def test_honest_session_completes(self, sender, heading, forge, victim, policy, reason):
         attacker = _InjectBefore(sender, heading, forge)
         world = build_world(seed=22, config=FAST, attacker=attacker)
         result = run_session("full", config=FAST, world=world)
@@ -441,10 +438,10 @@ class TestInjectedFramesDoNotWedge:
         party = getattr(world, victim)
         assert party.outcome == "ok"
         assert party.abort_reason is None
-        # a drop records no incident, so only the count shows it
-        assert rejections == [(policy, reason)]
+        assert [r for p in (world.smartphone, world.imd, world.programmer)
+                for r in p.rejections] == [(policy, reason)]
+        assert party.rejections == [(policy, reason)]
         assert party.drops == 1
-        assert party.incidents == ([reason] if policy == STAY else [])
         assert len(world.imd.applied_commands) == 1
         assert len(world.smartphone.ledger) == 1
 
@@ -483,9 +480,9 @@ UNREADABLE = [
 
 # what each policy may change on the party it rejects a frame for
 RECORDED_BY = {
-    DROP: {"drops"},
-    STAY: {"drops", "incidents"},
-    ABORT: {"outcome", "abort_reason", "_awaiting"},
+    DROP: {"rejections"},
+    STAY: {"rejections"},
+    ABORT: {"outcome", "rejections", "_awaiting"},
 }
 
 
@@ -500,6 +497,20 @@ def _same(a, b):
     return a is b
 
 
+def _only_the_verdict(world, victim, raw, link, verdict):
+    """victim rejects raw with verdict, and changes nothing but what
+    RECORDED_BY lets the verdict's policy change."""
+    state, held = party_state(world), _held(victim)
+    assert victim.receive(raw, link) == []
+    assert victim.rejections[len(held["rejections"]):] == [verdict]
+    policy = verdict[0]
+    if policy == ABORT:
+        state[victim.role] = (None, None, "aborted") + state[victim.role][3:]
+    assert party_state(world) == state
+    after = _held(victim)
+    assert {name for name in after if not _same(after[name], held[name])} == RECORDED_BY[policy]
+
+
 class TestUnreadableContent:
     """A frame that passes every check before its handler, but whose
     sealed or encoded content cannot be read, meets its row's declared
@@ -510,20 +521,11 @@ class TestUnreadableContent:
         ids=["certificate", "challenge", "key-delivery", "shift-key",
              "telemetry-at-another-operating-point", "command", "command-report"],
     )
-    def test_row_verdict_and_nothing_else(self, rejections, sender, heading, forge, verdict):
+    def test_row_verdict_and_nothing_else(self, sender, heading, forge, verdict):
         world, step, msg = _withheld(sender, heading)
         victim = getattr(world, step.receiver)
-        raw = _forged(step, msg, victim, **forge(world))
-        state, held = party_state(world), _held(victim)
-        rejections.clear()
-        assert victim.receive(raw, step.link) == []
-        assert rejections == [verdict]
-        policy = verdict[0]
-        if policy == ABORT:
-            state[victim.role] = (None, None, "aborted") + state[victim.role][3:]
-        assert party_state(world) == state
-        after = _held(victim)
-        assert {name for name in after if not _same(after[name], held[name])} == RECORDED_BY[policy]
+        _only_the_verdict(world, victim, _forged(step, msg, victim, **forge(world)), step.link,
+                          verdict)
 
     def test_cases_cover_every_row_with_unreadable(self):
         rows = {(s.sender, s.heading) for s in STEPS if s.unreadable is not None}
@@ -549,6 +551,15 @@ class TestUnreadableContent:
                     tree = ast.parse(textwrap.dedent(inspect.getsource(method)))
                     tries = [n for n in ast.walk(tree) if isinstance(n, ast.Try)]
                     assert not tries, f"{cls.__name__}.{name}"
+
+    def test_only_receive_writes_the_rejection_record(self):
+        checks = {s.check for s in STEPS if s.check}
+        for cls in (Smartphone, Imd, Programmer):
+            for name, method in vars(cls).items():
+                if name.startswith("_on_") or name in checks:
+                    tree = ast.parse(textwrap.dedent(inspect.getsource(method)))
+                    named = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(tree)}
+                    assert "rejections" not in named, f"{cls.__name__}.{name}"
 
 
 class _DropCommand(Attacker):
