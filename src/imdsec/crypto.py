@@ -22,7 +22,8 @@ key's numbers, message and seed; OAEP decryption by private key and
 ciphertext; PKCS#1 v1.5 signing by private key and message; and
 verification by the public key's numbers, message and signature bytes.
 Public keys are keyed by their numbers, because each load of a
-certificate makes a new, unhashable key object.  Each result, a
+certificate makes a new, unhashable key object, and messages, blobs and
+signatures as bytes, so any bytes-like input is accepted.  Each result, a
 rejecting verify's False included, is a pure function of its input; an
 exception (a failed decryption) is never stored, and every call is still
 counted, so keys, transcripts and op counts are those of an uncached
@@ -271,7 +272,7 @@ class CryptoSuite:
         if not material:
             raise CryptoError("empty key-derivation material")
         self.counters["kdf"] += 1
-        return SymmetricKey(_pbkdf2(material))
+        return SymmetricKey(_pbkdf2(bytes(material)))
 
     # -- message authentication ------------------------------------------
 
@@ -307,26 +308,26 @@ class CryptoSuite:
     def pk_enc(self, public_key: rsa.RSAPublicKey, message: bytes) -> bytes:
         self.counters["pk_enc"] += 1
         seed = self.random_bytes(_OAEP_HASH_BYTES)
-        return _oaep_encrypt(public_key.public_numbers(), message, seed)
+        return _oaep_encrypt(public_key.public_numbers(), bytes(message), seed)
 
     def pk_dec(self, private_key: rsa.RSAPrivateKey, blob: bytes) -> bytes:
         self.counters["pk_dec"] += 1
-        return _oaep_decrypt(private_key, blob)
+        return _oaep_decrypt(private_key, bytes(blob))
 
     # -- signatures ---------------------------------------------------------
 
     def sign(self, private_key: rsa.RSAPrivateKey, message: bytes) -> SignatureBlob:
         self.counters["sign"] += 1
-        return SignatureBlob(SIGNATURE_ALGORITHM, _pkcs1_sign(private_key, message))
+        return SignatureBlob(SIGNATURE_ALGORITHM, _pkcs1_sign(private_key, bytes(message)))
 
     def verify(
         self, public_key: rsa.RSAPublicKey, message: bytes, sig: SignatureBlob
     ) -> bool:
         self.counters["verify"] += 1
-        if sig.algorithm != SIGNATURE_ALGORITHM:
+        if not isinstance(sig, SignatureBlob) or sig.algorithm != SIGNATURE_ALGORITHM:
             return False
         try:
-            return _pkcs1_verify(public_key.public_numbers(), message, sig.data)
+            return _pkcs1_verify(public_key.public_numbers(), bytes(message), bytes(sig.data))
         except Exception:
             return False
 

@@ -6,10 +6,17 @@ Because the real arrhythmia corpus cannot be bundled, a generator
 produces ECG-like fixtures: a few
 dominant cosine atoms plus a decaying coefficient tail, so compression
 degrades them gradually the way it degrades natural signals.
+
+synth_ecg_like memoizes the last _SYNTH_MEMO_SIZE (16) records by their
+exact arguments, the seed as bytes, so worlds rebuilt from one seed share
+one synthesis; 16 covers a few worlds' records, 4 KiB each at N = 512.  A
+refused argument raises on every call and is never stored, and a shared
+record's samples are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 import warnings
@@ -41,6 +48,7 @@ WINDOW = (590, 1487)  # the open signal window (L1, L2) of the operating point
 # float64 holds integers exactly up to 2**53, and the shifting add forms
 # sample - L1 + shift, up to three times the largest sample magnitude
 _SAMPLE_LIMIT = 2**51
+_SYNTH_MEMO_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -127,7 +135,12 @@ def synth_ecg_like(seed: bytes, n: int = TARGET_SAMPLES, s: int = 12) -> EcgReco
     plus a 1/k coefficient tail at 6 % relative energy, scaled to keep a
     6 % margin inside WINDOW.  The atoms come from the lowest indices,
     1 up to n // 3 (at least 1 and 2, always below n); s is capped at
-    their number."""
+    their number.  The record is shared, so its samples are read-only."""
+    return _synth(bytes(seed), n, s)
+
+
+@functools.lru_cache(maxsize=_SYNTH_MEMO_SIZE)
+def _synth(seed: bytes, n: int, s: int) -> EcgRecord:
     basis = cached_operator(build_basis, n)
     rng = np.random.default_rng(_seed_int(seed, b"ecg"))
     pool = np.arange(1, min(n, max(3, n // 3)))
@@ -147,14 +160,15 @@ def synth_ecg_like(seed: bytes, n: int = TARGET_SAMPLES, s: int = 12) -> EcgReco
     lo, hi = L1 + 0.06 * span, L2 - 0.06 * span
     scale = (hi - lo) / (raw.max() - raw.min())
     values = scale * raw + (lo - scale * raw.min())
-    samples = np.rint(values).astype(np.int64)
-    return EcgRecord(
-        samples=samples,
-        source_id="synth-" + hashlib.sha256(bytes(seed)).hexdigest()[:10],
+    record = EcgRecord(
+        samples=np.rint(values).astype(np.int64),
+        source_id="synth-" + hashlib.sha256(seed).hexdigest()[:10],
         L1=L1,
         L2=L2,
         provenance="synthetic",
     )
+    record.samples.flags.writeable = False
+    return record
 
 
 def to_bounded_signal(record: EcgRecord) -> BoundedSignal:

@@ -5,10 +5,19 @@ field count (1 byte), then the fields in crypto.length_prefixed form:
 each a 4-byte big-endian length followed by its bytes.  MAC inputs
 reuse the same encoding over exactly the components each protocol step
 authenticates, in step order.
+
+decode_message memoizes the last _DECODE_MEMO_SIZE (32) frames by their
+exact bytes, so a frame delivered again, or read by an attacker and its
+receiver alike, is parsed once.  32 holds the 17 distinct frames of a
+default full session (18 sent; its two WRITE_READY frames are equal),
+with room for a fuzz campaign's flipped copies.  Any bytes-like frame is
+keyed as bytes; a WireError is raised on every call and never stored;
+the shared WireMessage is frozen and holds only bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -29,6 +38,7 @@ __all__ = [
 ]
 
 FRESHNESS_WINDOW = 30  # simulated seconds
+_DECODE_MEMO_SIZE = 32
 
 
 class WireError(ValueError):
@@ -75,6 +85,11 @@ def encode_message(msg: WireMessage) -> bytes:
 
 
 def decode_message(buf: bytes) -> WireMessage:
+    return _decode(bytes(buf))
+
+
+@functools.lru_cache(maxsize=_DECODE_MEMO_SIZE)
+def _decode(buf: bytes) -> WireMessage:
     if len(buf) < _PREFIX.size:
         raise WireError("frame too short")
     heading, session, count = _PREFIX.unpack_from(buf, 0)

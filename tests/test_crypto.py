@@ -266,6 +266,52 @@ class TestRsaMemo:
         assert session(43) == dict(pk_enc=0, pk_dec=0, sign=0, verify=1)
 
 
+class TestBytesLikeInput:
+    """Every memo is keyed on bytes at the CryptoSuite boundary, so a
+    bytearray or memoryview input gives the bytes input's result, from
+    the same memo entry, and is counted like any call."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memos(self):
+        for memo in (_pbkdf2, *RSA_MEMOS.values()):
+            memo.cache_clear()
+
+    @staticmethod
+    def _forms(data):
+        return bytes(data), bytearray(data), memoryview(bytes(data))
+
+    def test_kdf(self):
+        suite = CryptoSuite()
+        keys = [suite.kdf(form) for form in self._forms(b"bytes-like material")]
+        assert keys[0] == keys[1] == keys[2]
+        assert suite.counters["kdf"] == 3
+        info = _pbkdf2.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+
+    def test_pk_enc_and_pk_dec(self, doctor_key):
+        pub = doctor_key.public_key()
+        blobs = [CryptoSuite(rng=random.Random(5)).pk_enc(pub, form)
+                 for form in self._forms(b"nonce")]
+        assert blobs[0] == blobs[1] == blobs[2]
+        suite = CryptoSuite()
+        assert [suite.pk_dec(doctor_key, form) for form in self._forms(blobs[0])] == [b"nonce"] * 3
+        assert suite.counters["pk_dec"] == 3
+        for memo in (_oaep_encrypt, _oaep_decrypt):
+            assert memo.cache_info().currsize == 1
+
+    def test_sign_and_verify(self, doctor_key):
+        pub = doctor_key.public_key()
+        suite = CryptoSuite()
+        sigs = [suite.sign(doctor_key, form) for form in self._forms(b"evidence")]
+        assert sigs[0] == sigs[1] == sigs[2]
+        for message in self._forms(b"evidence"):
+            for data in self._forms(sigs[0].data):
+                assert suite.verify(pub, message, SignatureBlob(sigs[0].algorithm, data)) is True
+        assert (suite.counters["sign"], suite.counters["verify"]) == (3, 9)
+        for memo in (_pkcs1_sign, _pkcs1_verify):
+            assert memo.cache_info().currsize == 1
+
+
 class TestMac:
     def test_roundtrip(self, suite):
         key = suite.kdf(b"mac-key")
@@ -368,6 +414,18 @@ class TestSignatures:
             )
             is False
         )
+
+    @pytest.mark.parametrize("sig", [None, b"\x00" * 256, ("rsa-pkcs1v15-sha256", b"")],
+                             ids=["none", "raw-bytes", "tuple"])
+    def test_verify_refuses_what_is_not_a_signature_blob(self, doctor_key, sig):
+        suite = CryptoSuite()
+        assert suite.verify(doctor_key.public_key(), b"m", sig) is False
+        assert suite.counters["verify"] == 1
+
+    def test_verify_refuses_a_message_that_is_not_bytes_like(self, doctor_key):
+        suite = CryptoSuite()
+        sig = suite.sign(doctor_key, b"m")
+        assert suite.verify(doctor_key.public_key(), "m", sig) is False
 
 
 class TestCertificates:

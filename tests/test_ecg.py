@@ -77,9 +77,12 @@ class TestLoader:
 
 class TestSynthetic:
     def test_deterministic(self):
+        # the memo would hand back the same record, so compare with an uncached synthesis
         a = ecg.synth_ecg_like(b"fix")
-        b = ecg.synth_ecg_like(b"fix")
+        b = ecg._synth.__wrapped__(b"fix", ecg.TARGET_SAMPLES, 12)
+        assert b is not a
         np.testing.assert_array_equal(a.samples, b.samples)
+        assert a.source_id == b.source_id
 
     def test_integer_samples_inside_paper_bounds(self):
         record = ecg.synth_ecg_like(b"bounds-check")
@@ -111,6 +114,50 @@ class TestSynthetic:
             assert path.exists()
             record = ecg.load_ecg_csv(path)
             assert record.n == 512
+
+
+class TestSynthMemo:
+    """synth_ecg_like computes each record once per process: equal
+    arguments give one shared record, whose samples are read-only."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        ecg._synth.cache_clear()
+
+    def test_equal_arguments_give_the_identical_record(self):
+        record = ecg.synth_ecg_like(b"memo", n=64)
+        assert ecg.synth_ecg_like(b"memo", 64, 12) is record
+        info = ecg._synth.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    @pytest.mark.parametrize("form", [bytearray, memoryview], ids=["bytearray", "memoryview"])
+    def test_a_bytes_like_seed_gives_the_bytes_record(self, form):
+        assert ecg.synth_ecg_like(form(b"memo")) is ecg.synth_ecg_like(b"memo")
+
+    def test_samples_are_read_only(self):
+        record = ecg.synth_ecg_like(b"memo", n=64)
+        with pytest.raises(ValueError, match="read-only"):
+            record.samples[0] = 700
+        with pytest.raises(ValueError, match="read-only"):
+            record.samples += 1
+
+    def test_distinct_arguments_never_share_a_record(self):
+        records = [ecg.synth_ecg_like(b"memo-%d" % i, n=64) for i in range(4)]
+        records += [ecg.synth_ecg_like(b"memo-0", n=128), ecg.synth_ecg_like(b"memo-0", n=64, s=5)]
+        assert len({id(r) for r in records}) == len(records)
+        assert len({r.samples.tobytes() for r in records}) == len(records)
+
+    def test_a_refused_argument_raises_every_call_and_leaves_no_entry(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                ecg.synth_ecg_like(b"memo", n=1)
+        assert ecg._synth.cache_info().currsize == 0
+
+    def test_memo_is_bounded(self):
+        assert ecg._synth.cache_info().maxsize == ecg._SYNTH_MEMO_SIZE
+        for i in range(2 * ecg._SYNTH_MEMO_SIZE):
+            ecg.synth_ecg_like(b"bounded-%d" % i, n=16)
+            assert ecg._synth.cache_info().currsize <= ecg._SYNTH_MEMO_SIZE
 
 
 class TestRawBaseline:

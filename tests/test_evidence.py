@@ -74,6 +74,17 @@ class TestVerification:
         )
         assert evidence_verify(junk, public) is False
 
+    def test_an_unsigned_record_rejects(self, signed_record):
+        # signature defaults to None until the doctor signs
+        record, public = signed_record
+        unsigned = dataclasses.replace(record, signature=None)
+        assert evidence_verify(unsigned, public) is False
+
+    def test_a_bytes_like_signature_accepts(self, signed_record):
+        record, public = signed_record
+        blob = SignatureBlob(record.signature.algorithm, bytearray(record.signature.data))
+        assert evidence_verify(dataclasses.replace(record, signature=blob), public) is True
+
 
 class TestLedgerFile:
     def test_roundtrip_and_append_only(self, tmp_path, signed_record):

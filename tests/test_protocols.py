@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imdsec import codec, ecg
 from imdsec.channel import Attacker
@@ -15,6 +17,8 @@ from imdsec.parties import (
     ABORT,
     DROP,
     LINK_DI,
+    LINK_OOB,
+    LINK_SD,
     LINK_SI,
     STAY,
     STEPS,
@@ -39,7 +43,7 @@ from imdsec.wire import (
     encode_message,
     u64_bytes,
 )
-from support import party_state
+from support import CHECKPOINTS, party_state
 
 FAST = SystemConfig(n=64, cr=50.0, qs=0)
 
@@ -674,6 +678,49 @@ class TestSingleThreadDiscipline:
             sum(p.drops for p in parties.values())
             == sum(drops_before.values()) + sent
         )
+
+
+def _checkpoint_world(checkpoint):
+    world = build_world(seed=3, config=FAST)
+    if checkpoint != "fresh":
+        drive(world, SCENARIOS[checkpoint])
+    return world
+
+
+class TestTotality:
+    """Party.receive is total over structured junk: any heading on any
+    link, or the heading and link the party awaits, the party's own or a
+    foreign session number, and up to six fields, some of them a fresh
+    timestamp, at every checkpoint.  It never raises, returns a list, and
+    a bytearray frame meets the same verdict as its bytes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        checkpoint=st.sampled_from(CHECKPOINTS),
+        role=st.sampled_from(("smartphone", "imd", "programmer")),
+        link=st.sampled_from((LINK_SI, LINK_SD, LINK_DI, LINK_OOB)),
+        heading=st.sampled_from(Heading),
+        aimed=st.booleans(),
+        own_session=st.booleans(),
+        foreign=st.integers(0, 2**64 - 1),
+        fields=st.lists(st.one_of(st.none(), st.binary(max_size=48)), max_size=6),
+    )
+    def test_receive_never_raises(self, checkpoint, role, link, heading, aimed, own_session,
+                                  foreign, fields):
+        worlds = [_checkpoint_world(checkpoint) for _ in range(2)]
+        party = getattr(worlds[0], role)
+        if aimed and party.expected is not None:
+            heading, link = party.expected, party.expected_link
+        session = party.session if own_session and party.session is not None else foreign
+        # None stands for a timestamp fresh at the party's clock
+        frame = [u64_bytes(party.clock) if f is None else f for f in fields]
+        raw = encode_message(WireMessage(heading, session, tuple(frame)))
+        verdicts = []
+        for world, form in zip(worlds, (bytes, bytearray)):
+            receiver = getattr(world, role)
+            assert isinstance(receiver.receive(form(raw), link), list)
+            verdicts.append((party_state(world), receiver.rejections))
+        assert verdicts[0] == verdicts[1]
 
 
 class TestSecrecyOnWire:

@@ -1,10 +1,12 @@
 import pytest
 
 from imdsec.wire import (
+    _DECODE_MEMO_SIZE,
     FRESHNESS_WINDOW,
     Heading,
     WireError,
     WireMessage,
+    _decode,
     auth_bytes,
     decode_message,
     encode_message,
@@ -49,6 +51,50 @@ class TestFraming:
     def test_session_range(self):
         with pytest.raises(WireError):
             WireMessage(Heading.PAIR_REQ, 2**64, ())
+
+
+class TestDecodeMemo:
+    """decode_message parses each distinct frame once: equal bytes give
+    one shared, frozen message, whatever bytes-like type carries them."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        _decode.cache_clear()
+
+    RAW = encode_message(WireMessage(Heading.READ_ALLOW, 5, (b"c1", b"\x00tag")))
+
+    def test_equal_bytes_decode_to_the_identical_object(self):
+        first = decode_message(self.RAW)
+        assert decode_message(bytes(bytearray(self.RAW))) is first
+        info = _decode.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    @pytest.mark.parametrize("form", [bytearray, memoryview], ids=["bytearray", "memoryview"])
+    def test_a_bytes_like_frame_decodes_as_its_bytes(self, form):
+        msg = decode_message(form(self.RAW))
+        assert msg == decode_message(self.RAW)
+        assert all(type(f) is bytes for f in msg.fields)
+        assert _decode.cache_info().currsize == 1
+
+    def test_an_undecodable_frame_raises_every_call_and_leaves_no_entry(self):
+        decode_message(self.RAW)
+        for _ in range(3):
+            with pytest.raises(WireError, match="trailing"):
+                decode_message(self.RAW + b"\x00")
+        info = _decode.cache_info()
+        assert (info.misses, info.currsize) == (4, 1)
+
+    def test_decoded_message_is_immutable(self):
+        msg = decode_message(bytearray(self.RAW))
+        with pytest.raises(AttributeError):
+            msg.session = 6
+        assert isinstance(msg.fields, tuple)
+
+    def test_memo_is_bounded(self):
+        assert _decode.cache_info().maxsize == _DECODE_MEMO_SIZE
+        for i in range(3 * _DECODE_MEMO_SIZE):
+            decode_message(encode_message(WireMessage(Heading.PAIR_SUCC, i, ())))
+            assert _decode.cache_info().currsize <= _DECODE_MEMO_SIZE
 
 
 class TestAuthBytes:
