@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.serialization import load_der_public_key
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -581,8 +582,8 @@ class _DropCommand(Attacker):
 
 
 class TestOpenBugs:
-    """The intended behaviour for two bugs that CHANGES.md names in FOUND
-    lines; ROADMAP item 2 mends both."""
+    """The intended behaviour for bugs that CHANGES.md names in FOUND
+    lines or ROADMAP's State lists; ROADMAP item 2 mends them all."""
 
     @pytest.mark.xfail(
         strict=True,
@@ -600,6 +601,47 @@ class TestOpenBugs:
         assert world.imd.applied_commands == []
         assert len(world.smartphone.ledger) == 0
         assert not world.programmer.write_complete
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the PAIR_SUCC row has no MAC, so a forged empty one pairs the "
+        "smartphone; ROADMAP item 2",
+    )
+    def test_forged_pair_succ_does_not_pair_the_smartphone(self):
+        attacker = _Withhold("smartphone", Heading.PAIR_REQ)
+        world = build_world(seed=5, config=FAST, attacker=attacker)
+        assert not drive(world, ("pair",)).ok
+        forged = encode_message(WireMessage(Heading.PAIR_SUCC, attacker.msg.session, ()))
+        world.scheduler.deliver_raw(LINK_SI, "imd", "smartphone", forged)
+        world.scheduler.run_until_quiet()
+        assert world.imd.k_i is None
+        assert not world.smartphone.paired
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the AUTH_REQ reply has no MAC, so a challenge anyone encrypted to "
+        "the doctor's public key completes the programmer's auth; ROADMAP item 2",
+    )
+    def test_forged_auth_reply_does_not_complete_the_programmer_auth(self):
+        attacker = _Withhold("smartphone", Heading.AUTH_REQ)
+        world = build_world(seed=5, config=FAST, attacker=attacker)
+        assert not drive(world, ("pair", "auth")).phases["auth"]
+        request = next(
+            decode_message(e.payload) for e in world.scheduler.transcript.wire_entries()
+            if e.sender == "programmer"
+        )
+        pk_der = dict(zip(step_of("programmer", Heading.AUTH_REQ).fields, request.fields))["pk_der"]
+        nonce = bytes(range(16))
+        challenge = CryptoSuite().pk_enc(load_der_public_key(pk_der), nonce)
+        step = step_of("smartphone", Heading.AUTH_REQ)
+        fields = dict(smartphone_id=attacker.msg.fields[0], challenge=challenge)
+        forged = step.encode(request.session, fields, CryptoSuite(), None)
+        world.scheduler.deliver_raw(step.link, "smartphone", "programmer", forged)
+        world.scheduler.run_until_quiet()
+        assert world.programmer.nonce != nonce
+        assert "auth" not in world.programmer.completed
 
     @pytest.mark.xfail(
         strict=True,
