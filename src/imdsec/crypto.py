@@ -1,10 +1,10 @@
 """Cryptographic primitives behind the access-control protocols.
 
-Default algorithms: PBKDF2-SHA1 key derivation (1000 iterations,
-fixed context salt), HMAC-SHA1 message authentication, AES-128-GCM
-symmetric encryption, RSA-2048 with OAEP for the nonce challenge and
-PKCS#1 v1.5 signatures.  Every verify operation is total: it returns
-accept/reject and never raises.
+Default algorithms: HKDF-SHA256 key derivation (RFC 5869, fixed context
+salt), HMAC-SHA1 message authentication, AES-128-GCM symmetric
+encryption, RSA-2048 with OAEP for the nonce challenge and PKCS#1 v1.5
+signatures.  Every verify operation is total: it returns accept/reject
+and never raises.
 
 MAC tags and ciphertexts are raw bytes, exactly as they travel on the
 wire.  Only signatures carry an algorithm label (SignatureBlob), because
@@ -15,20 +15,20 @@ A CryptoSuite instance carries its own operation counters and an
 optional deterministic RNG, so each simulated party can account for its
 own crypto workload and whole runs replay bit-for-bit from seeds.
 
-The process memoizes the last _MEMO_SIZE results of each deterministic
-primitive by its exact input: PBKDF2 by material, so the second party to
-derive a shared key looks it up; the seeded OAEP encode by the public
-key's numbers, message and seed; OAEP decryption by private key and
-ciphertext; PKCS#1 v1.5 signing by private key and message; and
-verification by the public key's numbers, message and signature bytes.
-Public keys are keyed by their numbers, because each load of a
-certificate makes a new, unhashable key object, and messages, blobs and
-signatures as bytes, so any bytes-like input is accepted.  Each result, a
-rejecting verify's False included, is a pure function of its input; an
-exception (a failed decryption) is never stored, and every call is still
-counted, so keys, transcripts and op counts are those of an uncached
-run.  The memos hold up to _MEMO_SIZE plaintexts and _MEMO_SIZE
-signatures in process memory, all made with the simulator's demo keys.
+The process memoizes the last _MEMO_SIZE results of each RSA operation
+by its exact input: the seeded OAEP encode by the public key's numbers,
+message and seed; OAEP decryption by private key and ciphertext; PKCS#1
+v1.5 signing by private key and message; and verification by the public
+key's numbers, message and signature bytes.  Public keys are keyed by
+their numbers, because each load of a certificate makes a new,
+unhashable key object, and messages, blobs and signatures as bytes, so
+any bytes-like input is accepted.  Each result, a rejecting verify's
+False included, is a pure function of its input; an exception (a failed
+decryption) is never stored, and every call is still counted, so
+transcripts and op counts are those of an uncached run.  The memos hold
+up to _MEMO_SIZE plaintexts and _MEMO_SIZE signatures in process memory,
+all made with the simulator's demo keys.  Symmetric keys are never
+memoized: a derivation costs two HMAC calls.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding as asym_padding
 from cryptography.hazmat.primitives.asymmetric import rsa
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 __all__ = [
     "CryptoError",
@@ -62,10 +63,9 @@ __all__ = [
 
 KEY_BYTES = 16
 SIGNATURE_ALGORITHM = "rsa-pkcs1v15-sha256"  # the only label sign makes and verify accepts
-KDF_ITERATIONS = 1000
 _KDF_SALT = b"imdsec/kdf/v1"
-# per primitive: a session's three KDF materials (K_I, K_P, K_R) or few RSA
-# inputs, plus the ones a fuzz world's flipped frame makes
+# per RSA operation: a session's few inputs, plus the ones a fuzz world's
+# flipped frame makes
 _MEMO_SIZE = 16
 _GCM_NONCE_BYTES = 12
 _OAEP_HASH_BYTES = 32  # SHA-256
@@ -174,11 +174,6 @@ class KeyPairWithCert:
         return self.private_key.public_key()
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _pbkdf2(material: bytes) -> bytes:
-    return hashlib.pbkdf2_hmac("sha1", material, _KDF_SALT, KDF_ITERATIONS, KEY_BYTES)
-
-
 def _mgf1(seed: bytes, length: int) -> bytes:
     out = bytearray()
     counter = 0
@@ -268,11 +263,11 @@ class CryptoSuite:
     # -- key derivation --------------------------------------------------
 
     def kdf(self, material: bytes) -> SymmetricKey:
-        """Derive a 16-byte key from arbitrary material (PBKDF2-SHA1)."""
+        """Derive a 16-byte key from high-entropy material (HKDF-SHA256)."""
         if not material:
             raise CryptoError("empty key-derivation material")
         self.counters["kdf"] += 1
-        return SymmetricKey(_pbkdf2(bytes(material)))
+        return SymmetricKey(HKDF(hashes.SHA256(), KEY_BYTES, _KDF_SALT, None).derive(material))
 
     # -- message authentication ------------------------------------------
 

@@ -26,7 +26,9 @@ records.  The smartphone's AUTH_REQ handler returns (fields, [RM
 entry]), so the out-of-band RM follows its reply.
 
 Each session key has one derivation, a single KDF call, used by every
-party that needs the key (and by the attacks):
+party that needs the key (and by the attacks).  Its material starts
+with the key's name (b"K_I", b"K_P" or b"K_R") as the first
+length-prefixed part, so no two derivations share an input:
 
 - derive_k_i: K_I from the patient's master key and both device ids;
 - derive_k_p: K_P from the out-of-band RM, the session number and the
@@ -325,17 +327,17 @@ def derive_k_i(
     suite: CryptoSuite, master_key: SymmetricKey, smartphone_id: bytes, implant_id: bytes
 ) -> SymmetricKey:
     """Pairing key: the patient's master key bound to both device ids."""
-    return suite.kdf(length_prefixed(master_key.data, smartphone_id, implant_id))
+    return suite.kdf(length_prefixed(b"K_I", master_key.data, smartphone_id, implant_id))
 
 
 def derive_k_p(suite: CryptoSuite, rm: bytes, session: int, nonce: bytes) -> SymmetricKey:
     """Programmer key: the out-of-band RM plus the RSA-decrypted nonce."""
-    return suite.kdf(length_prefixed(rm, u64_bytes(session), nonce))
+    return suite.kdf(length_prefixed(b"K_P", rm, u64_bytes(session), nonce))
 
 
 def derive_k_r(suite: CryptoSuite, kd_bytes: bytes, session: int) -> SymmetricKey:
     """Read/write key bound to the serialized shift key."""
-    return suite.kdf(length_prefixed(kd_bytes, u64_bytes(session)))
+    return suite.kdf(length_prefixed(b"K_R", kd_bytes, u64_bytes(session)))
 
 
 def pack_signals(blobs: list[bytes]) -> bytes:

@@ -1,4 +1,5 @@
 import hashlib
+import hmac
 import random
 from pathlib import Path
 
@@ -7,7 +8,6 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import padding as asym_padding
 
-from imdsec.attacks import forge_read_auth_attempts
 from imdsec.crypto import (
     _KDF_SALT,
     _MEMO_SIZE,
@@ -19,15 +19,14 @@ from imdsec.crypto import (
     SymmetricKey,
     _oaep_decrypt,
     _oaep_encrypt,
-    _pbkdf2,
     _pkcs1_sign,
     _pkcs1_verify,
     length_prefixed,
 )
 from imdsec.keymat import authority_private_key, doctor_certificate, doctor_private_key
-from imdsec.parties import SystemConfig, step_of
+from imdsec.parties import SystemConfig, derive_k_i, derive_k_p, step_of
 from imdsec.scenarios import DOCTOR_ID, SMARTPHONE_ID, build_world, run_session
-from imdsec.wire import Heading
+from imdsec.wire import Heading, u64_bytes
 
 VECTOR_FILE = Path(__file__).parent / "data" / "crypto_vectors.txt"
 OAEP = asym_padding.OAEP(
@@ -56,6 +55,16 @@ def doctor_key():
     return doctor_private_key()
 
 
+def hkdf_sha256(ikm, salt, info, length):
+    """RFC 5869 HKDF-SHA256 on stdlib hmac: extract, then expand."""
+    prk = hmac.new(salt, ikm, hashlib.sha256).digest()
+    okm, block = b"", b""
+    for counter in range(1, -(-length // 32) + 1):
+        block = hmac.new(prk, block + info + bytes([counter]), hashlib.sha256).digest()
+        okm += block
+    return okm[:length]
+
+
 class TestKdf:
     def test_deterministic(self, suite):
         assert suite.kdf(b"material") == suite.kdf(b"material")
@@ -77,9 +86,11 @@ class TestKdf:
         k_i = suite.kdf(length_prefixed(master.data, b"SM-01", b"IMD-7742"))
         assert isinstance(k_i, SymmetricKey)
 
-    def test_empty_material_rejected(self, suite):
+    def test_empty_material_rejected(self):
+        suite = CryptoSuite()
         with pytest.raises(CryptoError):
             suite.kdf(b"")
+        assert suite.counters["kdf"] == 0
 
     def test_key_separation_over_corpus(self, suite):
         rng = random.Random(11)
@@ -87,67 +98,44 @@ class TestKdf:
         keys = {suite.kdf(m).data for m in corpus}
         assert len(keys) == len(corpus)
 
+    def test_reference_matches_rfc5869(self):
+        # Appendix A, test cases 1 and 3
+        ikm = b"\x0b" * 22
+        salt, info = bytes(range(13)), bytes(range(0xF0, 0xFA))
+        assert hkdf_sha256(ikm, salt, info, 42).hex() == (
+            "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"
+        )
+        assert hkdf_sha256(ikm, b"", b"", 42).hex() == (
+            "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8"
+        )
 
-class TestKdfMemo:
-    """The PBKDF2 memo changes wall time only: keys, counts and an
-    attacker's cost per guess are those of an uncached derivation."""
-
-    @pytest.fixture(autouse=True)
-    def empty_memo(self):
-        _pbkdf2.cache_clear()
-
-    def test_equals_plain_pbkdf2(self, suite):
+    def test_equals_rfc5869_reference(self, suite):
         rng = random.Random(21)
         for _ in range(1000):
-            material = rng.randbytes(rng.randint(1, 32))
-            expected = hashlib.pbkdf2_hmac("sha1", material, _KDF_SALT, 1000, 16)
-            assert suite.kdf(material).data == expected  # computed
-            assert suite.kdf(material).data == expected  # from the memo
-
-    def test_key_derived_after_eviction_equals_the_first(self, suite):
-        first = suite.kdf(b"evicted")
-        for i in range(_MEMO_SIZE):
-            suite.kdf(b"filler-%d" % i)
-        misses = _pbkdf2.cache_info().misses
-        assert suite.kdf(b"evicted") == first
-        assert _pbkdf2.cache_info().misses == misses + 1
+            material = rng.randbytes(rng.randint(1, 96))
+            assert suite.kdf(material).data == hkdf_sha256(material, _KDF_SALT, b"", 16)
 
     def test_every_call_is_counted(self):
         suite = CryptoSuite()
         for _ in range(3):
             suite.kdf(b"counted")
         assert suite.counters["kdf"] == 3
-        info = _pbkdf2.cache_info()
-        assert (info.hits, info.misses) == (2, 1)
 
-    def test_memo_is_bounded(self, suite):
-        assert _pbkdf2.cache_info().maxsize == _MEMO_SIZE
-        for i in range(3 * _MEMO_SIZE):
-            suite.kdf(b"bounded-%d" % i)
-            assert _pbkdf2.cache_info().currsize <= _MEMO_SIZE
-
-    def test_empty_material_leaves_no_entry(self):
-        suite = CryptoSuite()
-        with pytest.raises(CryptoError):
-            suite.kdf(b"")
-        assert _pbkdf2.cache_info().currsize == 0
-        assert suite.counters["kdf"] == 0
-
-    def test_honest_session_computes_each_key_once(self):
+    def test_honest_full_session_makes_six_calls(self):
         result = run_session("full")
         assert result.ok
         parties = result.world.scheduler.parties.values()
         assert sum(party.crypto.counters["kdf"] for party in parties) == 6
-        assert _pbkdf2.cache_info().misses == 3
 
-    def test_each_rm_guess_costs_a_full_derivation(self):
-        run_session("auth", config=SystemConfig(n=64))
-        setup = _pbkdf2.cache_info()
-        _pbkdf2.cache_clear()
-        assert forge_read_auth_attempts(attempts=50) == 50
-        info = _pbkdf2.cache_info()
-        assert info.misses == setup.misses + 50
-        assert info.hits == setup.hits
+    def test_labels_separate_k_i_from_k_p(self, suite):
+        # K_I's (master key, smartphone id, implant id) and K_P's (RM,
+        # session, nonce) are byte-equal here, so only the label differs
+        secret, session, tail = bytes(range(16)), 0x4B5F49, b"IMD-7742"
+        k_i = derive_k_i(suite, SymmetricKey(secret), u64_bytes(session), tail)
+        k_p = derive_k_p(suite, secret, session, tail)
+        assert k_i == suite.kdf(length_prefixed(b"K_I", secret, u64_bytes(session), tail))
+        assert k_p == suite.kdf(length_prefixed(b"K_P", secret, u64_bytes(session), tail))
+        assert k_i != k_p
 
 
 class TestRsaMemo:
@@ -267,13 +255,13 @@ class TestRsaMemo:
 
 
 class TestBytesLikeInput:
-    """Every memo is keyed on bytes at the CryptoSuite boundary, so a
-    bytearray or memoryview input gives the bytes input's result, from
-    the same memo entry, and is counted like any call."""
+    """A bytearray or memoryview input gives the bytes input's result and
+    is counted like any call; every RSA memo is keyed on bytes at the
+    CryptoSuite boundary, so such an input shares the bytes input's entry."""
 
     @pytest.fixture(autouse=True)
     def empty_memos(self):
-        for memo in (_pbkdf2, *RSA_MEMOS.values()):
+        for memo in RSA_MEMOS.values():
             memo.cache_clear()
 
     @staticmethod
@@ -285,8 +273,6 @@ class TestBytesLikeInput:
         keys = [suite.kdf(form) for form in self._forms(b"bytes-like material")]
         assert keys[0] == keys[1] == keys[2]
         assert suite.counters["kdf"] == 3
-        info = _pbkdf2.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
 
     def test_pk_enc_and_pk_dec(self, doctor_key):
         pub = doctor_key.public_key()

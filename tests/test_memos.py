@@ -63,3 +63,11 @@ def test_live_memos_are_bounded_as_written():
             if hasattr(value, "cache_info") and getattr(value, "__module__", None) == module.__name__
         ]
     assert sorted(live) == bounds
+
+
+def test_crypto_memoizes_rsa_results_only():
+    """No process-wide memo holds a symmetric key or its material (the
+    master key, RM, kd_bytes, or a derived K_I, K_P or K_R)."""
+    crypto = importlib.import_module("imdsec.crypto")
+    memos = {name for name, value in vars(crypto).items() if hasattr(value, "cache_info")}
+    assert memos == {"_oaep_encrypt", "_oaep_decrypt", "_pkcs1_sign", "_pkcs1_verify"}
