@@ -628,16 +628,15 @@ class TestOpenBugs:
         attacker = _Withhold("smartphone", Heading.AUTH_REQ)
         world = build_world(seed=5, config=FAST, attacker=attacker)
         assert not drive(world, ("pair", "auth")).phases["auth"]
-        request = next(
-            decode_message(e.payload) for e in world.scheduler.transcript.wire_entries()
-            if e.sender == "programmer"
-        )
+        request = decode_message(next(
+            e.payload for e in world.scheduler.transcript.wire_entries() if e.sender == "programmer"
+        ))
+        assert request.heading == Heading.AUTH_REQ
         pk_der = dict(zip(step_of("programmer", Heading.AUTH_REQ).fields, request.fields))["pk_der"]
         nonce = bytes(range(16))
         challenge = CryptoSuite().pk_enc(load_der_public_key(pk_der), nonce)
         step = step_of("smartphone", Heading.AUTH_REQ)
-        fields = dict(smartphone_id=attacker.msg.fields[0], challenge=challenge)
-        forged = step.encode(request.session, fields, CryptoSuite(), None)
+        forged = _forged(step, attacker.msg, world.programmer, challenge=challenge)
         world.scheduler.deliver_raw(step.link, "smartphone", "programmer", forged)
         world.scheduler.run_until_quiet()
         assert world.programmer.nonce != nonce
