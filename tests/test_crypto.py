@@ -86,10 +86,16 @@ class TestKdf:
         k_i = suite.kdf(length_prefixed(master.data, b"SM-01", b"IMD-7742"))
         assert isinstance(k_i, SymmetricKey)
 
-    def test_empty_material_rejected(self):
-        suite = CryptoSuite()
+    def test_empty_material_rejected(self, suite):
         with pytest.raises(CryptoError):
             suite.kdf(b"")
+
+    def test_empty_material_leaves_no_entry(self):
+        suite = CryptoSuite()
+        before = {op: memo.cache_info().currsize for op, memo in RSA_MEMOS.items()}
+        with pytest.raises(CryptoError):
+            suite.kdf(b"")
+        assert {op: memo.cache_info().currsize for op, memo in RSA_MEMOS.items()} == before
         assert suite.counters["kdf"] == 0
 
     def test_key_separation_over_corpus(self, suite):
