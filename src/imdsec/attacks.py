@@ -35,7 +35,7 @@ from .codec import (
 from .crypto import CryptoSuite
 from .parties import STEPS, Step, SystemConfig, derive_k_p, step_of, unpack_signals
 from .recovery import RecoveryParams, SensingMatrix, SparsityBasis, batch_prds, prd
-from .recovery import omp_reconstruct
+from .recovery import omp_reconstruct, quantization_params
 from .scenarios import SCENARIOS, build_world, drive, run_session
 from .wire import Heading, WireError, decode_message, u64_bytes
 
@@ -271,7 +271,7 @@ def mitm_read_attack(
     derived = attacker.derive_shift_key(world.scheduler.transcript)
     if derived is not None:
         y = cs_deshift(derived, cipher, phi, *ecg.WINDOW)
-        _, x_hat = omp_reconstruct(y, phi, psi)
+        _, x_hat = omp_reconstruct(y, phi, psi, quantization_params(cipher))
         attacker_prd = prd(attacked_truth, x_hat)
     else:
         attacker_prd = min(uniform_guess_attack(cipher, phi, psi, attacked_truth))

@@ -739,14 +739,17 @@ class Programmer(Party):
     def _on_read_req(self, frame) -> None:
         # every signal is de-shifted, so reconstruct changes no verdict
         phi = self.config.sensing_matrix()
-        measurements = [
-            codec.cs_deshift(self.shift_key, codec.deserialize_ciphertext(blob), phi, *ecg.WINDOW)
-            for blob in unpack_signals(frame.c2)
+        received = [
+            (cipher, codec.cs_deshift(self.shift_key, cipher, phi, *ecg.WINDOW))
+            for cipher in map(codec.deserialize_ciphertext, unpack_signals(frame.c2))
         ]
         signals = []
         if self.reconstruct:
             psi = self.config.basis()
-            signals = [recovery.omp_reconstruct(y, phi, psi)[1] for y in measurements]
+            signals = [
+                recovery.omp_reconstruct(y, phi, psi, recovery.quantization_params(cipher))[1]
+                for cipher, y in received
+            ]
         self.c2_bytes = frame.c2
         self.recovered_signals.extend(signals)
 

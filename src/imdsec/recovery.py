@@ -21,6 +21,7 @@ scipy.linalg would add a few tenths of a second to every process start.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -32,6 +33,7 @@ __all__ = [
     "SensingMatrix",
     "SparsityBasis",
     "RecoveryParams",
+    "quantization_params",
     "QualityClass",
     "gen_sensing_matrix",
     "build_basis",
@@ -103,7 +105,9 @@ class RecoveryParams:
     """Stopping rules for the greedy solver.
 
     Defaults resolve to max_atoms = M // 4 and residual_tol = 1e-6 * ||y||
-    (the Euclidean norm of the measurements) at solve time.
+    (the Euclidean norm of the measurements) at solve time.  The receiver
+    of a quantized ciphertext stops at its rounding noise instead,
+    residual_tol = qs * sqrt(M / 12) (quantization_params).
     """
 
     max_atoms: Optional[int] = None
@@ -114,9 +118,20 @@ class RecoveryParams:
         if not 0 <= atoms <= m:
             raise RecoveryError(f"max_atoms {atoms} outside 0..{m} (the measurement count)")
         tol = self.residual_tol if self.residual_tol is not None else 1e-6 * y_norm
-        if tol < 0:
+        if not tol >= 0:  # NaN too: it would never stop a solve
             raise RecoveryError("residual tolerance must be non-negative")
         return atoms, tol
+
+
+def quantization_params(cipher) -> Optional[RecoveryParams]:
+    """The key holder's stopping rule for a codec.CsCiphertext: rounding
+    its M measurements to the step qs adds noise of norm about
+    qs * sqrt(M / 12), so the solve stops there rather than fit the
+    noise (the discrepancy principle for OMP with bounded noise, Cai &
+    Wang, IEEE Trans. IT 2011).  None, the solver defaults, when raw."""
+    if cipher.quant_step is None:
+        return None
+    return RecoveryParams(residual_tol=cipher.quant_step * math.sqrt(cipher.m / 12))
 
 
 def _seed_int(seed: bytes, label: bytes) -> int:

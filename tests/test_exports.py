@@ -45,7 +45,6 @@ TEST_ONLY = {
     "attacks.indistinguishability_test(degenerate_key)": "the all-zero key negative control",
     "attacks.forge_read_auth_attempts(attempts)": "a brute-force probe of unit-test size",
     "attacks.forge_read_auth_attempts(seed)": "the probe against another session",
-    "recovery.RecoveryParams(residual_tol)": "solves that stop on the atom count alone",
     "cli.main(argv)": "the command line given as a list",
 }
 
@@ -135,13 +134,15 @@ def test_defaulted_parameters_have_callers():
         if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
     ]
     settings = list(_settings())
-    unpassed = [
+    passed = {
         key for key, param, setters in settings
-        if key not in TEST_ONLY and not any(
+        if any(
             name == callee and _passes(call, pos, param)
             for callee, pos in setters
             for name, call in calls
         )
-    ]
-    assert unpassed == []
+    }
+    assert [key for key, _, _ in settings if key not in passed | set(TEST_ONLY)] == []
+    # an entry whose parameter gained a caller is stale
+    assert sorted(set(TEST_ONLY) & passed) == []
     assert sorted(set(TEST_ONLY) - {key for key, _, _ in settings}) == []

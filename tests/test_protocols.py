@@ -9,7 +9,7 @@ from cryptography.hazmat.primitives.serialization import load_der_public_key
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imdsec import codec, ecg
+from imdsec import codec, ecg, recovery
 from imdsec.channel import Attacker
 from imdsec.crypto import CryptoSuite, KeyPairWithCert, SymmetricKey, length_prefixed
 from imdsec.evidence import evidence_verify
@@ -167,6 +167,46 @@ class TestHonestFlows:
         assert (w.smartphone.completed, w.imd.completed, w.programmer.completed) == (
             Counter(smartphone), Counter(imd), Counter(programmer)
         )
+
+
+class TestDoctorSolveStop:
+    """The programmer's solve of a received ciphertext, re-run here on the
+    same de-shifted y: it stops at the ciphertext's quantization noise
+    (recovery.quantization_params), and keeps the solver defaults where
+    that rule cannot apply."""
+
+    @staticmethod
+    def received(seed, config):
+        result = run_session("full", seed=seed, config=config)
+        assert result.ok
+        w = result.world
+        phi = config.sensing_matrix()
+        cipher = codec.deserialize_ciphertext(unpack_signals(w.programmer.c2_bytes)[0])
+        y = codec.cs_deshift(w.programmer.shift_key, cipher, phi, *ecg.WINDOW)
+        truth = w.imd.data_source.records[0].samples.astype(float)
+        return w.programmer.recovered_signals[0], cipher, y, truth
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_default_session_stops_at_the_noise(self, seed):
+        config = SystemConfig()
+        recovered, cipher, y, truth = self.received(seed, config)
+        phi, psi = config.sensing_matrix(), config.basis()
+        params = recovery.quantization_params(cipher)
+        _, x_hat, info = recovery.omp_reconstruct(y, phi, psi, params, return_info=True)
+        np.testing.assert_array_equal(recovered, x_hat)
+        assert info["stop"] == "residual_tol"
+        assert len(info["residuals"]) - 1 < phi.m // 4
+        _, full, full_info = recovery.omp_reconstruct(y, phi, psi, return_info=True)
+        assert (full_info["stop"], len(full_info["residuals"]) - 1) == ("max_atoms", phi.m // 4)
+        assert prd(truth, recovered) <= prd(truth, full)
+
+    @pytest.mark.parametrize(
+        "config", [SystemConfig(qs=0), SystemConfig(cr=90.0)], ids=["raw", "cr90"]
+    )
+    def test_session_matches_the_default_solve(self, config):
+        recovered, _, y, _ = self.received(3, config)
+        _, x_hat = recovery.omp_reconstruct(y, config.sensing_matrix(), config.basis())
+        np.testing.assert_array_equal(recovered, x_hat)
 
 
 class TestOpCounts:

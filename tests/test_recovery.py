@@ -25,6 +25,7 @@ from imdsec.recovery import (
     omp_reconstruct,
     omp_reconstruct_batch,
     prd,
+    quantization_params,
 )
 from imdsec.reports import sweep_solver_params
 from support import synth_sparse_signal
@@ -167,6 +168,21 @@ class TestOmp:
                 omp_reconstruct(
                     np.ones(16), phi, psi, RecoveryParams(max_atoms=atoms)
                 )
+
+    def test_nan_residual_tol_refused(self):
+        psi = build_basis(64)
+        phi = gen_sensing_matrix(b"bad", 16, 64)
+        with pytest.raises(RecoveryError, match="tolerance"):
+            omp_reconstruct(np.ones(16), phi, psi, RecoveryParams(residual_tol=float("nan")))
+
+    def test_quantization_params(self):
+        n, m = 512, 256
+        raw = codec.CsCiphertext(np.ones(m), codec.CarryVector(np.zeros(n)))
+        assert quantization_params(raw) is None
+        step = codec.quantize(raw, 20)
+        assert quantization_params(step) == RecoveryParams(
+            residual_tol=20 * np.sqrt(m / 12)
+        )
 
     def test_no_candidate_stop(self):
         # one non-zero column cannot fit a y outside its span, and the
