@@ -26,9 +26,7 @@ __all__ = [
     "CarryVector",
     "CsCiphertext",
     "shift_bound",
-    "vec_shifting_add",
     "cs_gen",
-    "sign_vector",
     "cs_enc",
     "quantize",
     "cs_deshift",
@@ -149,9 +147,7 @@ class CsCiphertext:
         if self.quant_step is not None:
             if self.quant_step <= 0:
                 raise CodecError("quantization step must be positive")
-            mult = m / self.quant_step
-            if not np.allclose(mult, np.round(mult)):
-                raise CodecError("quantized measurements must be step multiples")
+            _check_step_multiples(m, self.quant_step)
 
     @property
     def m(self) -> int:
@@ -166,6 +162,14 @@ class CsCiphertext:
         return self.quant_step is not None
 
 
+def _check_step_multiples(measurements: np.ndarray, qs: int) -> None:
+    """Refuse measurements, one row or a stack of rows, that are not all
+    multiples of the step qs."""
+    mult = measurements / qs
+    if not np.allclose(mult, np.round(mult)):
+        raise CodecError("quantized measurements must be step multiples")
+
+
 def shift_bound(value_range: int) -> int:
     """The largest shift magnitude for a window of this width."""
     return math.ceil(value_range / 2)
@@ -173,7 +177,8 @@ def shift_bound(value_range: int) -> int:
 
 def _shift_core(values: np.ndarray, shifts: np.ndarray, L1: int, L2: int):
     """Vectorized wrap-add without the input-bound check (decode side and
-    the zero-vector reference distribution both need out-of-window inputs)."""
+    the zero-vector reference distribution both need out-of-window inputs).
+    shifts may be a (K, N) stack of rows; values broadcast over it."""
     rng = L2 - L1
     total = np.asarray(values, dtype=np.float64) + np.asarray(shifts, dtype=np.float64)
     u = (total - L1) % rng + L1
@@ -192,12 +197,18 @@ def vec_shifting_add(
         raise CodecError(
             f"length mismatch: {values.shape} vs {shifts.shape}"
         )
+    u, carries = _masked(values, shifts, L1, L2)
+    return u, CarryVector(bits=carries)
+
+
+def _masked(values: np.ndarray, shifts: np.ndarray, L1: int, L2: int):
+    """_shift_core of values that lie strictly inside (L1, L2), under one
+    shift row or each row of a stack."""
     if L1 >= L2:
         raise CodecError(f"need L1 < L2, got ({L1}, {L2})")
     if not np.all((values > L1) & (values < L2)):
         raise CodecError("input values must lie strictly inside (L1, L2)")
-    u, carries = _shift_core(values, shifts, L1, L2)
-    return u, CarryVector(bits=carries)
+    return _shift_core(values, shifts, L1, L2)
 
 
 class _PrfStream:
@@ -256,19 +267,60 @@ def sign_vector(key: ShiftKey) -> np.ndarray:
     return np.sign(key.entries).astype(np.int64)
 
 
+# The codec's steps below each take one row or a (K, ...) stack of rows:
+# the per-frame functions call them on one row, and a sweep cell
+# (reports._trials) on the stack of its shift keys, each check made once
+# for the stack.  np.matvec gives every row of a stack the bits that
+# phi @ row gives it alone; a matrix product over the stack would not.
+
+
+def _encode(shifts: np.ndarray, x: BoundedSignal, phi):
+    """cs_enc's mask and projection of x under one shift row, or each row
+    of a (K, N) stack: the measurements and the carry bits, row for row."""
+    k = shifts.shape[-1]
+    if k != x.n:
+        raise CodecError(f"key length {k} != signal length {x.n}")
+    if phi.n != x.n:
+        raise CodecError(f"matrix columns {phi.n} != signal length {x.n}")
+    masked, carries = _masked(x.values, shifts, x.L1, x.L2)
+    return np.matvec(phi.entries, masked), carries
+
+
+def _quantized(measurements: np.ndarray, qs: int) -> np.ndarray:
+    """Each measurement snapped to the nearest multiple of qs, ties away
+    from zero so results are bit-reproducible."""
+    if not isinstance(qs, int) or qs <= 0:
+        raise CodecError("quantization step must be a positive integer")
+    mult = np.sign(measurements) * np.floor(np.abs(measurements) / qs + 0.5)
+    return mult * qs
+
+
+def _deshifted(
+    measurements: np.ndarray, carries: np.ndarray, shifts: np.ndarray, phi, L1: int, L2: int
+) -> np.ndarray:
+    """cs_deshift of measurement and carry rows under their shift rows:
+    y' + phi @ (range * (carries .* sign) - key), row for row."""
+    k, n, m = shifts.shape[-1], carries.shape[-1], measurements.shape[-1]
+    if k != n:
+        raise CodecError(f"key length {k} != sample count {n}")
+    if phi.n != n or phi.m != m:
+        raise CodecError(
+            f"matrix shape ({phi.m}, {phi.n}) does not match ciphertext ({m}, {n})"
+        )
+    if L1 >= L2:
+        raise CodecError(f"need L1 < L2, got ({L1}, {L2})")
+    correction = (L2 - L1) * (carries * np.sign(shifts)) - shifts
+    return measurements + np.matvec(phi.entries, correction)
+
+
 def cs_enc(key: ShiftKey, x: BoundedSignal, phi) -> CsCiphertext:
     """Mask the signal with the shift key, then project with phi.
 
     phi is a SensingMatrix (see recovery module); its column count must
     equal both the signal length and the key length.
     """
-    if key.k != x.n:
-        raise CodecError(f"key length {key.k} != signal length {x.n}")
-    if phi.n != x.n:
-        raise CodecError(f"matrix columns {phi.n} != signal length {x.n}")
-    masked, carries = vec_shifting_add(x.values, key.entries, x.L1, x.L2)
-    measurements = phi.entries @ masked
-    return CsCiphertext(measurements=measurements, carries=carries)
+    measurements, carries = _encode(key.entries, x, phi)
+    return CsCiphertext(measurements=measurements, carries=CarryVector(bits=carries))
 
 
 def quantize(c: CsCiphertext, qs: int) -> CsCiphertext:
@@ -278,11 +330,9 @@ def quantize(c: CsCiphertext, qs: int) -> CsCiphertext:
     """
     if c.quantized:
         raise CodecError("ciphertext is already quantized")
-    if not isinstance(qs, int) or qs <= 0:
-        raise CodecError("quantization step must be a positive integer")
-    m = c.measurements
-    mult = np.sign(m) * np.floor(np.abs(m) / qs + 0.5)
-    return CsCiphertext(measurements=mult * qs, carries=c.carries, quant_step=qs)
+    return CsCiphertext(
+        measurements=_quantized(c.measurements, qs), carries=c.carries, quant_step=qs
+    )
 
 
 def cs_deshift(key: ShiftKey, c: CsCiphertext, phi, L1: int, L2: int) -> np.ndarray:
@@ -291,19 +341,7 @@ def cs_deshift(key: ShiftKey, c: CsCiphertext, phi, L1: int, L2: int) -> np.ndar
     For an unquantized ciphertext this reproduces phi @ x exactly up to
     float round-off.
     """
-    if key.k != c.n:
-        raise CodecError(f"key length {key.k} != sample count {c.n}")
-    if phi.n != c.n or phi.m != c.m:
-        raise CodecError(
-            f"matrix shape ({phi.m}, {phi.n}) does not match ciphertext "
-            f"({c.m}, {c.n})"
-        )
-    if L1 >= L2:
-        raise CodecError(f"need L1 < L2, got ({L1}, {L2})")
-    rng = L2 - L1
-    # carries and key both have c.n entries (checked above)
-    correction = rng * (c.carries.bits * sign_vector(key)) - key.entries
-    return c.measurements + phi.entries @ correction
+    return _deshifted(c.measurements, c.carries.bits, key.entries, phi, L1, L2)
 
 
 # --- wire form ---------------------------------------------------------
@@ -322,17 +360,31 @@ def cs_deshift(key: ShiftKey, c: CsCiphertext, phi, L1: int, L2: int) -> np.ndar
 _HEADER = struct.Struct(">III")
 
 
-def _min_signed_width(values: np.ndarray) -> int:
+def _step_multiples(measurements: np.ndarray, qs: int) -> np.ndarray:
+    return np.round(measurements / qs).astype(np.int64)
+
+
+def _width_magnitude(mult: np.ndarray):
     # a signed v needs bit_length(max(v, ~v)) + 1 bits, as ~v == -v - 1;
-    # bit_length is monotone, so the largest such magnitude sets the width
-    return int(np.maximum(values, ~values).max()).bit_length() + 1
+    # bit_length is monotone, so a row's largest such magnitude sets its
+    # width (one value per row of a stack)
+    return np.maximum(mult, ~mult).max(axis=-1)
+
+
+def _widest_row(measurements: np.ndarray, qs: int) -> int:
+    """The row of a stack of measurements, quantized to qs (0: raw), whose
+    frame is longest: a frame's length is fixed by N, M and its bit width,
+    and raw frames are all alike."""
+    if not qs:
+        return 0
+    return int(np.argmax(_width_magnitude(_step_multiples(measurements, qs))))
 
 
 def serialize_ciphertext(c: CsCiphertext) -> bytes:
     out = [_HEADER.pack(c.n, c.m, c.quant_step or 0)]
     if c.quantized:
-        mult = np.round(c.measurements / c.quant_step).astype(np.int64)
-        width = _min_signed_width(mult)
+        mult = _step_multiples(c.measurements, c.quant_step)
+        width = int(_width_magnitude(mult)).bit_length() + 1
         if width > 32:
             raise CodecError("quantized multiples exceed 32-bit range")
         out.append(struct.pack(">B", width))

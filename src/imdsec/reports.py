@@ -133,18 +133,40 @@ def _keys(signal: codec.BoundedSignal, master_seed: int, first: int, count: int)
     )
 
 
-def _trials(signal, keys, phi, psi, params, qs):
+def _shift_stack(signal: codec.BoundedSignal, master_seed: int, first: int, count: int):
+    """The entries of _keys(...) as one (count, N) array, a row per key."""
+    return np.stack([key.entries for key in _keys(signal, master_seed, first, count)])
+
+
+def _check_counts(records, seeds: int) -> None:
+    if not records:
+        raise ValueError("need at least one record")
+    if seeds < 1:
+        raise ValueError(f"seeds must be at least 1, got {seeds}")
+
+
+def _trials(signal, shifts, phi, psi, params, qs):
     """The mask -> project -> quantize -> de-shift pipeline of one signal
-    under each shift key, and one batched OMP solve over all of them;
-    returns the ciphertexts and the recovery PRDs, in key order."""
-    ciphers = [codec.cs_enc(key, signal, phi) for key in keys]
+    under a (K, N) stack of shift keys, one codec pass for the whole stack,
+    and one batched OMP solve over it; returns the measurements as sent
+    and their carry bits, one row per key, and the recovery PRDs in key
+    order."""
+    measurements, carries = codec._encode(shifts, signal, phi)
     if qs:
-        ciphers = [codec.quantize(cipher, qs) for cipher in ciphers]
-    measurements = [
-        codec.cs_deshift(key, cipher, phi, signal.L1, signal.L2)
-        for key, cipher in zip(keys, ciphers)
-    ]
-    return ciphers, recovery.batch_prds(measurements, phi, psi, signal.values, params)
+        measurements = codec._quantized(measurements, qs)
+        codec._check_step_multiples(measurements, qs)
+    deshifted = codec._deshifted(measurements, carries, shifts, phi, signal.L1, signal.L2)
+    return measurements, carries, recovery.batch_prds(
+        deshifted, phi, psi, signal.values, params
+    )
+
+
+def _cipher(measurements, carries, qs) -> codec.CsCiphertext:
+    """One row of a _trials stack as the ciphertext the implant sends."""
+    return codec.CsCiphertext(
+        measurements=measurements, carries=codec.CarryVector(bits=carries),
+        quant_step=qs or None,
+    )
 
 
 def sweep_prd(
@@ -161,22 +183,24 @@ def sweep_prd(
     recovery.cached_operator, so records of one window, and calls that
     walk the grid one cell at a time, share one key set per master seed.
     """
-    if not records:
-        raise ValueError("need at least one record")
+    _check_counts(records, seeds)
     n = records[0].n
     psi = recovery.cached_operator(recovery.build_basis, n)
     signals = [ecg.to_bounded_signal(record) for record in records]
-    keys = [_keys(signal, master_seed, 0, seeds) for signal in signals]
+    stacks = [_shift_stack(signal, master_seed, 0, seeds) for signal in signals]
     rows = []
     for cr in cr_grid:
         config = SystemConfig(n=n, cr=cr)
         m, phi = config.m, config.sensing_matrix()
         params = sweep_solver_params(m)
         for qs in qs_grid:
-            for record, signal, record_keys in zip(records, signals, keys):
-                ciphers, prds = _trials(signal, record_keys, phi, psi, params, qs)
+            for record, signal, shifts in zip(records, signals, stacks):
+                measurements, carries, prds = _trials(signal, shifts, phi, psi, params, qs)
+                row = codec._widest_row(measurements, qs)
                 try:
-                    payload = max(map(len, map(codec.serialize_ciphertext, ciphers)), default=0)
+                    payload = len(codec.serialize_ciphertext(
+                        _cipher(measurements[row], carries[row], qs)
+                    ))
                 except codec.CodecError as exc:
                     raise codec.CodecError(f"record {record.source_id}, qs {qs}: {exc}") from exc
                 median = float(np.median(prds))
@@ -223,13 +247,14 @@ def attack_report(
     locating its best shift; the random guess runs `trials` fresh keys
     against the first record.
     """
-    if not records:
-        raise ValueError("need at least one record")
+    _check_counts(records, seeds)
     n = records[0].n
     psi = recovery.cached_operator(recovery.build_basis, n)
     grid = default_shift_grid(bound=records[0].shift_bound)
     signals = [ecg.to_bounded_signal(record) for record in records]
-    keys = [_keys(s, master_seed, 1000 + ri * seeds, seeds) for ri, s in enumerate(signals)]
+    stacks = [
+        _shift_stack(s, master_seed, 1000 + ri * seeds, seeds) for ri, s in enumerate(signals)
+    ]
     rows = []
     for cr in cr_grid:
         config = SystemConfig(n=n, cr=cr)
@@ -237,8 +262,9 @@ def attack_report(
         params = sweep_solver_params(m)
         legit_prds = []
         curves = []
-        for ri, (signal, record_keys) in enumerate(zip(signals, keys)):
-            ciphers, prds = _trials(signal, record_keys, phi, psi, params, qs)
+        for ri, (signal, shifts) in enumerate(zip(signals, stacks)):
+            measurements, carries, prds = _trials(signal, shifts, phi, psi, params, qs)
+            ciphers = [_cipher(*row, qs) for row in zip(measurements, carries)]
             legit_prds += prds
             curves += [
                 uniform_guess_attack(cipher, phi, psi, signal.values, grid=grid, params=params)

@@ -83,6 +83,78 @@ class TestSweep:
         assert verdicts["cr85_qs100_good"] == "not-evaluated"
 
 
+class TestCountChecks:
+    @pytest.mark.parametrize("seeds", [0, -1])
+    def test_sweep_refuses_fewer_than_one_seed(self, records, seeds):
+        with pytest.raises(ValueError, match="seeds"):
+            sweep_prd(records[:1], cr_grid=(50,), qs_grid=(0,), seeds=seeds)
+
+    @pytest.mark.parametrize("seeds", [0, -1])
+    def test_attack_report_refuses_fewer_than_one_seed(self, records, seeds):
+        with pytest.raises(ValueError, match="seeds"):
+            attack_report(records[:1], cr_grid=(50,), seeds=seeds, trials=1)
+
+
+class TestStackedPass:
+    """A sweep cell runs the codec once over the stack of its shift keys;
+    each row must be what the per-frame codec gives that key alone."""
+
+    SEEDS = 5
+
+    @pytest.fixture(scope="class")
+    def cells(self, records):
+        record = records[0]
+        signal = ecg.to_bounded_signal(record)
+        solved = []
+        solve = recovery.batch_prds
+
+        def spying_solve(Y, phi, *rest):
+            solved.append(np.array(Y))
+            return solve(Y, phi, *rest)
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(recovery, "batch_prds", spying_solve)
+            report = sweep_prd(
+                [record], cr_grid=(50, 95), qs_grid=(0, 10, 120), seeds=self.SEEDS
+            )
+        keys = reports._keys(signal, 0, 0, self.SEEDS)
+        rows = []
+        for row, deshifted in zip(report.rows, solved):
+            phi = SystemConfig(n=signal.n, cr=row.cr).sensing_matrix()
+            frames = []
+            for key in keys:
+                cipher = codec.cs_enc(key, signal, phi)
+                if row.qs:
+                    cipher = codec.quantize(cipher, row.qs)
+                frames.append(cipher)
+            rows.append((row, deshifted, frames))
+        return signal, keys, rows
+
+    def test_one_solve_per_cell(self, cells):
+        _, _, rows = cells
+        assert len(rows) == 2 * 3
+        for _, deshifted, _ in rows:
+            assert deshifted.shape[0] == self.SEEDS
+
+    def test_deshifted_rows_equal_the_per_frame_path(self, cells):
+        signal, keys, rows = cells
+        for row, deshifted, frames in rows:
+            phi = SystemConfig(n=signal.n, cr=row.cr).sensing_matrix()
+            for stacked, key, cipher in zip(deshifted, keys, frames):
+                expected = codec.cs_deshift(key, cipher, phi, signal.L1, signal.L2)
+                assert np.array_equal(stacked, expected), (row.cr, row.qs)
+
+    def test_payload_is_the_longest_per_frame_serialization(self, cells):
+        _, _, rows = cells
+        differing = 0
+        for row, _, frames in rows:
+            lengths = [len(codec.serialize_ciphertext(cipher)) for cipher in frames]
+            assert row.payload_bytes == max(lengths), (row.cr, row.qs)
+            differing += len(set(lengths)) > 1
+        # a cell whose keys pack to different widths, so a wrong row shows
+        assert differing >= 1
+
+
 class TestOperatorCache:
     """The sweep takes Phi from recovery.cached_operator, which keeps the
     latest Phi (and the Theta it holds) until the CR changes, and the
