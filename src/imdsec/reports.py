@@ -115,27 +115,22 @@ class SweepReport:
         return float(np.median(values))
 
 
-def _key_set(master_seed: int, first: int, count: int, n: int, L1: int, L2: int) -> tuple:
-    """Shift keys first .. first + count - 1 of the master seed, made
-    read-only because recovery.cached_operator shares them."""
-    keys = tuple(
-        codec.cs_gen(f"sweep-key/{master_seed}/{i}".encode(), n, L1, L2)
+def _key_set(master_seed: int, first: int, count: int, n: int, L1: int, L2: int) -> np.ndarray:
+    """The entries of shift keys first .. first + count - 1 of the master
+    seed, one row per key, made read-only because
+    recovery.cached_operator shares them."""
+    keys = np.stack([
+        codec.cs_gen(f"sweep-key/{master_seed}/{i}".encode(), n, L1, L2).entries
         for i in range(first, first + count)
-    )
-    for key in keys:
-        key.entries.flags.writeable = False
+    ])
+    keys.flags.writeable = False
     return keys
 
 
-def _keys(signal: codec.BoundedSignal, master_seed: int, first: int, count: int) -> tuple:
+def _keys(signal: codec.BoundedSignal, master_seed: int, first: int, count: int) -> np.ndarray:
     return recovery.cached_operator(
         _key_set, master_seed, first, count, signal.n, signal.L1, signal.L2
     )
-
-
-def _shift_stack(signal: codec.BoundedSignal, master_seed: int, first: int, count: int):
-    """The entries of _keys(...) as one (count, N) array, a row per key."""
-    return np.stack([key.entries for key in _keys(signal, master_seed, first, count)])
 
 
 def _check_counts(records, seeds: int) -> None:
@@ -187,14 +182,14 @@ def sweep_prd(
     n = records[0].n
     psi = recovery.cached_operator(recovery.build_basis, n)
     signals = [ecg.to_bounded_signal(record) for record in records]
-    stacks = [_shift_stack(signal, master_seed, 0, seeds) for signal in signals]
+    keys = [_keys(signal, master_seed, 0, seeds) for signal in signals]
     rows = []
     for cr in cr_grid:
         config = SystemConfig(n=n, cr=cr)
         m, phi = config.m, config.sensing_matrix()
         params = sweep_solver_params(m)
         for qs in qs_grid:
-            for record, signal, shifts in zip(records, signals, stacks):
+            for record, signal, shifts in zip(records, signals, keys):
                 measurements, carries, prds = _trials(signal, shifts, phi, psi, params, qs)
                 row = codec._widest_row(measurements, qs)
                 try:
@@ -252,9 +247,7 @@ def attack_report(
     psi = recovery.cached_operator(recovery.build_basis, n)
     grid = default_shift_grid(bound=records[0].shift_bound)
     signals = [ecg.to_bounded_signal(record) for record in records]
-    stacks = [
-        _shift_stack(s, master_seed, 1000 + ri * seeds, seeds) for ri, s in enumerate(signals)
-    ]
+    keys = [_keys(s, master_seed, 1000 + ri * seeds, seeds) for ri, s in enumerate(signals)]
     rows = []
     for cr in cr_grid:
         config = SystemConfig(n=n, cr=cr)
@@ -262,7 +255,7 @@ def attack_report(
         params = sweep_solver_params(m)
         legit_prds = []
         curves = []
-        for ri, (signal, shifts) in enumerate(zip(signals, stacks)):
+        for ri, (signal, shifts) in enumerate(zip(signals, keys)):
             measurements, carries, prds = _trials(signal, shifts, phi, psi, params, qs)
             ciphers = [_cipher(*row, qs) for row in zip(measurements, carries)]
             legit_prds += prds

@@ -117,7 +117,10 @@ class TestStackedPass:
             report = sweep_prd(
                 [record], cr_grid=(50, 95), qs_grid=(0, 10, 120), seeds=self.SEEDS
             )
-        keys = reports._keys(signal, 0, 0, self.SEEDS)
+        keys = [
+            codec.ShiftKey(entries=row, value_range=signal.value_range)
+            for row in reports._keys(signal, 0, 0, self.SEEDS)
+        ]
         rows = []
         for row, deshifted in zip(report.rows, solved):
             phi = SystemConfig(n=signal.n, cr=row.cr).sensing_matrix()
@@ -186,13 +189,12 @@ class TestOperatorCache:
     def test_cached_keys_equal_fresh_draws(self, short_records):
         signal = ecg.to_bounded_signal(short_records[0])
         cached = reports._keys(signal, 7102, 5, 3)
-        assert len(cached) == 3
-        for index, key in zip(range(5, 8), cached):
+        assert cached.shape == (3, signal.n)
+        for index, row in zip(range(5, 8), cached):
             fresh = codec.cs_gen(
                 f"sweep-key/7102/{index}".encode(), signal.n, signal.L1, signal.L2
             )
-            assert np.array_equal(key.entries, fresh.entries)
-            assert key.value_range == fresh.value_range
+            assert np.array_equal(row, fresh.entries)
 
     def test_a_new_master_seed_draws_a_new_set(self, monkeypatch, short_records):
         signal = ecg.to_bounded_signal(short_records[0])
@@ -201,7 +203,7 @@ class TestOperatorCache:
         assert reports._keys(signal, 7103, 0, 2) is first
         second = reports._keys(signal, 7104, 0, 2)
         assert len(drawn) == 4
-        assert not np.array_equal(first[0].entries, second[0].entries)
+        assert not np.array_equal(first[0], second[0])
 
     def test_phi_and_psi_stay_resident_across_a_key_set_change(self, short_records):
         config = SystemConfig(n=64, cr=50)
@@ -212,9 +214,9 @@ class TestOperatorCache:
 
     def test_shared_keys_are_read_only(self, short_records):
         keys = reports._keys(ecg.to_bounded_signal(short_records[0]), 7107, 0, 2)
-        for key in keys:
+        for row in keys:
             with pytest.raises(ValueError, match="read-only"):
-                key.entries[0] = 0
+                row[0] = 0
 
     def test_cells_at_one_cr_share_one_phi(self, monkeypatch, short_records):
         drawn, solved = [], []
