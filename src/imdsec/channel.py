@@ -9,7 +9,8 @@ inject frames on any link; what it delivers instead is not recorded, so
 a flipped, duplicated or injected frame is not in the transcript.  An
 eavesdropper's view is the transcript's wire entries.  The out-of-band
 channel (the RM text to the doctor's phone) is invisible to the
-attacker unless the degraded flag is set.
+attacker unless the degraded flag is set; its transcript entry is the
+RM's only record.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:
-    from .parties import DoctorPhone, Party
+    from .parties import Party
 
 __all__ = ["TranscriptEntry", "Transcript", "Attacker", "Scheduler"]
 
@@ -86,21 +87,12 @@ class Attacker:
 class Scheduler:
     """Owns the clock, the queue, and the party registry."""
 
-    def __init__(
-        self,
-        parties: dict[str, Party],
-        oob_parties: Optional[dict[str, DoctorPhone]] = None,
-        attacker: Optional[Attacker] = None,
-        start_clock: int = 0,
-    ):
+    def __init__(self, parties: dict[str, Party], attacker: Optional[Attacker] = None):
         self.parties = parties
-        self.oob_parties = oob_parties or {}
         self.attacker = attacker
-        self.clock = start_clock
+        self.clock = 0
         self.transcript = Transcript()
         self._queue: deque[TranscriptEntry] = deque()
-        for party in parties.values():
-            party.clock = self.clock
 
     def submit(self, frames: Iterable[TranscriptEntry]):
         """Queue the frames a party sent."""
@@ -123,9 +115,6 @@ class Scheduler:
         if entry.kind == "oob":
             if self.attacker is not None and self.attacker.degraded_oob:
                 self.attacker.observe_oob(entry)
-            dest = self.oob_parties.get(entry.receiver)
-            if dest is not None:
-                dest.receive_oob(entry.payload)
             return True
 
         payloads: list[bytes] = [entry.payload]
@@ -147,7 +136,3 @@ class Scheduler:
             steps += 1
             if steps > MAX_QUIET_STEPS:
                 raise RuntimeError("scheduler did not quiesce")
-
-    def deliver_raw(self, link: str, sender: str, receiver: str, payload: bytes):
-        """Inject a frame directly (used for replay experiments)."""
-        self._queue.append(TranscriptEntry("wire", link, sender, receiver, payload))

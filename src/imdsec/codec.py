@@ -176,8 +176,8 @@ def shift_bound(value_range: int) -> int:
 
 
 def _shift_core(values: np.ndarray, shifts: np.ndarray, L1: int, L2: int):
-    """Vectorized wrap-add without the input-bound check (decode side and
-    the zero-vector reference distribution both need out-of-window inputs).
+    """Vectorized wrap-add without the input-bound check (the zero-vector
+    reference distribution needs out-of-window inputs); _encode checks.
     shifts may be a (K, N) stack of rows; values broadcast over it."""
     rng = L2 - L1
     total = np.asarray(values, dtype=np.float64) + np.asarray(shifts, dtype=np.float64)
@@ -185,30 +185,6 @@ def _shift_core(values: np.ndarray, shifts: np.ndarray, L1: int, L2: int):
     u = np.where(u >= L2, u - rng, u)
     carries = ((total < L1) | (total >= L2)).astype(np.uint8)
     return u, carries
-
-
-def vec_shifting_add(
-    values: np.ndarray, shifts: np.ndarray, L1: int, L2: int
-) -> tuple[np.ndarray, CarryVector]:
-    """Entrywise shifting addition of two equal-length vectors."""
-    values = np.asarray(values, dtype=np.float64)
-    shifts = np.asarray(shifts, dtype=np.float64)
-    if values.shape != shifts.shape or values.ndim != 1:
-        raise CodecError(
-            f"length mismatch: {values.shape} vs {shifts.shape}"
-        )
-    u, carries = _masked(values, shifts, L1, L2)
-    return u, CarryVector(bits=carries)
-
-
-def _masked(values: np.ndarray, shifts: np.ndarray, L1: int, L2: int):
-    """_shift_core of values that lie strictly inside (L1, L2), under one
-    shift row or each row of a stack."""
-    if L1 >= L2:
-        raise CodecError(f"need L1 < L2, got ({L1}, {L2})")
-    if not np.all((values > L1) & (values < L2)):
-        raise CodecError("input values must lie strictly inside (L1, L2)")
-    return _shift_core(values, shifts, L1, L2)
 
 
 class _PrfStream:
@@ -262,11 +238,6 @@ def cs_gen(seed: bytes, k: int, L1: int, L2: int) -> ShiftKey:
     return ShiftKey(entries=entries, value_range=rng)
 
 
-def sign_vector(key: ShiftKey) -> np.ndarray:
-    """Shift directions: +1 / -1 per entry, 0 for zero entries."""
-    return np.sign(key.entries).astype(np.int64)
-
-
 # The codec's steps below each take one row or a (K, ...) stack of rows:
 # the per-frame functions call them on one row, and a sweep cell
 # (reports._trials) on the stack of its shift keys, each check made once
@@ -282,7 +253,10 @@ def _encode(shifts: np.ndarray, x: BoundedSignal, phi):
         raise CodecError(f"key length {k} != signal length {x.n}")
     if phi.n != x.n:
         raise CodecError(f"matrix columns {phi.n} != signal length {x.n}")
-    masked, carries = _masked(x.values, shifts, x.L1, x.L2)
+    # values changed in place after construction must still be in the window
+    if not np.all((x.values > x.L1) & (x.values < x.L2)):
+        raise CodecError("input values must lie strictly inside (L1, L2)")
+    masked, carries = _shift_core(x.values, shifts, x.L1, x.L2)
     return np.matvec(phi.entries, masked), carries
 
 

@@ -131,7 +131,6 @@ __all__ = [
     "Smartphone",
     "Imd",
     "Programmer",
-    "DoctorPhone",
 ]
 
 LINK_SI = "s-i"
@@ -177,6 +176,9 @@ class SystemConfig:
     matrix_seed: ClassVar[bytes] = b"public-sensing-matrix"
 
     def __post_init__(self):
+        for name, value in (("N", self.n), ("qs", self.qs)):
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise ValueError(f"N must be at least 2, got {self.n}")
         if self.qs < 0:
@@ -476,18 +478,6 @@ class Party:
         return TranscriptEntry("wire", step.link, self.role, step.receiver, payload)
 
 
-class DoctorPhone:
-    """Holds the doctor's out-of-band address, its name, and stores the
-    RM it receives; it has no STEPS row and so no role."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.rm: Optional[bytes] = None
-
-    def receive_oob(self, payload: bytes):
-        self.rm = payload
-
-
 class Smartphone(Party):
     role = "smartphone"
 
@@ -499,14 +489,13 @@ class Smartphone(Party):
         implant_id: bytes,
         ca_public_key,
         doctor_oob_directory: dict[bytes, str],
-        ledger: Optional[EvidenceLedger] = None,
     ):
         super().__init__(seed, config)
         self.smartphone_id = smartphone_id
         self.implant_id = implant_id
         self.ca_public_key = ca_public_key
         self.doctor_oob_directory = dict(doctor_oob_directory)
-        self.ledger = ledger if ledger is not None else EvidenceLedger()
+        self.ledger = EvidenceLedger()
 
         self.pair_session: Optional[int] = None
         self.session: Optional[int] = None

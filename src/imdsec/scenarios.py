@@ -1,10 +1,12 @@
 """End-to-end session scenarios over the simulated channel.
 
-A world holds the four parties wired to one scheduler, with the pinned
+A world holds the three parties wired to one scheduler, with the pinned
 demo credentials and a synthetic telemetry source; the scheduler holds
 the attacker, if any, and the transcript.  drive runs flows (pair ->
 auth -> read -> write) on a world from where it stands, snapshotting
-the implant's crypto-operation counters per phase; a phase passes once
+the implant's crypto-operation counters per phase, and after auth hands
+the programmer the RM of the transcript's latest out-of-band entry to
+the doctor's phone, the RM's only record; a phase passes once
 every role named in the flow's rows completed it during the call, and a
 write only once a command was applied.  SCENARIOS maps each scenario to
 its flows.  run_session drives one on a given world, refusing a seed,
@@ -21,9 +23,8 @@ from typing import Optional, Sequence
 from . import ecg
 from .channel import Attacker, Scheduler, Transcript
 from .crypto import KeyPairWithCert, SymmetricKey
-from .evidence import EvidenceLedger
 from .keymat import authority_private_key, doctor_certificate, doctor_private_key
-from .parties import FLOW_ROLES, DoctorPhone, Imd, NotReady, Programmer, Smartphone, SystemConfig
+from .parties import FLOW_ROLES, Imd, NotReady, Programmer, Smartphone, SystemConfig
 
 __all__ = ["World", "SessionResult", "build_world", "drive", "run_session", "SCENARIOS"]
 
@@ -47,7 +48,6 @@ class World:
     smartphone: Smartphone
     imd: Imd
     programmer: Programmer
-    doctor_phone: DoctorPhone
     scheduler: Scheduler
     master_key: SymmetricKey
 
@@ -89,10 +89,9 @@ def build_world(
     attacker: Optional[Attacker] = None,
     reconstruct: bool = True,
     n_signals: int = 1,
-    start_clock: int = 0,
     master_key: Optional[SymmetricKey] = None,
 ) -> World:
-    """Wire up the four parties; master_key may be pinned so separate
+    """Wire up the three parties; master_key may be pinned so separate
     worlds model fresh sessions of the same implant."""
     config = config or SystemConfig()
     if master_key is None:
@@ -116,7 +115,6 @@ def build_world(
         implant_id=IMPLANT_ID,
         ca_public_key=authority.public_key(),
         doctor_oob_directory={DOCTOR_ID: DOCTOR_PHONE},
-        ledger=EvidenceLedger(),
     )
     imd = Imd(
         seed=_party_seed(seed, "imd"),
@@ -132,20 +130,15 @@ def build_world(
         target_implant_id=IMPLANT_ID,
         reconstruct=reconstruct,
     )
-    doctor_phone = DoctorPhone(DOCTOR_PHONE)
-
     scheduler = Scheduler(
         parties={party.role: party for party in (smartphone, imd, programmer)},
-        oob_parties={DOCTOR_PHONE: doctor_phone},
         attacker=attacker,
-        start_clock=start_clock,
     )
     return World(
         config=config,
         smartphone=smartphone,
         imd=imd,
         programmer=programmer,
-        doctor_phone=doctor_phone,
         scheduler=scheduler,
         master_key=master_key,
     )
@@ -193,9 +186,11 @@ def drive(world: World, flows: Sequence[str], command: bytes = DEFAULT_COMMAND) 
             break
         sched.run_until_quiet()
         ran = {role for role in roles if sched.parties[role].completed[flow] > done[role]}
-        rm = world.doctor_phone.rm
-        if flow == "auth" and "programmer" in ran and rm is not None:
-            world.programmer.enter_rm(rm)  # the doctor types in the RM their phone shows
+        if flow == "auth" and "programmer" in ran:
+            rm = next((e.payload for e in reversed(sched.transcript.entries)
+                       if e.kind == "oob" and e.receiver == DOCTOR_PHONE), None)
+            if rm is not None:  # the doctor types in the RM their phone shows
+                world.programmer.enter_rm(rm)
         op_counts[flow] = world.imd.crypto.snapshot() - before
         phases[flow] = len(ran) == len(roles) and (
             flow != "write" or len(world.imd.applied_commands) > applied

@@ -104,18 +104,13 @@ def _decode(buf: bytes) -> WireMessage:
     return WireMessage(heading=heading, session=session, fields=tuple(fields))
 
 
-def auth_bytes(
-    heading: Optional[Heading],
-    session: Optional[int],
-    fields: Sequence[bytes] = (),
-) -> bytes:
-    """Bytes a MAC or signature covers: optional heading byte, optional
-    8-byte session, then length-prefixed fields in step order."""
+def auth_bytes(heading: Optional[Heading], session: int, fields: Sequence[bytes]) -> bytes:
+    """Bytes a MAC covers: optional heading byte, 8-byte session, then
+    length-prefixed fields in step order."""
     out = bytearray()
     if heading is not None:
         out += struct.pack(">B", int(heading))
-    if session is not None:
-        out += u64_bytes(session)
+    out += u64_bytes(session)
     out += length_prefixed(*fields)
     return bytes(out)
 

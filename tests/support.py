@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from imdsec.channel import TranscriptEntry
 from imdsec.codec import BoundedSignal
 from imdsec.recovery import RecoveryError, _seed_int, build_basis, cached_operator
 from imdsec.scenarios import SCENARIOS, build_world, drive
@@ -82,7 +83,7 @@ def replay_recorded(recorded, seed, checkpoints=CHECKPOINTS):
     Yields (checkpoint, entry, world, party_state before the frame) once
     the world has run quiet after the frame."""
     config = recorded.world.config
-    start_clock = recorded.world.scheduler.clock + FRESHNESS_WINDOW + 10
+    clock = recorded.world.scheduler.clock + FRESHNESS_WINDOW + 10
     for checkpoint in checkpoints:
         for entry in recorded.transcript.wire_entries():
             fresh = build_world(
@@ -90,13 +91,13 @@ def replay_recorded(recorded, seed, checkpoints=CHECKPOINTS):
                 config=config,
                 reconstruct=False,
                 master_key=recorded.world.master_key,
-                start_clock=start_clock,
             )
+            fresh.scheduler.clock = clock
             if checkpoint != "fresh":
                 drive(fresh, SCENARIOS[checkpoint])
             before = party_state(fresh)
-            fresh.scheduler.deliver_raw(
-                entry.link, entry.sender, entry.receiver, entry.payload
+            fresh.scheduler.submit(
+                [TranscriptEntry("wire", entry.link, entry.sender, entry.receiver, entry.payload)]
             )
             fresh.scheduler.run_until_quiet()
             yield checkpoint, entry, fresh, before

@@ -23,8 +23,7 @@ from imdsec.codec import (
     quantize,
     serialize_ciphertext,
     serialize_shift_key,
-    sign_vector,
-    vec_shifting_add,
+    shift_bound,
 )
 from imdsec.recovery import cr_to_measurements, gen_sensing_matrix
 
@@ -32,7 +31,7 @@ ECG_L1, ECG_L2 = 590, 1487
 
 
 def shifting_add(v: float, w: float, L1: int, L2: int) -> tuple[float, int]:
-    """The paper's scalar shifting addition, the oracle for vec_shifting_add:
+    """The paper's scalar shifting addition, the oracle for _shift_core:
     v + w wrapped into [L1, L2), and carry 1 exactly when v + w fell outside."""
     if not (L1 < v < L2):
         raise CodecError(f"value {v} outside open interval ({L1}, {L2})")
@@ -164,46 +163,66 @@ class TestShiftingAdd:
         assert lam == 0
 
 
+def _carries(values, shift):
+    """cs_enc's carry bits of values under one shift for every sample."""
+    x = BoundedSignal(values=np.asarray(values, dtype=np.float64), L1=ECG_L1, L2=ECG_L2)
+    key = ShiftKey(entries=np.full(x.n, shift, dtype=np.int64), value_range=x.value_range)
+    return cs_enc(key, x, gen_sensing_matrix(b"carries", 1, x.n)).carries.bits
+
+
 class TestVecShiftingAdd:
+    """The vectorised shifting addition: _shift_core, and the carry bits
+    cs_enc sends, against the paper's scalar shifting_add."""
+
     def test_matches_scalar_composition(self):
-        u, carries = vec_shifting_add(
+        u, carries = _shift_core(
             np.array([1000.0, 600.0]), np.array([600.0, -449.0]), ECG_L1, ECG_L2
         )
         np.testing.assert_allclose(u, [703.0, 1048.0])
-        np.testing.assert_array_equal(carries.bits, [1, 1])
+        np.testing.assert_array_equal(carries, [1, 1])
+        x = BoundedSignal(values=np.array([1000.0, 600.0]), L1=ECG_L1, L2=ECG_L2)
+        key = ShiftKey(entries=np.array([449, -449]), value_range=x.value_range)
+        bits = cs_enc(key, x, _OnesMatrix()).carries.bits
+        expected = [shifting_add(v, w, ECG_L1, ECG_L2)[1] for v, w in ((1000, 449), (600, -449))]
+        np.testing.assert_array_equal(bits, expected)
 
     def test_zero_vector_shift(self):
         v = np.array([700.0, 900.0, 1400.0])
-        u, carries = vec_shifting_add(v, np.zeros(3), ECG_L1, ECG_L2)
+        u, carries = _shift_core(v, np.zeros(3), ECG_L1, ECG_L2)
         np.testing.assert_allclose(u, v)
-        assert not carries.bits.any()
+        assert not carries.any()
+        assert not _carries(v, 0).any()
 
     def test_single_entry_reduces_to_scalar(self):
-        u, carries = vec_shifting_add(
-            np.array([1000.0]), np.array([600.0]), ECG_L1, ECG_L2
-        )
-        assert (u[0], carries.bits[0]) == shifting_add(1000, 600, ECG_L1, ECG_L2)
+        u, carries = _shift_core(np.array([1000.0]), np.array([600.0]), ECG_L1, ECG_L2)
+        assert (u[0], carries[0]) == shifting_add(1000, 600, ECG_L1, ECG_L2)
 
     def test_scalar_coherence_on_grid(self):
         values = np.linspace(ECG_L1 + 1, ECG_L2 - 1, 25)
-        shifts = np.linspace(-900, 900, 31)
-        for w in shifts:
-            u, carries = vec_shifting_add(
-                values, np.full_like(values, w), ECG_L1, ECG_L2
-            )
+        for w in np.linspace(-900, 900, 31):
+            u, carries = _shift_core(values, np.full_like(values, w), ECG_L1, ECG_L2)
             for i, v in enumerate(values):
                 su, sl = shifting_add(float(v), float(w), ECG_L1, ECG_L2)
                 assert u[i] == pytest.approx(su, abs=1e-9)
-                assert carries.bits[i] == sl
+                assert carries[i] == sl
+            # a shift key's entries stay within shift_bound of the window
+            if abs(w) <= shift_bound(ECG_L2 - ECG_L1):
+                np.testing.assert_array_equal(_carries(values, int(w)), carries)
 
     def test_length_mismatch(self):
-        with pytest.raises(CodecError):
-            vec_shifting_add(np.ones(3) + ECG_L1, np.ones(4), ECG_L1, ECG_L2)
+        x = BoundedSignal(values=np.ones(3) + ECG_L1, L1=ECG_L1, L2=ECG_L2)
+        key = ShiftKey(entries=np.ones(4, dtype=np.int64), value_range=x.value_range)
+        with pytest.raises(CodecError, match="key length 4 != signal length 3"):
+            cs_enc(key, x, gen_sensing_matrix(b"mismatch", 1, 3))
 
     def test_unchecked_mode_accepts_out_of_window_inputs(self):
-        # the masked-zero reference distribution needs shifts of 0 itself
-        with pytest.raises(CodecError):
-            vec_shifting_add(np.zeros(4), np.ones(4), ECG_L1, ECG_L2)
+        # the masked-zero reference distribution needs shifts of 0 itself,
+        # while cs_enc refuses a signal moved out of its window in place
+        x = BoundedSignal(values=np.full(4, 700.0), L1=ECG_L1, L2=ECG_L2)
+        x.values[:] = 0.0
+        key = ShiftKey(entries=np.ones(4, dtype=np.int64), value_range=x.value_range)
+        with pytest.raises(CodecError, match="strictly inside"):
+            cs_enc(key, x, gen_sensing_matrix(b"window", 1, 4))
         u, carries = _shift_core(
             np.zeros(4), np.array([100.0, -100.0, 0.0, 896.0]), ECG_L1, ECG_L2
         )
@@ -257,21 +276,6 @@ class TestCsGen:
     def test_zero_length_rejected(self):
         with pytest.raises(CodecError):
             cs_gen(b"s", 0, ECG_L1, ECG_L2)
-
-
-class TestSignVector:
-    def test_mixed_entries(self):
-        key = ShiftKey(entries=np.array([600, -449, 0]), value_range=1200)
-        np.testing.assert_array_equal(sign_vector(key), [1, -1, 0])
-
-    def test_all_positive(self):
-        key = ShiftKey(entries=np.array([1, 2, 3]), value_range=10)
-        np.testing.assert_array_equal(sign_vector(key), [1, 1, 1])
-
-    def test_odd_symmetry(self):
-        key = ShiftKey(entries=np.array([5, -3, 0, 2]), value_range=12)
-        negated = ShiftKey(entries=-key.entries, value_range=12)
-        np.testing.assert_array_equal(sign_vector(negated), -sign_vector(key))
 
 
 def _random_signal(rng, n):
@@ -333,7 +337,7 @@ class TestEncDeshift:
             c = cs_enc(key, x, phi)
             if qs:
                 c = quantize(c, qs)
-            signs = sign_vector(key)
+            signs = np.sign(key.entries)
             correction = (ECG_L2 - ECG_L1) * entrywise_product(c.carries.bits, signs)
             expected = c.measurements + phi.entries @ (correction - key.entries)
             np.testing.assert_array_equal(

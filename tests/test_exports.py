@@ -1,8 +1,10 @@
 """Every name a module exports through __all__ exists in that module and
-is read by the package or the benchmark, not only by the tests.  Every
-defaulted parameter of a public function, method or constructor is passed
-by some call in the package or the benchmark, or is listed in TEST_ONLY
-with the reason it stays."""
+is read by the package or the benchmark, not only by the tests, and so
+is every function, method and property the package defines, or it is
+listed in ENTRY_POINTS with the reason it stays.  Every defaulted
+parameter of a public function, method or constructor is passed by some
+call in the package or the benchmark, or is listed in TEST_ONLY with the
+reason it stays."""
 
 import ast
 import importlib
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import imdsec
+from imdsec.parties import STEPS
 
 MODULES = sorted(
     info.name
@@ -28,15 +31,21 @@ READ = {
     for node in ast.walk(ast.parse(path.read_text()))
     if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
 }
-# exported for the package's user, with no caller inside it
+# and the names Party.receive reads through getattr: each STEPS row's
+# handler and pre-check
+READ |= {"_on_" + s.heading.name.lower() for s in STEPS}
+READ |= {s.check for s in STEPS if s.check}
+# defined for the package's user, with no caller inside it
 ENTRY_POINTS = {
     "reports.parse_report": "reads back a report that emit_report wrote",
     "attacks.forge_read_auth_attempts": "the brute-force experiment against the RM",
+    "parties.Party.expected_link": "the link of the awaited row, next to expected",
+    "parties.Smartphone.paired": "whether the pair flow completed, as README names it",
+    "parties.Programmer.write_complete": "whether the write flow completed, next to read_complete",
 }
 # defaulted parameters that only the tests pass, each kept on purpose
 TEST_ONLY = {
     "evidence.EvidenceLedger(path)": "the append-only ledger file, the forensic record",
-    "scenarios.build_world(start_clock)": "a later session of the same implant",
     "scenarios.build_world(master_key)": "separate worlds of one implant",
     "scenarios.build_world(n_signals)": "several records in one telemetry frame",
     "scenarios.run_session(command)": "a write of another command",
@@ -61,6 +70,26 @@ def test_all_names_have_callers(name):
     exported = getattr(importlib.import_module(f"imdsec.{name}"), "__all__", ())
     unread = [a for a in exported if a not in READ and f"{name}.{a}" not in ENTRY_POINTS]
     assert unread == []
+
+
+def _definitions():
+    """("module.function" or "module.Class.method", its name) of each
+    function, method and property defined at the top of a package
+    module, dunder methods left out."""
+    for path in sorted((ROOT / "src" / "imdsec").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for item in members:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    where = f"{node.name}.{item.name}" if item is not node else item.name
+                    yield f"{path.stem}.{where}", item.name
+
+
+def test_definitions_have_callers():
+    unread = {key for key, name in _definitions() if name not in READ}
+    assert sorted(unread - set(ENTRY_POINTS)) == []
+    # an entry whose definition gained a reader, or went, is stale
+    assert sorted(set(ENTRY_POINTS) - unread) == []
 
 
 def _defaulted(args: ast.arguments, method: bool) -> list[tuple[int, str]]:

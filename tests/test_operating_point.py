@@ -43,3 +43,13 @@ def test_settings_and_constants():
 
 def test_the_window_is_not_copied_into_the_config():
     assert not hasattr(SystemConfig, "L1") and not hasattr(SystemConfig, "L2")
+
+
+@pytest.mark.parametrize(
+    "settings, name", [({"qs": 2.5}, "qs"), ({"n": 64.0, "qs": 0}, "N")], ids=["qs", "n"]
+)
+def test_a_non_integer_n_or_qs_is_refused_at_construction(settings, name):
+    # accepted, either would fail a session midway: quantize refuses the
+    # step, and the record synthesis the length
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        SystemConfig(**settings)

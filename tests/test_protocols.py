@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imdsec import codec, ecg, recovery
-from imdsec.channel import Attacker
+from imdsec.channel import Attacker, TranscriptEntry
 from imdsec.crypto import CryptoSuite, KeyPairWithCert, SymmetricKey, length_prefixed
 from imdsec.evidence import evidence_verify
 from imdsec.keymat import doctor_private_key
@@ -293,7 +293,8 @@ def test_state_after_every_step_of_an_honest_full_session():
     parties = (world.smartphone, world.imd, world.programmer)
 
     def read():
-        world.programmer.enter_rm(world.doctor_phone.rm)
+        rm = next(e.payload for e in sched.transcript.entries if e.kind == "oob")
+        world.programmer.enter_rm(rm)
         return world.programmer.start_read()
 
     flows = (
@@ -398,8 +399,9 @@ class TestFailurePaths:
         assert len(programmer.recovered_signals) == recovered
 
     def test_stale_timestamp_dropped(self):
-        world = build_world(seed=15, config=FAST, start_clock=1000)
+        world = build_world(seed=15, config=FAST)
         sched = world.scheduler
+        sched.clock = 1000
         sched.initiate(
             "smartphone", lambda: world.smartphone.start_pair(world.master_key)
         )
@@ -636,7 +638,7 @@ class TestOpenBugs:
         result = run_session("full", config=FAST, world=world)
         assert not result.phases["write"]
         forged = encode_message(WireMessage(Heading.WRITE_SUCC, attacker.session, ()))
-        world.scheduler.deliver_raw(LINK_DI, "imd", "programmer", forged)
+        world.scheduler.submit([TranscriptEntry("wire", LINK_DI, "imd", "programmer", forged)])
         world.scheduler.run_until_quiet()
         assert world.imd.applied_commands == []
         assert len(world.smartphone.ledger) == 0
@@ -653,7 +655,7 @@ class TestOpenBugs:
         world = build_world(seed=5, config=FAST, attacker=attacker)
         assert not drive(world, ("pair",)).ok
         forged = encode_message(WireMessage(Heading.PAIR_SUCC, attacker.msg.session, ()))
-        world.scheduler.deliver_raw(LINK_SI, "imd", "smartphone", forged)
+        world.scheduler.submit([TranscriptEntry("wire", LINK_SI, "imd", "smartphone", forged)])
         world.scheduler.run_until_quiet()
         assert world.imd.k_i is None
         assert not world.smartphone.paired
@@ -677,7 +679,9 @@ class TestOpenBugs:
         challenge = CryptoSuite().pk_enc(load_der_public_key(pk_der), nonce)
         step = step_of("smartphone", Heading.AUTH_REQ)
         forged = _forged(step, attacker.msg, world.programmer, challenge=challenge)
-        world.scheduler.deliver_raw(step.link, "smartphone", "programmer", forged)
+        world.scheduler.submit(
+            [TranscriptEntry("wire", step.link, "smartphone", "programmer", forged)]
+        )
         world.scheduler.run_until_quiet()
         assert world.programmer.nonce != nonce
         assert "auth" not in world.programmer.completed
@@ -749,7 +753,7 @@ class TestSingleThreadDiscipline:
             raw = encode_message(
                 WireMessage(heading, int(rng.integers(0, 2**63)), (b"x",))
             )
-            sched.deliver_raw(link, "attacker", name, raw)
+            sched.submit([TranscriptEntry("wire", link, "attacker", name, raw)])
             sent += 1
         sched.run_until_quiet()
 
