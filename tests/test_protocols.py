@@ -282,6 +282,82 @@ HONEST_FULL_STATES = [
 ]
 
 
+def test_smartphone_doctor_frame_sizes_of_a_default_full_session():
+    """Bytes on the wire of the s-d frames that carry public-key material:
+    the doctor's certificate, the nonce challenge and the write signature,
+    with the shift-key delivery next to them as a frame that carries none."""
+    result = run_session("full")
+    assert result.ok
+    sizes = {
+        (e.sender, decode_message(e.payload).heading): len(e.payload)
+        for e in result.transcript.wire_entries()
+        if e.link == LINK_SD
+    }
+    assert {
+        ("programmer", Heading.AUTH_REQ): 929,
+        ("smartphone", Heading.AUTH_REQ): 281,
+        ("programmer", Heading.WRITE_AUTH_REQ): 306,
+        ("smartphone", Heading.READ_READY): 2098,
+    }.items() <= sizes.items()
+
+
+class TestAuthenticationCoverage:
+    """Which rows of STEPS complete a flow for their receiver without a MAC.
+
+    A row completes a flow for its receiver when no later row of that
+    flow involves the receiver.  A row without a MAC key can come from
+    anyone who has seen the public session number.  The nonce challenge
+    is sealed to the doctor's public key, which anyone can do, so it binds
+    nothing the smartphone holds: that reply stays on the list until it
+    is bound to such a secret (ROADMAP item 2)."""
+
+    # (sender, heading, MAC key, completes a flow for the receiver)
+    TABLE = [
+        ("smartphone", Heading.PAIR_REQ, "k_i", False),
+        ("imd", Heading.PAIR_SUCC, None, True),
+        ("programmer", Heading.AUTH_REQ, None, False),
+        ("smartphone", Heading.AUTH_REQ, None, True),
+        ("programmer", Heading.READ_AUTH_REQ, "k_p", False),
+        ("smartphone", Heading.READ_ALLOW, "k_i", False),
+        ("imd", Heading.READ_READY, None, False),
+        ("smartphone", Heading.READ_READY, None, False),
+        ("programmer", Heading.READ_REQ, None, False),
+        ("imd", Heading.READ_REQ, "k_r", True),
+        ("programmer", Heading.WRITE_AUTH_REQ, "k_p", False),
+        ("smartphone", Heading.WRITE_ALLOW, "k_i", False),
+        ("imd", Heading.WRITE_READY, None, False),
+        ("smartphone", Heading.WRITE_READY, None, False),
+        ("programmer", Heading.WRITE_REQ, "k_r", False),
+        ("imd", Heading.WRITE_REQ, None, False),
+        ("smartphone", Heading.SET_ALLOW, "k_i", False),
+        ("imd", Heading.WRITE_SUCC, None, True),
+    ]
+    # rows that break "no unauthenticated row completes a flow" today
+    EXCEPTIONS = [
+        ("imd", Heading.PAIR_SUCC),
+        ("smartphone", Heading.AUTH_REQ),
+        ("imd", Heading.WRITE_SUCC),
+    ]
+
+    @staticmethod
+    def _derived():
+        return [
+            (step.sender, step.heading, step.key, not any(
+                later.flow == step.flow and step.receiver in (later.sender, later.receiver)
+                for later in STEPS[row + 1:]
+            ))
+            for row, step in enumerate(STEPS)
+        ]
+
+    def test_table_is_derived_from_the_steps(self):
+        assert self._derived() == self.TABLE
+
+    def test_no_unauthenticated_row_completes_a_flow_but_the_listed_ones(self):
+        breaking = [(sender, heading) for sender, heading, key, completes in self._derived()
+                    if key is None and completes]
+        assert breaking == self.EXCEPTIONS
+
+
 def _state(party):
     heading = party.expected.name if party.expected else "-"
     return f"{heading} {party.expected_link or '-'} {party.outcome}"
