@@ -193,9 +193,9 @@ class MitmReadAttacker(Attacker):
     rebuild the session keys from the wire frames of the transcript.
     """
 
-    def __init__(self, degraded_oob: bool = False, stolen_private_key=None):
+    def __init__(self, degraded_oob: bool = False, stolen_sealing_key=None):
         self.degraded_oob = degraded_oob
-        self.stolen_private_key = stolen_private_key
+        self.stolen_sealing_key = stolen_sealing_key
         self.rm: Optional[bytes] = None
         self.captured_c2: Optional[bytes] = None
 
@@ -213,8 +213,9 @@ class MitmReadAttacker(Attacker):
     # -- offline analysis ------------------------------------------------
 
     def derive_shift_key(self, transcript: Transcript) -> Optional[ShiftKey]:
-        """Only possible with both factors: stolen SK (nonce) and RM."""
-        if self.stolen_private_key is None or self.rm is None:
+        """Only possible with both factors: the stolen X25519 sealing key
+        (nonce) and RM."""
+        if self.stolen_sealing_key is None or self.rm is None:
             return None
         challenge = _first(step_of("smartphone", Heading.AUTH_REQ), transcript)
         key_delivery = _first(step_of("smartphone", Heading.READ_READY), transcript)
@@ -222,7 +223,7 @@ class MitmReadAttacker(Attacker):
             return None
         suite = CryptoSuite()
         try:
-            nonce = suite.pk_dec(self.stolen_private_key, challenge.challenge)
+            nonce = suite.pk_dec(self.stolen_sealing_key, challenge.challenge)
             k_p = derive_k_p(suite, self.rm, challenge.session, nonce)
             kd_bytes = suite.sym_dec(k_p, key_delivery.enc_kd)
             return deserialize_shift_key(kd_bytes)
@@ -254,10 +255,10 @@ def mitm_read_attack(
 
     stolen = None
     if degraded_oob:
-        from .keymat import doctor_private_key
+        from .keymat import doctor_sealing_key
 
-        stolen = doctor_private_key()
-    attacker = MitmReadAttacker(degraded_oob=degraded_oob, stolen_private_key=stolen)
+        stolen = doctor_sealing_key()
+    attacker = MitmReadAttacker(degraded_oob=degraded_oob, stolen_sealing_key=stolen)
     world = build_world(seed=seed, config=config, attacker=attacker)
     drive(world, SCENARIOS["read"])
 

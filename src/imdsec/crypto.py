@@ -1,10 +1,19 @@
 """Cryptographic primitives behind the access-control protocols.
 
-Default algorithms: HKDF-SHA256 key derivation (RFC 5869, fixed context
-salt), HMAC-SHA1 message authentication, AES-128-GCM symmetric
-encryption, RSA-2048 with OAEP for the nonce challenge and PKCS#1 v1.5
-signatures.  Every verify operation is total: it returns accept/reject
-and never raises.
+Algorithms: HKDF-SHA256 key derivation (RFC 5869, fixed context salt),
+HMAC-SHA1 message authentication, AES-128-GCM symmetric encryption,
+Ed25519 signatures (RFC 8032) and a nonce challenge sealed to an X25519
+key (RFC 7748).  Every verify operation is total: it returns
+accept/reject and never raises.
+
+pk_enc seals a message with an ephemeral X25519 scalar that the caller
+draws from its seeded RNG: the blob is the ephemeral public key followed
+by the AES-128-GCM ciphertext and tag of the message under a key that
+HKDF-SHA256 derives from the shared secret, with info binding the
+ephemeral and the recipient public keys.  A key seals one message, so
+the GCM nonce is fixed; a sealed 16-byte nonce takes 64 bytes.  pk_dec
+turns every malformed blob (short, a low-order ephemeral key, a failed
+tag) into DecryptionError.
 
 MAC tags and ciphertexts are raw bytes, exactly as they travel on the
 wire.  Only signatures carry an algorithm label (SignatureBlob), because
@@ -15,20 +24,23 @@ A CryptoSuite instance carries its own operation counters and an
 optional deterministic RNG, so each simulated party can account for its
 own crypto workload and whole runs replay bit-for-bit from seeds.
 
-The process memoizes the last _MEMO_SIZE results of each RSA operation
-by its exact input: the seeded OAEP encode by the public key's numbers,
-message and seed; OAEP decryption by private key and ciphertext; PKCS#1
-v1.5 signing by private key and message; and verification by the public
-key's numbers, message and signature bytes.  Public keys are keyed by
-their numbers, because each load of a certificate makes a new,
-unhashable key object, and messages, blobs and signatures as bytes, so
-any bytes-like input is accepted.  Each result, a rejecting verify's
-False included, is a pure function of its input; an exception (a failed
-decryption) is never stored, and every call is still counted, so
-transcripts and op counts are those of an uncached run.  The memos hold
-up to _MEMO_SIZE plaintexts and _MEMO_SIZE signatures in process memory,
-all made with the simulator's demo keys.  Symmetric keys are never
-memoized: a derivation costs two HMAC calls.
+The process memoizes the last _MEMO_SIZE results of each public-key
+operation by its exact input: sealing by the recipient's raw public
+key, the ephemeral scalar and the message; unsealing by the raw private
+key and the blob; signing by the raw private key and the message; and
+verification by the raw public key, the message and the signature
+bytes.  Key objects are unhashable, and each certificate load makes new
+ones, so the memos key on raw key bytes (a private key travels in a _Key,
+so a miss signs or unseals with the caller's object instead of
+rebuilding it), and on messages, blobs and signatures as bytes, so any
+bytes-like input is accepted.  Each result, a rejecting verify's False
+included, is a pure function of its input; an exception (a failed
+unseal) is never stored, and every call is still counted, so
+transcripts and op counts are those of an uncached run, and each
+distinct input (an attacker's forged challenge) still costs a full
+unseal.  The memos hold up to _MEMO_SIZE plaintexts and _MEMO_SIZE
+signatures in process memory, all made with the simulator's demo keys.
+Symmetric keys are never memoized: a derivation costs two HMAC calls.
 """
 
 from __future__ import annotations
@@ -39,13 +51,13 @@ import hmac as hmac_mod
 import random
 import secrets
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import padding as asym_padding
-from cryptography.hazmat.primitives.asymmetric import rsa
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
@@ -55,20 +67,22 @@ __all__ = [
     "SymmetricKey",
     "SignatureBlob",
     "Certificate",
-    "KeyPairWithCert",
+    "Credentials",
     "CryptoSuite",
     "split_length_prefixed",
     "length_prefixed",
 ]
 
 KEY_BYTES = 16
-SIGNATURE_ALGORITHM = "rsa-pkcs1v15-sha256"  # the only label sign makes and verify accepts
+X25519_BYTES = 32  # a scalar or a public key
+SIGNATURE_ALGORITHM = "ed25519"  # the only label sign makes and verify accepts
 _KDF_SALT = b"imdsec/kdf/v1"
-# per RSA operation: a session's few inputs, plus the ones a fuzz world's
-# flipped frame makes
+_SEAL_INFO = b"imdsec/seal/v1"
+# per public-key operation: a session's few inputs, plus the ones a fuzz
+# world's flipped frame makes
 _MEMO_SIZE = 16
 _GCM_NONCE_BYTES = 12
-_OAEP_HASH_BYTES = 32  # SHA-256
+_SEAL_NONCE = bytes(_GCM_NONCE_BYTES)
 
 
 class CryptoError(Exception):
@@ -118,31 +132,37 @@ class SignatureBlob:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Authority-signed binding of a subject id to a public key."""
+    """Authority-signed binding of a subject id to its raw Ed25519
+    signing key and X25519 sealing key."""
 
     subject_id: bytes
-    public_key_der: bytes
-    signature: SignatureBlob
+    signing_key: bytes
+    sealing_key: bytes
+    signature: Optional[SignatureBlob] = None  # None until the authority signs
+
+    def signed_bytes(self) -> bytes:
+        return length_prefixed(self.subject_id, self.signing_key, self.sealing_key)
 
     def to_bytes(self) -> bytes:
-        return length_prefixed(
-            self.subject_id,
-            self.public_key_der,
-            self.signature.algorithm.encode(),
-            self.signature.data,
+        return self.signed_bytes() + length_prefixed(
+            self.signature.algorithm.encode(), self.signature.data
         )
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "Certificate":
-        parts = split_length_prefixed(buf, 4)
+        parts = split_length_prefixed(buf, 5)
         return cls(
             subject_id=parts[0],
-            public_key_der=parts[1],
-            signature=SignatureBlob(parts[2].decode(), parts[3]),
+            signing_key=parts[1],
+            sealing_key=parts[2],
+            signature=SignatureBlob(parts[3].decode(), parts[4]),
         )
 
-    def public_key(self):
-        return serialization.load_der_public_key(self.public_key_der)
+    def signing_public_key(self) -> Ed25519PublicKey:
+        return Ed25519PublicKey.from_public_bytes(self.signing_key)
+
+    def sealing_public_key(self) -> X25519PublicKey:
+        return X25519PublicKey.from_public_bytes(self.sealing_key)
 
 
 def split_length_prefixed(buf: bytes, count: Optional[int] = None) -> list[bytes]:
@@ -165,75 +185,68 @@ def split_length_prefixed(buf: bytes, count: Optional[int] = None) -> list[bytes
 
 
 @dataclass
-class KeyPairWithCert:
-    private_key: rsa.RSAPrivateKey
+class Credentials:
+    """The doctor's Ed25519 signing key, X25519 sealing key and the
+    authority's certificate on both."""
+
+    signing_key: Ed25519PrivateKey
+    sealing_key: X25519PrivateKey
     certificate: Certificate
 
     @property
-    def public_key(self):
-        return self.private_key.public_key()
+    def public_key(self) -> Ed25519PublicKey:
+        """The key that verifies the doctor's signatures."""
+        return self.signing_key.public_key()
 
 
-def _mgf1(seed: bytes, length: int) -> bytes:
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        out += hashlib.sha256(seed + counter.to_bytes(4, "big")).digest()
-        counter += 1
-    return bytes(out[:length])
+@dataclass(frozen=True)
+class _Key:
+    """A private key object that hashes and compares by its raw bytes."""
+
+    raw: bytes
+    obj: object = field(compare=False)
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+def _private(key) -> _Key:
+    return _Key(key.private_bytes_raw(), key)
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _oaep_encrypt(numbers: rsa.RSAPublicNumbers, message: bytes, seed: bytes) -> bytes:
-    """RFC 8017 OAEP(SHA-256) with a caller-supplied seed, so ciphertexts
-    are reproducible under a seeded RNG.  Interoperates with the library
-    decryptor."""
-    k = (numbers.n.bit_length() + 7) // 8
-    h = _OAEP_HASH_BYTES
-    if len(message) > k - 2 * h - 2:
-        raise CryptoError("message too long for OAEP")
-    if len(seed) != h:
-        raise CryptoError("OAEP seed must match the hash length")
-    l_hash = hashlib.sha256(b"").digest()
-    ps = b"\x00" * (k - len(message) - 2 * h - 2)
-    db = l_hash + ps + b"\x01" + message
-    masked_db = _xor(db, _mgf1(seed, k - h - 1))
-    masked_seed = _xor(seed, _mgf1(masked_db, h))
-    em = b"\x00" + masked_seed + masked_db
-    c = pow(int.from_bytes(em, "big"), numbers.e, numbers.n)
-    return c.to_bytes(k, "big")
+def _seal_key(shared: bytes, sender: bytes, recipient: bytes) -> bytes:
+    info = length_prefixed(_SEAL_INFO, sender, recipient)
+    return HKDF(hashes.SHA256(), KEY_BYTES, None, info).derive(shared)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _oaep_decrypt(private_key: rsa.RSAPrivateKey, blob: bytes) -> bytes:
+def _x25519_seal(recipient: bytes, ephemeral: bytes, message: bytes) -> bytes:
+    scalar = X25519PrivateKey.from_private_bytes(ephemeral)
+    sender = scalar.public_key().public_bytes_raw()
+    shared = scalar.exchange(X25519PublicKey.from_public_bytes(recipient))
+    return sender + AESGCM(_seal_key(shared, sender, recipient)).encrypt(
+        _SEAL_NONCE, message, None
+    )
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _x25519_unseal(private_key: _Key, blob: bytes) -> bytes:
+    sender, sealed = blob[:X25519_BYTES], blob[X25519_BYTES:]
+    recipient = private_key.obj.public_key().public_bytes_raw()
     try:
-        return private_key.decrypt(
-            blob,
-            asym_padding.OAEP(
-                mgf=asym_padding.MGF1(algorithm=hashes.SHA256()),
-                algorithm=hashes.SHA256(),
-                label=None,
-            ),
-        )
-    except ValueError as exc:
+        # a short or low-order ephemeral key raises ValueError
+        shared = private_key.obj.exchange(X25519PublicKey.from_public_bytes(sender))
+        return AESGCM(_seal_key(shared, sender, recipient)).decrypt(_SEAL_NONCE, sealed, None)
+    except (ValueError, InvalidTag) as exc:
         raise DecryptionError("public-key decryption failed") from exc
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _pkcs1_sign(private_key: rsa.RSAPrivateKey, message: bytes) -> bytes:
-    return private_key.sign(message, asym_padding.PKCS1v15(), hashes.SHA256())
+def _ed25519_sign(private_key: _Key, message: bytes) -> bytes:
+    return private_key.obj.sign(message)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _pkcs1_verify(numbers: rsa.RSAPublicNumbers, message: bytes, signature: bytes) -> bool:
+def _ed25519_verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     try:
-        numbers.public_key().verify(
-            signature, message, asym_padding.PKCS1v15(), hashes.SHA256()
-        )
+        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
     except InvalidSignature:
         return False
     return True
@@ -243,9 +256,10 @@ class CryptoSuite:
     """Primitive operations with per-instance counters.
 
     rng, when given, supplies all per-operation randomness (GCM nonces,
-    OAEP seeds); otherwise the OS RNG is used.  Counter keys: kdf, mac,
-    sym_enc, sym_dec, pk_enc, pk_dec, sign, verify, cs_enc (the last is
-    bumped by callers that run the telemetry codec).
+    and the ephemeral scalars callers draw with random_bytes); otherwise
+    the OS RNG is used.  Counter keys: kdf, mac, sym_enc, sym_dec,
+    pk_enc, pk_dec, sign, verify, cs_enc (the last is bumped by callers
+    that run the telemetry codec).
     """
 
     def __init__(self, rng: Optional[random.Random] = None):
@@ -298,31 +312,30 @@ class CryptoSuite:
         except InvalidTag as exc:
             raise DecryptionError("symmetric decryption failed") from exc
 
-    # -- public-key encryption ---------------------------------------------
+    # -- public-key sealing --------------------------------------------------
 
-    def pk_enc(self, public_key: rsa.RSAPublicKey, message: bytes) -> bytes:
+    def pk_enc(self, public_key: X25519PublicKey, message: bytes, ephemeral: bytes) -> bytes:
+        """Seal message to public_key with the ephemeral X25519 scalar."""
         self.counters["pk_enc"] += 1
-        seed = self.random_bytes(_OAEP_HASH_BYTES)
-        return _oaep_encrypt(public_key.public_numbers(), bytes(message), seed)
+        return _x25519_seal(public_key.public_bytes_raw(), bytes(ephemeral), bytes(message))
 
-    def pk_dec(self, private_key: rsa.RSAPrivateKey, blob: bytes) -> bytes:
+    def pk_dec(self, private_key: X25519PrivateKey, blob: bytes) -> bytes:
         self.counters["pk_dec"] += 1
-        return _oaep_decrypt(private_key, bytes(blob))
+        return _x25519_unseal(_private(private_key), bytes(blob))
 
     # -- signatures ---------------------------------------------------------
 
-    def sign(self, private_key: rsa.RSAPrivateKey, message: bytes) -> SignatureBlob:
+    def sign(self, private_key: Ed25519PrivateKey, message: bytes) -> SignatureBlob:
         self.counters["sign"] += 1
-        return SignatureBlob(SIGNATURE_ALGORITHM, _pkcs1_sign(private_key, bytes(message)))
+        signature = _ed25519_sign(_private(private_key), bytes(message))
+        return SignatureBlob(SIGNATURE_ALGORITHM, signature)
 
-    def verify(
-        self, public_key: rsa.RSAPublicKey, message: bytes, sig: SignatureBlob
-    ) -> bool:
+    def verify(self, public_key: Ed25519PublicKey, message: bytes, sig: SignatureBlob) -> bool:
         self.counters["verify"] += 1
         if not isinstance(sig, SignatureBlob) or sig.algorithm != SIGNATURE_ALGORITHM:
             return False
         try:
-            return _pkcs1_verify(public_key.public_numbers(), bytes(message), bytes(sig.data))
+            return _ed25519_verify(public_key.public_bytes_raw(), bytes(message), bytes(sig.data))
         except Exception:
             return False
 
@@ -330,22 +343,18 @@ class CryptoSuite:
 
     def cert_issue(
         self,
-        authority_key: rsa.RSAPrivateKey,
-        subject_public_key: rsa.RSAPublicKey,
+        authority_key: Ed25519PrivateKey,
         subject_id: bytes,
+        signing_key: Ed25519PublicKey,
+        sealing_key: X25519PublicKey,
     ) -> Certificate:
-        der = subject_public_key.public_bytes(
-            serialization.Encoding.DER,
-            serialization.PublicFormat.SubjectPublicKeyInfo,
-        )
-        sig = self.sign(authority_key, length_prefixed(subject_id, der))
-        return Certificate(subject_id=subject_id, public_key_der=der, signature=sig)
+        signing, sealing = signing_key.public_bytes_raw(), sealing_key.public_bytes_raw()
+        cert = Certificate(subject_id, signing, sealing)
+        return replace(cert, signature=self.sign(authority_key, cert.signed_bytes()))
 
-    def cert_verify(
-        self, authority_public_key: rsa.RSAPublicKey, cert: Certificate
-    ) -> bool:
+    def cert_verify(self, authority_public_key: Ed25519PublicKey, cert: Certificate) -> bool:
         try:
-            payload = length_prefixed(cert.subject_id, cert.public_key_der)
+            payload = cert.signed_bytes()
         except Exception:
             return False
         return self.verify(authority_public_key, payload, cert.signature)

@@ -32,7 +32,7 @@ length-prefixed part, so no two derivations share an input:
 
 - derive_k_i: K_I from the patient's master key and both device ids;
 - derive_k_p: K_P from the out-of-band RM, the session number and the
-  nonce the doctor RSA-decrypts (both factors are needed);
+  nonce the doctor unseals with its X25519 key (both factors are needed);
 - derive_k_r: K_R from the serialized shift key and the session number.
 
 The smartphone keeps the session shift key only as kd_bytes, the
@@ -91,9 +91,9 @@ from . import codec, crypto, ecg, recovery
 from .channel import TranscriptEntry
 from .crypto import (
     Certificate,
+    Credentials,
     CryptoError,
     CryptoSuite,
-    KeyPairWithCert,
     SignatureBlob,
     SymmetricKey,
     length_prefixed,
@@ -261,7 +261,7 @@ STEPS = (
          session=None, check="_derive_pairing_key"),
     Step("pair", "imd", "smartphone", Heading.PAIR_SUCC, LINK_SI, session="pair_session"),
     Step("auth", "programmer", "smartphone", Heading.AUTH_REQ, LINK_SD,
-         ("doctor_id", "ts2", "pk_der", "cert"), ts="ts2", session=None,
+         ("doctor_id", "ts2", "sealing_key", "cert"), ts="ts2", session=None,
          unreadable=(DROP, "certificate unparseable")),
     Step("auth", "smartphone", "programmer", Heading.AUTH_REQ, LINK_SD,
          ("smartphone_id", "challenge"), unreadable=(STAY, "nonce challenge unreadable")),
@@ -333,7 +333,7 @@ def derive_k_i(
 
 
 def derive_k_p(suite: CryptoSuite, rm: bytes, session: int, nonce: bytes) -> SymmetricKey:
-    """Programmer key: the out-of-band RM plus the RSA-decrypted nonce."""
+    """Programmer key: the out-of-band RM plus the unsealed nonce."""
     return suite.kdf(length_prefixed(b"K_P", rm, u64_bytes(session), nonce))
 
 
@@ -504,8 +504,9 @@ class Smartphone(Party):
         self.k_r: Optional[SymmetricKey] = None
         self.kd_bytes: Optional[bytes] = None  # the serialized session shift key
         self.doctor_id: Optional[bytes] = None
-        self.doctor_public_key = None
+        self.doctor_public_key = None  # verifies the doctor's write signature
         self.nonce: Optional[bytes] = None
+        self.ephemeral: Optional[bytes] = None  # the X25519 scalar the nonce was sealed with
         self.rm: Optional[bytes] = None
         self.pending_sig = None
         self.pending_ts6: Optional[int] = None
@@ -530,17 +531,20 @@ class Smartphone(Party):
             raise Rejected(STAY, "unknown doctor")
         if (
             certificate.subject_id != frame.doctor_id
-            or certificate.public_key_der != frame.pk_der
+            or certificate.sealing_key != frame.sealing_key
             or not self.crypto.cert_verify(self.ca_public_key, certificate)
         ):
             raise Rejected(STAY, "certificate verification failed")
-        public_key = certificate.public_key()
+        signing_key = certificate.signing_public_key()
+        sealing_key = certificate.sealing_public_key()
         nonce = self.crypto.random_bytes(NONCE_BYTES)
         rm = self.crypto.random_bytes(RM_BYTES)
         k_p = derive_k_p(self.crypto, rm, frame.session, nonce)
-        challenge = self.crypto.pk_enc(public_key, nonce)
+        ephemeral = self.crypto.random_bytes(crypto.X25519_BYTES)
+        challenge = self.crypto.pk_enc(sealing_key, nonce, ephemeral)
         self.session, self.doctor_id = frame.session, frame.doctor_id
-        self.doctor_public_key, self.nonce, self.rm, self.k_p = public_key, nonce, rm, k_p
+        self.doctor_public_key, self.nonce, self.rm, self.k_p = signing_key, nonce, rm, k_p
+        self.ephemeral = ephemeral
         oob = TranscriptEntry(
             "oob", LINK_OOB, self.role, self.doctor_oob_directory[self.doctor_id], rm
         )
@@ -666,7 +670,7 @@ class Programmer(Party):
         self,
         seed: int,
         config: SystemConfig,
-        credentials: KeyPairWithCert,
+        credentials: Credentials,
         target_implant_id: bytes,
         reconstruct: bool = True,
     ):
@@ -693,11 +697,11 @@ class Programmer(Party):
     def start_auth(self) -> list[TranscriptEntry]:
         self.session = self.rng.getrandbits(64)
         cert = self.credentials.certificate
-        fields = dict(doctor_id=self.doctor_id, pk_der=cert.public_key_der, cert=cert.to_bytes())
+        fields = dict(doctor_id=self.doctor_id, sealing_key=cert.sealing_key, cert=cert.to_bytes())
         return [self._send(Heading.AUTH_REQ, self.session, **fields)]
 
     def _on_auth_req(self, frame) -> None:
-        self.nonce = self.crypto.pk_dec(self.credentials.private_key, frame.challenge)
+        self.nonce = self.crypto.pk_dec(self.credentials.sealing_key, frame.challenge)
         self.smartphone_id = frame.smartphone_id
 
     def enter_rm(self, rm: bytes):
@@ -763,7 +767,7 @@ class Programmer(Party):
             command=command,
             timestamp=self.clock,
         )
-        sig = self.crypto.sign(self.credentials.private_key, record.signed_bytes())
+        sig = self.crypto.sign(self.credentials.signing_key, record.signed_bytes())
         return [self._send(Heading.WRITE_AUTH_REQ, self.session, sig=sig.data)]
 
     def _on_write_ready(self, frame) -> dict[str, bytes]:

@@ -22,8 +22,13 @@ from typing import Optional, Sequence
 
 from . import ecg
 from .channel import Attacker, Scheduler, Transcript
-from .crypto import KeyPairWithCert, SymmetricKey
-from .keymat import authority_private_key, doctor_certificate, doctor_private_key
+from .crypto import Credentials, SymmetricKey
+from .keymat import (
+    authority_private_key,
+    doctor_certificate,
+    doctor_sealing_key,
+    doctor_signing_key,
+)
 from .parties import FLOW_ROLES, Imd, NotReady, Programmer, Smartphone, SystemConfig
 
 __all__ = ["World", "SessionResult", "build_world", "drive", "run_session", "SCENARIOS"]
@@ -53,7 +58,12 @@ class World:
 
     def secret_values(self) -> dict[str, bytes]:
         """Material that must never appear on the wire in the clear."""
-        secrets: dict[str, bytes] = {"master_key": self.master_key.data}
+        credentials = self.programmer.credentials
+        secrets: dict[str, bytes] = {
+            "master_key": self.master_key.data,
+            "doctor_signing_seed": credentials.signing_key.private_bytes_raw(),
+            "doctor_sealing_seed": credentials.sealing_key.private_bytes_raw(),
+        }
         if self.smartphone.k_i is not None:
             secrets["k_i"] = self.smartphone.k_i.data
         if self.smartphone.k_p is not None:
@@ -66,6 +76,8 @@ class World:
             secrets["rm"] = self.smartphone.rm
         if self.smartphone.nonce is not None:
             secrets["nonce"] = self.smartphone.nonce
+        if self.smartphone.ephemeral is not None:
+            secrets["ephemeral_scalar"] = self.smartphone.ephemeral
         if self.programmer.command is not None:
             secrets["command"] = self.programmer.command
         for i, record in enumerate(self.imd.data_source.records):
@@ -103,9 +115,10 @@ def build_world(
         for i in range(n_signals)
     ]
 
-    authority = authority_private_key()
-    credentials = KeyPairWithCert(
-        private_key=doctor_private_key(), certificate=doctor_certificate(DOCTOR_ID)
+    credentials = Credentials(
+        signing_key=doctor_signing_key(),
+        sealing_key=doctor_sealing_key(),
+        certificate=doctor_certificate(DOCTOR_ID),
     )
 
     smartphone = Smartphone(
@@ -113,7 +126,7 @@ def build_world(
         config=config,
         smartphone_id=SMARTPHONE_ID,
         implant_id=IMPLANT_ID,
-        ca_public_key=authority.public_key(),
+        ca_public_key=authority_private_key().public_key(),
         doctor_oob_directory={DOCTOR_ID: DOCTOR_PHONE},
     )
     imd = Imd(

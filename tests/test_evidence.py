@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -8,17 +9,20 @@ from imdsec.evidence import (
     EvidenceRecord,
     evidence_verify,
 )
-from imdsec.keymat import doctor_private_key
+from imdsec.keymat import doctor_signing_key
 from imdsec.parties import SystemConfig
 from imdsec.scenarios import run_session
 
 FAST = SystemConfig(n=64, cr=50.0, qs=0)
+# the ledger of a full n=64 session (seed 31), written when records were
+# signed with RSA-2048 PKCS#1 v1.5
+RSA_ERA_LEDGER = Path(__file__).parent / "data" / "rsa_era_ledger.bin"
 
 
 @pytest.fixture(scope="module")
 def signed_record():
     suite = CryptoSuite()
-    key = doctor_private_key()
+    key = doctor_signing_key()
     fields = dict(
         doctor_id=b"DR-A",
         smartphone_id=b"SM-1",
@@ -134,6 +138,17 @@ class TestLedgerFile:
         path.write_bytes(length_prefixed(length_prefixed(*fields)))
         with pytest.raises(ValueError, match="corrupt ledger record"):
             EvidenceLedger(str(path))
+
+    def test_a_ledger_of_rsa_signed_records_loads_and_verifies_false(self, signed_record):
+        _, public = signed_record
+        ledger = EvidenceLedger(str(RSA_ERA_LEDGER))
+        assert len(ledger) == 1
+        record = ledger.records[0]
+        signature = record.signature
+        assert (signature.algorithm, len(signature.data)) == ("rsa-pkcs1v15-sha256", 256)
+        relabelled = SignatureBlob("ed25519", signature.data)
+        assert evidence_verify(record, public) is False
+        assert evidence_verify(dataclasses.replace(record, signature=relabelled), public) is False
 
     def test_record_serialization_roundtrip(self, signed_record):
         record, _ = signed_record

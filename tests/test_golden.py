@@ -35,7 +35,7 @@ from support import replay_recorded
 
 SMALL = SystemConfig(n=64, qs=0)
 FLIP_BITS = (0, 7, 77, 130, 513, 1024, 2047, 4099)
-GOLDEN_SHA256 = "1cf87ce61a2c075481a0e63286ee36914941a2d391446e2da6b0a6703d829086"
+GOLDEN_SHA256 = "53c2874a021d9ab3ca6ff632e073f5824ba39fe7ba0f1953f4d8ceeb5ff90fe4"
 LEDGER_FILE = Path(__file__).parent / "data" / "golden_ledger.txt"
 WRITE_COMMAND = "PYTHONPATH=src:tests python -m test_golden --write"
 

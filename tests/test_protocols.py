@@ -5,15 +5,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from cryptography.hazmat.primitives.serialization import load_der_public_key
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imdsec import codec, ecg, recovery
 from imdsec.channel import Attacker, TranscriptEntry
-from imdsec.crypto import CryptoSuite, KeyPairWithCert, SymmetricKey, length_prefixed
+from imdsec.crypto import Credentials, CryptoSuite, SymmetricKey, length_prefixed
 from imdsec.evidence import evidence_verify
-from imdsec.keymat import doctor_private_key
+from imdsec.keymat import doctor_sealing_key, doctor_signing_key
 from imdsec.parties import (
     ABORT,
     DROP,
@@ -294,9 +294,9 @@ def test_smartphone_doctor_frame_sizes_of_a_default_full_session():
         if e.link == LINK_SD
     }
     assert {
-        ("programmer", Heading.AUTH_REQ): 929,
-        ("smartphone", Heading.AUTH_REQ): 281,
-        ("programmer", Heading.WRITE_AUTH_REQ): 306,
+        ("programmer", Heading.AUTH_REQ): 237,
+        ("smartphone", Heading.AUTH_REQ): 89,
+        ("programmer", Heading.WRITE_AUTH_REQ): 114,
         ("smartphone", Heading.READ_READY): 2098,
     }.items() <= sizes.items()
 
@@ -393,10 +393,13 @@ class TestFailurePaths:
         world = build_world(seed=11, config=FAST)
         # forge credentials under a different authority: the doctor
         # signs its own certificate
-        doctor = doctor_private_key()
-        world.programmer.credentials = KeyPairWithCert(
-            private_key=doctor,
-            certificate=CryptoSuite().cert_issue(doctor, doctor.public_key(), b"DR-ALICE"),
+        doctor, sealing = doctor_signing_key(), doctor_sealing_key()
+        world.programmer.credentials = Credentials(
+            signing_key=doctor,
+            sealing_key=sealing,
+            certificate=CryptoSuite().cert_issue(
+                doctor, b"DR-ALICE", doctor.public_key(), sealing.public_key()
+            ),
         )
         result = run_session("auth", config=FAST, world=world)
         # anyone can send an AUTH_REQ, so a bad one is refused without
@@ -685,6 +688,34 @@ class TestUnreadableContent:
                     assert "rejections" not in named, f"{cls.__name__}.{name}"
 
 
+class TestMalformedChallenge:
+    """Variants of an honest nonce challenge (the ephemeral X25519 key,
+    then the AES-GCM ciphertext and tag) that the programmer cannot
+    unseal: each meets the row's verdict, raises nothing and changes no
+    protocol state, and the honest reply still completes auth after it."""
+
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            # low order: X25519 exchange with it raises ValueError
+            lambda blob: bytes(32) + blob[32:],
+            lambda blob: blob[:31] + blob[32:],
+            lambda blob: blob[:-1] + bytes([blob[-1] ^ 1]),
+        ],
+        ids=["all-zero-ephemeral-key", "31-byte-ephemeral-key", "flipped-tag-bit"],
+    )
+    def test_unreadable_and_nothing_else(self, malform):
+        world, step, msg = _withheld("smartphone", Heading.AUTH_REQ)
+        programmer = world.programmer
+        challenge = dict(zip(step.fields, msg.fields))["challenge"]
+        raw = _forged(step, msg, programmer, challenge=malform(challenge))
+        _only_the_verdict(world, programmer, raw, step.link, step.unreadable)
+        assert step.unreadable == (STAY, "nonce challenge unreadable")
+        assert programmer.receive(_forged(step, msg, programmer), step.link) == []
+        assert "auth" in programmer.completed
+        assert programmer.nonce == world.smartphone.nonce
+
+
 class _DropCommand(Attacker):
     """Drops the programmer's command WRITE_REQ and keeps its public
     session number."""
@@ -750,9 +781,10 @@ class TestOpenBugs:
             e.payload for e in world.scheduler.transcript.wire_entries() if e.sender == "programmer"
         ))
         assert request.heading == Heading.AUTH_REQ
-        pk_der = dict(zip(step_of("programmer", Heading.AUTH_REQ).fields, request.fields))["pk_der"]
+        fields = dict(zip(step_of("programmer", Heading.AUTH_REQ).fields, request.fields))
         nonce = bytes(range(16))
-        challenge = CryptoSuite().pk_enc(load_der_public_key(pk_der), nonce)
+        sealing_key = X25519PublicKey.from_public_bytes(fields["sealing_key"])
+        challenge = CryptoSuite().pk_enc(sealing_key, nonce, bytes(range(32)))
         step = step_of("smartphone", Heading.AUTH_REQ)
         forged = _forged(step, attacker.msg, world.programmer, challenge=challenge)
         world.scheduler.submit(
