@@ -307,9 +307,9 @@ class TestAuthenticationCoverage:
     A row completes a flow for its receiver when no later row of that
     flow involves the receiver.  A row without a MAC key can come from
     anyone who has seen the public session number.  The nonce challenge
-    is sealed to the doctor's public key, which anyone can do, so it binds
-    nothing the smartphone holds: that reply stays on the list until it
-    is bound to such a secret (ROADMAP item 2)."""
+    is sealed to the doctor's public X25519 key, which anyone can do, so
+    it binds nothing the smartphone holds: that reply stays on the list
+    until it is bound to such a secret (ROADMAP item 2)."""
 
     # (sender, heading, MAC key, completes a flow for the receiver)
     TABLE = [
