@@ -5,9 +5,12 @@ ciphertext and the public projection/basis but not the shift key: it
 de-shifts with guessed keys and reconstructs.  Each returns the PRD of
 every guess's recovery against the ground truth, in guess order, scored
 by recovery.batch_prds outside the attacker logic; the caller takes the
-best guess with min.  The man-in-the-middle scenario replays the
-blocked-link attack on the read flow; the statistical test checks that
-masked telemetry is indistinguishable from masked silence.
+best guess with min.  The duplicate-frame and bit-flip attackers replay
+and mutate frames.  The man-in-the-middle scenario replays the
+blocked-link attack on the read flow; when both factors are compromised
+it derives the shift key from the transcript and recovers the telemetry
+as the programmer does.  The statistical test checks that masked
+telemetry is indistinguishable from masked silence.
 """
 
 from __future__ import annotations

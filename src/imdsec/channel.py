@@ -10,7 +10,9 @@ a flipped, duplicated or injected frame is not in the transcript.  An
 eavesdropper's view is the transcript's wire entries.  The out-of-band
 channel (the RM text to the doctor's phone) is invisible to the
 attacker unless the degraded flag is set; its transcript entry is the
-RM's only record.
+RM's only record.  The scheduler has one way in, submit (initiate runs a
+flow's opener at the scheduler's clock and submits what it sends), and
+one clock, which it sets on each party before the party acts.
 """
 
 from __future__ import annotations

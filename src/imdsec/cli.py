@@ -4,7 +4,8 @@ Verbs: sweep (recovery-quality grid), attack (guessing attacks next to
 the legitimate baseline), opcount (implant-side crypto-operation
 table), session (one protocol scenario with a transcript dump), and
 gen-fixtures (synthetic ECG-like records).  Every verb runs its own
-invariant checks and exits non-zero if any fail.
+invariant checks and exits non-zero if any fail; a verb whose reader
+closes the pipe early exits 1 without a traceback.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import codec, ecg, reports
+from . import codec, ecg, recovery, reports
 from .attacks import DuplicateFrameAttacker, indistinguishability_test, mitm_read_attack
 from .channel import Attacker
 from .parties import SystemConfig
@@ -220,9 +221,10 @@ def _cmd_session(args) -> int:
             )
         else:
             problems = []
-            if result.attacker_prd < 9.0:
+            not_good = recovery.QualityClass.NOT_GOOD
+            if recovery.classify_prd(result.attacker_prd) is not not_good:
                 problems.append(f"attacker PRD {result.attacker_prd:.2f} < 9")
-            if result.honest_baseline_prd >= 9.0:
+            if recovery.classify_prd(result.honest_baseline_prd) is not_good:
                 problems.append("honest baseline not in acceptable band")
             if result.honest_programmer_completed:
                 problems.append("programmer completed despite the block")

@@ -29,10 +29,12 @@ operation by its exact input: sealing by the recipient's raw public
 key, the ephemeral scalar and the message; unsealing by the raw private
 key and the blob; signing by the raw private key and the message; and
 verification by the raw public key, the message and the signature
-bytes.  Key objects are unhashable, and each certificate load makes new
-ones, so the memos key on raw key bytes (a private key travels in a _Key,
-so a miss signs or unseals with the caller's object instead of
-rebuilding it), and on messages, blobs and signatures as bytes, so any
+bytes.  Public key objects are unhashable and private ones hash by
+identity, so two built from the same bytes differ; keying on raw key
+bytes is what lets a key rebuilt from its bytes, as every certificate
+load rebuilds one, hit the memo (a private key travels in a _Key, so a
+miss signs or unseals with the caller's object instead of rebuilding
+it).  Messages, blobs and signatures are keyed as bytes, so any
 bytes-like input is accepted.  Each result, a rejecting verify's False
 included, is a pure function of its input; an exception (a failed
 unseal) is never stored, and every call is still counted, so
@@ -126,8 +128,20 @@ class SymmetricKey:
 
 @dataclass(frozen=True)
 class SignatureBlob:
+    """A signature and its algorithm label, the tail of every signed
+    record that certificates and evidence records serialize: the label,
+    then the signature bytes, each length-prefixed."""
+
     algorithm: str
     data: bytes
+
+    def to_bytes(self) -> bytes:
+        return length_prefixed(self.algorithm.encode(), self.data)
+
+    @classmethod
+    def from_parts(cls, algorithm: bytes, data: bytes) -> "SignatureBlob":
+        """The blob of a parsed tail's two parts."""
+        return cls(algorithm.decode(), data)
 
 
 @dataclass(frozen=True)
@@ -144,19 +158,12 @@ class Certificate:
         return length_prefixed(self.subject_id, self.signing_key, self.sealing_key)
 
     def to_bytes(self) -> bytes:
-        return self.signed_bytes() + length_prefixed(
-            self.signature.algorithm.encode(), self.signature.data
-        )
+        return self.signed_bytes() + self.signature.to_bytes()
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "Certificate":
         parts = split_length_prefixed(buf, 5)
-        return cls(
-            subject_id=parts[0],
-            signing_key=parts[1],
-            sealing_key=parts[2],
-            signature=SignatureBlob(parts[3].decode(), parts[4]),
-        )
+        return cls(*parts[:3], signature=SignatureBlob.from_parts(*parts[3:]))
 
     def signing_public_key(self) -> Ed25519PublicKey:
         return Ed25519PublicKey.from_public_bytes(self.signing_key)
@@ -352,9 +359,12 @@ class CryptoSuite:
         cert = Certificate(subject_id, signing, sealing)
         return replace(cert, signature=self.sign(authority_key, cert.signed_bytes()))
 
-    def cert_verify(self, authority_public_key: Ed25519PublicKey, cert: Certificate) -> bool:
+    def verify_signed(self, public_key: Ed25519PublicKey, record) -> bool:
+        """Verify a certificate's or evidence record's signature over its
+        signed_bytes().  Total like verify, and one verify like it: a
+        record whose signed bytes cannot be built is rejected."""
         try:
-            payload = cert.signed_bytes()
+            payload, signature = record.signed_bytes(), record.signature
         except Exception:
-            return False
-        return self.verify(authority_public_key, payload, cert.signature)
+            payload = signature = None  # verify rejects a missing signature
+        return self.verify(public_key, payload, signature)

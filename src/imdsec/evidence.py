@@ -4,8 +4,9 @@ Each applied command leaves one signed tuple on the patient's phone:
 who wrote (doctor id), through what (smartphone id), to what device
 (implant id), with which session key material, based on which telemetry
 ciphertext, the command itself, when, and the doctor's signature over
-all of it.  The ledger file is append-only; each entry holds the fields
-in the order the doctor signs them, then the signature.
+all of it.  EvidenceRecord.signed_bytes() is the one spelling of that
+tuple, and CryptoSuite.verify_signed its one check.  The ledger file is
+append-only; each entry is those bytes followed by the signature.
 """
 
 from __future__ import annotations
@@ -52,35 +53,19 @@ class EvidenceRecord:
 
     def to_bytes(self) -> bytes:
         """The signed byte string followed by the signature."""
-        return self.signed_bytes() + length_prefixed(
-            self.signature.algorithm.encode(), self.signature.data
-        )
+        return self.signed_bytes() + self.signature.to_bytes()
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "EvidenceRecord":
         parts = split_length_prefixed(buf, 9)
-        return cls(
-            doctor_id=parts[0],
-            smartphone_id=parts[1],
-            implant_id=parts[2],
-            ciphertext=parts[3],
-            shift_key=parts[4],
-            command=parts[5],
-            timestamp=ts_from_bytes(parts[6]),
-            signature=SignatureBlob(parts[7].decode(), parts[8]),
-        )
+        timestamp, signature = ts_from_bytes(parts[6]), SignatureBlob.from_parts(*parts[7:])
+        return cls(*parts[:6], timestamp, signature)
 
 
 def evidence_verify(record: EvidenceRecord, public_key) -> bool:
-    """Recompute the signed byte string in canonical order and verify.
-
-    Total: returns accept/reject, never raises.
-    """
-    try:
-        payload = record.signed_bytes()
-    except Exception:
-        return False
-    return CryptoSuite().verify(public_key, payload, record.signature)
+    """Whether the doctor's signature verifies over the record's signed
+    bytes; total, like CryptoSuite.verify_signed."""
+    return CryptoSuite().verify_signed(public_key, record)
 
 
 class EvidenceLedger:

@@ -50,9 +50,10 @@ party sends it; a next row in a later flow waits for the party's opener.
 A party's part of a flow ends with the last row of that flow that
 involves it: the party's ``completed`` count of that flow then rises by
 one, so a flow is done once every role named in its rows has completed it.
+paired, authenticated, read_complete, write_complete and drive read those counts.
 Once no later row at all involves the party, its outcome is "ok".  A
 rejected frame meets one of three failure policies, and Party.receive
-alone records it as one (policy, reason) in ``rejections``:
+alone records it as one (policy, reason) in ``rejections``, in arrival order:
 
 - drop: recorded and otherwise ignored.  Every structural failure takes
   this path, and so do an unparseable certificate, an unreadable key
@@ -532,7 +533,7 @@ class Smartphone(Party):
         if (
             certificate.subject_id != frame.doctor_id
             or certificate.sealing_key != frame.sealing_key
-            or not self.crypto.cert_verify(self.ca_public_key, certificate)
+            or not self.crypto.verify_signed(self.ca_public_key, certificate)
         ):
             raise Rejected(STAY, "certificate verification failed")
         signing_key = certificate.signing_public_key()
@@ -587,9 +588,7 @@ class Smartphone(Party):
             timestamp=self.pending_ts6,
             signature=self.pending_sig,
         )
-        if not self.crypto.verify(
-            self.doctor_public_key, record.signed_bytes(), record.signature
-        ):
+        if not self.crypto.verify_signed(self.doctor_public_key, record):
             raise Rejected(ABORT, "write signature invalid")
         self.ledger.append(record)
 

@@ -128,7 +128,9 @@ def quantization_params(cipher) -> Optional[RecoveryParams]:
     its M measurements to the step qs adds noise of norm about
     qs * sqrt(M / 12), so the solve stops there rather than fit the
     noise (the discrepancy principle for OMP with bounded noise, Cai &
-    Wang, IEEE Trans. IT 2011).  None, the solver defaults, when raw."""
+    Wang, IEEE Trans. IT 2011).  None, the solver defaults, when raw.
+    The programmer and the man-in-the-middle attacker's keyed recovery
+    use it; the sweeps keep reports.sweep_solver_params."""
     if cipher.quant_step is None:
         return None
     return RecoveryParams(residual_tol=cipher.quant_step * math.sqrt(cipher.m / 12))
@@ -340,7 +342,8 @@ class QualityClass(str, Enum):
 
 
 def classify_prd(value: float) -> QualityClass:
-    """Map a PRD percentage onto the perceptual quality bands."""
+    """Map a PRD percentage onto the perceptual quality bands: the one
+    home of the 2 % and 9 % lines, which every check asks."""
     if value < 0:
         raise RecoveryError("PRD cannot be negative")
     if value < 2.0:

@@ -165,11 +165,10 @@ def unseal_reference(private_key, blob):
     return AESGCM(key).decrypt(bytes(12), blob[32:], None)
 
 
-class TestRsaMemo:
+class TestPublicKeyMemo:
     """The public-key memos change wall time only: sealed challenges,
     nonces, signatures, verdicts, counts and an attacker's cost per forged
-    challenge are those of uncached library calls.  (The class keeps the
-    name it had when the four operations were RSA-2048.)"""
+    challenge are those of uncached library calls."""
 
     @pytest.fixture(autouse=True)
     def empty_memos(self):
@@ -496,11 +495,11 @@ class TestCertificates:
         )
 
     def test_issue_and_verify(self, suite, authority, cert):
-        assert suite.cert_verify(authority.public_key(), cert)
+        assert suite.verify_signed(authority.public_key(), cert)
 
     def test_unknown_authority_rejects(self, suite, doctor_key, cert):
         # the doctor key stands in for an authority the verifier does not trust
-        assert not suite.cert_verify(doctor_key.public_key(), cert)
+        assert not suite.verify_signed(doctor_key.public_key(), cert)
 
     def test_field_mutation_rejects(self, suite, authority, cert):
         pub = authority.public_key()
@@ -519,7 +518,13 @@ class TestCertificates:
             Certificate(cert.subject_id, cert.sealing_key, cert.signing_key, cert.signature),
         ]
         for variant in variants:
-            assert not suite.cert_verify(pub, variant)
+            assert not suite.verify_signed(pub, variant)
+
+    def test_unbuildable_signed_bytes_reject_with_one_verify(self, authority, cert):
+        suite = CryptoSuite()
+        broken = Certificate(cert.subject_id, None, cert.sealing_key, cert.signature)
+        assert suite.verify_signed(authority.public_key(), broken) is False
+        assert suite.counters["verify"] == 1
 
     def test_cert_serialization_roundtrip(self, cert):
         back = Certificate.from_bytes(cert.to_bytes())
@@ -532,7 +537,7 @@ class TestCertificates:
             for seed in (1, 2)
         )
         assert first is second
-        assert suite.cert_verify(authority.public_key(), first)
+        assert suite.verify_signed(authority.public_key(), first)
         assert first == suite.cert_issue(
             authority, DOCTOR_ID, doctor_key.public_key(), sealing_key.public_key()
         )

@@ -31,6 +31,11 @@ def test_each_value_of_the_operating_point_is_written_once(value):
     assert len(_literals(value)) == 1, _literals(value)
 
 
+def test_the_not_good_line_is_written_once():
+    # every 9 % PRD check asks recovery.classify_prd
+    assert [name for name, _ in _literals(9.0)] == ["recovery.py"]
+
+
 def test_settings_and_constants():
     assert [f.name for f in dataclasses.fields(SystemConfig)] == ["n", "cr", "qs"]
     assert SystemConfig().n == ecg.TARGET_SAMPLES

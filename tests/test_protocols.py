@@ -916,6 +916,71 @@ class TestTotality:
         assert verdicts[0] == verdicts[1]
 
 
+class _FlipAuthReq(Attacker):
+    """Flips one bit, numbered from the first byte's high bit, of the
+    first AUTH_REQ that sender sends."""
+
+    def __init__(self, sender, bit):
+        self.sender, self.bit, self.flipped = sender, bit, False
+
+    def intercept(self, entry):
+        if self.flipped or entry.sender != self.sender or entry.payload[0] != Heading.AUTH_REQ:
+            return None
+        self.flipped = True
+        mutated = bytearray(entry.payload)
+        mutated[self.bit // 8] ^= 1 << (7 - self.bit % 8)
+        return [bytes(mutated)]
+
+
+class TestAuthReqBitFlips:
+    """Every single-bit flip of the AUTH_REQ pair, the frames no MAC
+    covers, each in its own full session at world seed 5: no flip makes a
+    party raise, applies a command without evidence, or completes the
+    programmer's auth on a nonce other than the smartphone's.  c6's
+    campaign flips only MAC-protected frames, so it never reaches these."""
+
+    @staticmethod
+    def _surviving_flips(sender):
+        """The honest frame, its delivery time and the flips after which
+        the session still completes."""
+        honest = run_session("full", seed=5, config=FAST, reconstruct=False)
+        entry = next(
+            e for e in honest.transcript.wire_entries()
+            if e.sender == sender and e.payload[0] == Heading.AUTH_REQ
+        )
+        surviving = []
+        for bit in range(8 * len(entry.payload)):
+            attacker = _FlipAuthReq(sender, bit)
+            world = build_world(seed=5, config=FAST, attacker=attacker, reconstruct=False)
+            result = drive(world, SCENARIOS["full"])
+            assert attacker.flipped
+            assert len(world.imd.applied_commands) <= len(world.smartphone.ledger)
+            if "auth" in world.programmer.completed:
+                assert world.programmer.nonce == world.smartphone.nonce, bit
+            if result.ok:
+                surviving.append(bit)
+        return entry, surviving
+
+    def test_only_a_fresh_ts2_survives_in_the_request(self):
+        entry, surviving = self._surviving_flips("programmer")
+        assert len(entry.payload) * 8 == 1896
+        msg = decode_message(entry.payload)
+        i = step_of("programmer", Heading.AUTH_REQ).fields.index("ts2")
+        # the frame up to field i, then field i's 4-byte length
+        start = 8 * (len(encode_message(WireMessage(msg.heading, msg.session, msg.fields[:i]))) + 4)
+        ts2 = int.from_bytes(msg.fields[i], "big")
+        fresh = [
+            bit for bit in range(start, start + 64)
+            if abs(entry.time - (ts2 ^ 1 << (start + 63 - bit))) <= FRESHNESS_WINDOW
+        ]
+        assert surviving == fresh == list(range(267, 272))
+
+    def test_no_flip_of_the_reply_survives(self):
+        entry, surviving = self._surviving_flips("smartphone")
+        assert len(entry.payload) * 8 == 712
+        assert surviving == []
+
+
 class TestSecrecyOnWire:
     def test_no_secret_bytes_in_transcript(self):
         result = run_session("full", seed=17, config=SystemConfig())
