@@ -2,17 +2,34 @@
 
 Signals are modeled as x = Psi @ b with few significant entries in b.
 Measurements y = Phi @ x are inverted by orthogonal matching pursuit on
-the combined dictionary Theta = Phi @ Psi.  There is one OMP core,
-omp_reconstruct_batch: it solves a stack of measurement rows that share
-(Phi, Psi), scoring all running rows with one product per iteration,
-and omp_reconstruct is its one-row case (the idea of Batch-OMP, which
-codes many signals over one dictionary: Rubinstein, Zibulevsky & Elad,
-Technion CS-2008-08).  Theta is built once per (Phi, Psi) pair and held
-by its Phi (SensingMatrix.dictionary), so it is freed with Phi.  The
-package takes Phi and Psi from cached_operator, which keeps one
-operator per build function, the latest asked for: calls at one
-(seed, M, N) share Phi and its Theta, and moving to another M frees
-the old pair.
+the combined dictionary Theta = Phi @ Psi.  Theta is built once per
+(Phi, Psi) pair and held by its Phi (SensingMatrix.dictionary), so it is
+freed with Phi.  The package takes Phi and Psi from cached_operator,
+which keeps one operator per build function, the latest asked for:
+calls at one (seed, M, N) share Phi and its Theta, and moving to another
+M frees the old pair.
+
+There are two OMP loops, chosen by the shape of the input, and both
+follow Batch-OMP (many signals coded over one dictionary: Rubinstein,
+Zibulevsky & Elad, Technion CS-2008-08).  Only the scoring differs:
+for one vector both make the same picks and return the same result, bit
+for bit.  omp_reconstruct_batch solves a stack of rows that share
+(Phi, Psi) and scores all running rows with one product R Theta per
+pick, so the rows share each pass over Theta; the sweeps and the
+guessing attacks use it.  omp_reconstruct solves one vector, as the programmer and the keyed
+man-in-the-middle recovery do, from rows of the Gram matrix
+G = Theta^T Theta: it computes Theta^T y once and updates the
+correlations after each pick with a k x N product, and each row of G is
+computed on its column's first pick and kept with Theta, so the calls
+that share one Phi share G too.  Once G holds the column, a pick costs a
+k x N product instead of an M x N pass over Theta.  On a shared 2-vCPU
+Xeon, the doctor's solve in the session benchmark (N = 512, M = 256,
+about 21 picks, 97 % of them on a cached row over 1000 sessions) went
+from 1.4-1.9 ms to 0.8-1.1 ms in traced runs.  Gram scoring in the batch loop made a 20-row sweep
+cell at CR 90 slower (3.3-3.9 ms against 5.2-7.5 ms) and gained nothing
+at CR 50, because its Theta^T q store grows with the rows while Theta
+is shared by them.
+
 Each row's active set is kept as an incremental QR factorisation, so no
 iteration re-solves least squares.  Only numpy is used: importing
 scipy.linalg would add a few tenths of a second to every process start.
@@ -57,7 +74,7 @@ class SensingMatrix:
 
     entries: np.ndarray
     seed: bytes
-    # (Psi, Theta, column norms) of the last dictionary() call, or None
+    # (Psi, Theta, column norms, Gram rows) of the last dictionary() call, or None
     _dictionary: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -68,22 +85,26 @@ class SensingMatrix:
     def n(self) -> int:
         return self.entries.shape[1]
 
-    def dictionary(self, psi: SparsityBasis) -> tuple[np.ndarray, np.ndarray]:
-        """Theta = Phi Psi and its column norms (zero norms as inf).
+    def dictionary(self, psi: SparsityBasis) -> tuple[np.ndarray, np.ndarray, dict]:
+        """Theta = Phi Psi, its column norms (zero norms as inf), and the
+        Gram rows G[p] = theta[:, p] @ Theta that omp_reconstruct has
+        computed so far, as a dict p -> row, filled on a column's first
+        pick.  At most N rows of N float64 each: 2 MB at N = 512.
 
         They are kept on this matrix for the last Psi asked for, so Theta
-        is built once per (Phi, Psi) pair and freed with Phi.  The memo
-        holds Psi itself and matches it by identity, so a reused id cannot
-        fool it; the arrays of Phi and Psi must not be changed in place.
+        is built once per (Phi, Psi) pair and all three are freed with
+        Phi.  The memo holds Psi itself and matches it by identity, so a
+        reused id cannot fool it; the arrays of Phi and Psi must not be
+        changed in place.
         """
         memo = self._dictionary
         if memo is None or memo[0] is not psi:
             theta = self.entries @ psi.columns
             col_norms = np.linalg.norm(theta, axis=0)
             col_norms[col_norms == 0.0] = np.inf
-            memo = (psi, theta, col_norms)
+            memo = (psi, theta, col_norms, {})
             object.__setattr__(self, "_dictionary", memo)
-        return memo[1], memo[2]
+        return memo[1:]
 
 
 @dataclass(frozen=True)
@@ -192,6 +213,32 @@ def cached_operator(build, *args):
 _SINGULAR_RTOL = 1e-10
 
 
+def _check_operands(values: np.ndarray, phi: SensingMatrix, psi: SparsityBasis) -> None:
+    if not np.all(np.isfinite(values)):
+        raise RecoveryError("non-finite measurements")
+    if phi.n != psi.n:
+        raise RecoveryError("sensing matrix and basis sizes differ")
+
+
+def _stop(k: int, max_atoms: int, residual_norm, tol) -> str:
+    """Why a solve ended after k picks with this residual norm."""
+    if k == max_atoms:
+        return "max_atoms"
+    return "residual_tol" if residual_norm <= tol else "no_candidate"
+
+
+def _orthogonalise(w: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Remove from w, one vector or a stack, its components along the
+    orthonormal rows of basis, in place: Gram-Schmidt with one
+    re-orthogonalisation pass.  Returns the coefficients removed and the
+    norm of what is left."""
+    h = np.matvec(basis, w)
+    w -= np.vecmat(h, basis)
+    h2 = np.matvec(basis, w)
+    w -= np.vecmat(h2, basis)
+    return h + h2, np.sqrt(np.vecdot(w, w))
+
+
 def omp_reconstruct_batch(
     Y: np.ndarray,
     phi: SensingMatrix,
@@ -217,10 +264,7 @@ def omp_reconstruct_batch(
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2 or Y.shape[1] != phi.m:
         raise RecoveryError(f"measurement rows must form a 2-D array of width {phi.m}")
-    if not np.all(np.isfinite(Y)):
-        raise RecoveryError("non-finite measurements")
-    if phi.n != psi.n:
-        raise RecoveryError("sensing matrix and basis sizes differ")
+    _check_operands(Y, phi, psi)
     params = params or RecoveryParams()
 
     b_hat = np.zeros((Y.shape[0], psi.n))
@@ -241,7 +285,7 @@ def omp_reconstruct_batch(
     history[:, 0] = y_norms[live]
     row_ids = np.arange(live.size)
     if live.size:
-        theta, col_norms = phi.dictionary(psi)
+        theta, col_norms, _ = phi.dictionary(psi)
         singular = _SINGULAR_RTOL * col_norms
     k = 0
 
@@ -263,10 +307,7 @@ def omp_reconstruct_batch(
             b_hat[rows[:, None], picks[ended, :k]] = coef[..., 0]
             for j, i in zip(np.flatnonzero(ended).tolist(), rows.tolist()):
                 infos[i]["residuals"] = history[j, : k + 1].tolist()
-                infos[i]["stop"] = (
-                    "max_atoms" if k == max_atoms
-                    else "residual_tol" if history[j, k] <= tol[j] else "no_candidate"
-                )
+                infos[i]["stop"] = _stop(k, max_atoms, history[j, k], tol[j])
             if ended.all():
                 break
             live, tol, residual, q, r, qty, picks, history, pick = (
@@ -274,16 +315,11 @@ def omp_reconstruct_batch(
             )
             row_ids = np.arange(live.size)
         w = theta.T[pick]  # the picked columns, orthogonalised in place
-        basis = q[:, :k]
-        h = np.matvec(basis, w)
-        w -= np.vecmat(h, basis)
-        h2 = np.matvec(basis, w)
-        w -= np.vecmat(h2, basis)
-        w_norm = np.sqrt(np.vecdot(w, w))
+        h, w_norm = _orthogonalise(w, q[:, :k])
         if np.count_nonzero(w_norm <= singular[pick]):
             raise RecoveryError("singular active-set system")
         np.divide(w, w_norm[:, None], out=q[:, k])
-        np.add(h, h2, out=r[:, :k, k])
+        r[:, :k, k] = h
         r[:, k, k] = w_norm
         qty[:, k] = np.vecdot(q[:, k], residual)  # = q[k] y: the residual is orthogonal to q[:k]
         residual -= qty[:, k, None] * q[:, k]
@@ -302,14 +338,70 @@ def omp_reconstruct(
     params: Optional[RecoveryParams] = None,
     return_info: bool = False,
 ):
-    """Greedy sparse inversion of one measurement vector y = Phi Psi b, the
-    one-row case of omp_reconstruct_batch.  Returns (b_hat, x_hat), and
-    with return_info=True the row's info dict."""
+    """Greedy sparse inversion of one measurement vector y = Phi Psi b.
+
+    The same solve as a one-row omp_reconstruct_batch: the same picks,
+    incremental QR, stop rules, singular guard and result, bit for bit.
+    Only the scoring differs: the correlations c = Theta^T residual
+    start as Theta^T y, and the k-th pick p updates them with
+    c -= qty[k] Theta^T q[k], where
+    Theta^T q[k] = (G[p] - r[:k, k] Theta^T q[:k]) / r[k, k]
+    follows from the Gram row G[p] that phi keeps across calls
+    (Batch-OMP).  Returns (b_hat, x_hat), and with return_info=True the
+    info dict of omp_reconstruct_batch.
+    """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.size != phi.m:
         raise RecoveryError(f"measurement vector must have length {phi.m}")
-    b_hat, x_hat, infos = omp_reconstruct_batch(y[None], phi, psi, params, True)
-    return (b_hat[0], x_hat[0], infos[0]) if return_info else (b_hat[0], x_hat[0])
+    _check_operands(y, phi, psi)
+    params = params or RecoveryParams()
+
+    b_hat = np.zeros(psi.n)
+    y_norm = np.sqrt(np.vecdot(y, y))
+    info = {"residuals": [float(y_norm)], "stop": "zero_measurements"}
+    if y_norm:
+        max_atoms, tol = params.resolve(phi.m, y_norm)
+        theta, col_norms, gram = phi.dictionary(psi)
+        q = np.empty((max_atoms, phi.m))  # orthonormal rows spanning the active columns
+        tq = np.empty((max_atoms, psi.n))  # Theta^T q of each row of q
+        r = np.zeros((max_atoms, max_atoms))
+        qty = np.empty(max_atoms)
+        picks = np.empty(max_atoms, dtype=np.intp)
+        history = np.empty(max_atoms + 1)  # residual norms
+        history[0] = y_norm
+        residual = y.copy()
+        corr = y @ theta
+        scores = np.empty(psi.n)
+        k = 0
+        while k < max_atoms and history[k] > tol:
+            np.abs(corr, out=scores)
+            scores /= col_norms
+            scores[picks[:k]] = -1.0
+            pick = int(scores.argmax())
+            if scores[pick] <= 0.0:
+                break
+            row = gram.get(pick)
+            if row is None:
+                row = gram[pick] = theta.T[pick] @ theta
+            w = theta.T[pick].copy()  # the picked column, orthogonalised in place
+            h, w_norm = _orthogonalise(w, q[:k])
+            if w_norm <= _SINGULAR_RTOL * col_norms[pick]:
+                raise RecoveryError("singular active-set system")
+            np.divide(w, w_norm, out=q[k])
+            r[:k, k] = h
+            r[k, k] = w_norm
+            np.divide(row - np.vecmat(h, tq[:k]), w_norm, out=tq[k])
+            qty[k] = np.vecdot(q[k], residual)  # = q[k] y: the residual is orthogonal to q[:k]
+            residual -= qty[k] * q[k]
+            corr -= qty[k] * tq[k]
+            history[k + 1] = np.sqrt(np.vecdot(residual, residual))
+            picks[k] = pick
+            k += 1
+        b_hat[picks[:k]] = np.linalg.solve(r[:k, :k], qty[:k])
+        info["residuals"] = history[: k + 1].tolist()
+        info["stop"] = _stop(k, max_atoms, history[k], tol)
+    x_hat = b_hat @ psi.columns.T
+    return (b_hat, x_hat, info) if return_info else (b_hat, x_hat)
 
 
 def prd(x: np.ndarray, x_hat: np.ndarray) -> float:

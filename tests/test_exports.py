@@ -55,6 +55,8 @@ TEST_ONLY = {
     "attacks.forge_read_auth_attempts(attempts)": "a brute-force probe of unit-test size",
     "attacks.forge_read_auth_attempts(seed)": "the probe against another session",
     "cli.main(argv)": "the command line given as a list",
+    "recovery.omp_reconstruct_batch(return_info)": "each row's residual history and stop "
+    "reason, which TestOmpOracle and TestOmpBatch compare with the one-row solve",
 }
 
 

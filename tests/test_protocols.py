@@ -531,10 +531,28 @@ class _InjectBefore(Attacker):
         return [encode_message(forged), entry.payload]
 
 
+def _junk_tag(fields):
+    """The frame's fields with its MAC tag, the last field, zeroed."""
+    return fields[:-1] + (bytes(len(fields[-1])),)
+
+
+def _aborting_row(sender, heading, victim, reason):
+    """A frame with a fresh timestamp and a junk MAC tag ahead of the
+    honest one, on a row whose MAC failure aborts the flow today."""
+    return pytest.param(
+        sender, heading, _junk_tag, victim, STAY, reason,
+        marks=pytest.mark.xfail(
+            strict=True,
+            raises=AssertionError,
+            reason="on_mac_failure=ABORT: one forged frame ends the flow; ROADMAP item 2b",
+        ),
+    )
+
+
 class TestInjectedFramesDoNotWedge:
-    """Frames without a MAC, or whose decryption fails, can come from
-    anyone who has seen the public session number; refusing one must
-    leave the honest flow free to finish."""
+    """Frames without a MAC, with a junk MAC tag, or whose decryption
+    fails, can come from anyone who has seen the public session number;
+    refusing one must leave the honest flow free to finish."""
 
     @pytest.mark.parametrize(
         "sender,heading,forge,victim,policy,reason",
@@ -551,9 +569,16 @@ class TestInjectedFramesDoNotWedge:
             ("imd", Heading.WRITE_REQ,
              lambda f: (f[0], b"\x00" * len(f[1])), "smartphone",
              STAY, "command report unreadable"),
+            _aborting_row("programmer", Heading.WRITE_AUTH_REQ, "smartphone",
+                     "write auth MAC failure"),
+            _aborting_row("smartphone", Heading.WRITE_ALLOW, "imd", "write enable MAC failure"),
+            _aborting_row("programmer", Heading.WRITE_REQ, "imd", "command MAC failure"),
+            _aborting_row("smartphone", Heading.SET_ALLOW, "imd", "apply authorization MAC failure"),
+            _aborting_row("imd", Heading.READ_REQ, "programmer", "telemetry MAC failure"),
         ],
         ids=["unknown-doctor", "junk-certificate", "junk-challenge", "junk-shift-key",
-             "junk-report"],
+             "junk-report", "junk-write-auth-tag", "junk-write-allow-tag", "junk-command-tag",
+             "junk-set-allow-tag", "junk-telemetry-tag"],
     )
     def test_honest_session_completes(self, sender, heading, forge, victim, policy, reason):
         attacker = _InjectBefore(sender, heading, forge)

@@ -300,6 +300,19 @@ def assert_rows_match_reference(Y, phi, psi, params=None):
         assert_row_matches(*row)
 
 
+def assert_one_row_equals_batch(Y, phi, psi, params=None):
+    """omp_reconstruct of each row of Y gives the coefficients and info of
+    that row of one omp_reconstruct_batch call, and the x_hat of a one-row
+    batch, bit for bit."""
+    b_hats, _, infos = omp_reconstruct_batch(Y, phi, psi, params, return_info=True)
+    for y, b_hat, info in zip(Y, b_hats, infos):
+        b_one, x_one, info_one = omp_reconstruct(y, phi, psi, params, return_info=True)
+        assert info_one == info
+        assert b_one.tobytes() == b_hat.tobytes()
+        _, x_batch = omp_reconstruct_batch(y[None], phi, psi, params)
+        assert x_one.tobytes() == x_batch[0].tobytes()
+
+
 class TestOmpOracle:
     """The incremental-QR solver against the lstsq-from-scratch reference."""
 
@@ -324,6 +337,7 @@ class TestOmpOracle:
             rows.append(y)
         # both records share Phi: one batched solve must match row by row
         assert_rows_match_reference(np.array(rows), phi, psi, params)
+        assert_one_row_equals_batch(np.array(rows), phi, psi, params)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(-1000, 1000), min_size=16, max_size=16))
@@ -371,6 +385,32 @@ class TestOmpBatch:
             assert info == info_one
             np.testing.assert_allclose(b_hat, b_one, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(x_hat, x_one, rtol=1e-12, atol=1e-9)
+        assert_one_row_equals_batch(Y, phi, psi)
+
+    def test_one_row_solve_equals_the_batch_on_duplicate_atoms(self):
+        rng = np.random.default_rng(8)
+        a, b = rng.normal(size=4), rng.normal(size=4)
+        phi = SensingMatrix(entries=np.column_stack([a, a, b, b]), seed=b"dup")
+        psi = SparsityBasis(columns=np.eye(4))
+        Y = np.array([2.0 * a + 3.0 * b])
+        assert_one_row_equals_batch(Y, phi, psi, RecoveryParams(max_atoms=4, residual_tol=1e-9))
+        # forced past the exact two-atom fit, both loops pick a duplicate
+        # and trip the singular guard
+        params = RecoveryParams(max_atoms=4, residual_tol=0.0)
+        with pytest.raises(RecoveryError, match="singular"):
+            omp_reconstruct_batch(Y, phi, psi, params)
+        with pytest.raises(RecoveryError, match="singular"):
+            omp_reconstruct(Y[0], phi, psi, params)
+
+    def test_one_row_solve_equals_the_batch_with_no_candidate(self):
+        a = np.random.default_rng(9).normal(size=4)
+        phi = SensingMatrix(entries=np.column_stack([a, 0 * a, 0 * a, 0 * a]), seed=b"z")
+        psi = SparsityBasis(columns=np.eye(4))
+        Y = np.array([a + np.array([0.0, 1.0, -1.0, 0.5])])
+        params = RecoveryParams(max_atoms=4, residual_tol=0.0)
+        _, _, info = omp_reconstruct(Y[0], phi, psi, params, return_info=True)
+        assert info["stop"] == "no_candidate"
+        assert_one_row_equals_batch(Y, phi, psi, params)
 
     def test_singular_row_fails_the_batch(self):
         rng = np.random.default_rng(8)
@@ -416,6 +456,47 @@ class TestDictionaryMemo:
         del phi
         gc.collect()
         assert theta() is None
+
+
+class TestGramRows:
+    """The rows of G = Theta^T Theta that omp_reconstruct keeps on Phi."""
+
+    def test_cold_and_warm_rows_solve_alike(self):
+        psi = build_basis(64)
+        phi = gen_sensing_matrix(b"gram-warm", 32, 64)
+        rng = np.random.default_rng(13)
+        y, *others = rng.normal(size=(6, 64)) @ phi.entries.T
+        assert phi.dictionary(psi)[2] == {}
+        cold = omp_reconstruct(y, phi, psi, return_info=True)
+        for other in others:
+            omp_reconstruct(other, phi, psi)
+        warm = omp_reconstruct(y, phi, psi, return_info=True)
+        assert set(np.flatnonzero(cold[0])) <= set(phi.dictionary(psi)[2])
+        assert warm[2] == cold[2]
+        for cold_array, warm_array in zip(cold[:2], warm[:2]):
+            assert warm_array.tobytes() == cold_array.tobytes()
+
+    def test_each_row_is_its_theta_product(self):
+        psi = build_basis(64)
+        phi = gen_sensing_matrix(b"gram-rows", 32, 64)
+        rng = np.random.default_rng(14)
+        picked = set()
+        for y in rng.normal(size=(4, 64)) @ phi.entries.T:
+            picked |= set(np.flatnonzero(omp_reconstruct(y, phi, psi)[0]).tolist())
+        theta, _, gram = phi.dictionary(psi)
+        assert set(gram) == picked
+        for p, row in gram.items():
+            assert row.tobytes() == (theta.T[p] @ theta).tobytes()
+
+    def test_rows_leave_with_their_phi(self):
+        psi = cached_operator(build_basis, 64)
+        phi = cached_operator(gen_sensing_matrix, b"gram-gc", 32, 64)
+        omp_reconstruct(phi.entries[:, 3], phi, psi)
+        row = weakref.ref(next(iter(phi.dictionary(psi)[2].values())))
+        del phi
+        cached_operator(gen_sensing_matrix, b"gram-gc", 16, 64)  # evicts the 32-row Phi
+        gc.collect()
+        assert row() is None
 
 
 def test_solver_modules_do_not_import_scipy():

@@ -247,10 +247,10 @@ class TestOperatorCache:
             return phi
 
         def recording_dictionary(phi, psi):
-            theta, col_norms = dictionary(phi, psi)
+            theta, *rest = dictionary(phi, psi)
             owner = next(i for i, ref in enumerate(phis) if ref() is phi)
             thetas[owner] = weakref.ref(theta)
-            return theta, col_norms
+            return theta, *rest
 
         monkeypatch.setattr(recovery, "gen_sensing_matrix", recording_draw)
         monkeypatch.setattr(recovery.SensingMatrix, "dictionary", recording_dictionary)
