@@ -28,12 +28,12 @@ from .channel import Attacker, Transcript, TranscriptEntry
 from .codec import (
     CsCiphertext,
     ShiftKey,
-    _shift_core,
     cs_deshift,
     cs_gen,
     deserialize_ciphertext,
     deserialize_shift_key,
     shift_bound,
+    wrap_add,
 )
 from .crypto import CryptoSuite
 from .parties import STEPS, Step, SystemConfig, derive_k_p, step_of, unpack_signals
@@ -177,13 +177,13 @@ def random_guess_attack(
     planted_key, when given, replaces the first trial's guess with the
     true key (sanity anchor: that trial must match legitimate recovery).
     """
-    keys = [
-        planted_key
+    keys = np.stack([
+        planted_key.entries
         if trial == 0 and planted_key is not None
-        else cs_gen(bytes(seed) + trial.to_bytes(4, "big"), cipher.n, L1, L2)
+        else cs_gen(bytes(seed) + trial.to_bytes(4, "big"), cipher.n, L1, L2).entries
         for trial in range(trials)
-    ]
-    guesses = [cs_deshift(key, cipher, phi, L1, L2) for key in keys]
+    ])
+    guesses = cs_deshift(ShiftKey(entries=keys, value_range=L2 - L1), cipher, phi, L1, L2)
     return batch_prds(guesses, phi, psi, truth, params)
 
 
@@ -357,8 +357,8 @@ def indistinguishability_test(
         entries = cs_gen(
             hashlib.sha256(f"ks-key/{seed}".encode()).digest(), samples, L1, L2
         ).entries
-    masked_signal, _ = _shift_core(values, entries, L1, L2)
-    masked_zero, _ = _shift_core(np.zeros(samples), entries, L1, L2)
+    masked_signal, _ = wrap_add(values, entries, L1, L2)
+    masked_zero, _ = wrap_add(np.zeros(samples), entries, L1, L2)
     result = stats.ks_2samp(masked_signal, masked_zero)
     return KsResult(
         statistic=float(result.statistic),

@@ -10,11 +10,14 @@ measurements and, in the clear, the wrap bits: over 400 keys one default
 ECG frame carries 57-100 wraps and a flat line 0-9, so one frame tells
 the two apart.
 
-Each formula (mask, projection, rounding, de-shift correction, wire
-width) is written once, in a private step that takes one row or a
-(K, ...) stack of rows: the per-frame functions call it on one row, and
-a sweep cell (reports._trials) on the stack of its shift keys, each
-check made once for the stack.
+A shift key, a carry vector and a ciphertext each hold one frame or a
+(K, ...) stack of K frames, one row per key; k, m, n and len read the
+last axis.  cs_enc, quantize and cs_deshift take either, so a sweep cell
+runs the codec once over the stack of its shift keys, each check made
+once for the stack, and cs_deshift broadcasts one ciphertext over a key
+stack.  np.matvec gives every row of a stack the bits that phi @ row
+gives it alone; a matrix product over the stack would not.  A wire form
+holds one frame: CsCiphertext.row takes one out of a stack.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "CarryVector",
     "CsCiphertext",
     "shift_bound",
+    "wrap_add",
     "cs_gen",
     "cs_enc",
     "quantize",
@@ -85,7 +89,7 @@ class BoundedSignal:
 @dataclass(frozen=True)
 class ShiftKey:
     """Per-sample integer shifts, bounded by ceil(value_range / 2) in
-    magnitude."""
+    magnitude: one key, or a (K, N) stack of keys."""
 
     entries: np.ndarray
     value_range: int
@@ -93,8 +97,8 @@ class ShiftKey:
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=np.int64)
         object.__setattr__(self, "entries", entries)
-        if entries.ndim != 1 or entries.size == 0:
-            raise CodecError("shift key must be a non-empty 1-D integer vector")
+        if entries.ndim not in (1, 2) or entries.size == 0:
+            raise CodecError("shift key must be a non-empty integer vector or stack")
         if self.value_range <= 0:
             raise CodecError("value_range must be positive")
         bound = shift_bound(self.value_range)
@@ -103,25 +107,26 @@ class ShiftKey:
 
     @property
     def k(self) -> int:
-        return self.entries.size
+        return self.entries.shape[-1]
 
 
 @dataclass(frozen=True)
 class CarryVector:
-    """One wrap-indicator bit per sample (1 = the shift wrapped)."""
+    """One wrap-indicator bit per sample (1 = the shift wrapped), for one
+    frame or a (K, N) stack."""
 
     bits: np.ndarray
 
     def __post_init__(self):
         bits = np.asarray(self.bits, dtype=np.uint8)
         object.__setattr__(self, "bits", bits)
-        if bits.ndim != 1:
-            raise CodecError("carry vector must be 1-D")
+        if bits.ndim not in (1, 2):
+            raise CodecError("carry vector must be 1-D or a stack")
         if not np.all((bits == 0) | (bits == 1)):
             raise CodecError("carry bits must be 0 or 1")
 
     def __len__(self) -> int:
-        return self.bits.size
+        return self.bits.shape[-1]
 
     def packed(self) -> bytes:
         """Pack bits into bytes, most significant bit first."""
@@ -138,7 +143,8 @@ class CsCiphertext:
     """Compressed-and-masked measurements plus the carry bits.
 
     quant_step is None for raw float measurements; otherwise every
-    measurement is an integer multiple of quant_step.
+    measurement is an integer multiple of quant_step.  One frame, or a
+    (K, M) stack of measurements with a (K, N) stack of carries.
     """
 
     measurements: np.ndarray
@@ -148,18 +154,22 @@ class CsCiphertext:
     def __post_init__(self):
         m = np.asarray(self.measurements, dtype=np.float64)
         object.__setattr__(self, "measurements", m)
-        if m.ndim != 1 or m.size == 0:
-            raise CodecError("measurements must be a non-empty 1-D vector")
-        if m.size >= len(self.carries):
+        if m.ndim not in (1, 2) or m.size == 0:
+            raise CodecError("measurements must be a non-empty vector or stack")
+        if m.shape[:-1] != self.carries.bits.shape[:-1]:
+            raise CodecError("measurement and carry stacks differ in rows")
+        if m.shape[-1] >= len(self.carries):
             raise CodecError("measurement count must be smaller than sample count")
         if self.quant_step is not None:
             if self.quant_step <= 0:
                 raise CodecError("quantization step must be positive")
-            _check_step_multiples(m, self.quant_step)
+            mult = m / self.quant_step
+            if not np.allclose(mult, np.round(mult)):
+                raise CodecError("quantized measurements must be step multiples")
 
     @property
     def m(self) -> int:
-        return self.measurements.size
+        return self.measurements.shape[-1]
 
     @property
     def n(self) -> int:
@@ -169,13 +179,22 @@ class CsCiphertext:
     def quantized(self) -> bool:
         return self.quant_step is not None
 
+    def row(self, i: int) -> "CsCiphertext":
+        """Frame i of a stack, as the implant would send it."""
+        return CsCiphertext(
+            measurements=self.measurements[i],
+            carries=CarryVector(bits=self.carries.bits[i]),
+            quant_step=self.quant_step,
+        )
 
-def _check_step_multiples(measurements: np.ndarray, qs: int) -> None:
-    """Refuse measurements, one row or a stack of rows, that are not all
-    multiples of the step qs."""
-    mult = measurements / qs
-    if not np.allclose(mult, np.round(mult)):
-        raise CodecError("quantized measurements must be step multiples")
+    def widest(self) -> "CsCiphertext":
+        """The frame of a stack whose wire form is longest: a frame's
+        length is fixed by N, M and its bit width, and raw frames are all
+        alike."""
+        if not self.quantized:
+            return self.row(0)
+        mult = _step_multiples(self.measurements, self.quant_step)
+        return self.row(int(np.argmax(_width_magnitude(mult))))
 
 
 def shift_bound(value_range: int) -> int:
@@ -183,10 +202,11 @@ def shift_bound(value_range: int) -> int:
     return math.ceil(value_range / 2)
 
 
-def _shift_core(values: np.ndarray, shifts: np.ndarray, L1: int, L2: int):
-    """Vectorized wrap-add without the input-bound check (the zero-vector
-    reference distribution needs out-of-window inputs); _encode checks.
-    shifts may be a (K, N) stack of rows; values broadcast over it."""
+def wrap_add(values: np.ndarray, shifts: np.ndarray, L1: int, L2: int):
+    """Vectorized wrap-add and its carry bits, without the input-bound
+    check (the zero-vector reference distribution needs out-of-window
+    inputs); cs_enc checks.  shifts may be a (K, N) stack of rows; values
+    broadcast over it."""
     rng = L2 - L1
     total = np.asarray(values, dtype=np.float64) + np.asarray(shifts, dtype=np.float64)
     u = (total - L1) % rng + L1
@@ -230,60 +250,24 @@ def cs_gen(seed: bytes, k: int, L1: int, L2: int) -> ShiftKey:
     return ShiftKey(entries=entries, value_range=rng)
 
 
-# np.matvec gives every row of a stack the bits that phi @ row gives it
-# alone; a matrix product over the stack would not.
+def cs_enc(key: ShiftKey, x: BoundedSignal, phi) -> CsCiphertext:
+    """Mask the signal with the shift key, then project with phi; under a
+    key stack, one ciphertext row per key.
 
-
-def _encode(shifts: np.ndarray, x: BoundedSignal, phi):
-    """cs_enc's mask and projection of x under one shift row, or each row
-    of a (K, N) stack: the measurements and the carry bits, row for row."""
-    k = shifts.shape[-1]
-    if k != x.n:
-        raise CodecError(f"key length {k} != signal length {x.n}")
+    phi is a SensingMatrix (see recovery module); its column count must
+    equal both the signal length and the key length.
+    """
+    if key.k != x.n:
+        raise CodecError(f"key length {key.k} != signal length {x.n}")
     if phi.n != x.n:
         raise CodecError(f"matrix columns {phi.n} != signal length {x.n}")
     # values changed in place after construction must still be in the window
     if not np.all((x.values > x.L1) & (x.values < x.L2)):
         raise CodecError("input values must lie strictly inside (L1, L2)")
-    masked, carries = _shift_core(x.values, shifts, x.L1, x.L2)
-    return np.matvec(phi.entries, masked), carries
-
-
-def _quantized(measurements: np.ndarray, qs: int) -> np.ndarray:
-    """Each measurement snapped to the nearest multiple of qs, ties away
-    from zero so results are bit-reproducible."""
-    if not isinstance(qs, int) or qs <= 0:
-        raise CodecError("quantization step must be a positive integer")
-    mult = np.sign(measurements) * np.floor(np.abs(measurements) / qs + 0.5)
-    return mult * qs
-
-
-def _deshifted(
-    measurements: np.ndarray, carries: np.ndarray, shifts: np.ndarray, phi, L1: int, L2: int
-) -> np.ndarray:
-    """cs_deshift of measurement and carry rows under their shift rows:
-    y' + phi @ (range * (carries .* sign) - key), row for row."""
-    k, n, m = shifts.shape[-1], carries.shape[-1], measurements.shape[-1]
-    if k != n:
-        raise CodecError(f"key length {k} != sample count {n}")
-    if phi.n != n or phi.m != m:
-        raise CodecError(
-            f"matrix shape ({phi.m}, {phi.n}) does not match ciphertext ({m}, {n})"
-        )
-    if L1 >= L2:
-        raise CodecError(f"need L1 < L2, got ({L1}, {L2})")
-    correction = (L2 - L1) * (carries * np.sign(shifts)) - shifts
-    return measurements + np.matvec(phi.entries, correction)
-
-
-def cs_enc(key: ShiftKey, x: BoundedSignal, phi) -> CsCiphertext:
-    """Mask the signal with the shift key, then project with phi.
-
-    phi is a SensingMatrix (see recovery module); its column count must
-    equal both the signal length and the key length.
-    """
-    measurements, carries = _encode(key.entries, x, phi)
-    return CsCiphertext(measurements=measurements, carries=CarryVector(bits=carries))
+    masked, carries = wrap_add(x.values, key.entries, x.L1, x.L2)
+    return CsCiphertext(
+        measurements=np.matvec(phi.entries, masked), carries=CarryVector(bits=carries)
+    )
 
 
 def quantize(c: CsCiphertext, qs: int) -> CsCiphertext:
@@ -293,18 +277,33 @@ def quantize(c: CsCiphertext, qs: int) -> CsCiphertext:
     """
     if c.quantized:
         raise CodecError("ciphertext is already quantized")
-    return CsCiphertext(
-        measurements=_quantized(c.measurements, qs), carries=c.carries, quant_step=qs
-    )
+    if not isinstance(qs, int) or qs <= 0:
+        raise CodecError("quantization step must be a positive integer")
+    y = c.measurements
+    mult = np.sign(y) * np.floor(np.abs(y) / qs + 0.5)
+    return CsCiphertext(measurements=mult * qs, carries=c.carries, quant_step=qs)
 
 
 def cs_deshift(key: ShiftKey, c: CsCiphertext, phi, L1: int, L2: int) -> np.ndarray:
-    """Remove the projected shift: y' + phi @ (range * (carries .* sign) - key).
+    """Remove the projected shift: y' + phi @ (range * (carries .* sign) - key),
+    row for row; one ciphertext is de-shifted under every key of a stack.
 
     For an unquantized ciphertext this reproduces phi @ x exactly up to
     float round-off.
     """
-    return _deshifted(c.measurements, c.carries.bits, key.entries, phi, L1, L2)
+    if key.k != c.n:
+        raise CodecError(f"key length {key.k} != sample count {c.n}")
+    if phi.n != c.n or phi.m != c.m:
+        raise CodecError(
+            f"matrix shape ({phi.m}, {phi.n}) does not match ciphertext ({c.m}, {c.n})"
+        )
+    if key.entries.ndim == c.measurements.ndim == 2 and len(key.entries) != len(c.measurements):
+        raise CodecError(f"{len(key.entries)} keys for {len(c.measurements)} ciphertext rows")
+    if L1 >= L2:
+        raise CodecError(f"need L1 < L2, got ({L1}, {L2})")
+    shifts = key.entries
+    correction = (L2 - L1) * (c.carries.bits * np.sign(shifts)) - shifts
+    return c.measurements + np.matvec(phi.entries, correction)
 
 
 # --- wire form ---------------------------------------------------------
@@ -334,16 +333,9 @@ def _width_magnitude(mult: np.ndarray):
     return np.maximum(mult, ~mult).max(axis=-1)
 
 
-def _widest_row(measurements: np.ndarray, qs: int) -> int:
-    """The row of a stack of measurements, quantized to qs (0: raw), whose
-    frame is longest: a frame's length is fixed by N, M and its bit width,
-    and raw frames are all alike."""
-    if not qs:
-        return 0
-    return int(np.argmax(_width_magnitude(_step_multiples(measurements, qs))))
-
-
 def serialize_ciphertext(c: CsCiphertext) -> bytes:
+    if c.measurements.ndim != 1:
+        raise CodecError("a wire frame holds one ciphertext, not a stack")
     out = [_HEADER.pack(c.n, c.m, c.quant_step or 0)]
     if c.quantized:
         mult = _step_multiples(c.measurements, c.quant_step)
@@ -407,6 +399,8 @@ _KEY_HEADER = struct.Struct(">II")
 
 
 def serialize_shift_key(key: ShiftKey) -> bytes:
+    if key.entries.ndim != 1:
+        raise CodecError("a wire form holds one shift key, not a stack")
     return _KEY_HEADER.pack(key.k, key.value_range) + np.asarray(
         key.entries, dtype=">i4"
     ).tobytes()

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .codec import BoundedSignal, shift_bound
-from .recovery import _seed_int, build_basis, cached_operator
+from .recovery import build_basis, cached_operator, seed_int
 
 __all__ = [
     "EcgRecord",
@@ -142,7 +142,7 @@ def synth_ecg_like(seed: bytes, n: int = TARGET_SAMPLES, s: int = 12) -> EcgReco
 @functools.lru_cache(maxsize=_SYNTH_MEMO_SIZE)
 def _synth(seed: bytes, n: int, s: int) -> EcgRecord:
     basis = cached_operator(build_basis, n)
-    rng = np.random.default_rng(_seed_int(seed, b"ecg"))
+    rng = np.random.default_rng(seed_int(seed, b"ecg"))
     pool = np.arange(1, min(n, max(3, n // 3)))
     s = min(s, pool.size)
     atoms = rng.choice(pool, size=s, replace=False)

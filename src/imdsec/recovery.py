@@ -16,19 +16,17 @@ for one vector both make the same picks and return the same result, bit
 for bit.  omp_reconstruct_batch solves a stack of rows that share
 (Phi, Psi) and scores all running rows with one product R Theta per
 pick, so the rows share each pass over Theta; the sweeps and the
-guessing attacks use it.  omp_reconstruct solves one vector, as the programmer and the keyed
-man-in-the-middle recovery do, from rows of the Gram matrix
-G = Theta^T Theta: it computes Theta^T y once and updates the
+guessing attacks use it.  omp_reconstruct solves one vector, as the
+programmer and the keyed man-in-the-middle recovery do, from rows of
+the Gram matrix G = Theta^T Theta: it computes Theta^T y once and updates the
 correlations after each pick with a k x N product, and each row of G is
 computed on its column's first pick and kept with Theta, so the calls
 that share one Phi share G too.  Once G holds the column, a pick costs a
-k x N product instead of an M x N pass over Theta.  On a shared 2-vCPU
-Xeon, the doctor's solve in the session benchmark (N = 512, M = 256,
-about 21 picks, 97 % of them on a cached row over 1000 sessions) went
-from 1.4-1.9 ms to 0.8-1.1 ms in traced runs.  Gram scoring in the batch loop made a 20-row sweep
-cell at CR 90 slower (3.3-3.9 ms against 5.2-7.5 ms) and gained nothing
-at CR 50, because its Theta^T q store grows with the rows while Theta
-is shared by them.
+k x N product instead of an M x N pass over Theta.  The batch loop
+scans Theta instead: Gram scoring there made a 20-row sweep cell at
+CR 90 slower (3.3-3.9 ms against 5.2-7.5 ms on a shared 2-vCPU Xeon)
+and gained nothing at CR 50, because its Theta^T q store grows with the
+rows while Theta is shared by them.
 
 Each row's active set is kept as an incremental QR factorisation, so no
 iteration re-solves least squares.  Only numpy is used: importing
@@ -61,6 +59,7 @@ __all__ = [
     "batch_prds",
     "classify_prd",
     "cr_to_measurements",
+    "seed_int",
 ]
 
 
@@ -157,7 +156,8 @@ def quantization_params(cipher) -> Optional[RecoveryParams]:
     return RecoveryParams(residual_tol=cipher.quant_step * math.sqrt(cipher.m / 12))
 
 
-def _seed_int(seed: bytes, label: bytes) -> int:
+def seed_int(seed: bytes, label: bytes) -> int:
+    """A numpy generator seed for one use (label) of a byte seed."""
     return int.from_bytes(hashlib.sha256(label + b"/" + bytes(seed)).digest(), "big")
 
 
@@ -165,7 +165,7 @@ def gen_sensing_matrix(seed: bytes, m: int, n: int) -> SensingMatrix:
     """Draw an M x N i.i.d. Gaussian matrix with variance 1/N, deterministically."""
     if not 0 < m < n:
         raise RecoveryError(f"need 0 < M < N, got M={m} N={n}")
-    rng = np.random.default_rng(_seed_int(seed, b"sensing"))
+    rng = np.random.default_rng(seed_int(seed, b"sensing"))
     entries = rng.normal(0.0, 1.0 / np.sqrt(n), size=(m, n))
     return SensingMatrix(entries=entries, seed=bytes(seed))
 

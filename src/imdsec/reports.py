@@ -5,11 +5,10 @@ qs) cell it runs the full generate -> mask -> project -> quantize ->
 de-shift -> reconstruct pipeline and reports the median PRD over seeds.
 The solver capacity is held fixed across the compression grid so the CR
 axis isolates measurement loss (noise folding) instead of varying the
-reconstruction budget.  A cell runs the codec once over the stack of
-its shift keys, one cached key set per master seed, and solves them in
-one recovery.batch_prds call, the guessing attacks' scorer too; its
-payload_bytes is the frame length of its widest row, the one row it
-serializes.  Sweeps and attack reports refuse fewer than one seed.
+reconstruction budget.  A cell runs the codec over the stack of its
+shift keys, one cached set per master seed, and solves the stack in one
+recovery.batch_prds call; its payload_bytes is the wire length of its
+widest frame.  Sweeps and attack reports refuse fewer than one seed.
 
 Reports are CSV files with a '#'-prefixed metadata block recording every
 seed and parameter needed to regenerate them byte-for-byte.
@@ -119,19 +118,21 @@ class SweepReport:
         return float(np.median(values))
 
 
-def _key_set(master_seed: int, first: int, count: int, n: int, L1: int, L2: int) -> np.ndarray:
-    """The entries of shift keys first .. first + count - 1 of the master
-    seed, one row per key, made read-only because
+def _key_set(
+    master_seed: int, first: int, count: int, n: int, L1: int, L2: int
+) -> codec.ShiftKey:
+    """Shift keys first .. first + count - 1 of the master seed as one
+    stack, one row per key, made read-only because
     recovery.cached_operator shares them."""
-    keys = np.stack([
+    entries = np.stack([
         codec.cs_gen(f"sweep-key/{master_seed}/{i}".encode(), n, L1, L2).entries
         for i in range(first, first + count)
     ])
-    keys.flags.writeable = False
-    return keys
+    entries.flags.writeable = False
+    return codec.ShiftKey(entries=entries, value_range=L2 - L1)
 
 
-def _keys(signal: codec.BoundedSignal, master_seed: int, first: int, count: int) -> np.ndarray:
+def _keys(signal: codec.BoundedSignal, master_seed: int, first: int, count: int) -> codec.ShiftKey:
     return recovery.cached_operator(
         _key_set, master_seed, first, count, signal.n, signal.L1, signal.L2
     )
@@ -144,28 +145,14 @@ def _check_counts(records, seeds: int) -> None:
         raise ValueError(f"seeds must be at least 1, got {seeds}")
 
 
-def _trials(signal, shifts, phi, psi, params, qs):
-    """The mask -> project -> quantize -> de-shift pipeline of one signal
-    under a (K, N) stack of shift keys, one codec pass for the whole stack,
-    and one batched OMP solve over it; returns the measurements as sent
-    and their carry bits, one row per key, and the recovery PRDs in key
-    order."""
-    measurements, carries = codec._encode(shifts, signal, phi)
+def _trials(signal, keys, phi, psi, params, qs):
+    """One signal under a stack of shift keys (qs 0: unquantized): the
+    ciphertext stack as sent, and the recovery PRDs in key order."""
+    cipher = codec.cs_enc(keys, signal, phi)
     if qs:
-        measurements = codec._quantized(measurements, qs)
-        codec._check_step_multiples(measurements, qs)
-    deshifted = codec._deshifted(measurements, carries, shifts, phi, signal.L1, signal.L2)
-    return measurements, carries, recovery.batch_prds(
-        deshifted, phi, psi, signal.values, params
-    )
-
-
-def _cipher(measurements, carries, qs) -> codec.CsCiphertext:
-    """One row of a _trials stack as the ciphertext the implant sends."""
-    return codec.CsCiphertext(
-        measurements=measurements, carries=codec.CarryVector(bits=carries),
-        quant_step=qs or None,
-    )
+        cipher = codec.quantize(cipher, qs)
+    deshifted = codec.cs_deshift(keys, cipher, phi, signal.L1, signal.L2)
+    return cipher, recovery.batch_prds(deshifted, phi, psi, signal.values, params)
 
 
 def _report(kind, header, rows, records, cr_grid, seeds, master_seed, **own) -> SweepReport:
@@ -211,12 +198,9 @@ def sweep_prd(
         params = sweep_solver_params(m)
         for qs in qs_grid:
             for record, signal, shifts in zip(records, signals, keys):
-                measurements, carries, prds = _trials(signal, shifts, phi, psi, params, qs)
-                row = codec._widest_row(measurements, qs)
+                cipher, prds = _trials(signal, shifts, phi, psi, params, qs)
                 try:
-                    payload = len(codec.serialize_ciphertext(
-                        _cipher(measurements[row], carries[row], qs)
-                    ))
+                    payload = len(codec.serialize_ciphertext(cipher.widest()))
                 except codec.CodecError as exc:
                     raise codec.CodecError(f"record {record.source_id}, qs {qs}: {exc}") from exc
                 median = float(np.median(prds))
@@ -266,8 +250,8 @@ def attack_report(
         legit_prds = []
         curves = []
         for ri, (signal, shifts) in enumerate(zip(signals, keys)):
-            measurements, carries, prds = _trials(signal, shifts, phi, psi, params, qs)
-            ciphers = [_cipher(*row, qs) for row in zip(measurements, carries)]
+            cipher, prds = _trials(signal, shifts, phi, psi, params, qs)
+            ciphers = [cipher.row(i) for i in range(seeds)]
             legit_prds += prds
             curves += [
                 uniform_guess_attack(cipher, phi, psi, signal.values, grid=grid, params=params)

@@ -6,7 +6,7 @@ import numpy as np
 
 from imdsec.channel import TranscriptEntry
 from imdsec.codec import BoundedSignal
-from imdsec.recovery import RecoveryError, _seed_int, build_basis, cached_operator
+from imdsec.recovery import RecoveryError, build_basis, cached_operator, seed_int
 from imdsec.scenarios import SCENARIOS, build_world, drive
 from imdsec.wire import FRESHNESS_WINDOW
 
@@ -41,7 +41,7 @@ def synth_sparse_signal(
     if s < 1:
         raise RecoveryError("need at least one planted atom")
     basis = cached_operator(build_basis, n)
-    rng = np.random.default_rng(_seed_int(seed, b"synth"))
+    rng = np.random.default_rng(seed_int(seed, b"synth"))
     atoms = rng.choice(np.arange(1, n), size=s, replace=False)
     weights = rng.normal(0.0, 1.0, size=s) + np.sign(rng.normal(size=s)) * 0.5
     raw = basis.columns[:, atoms] @ weights

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import imdsec
-from imdsec import codec, ecg, recovery
+from imdsec import attacks, codec, ecg, recovery
 from imdsec.attacks import (
     default_shift_grid,
     forge_read_auth_attempts,
@@ -106,6 +106,30 @@ class TestRandomGuess:
         assert prds[0] == pytest.approx(recovery.prd(truth, x_hat))
         assert prds[0] < 9.0
         assert min(prds[1:]) >= 9.0
+
+    def test_one_stacked_deshift_gives_the_per_key_prds(self, bench, monkeypatch):
+        _, psi, phi, key, cipher, truth = bench
+        params = sweep_solver_params(phi.m)
+        keys = [key] + [
+            codec.cs_gen(b"rg" + trial.to_bytes(4, "big"), phi.n, L1, L2)
+            for trial in range(1, 8)
+        ]
+        per_key = [codec.cs_deshift(k, cipher, phi, L1, L2) for k in keys]
+        deshifted = []
+        deshift = attacks.cs_deshift
+
+        def spying_deshift(*args):
+            deshifted.append(deshift(*args))
+            return deshifted[-1]
+
+        monkeypatch.setattr(attacks, "cs_deshift", spying_deshift)
+        prds = random_guess_attack(
+            cipher, phi, psi, truth, L1, L2,
+            trials=len(keys), seed=b"rg", params=params, planted_key=key,
+        )
+        assert len(deshifted) == 1
+        np.testing.assert_array_equal(deshifted[0], np.stack(per_key))
+        assert prds == recovery.batch_prds(per_key, phi, psi, truth, params)
 
     def test_deterministic_per_seed(self, bench):
         _, psi, phi, _, cipher, truth = bench

@@ -14,7 +14,7 @@ from imdsec.codec import (
     CodecError,
     CsCiphertext,
     ShiftKey,
-    _shift_core,
+    wrap_add,
     cs_deshift,
     cs_enc,
     cs_gen,
@@ -31,7 +31,7 @@ ECG_L1, ECG_L2 = 590, 1487
 
 
 def shifting_add(v: float, w: float, L1: int, L2: int) -> tuple[float, int]:
-    """The paper's scalar shifting addition, the oracle for _shift_core:
+    """The paper's scalar shifting addition, the oracle for wrap_add:
     v + w wrapped into [L1, L2), and carry 1 exactly when v + w fell outside."""
     if not (L1 < v < L2):
         raise CodecError(f"value {v} outside open interval ({L1}, {L2})")
@@ -171,11 +171,11 @@ def _carries(values, shift):
 
 
 class TestVecShiftingAdd:
-    """The vectorised shifting addition: _shift_core, and the carry bits
+    """The vectorised shifting addition: wrap_add, and the carry bits
     cs_enc sends, against the paper's scalar shifting_add."""
 
     def test_matches_scalar_composition(self):
-        u, carries = _shift_core(
+        u, carries = wrap_add(
             np.array([1000.0, 600.0]), np.array([600.0, -449.0]), ECG_L1, ECG_L2
         )
         np.testing.assert_allclose(u, [703.0, 1048.0])
@@ -188,19 +188,19 @@ class TestVecShiftingAdd:
 
     def test_zero_vector_shift(self):
         v = np.array([700.0, 900.0, 1400.0])
-        u, carries = _shift_core(v, np.zeros(3), ECG_L1, ECG_L2)
+        u, carries = wrap_add(v, np.zeros(3), ECG_L1, ECG_L2)
         np.testing.assert_allclose(u, v)
         assert not carries.any()
         assert not _carries(v, 0).any()
 
     def test_single_entry_reduces_to_scalar(self):
-        u, carries = _shift_core(np.array([1000.0]), np.array([600.0]), ECG_L1, ECG_L2)
+        u, carries = wrap_add(np.array([1000.0]), np.array([600.0]), ECG_L1, ECG_L2)
         assert (u[0], carries[0]) == shifting_add(1000, 600, ECG_L1, ECG_L2)
 
     def test_scalar_coherence_on_grid(self):
         values = np.linspace(ECG_L1 + 1, ECG_L2 - 1, 25)
         for w in np.linspace(-900, 900, 31):
-            u, carries = _shift_core(values, np.full_like(values, w), ECG_L1, ECG_L2)
+            u, carries = wrap_add(values, np.full_like(values, w), ECG_L1, ECG_L2)
             for i, v in enumerate(values):
                 su, sl = shifting_add(float(v), float(w), ECG_L1, ECG_L2)
                 assert u[i] == pytest.approx(su, abs=1e-9)
@@ -223,7 +223,7 @@ class TestVecShiftingAdd:
         key = ShiftKey(entries=np.ones(4, dtype=np.int64), value_range=x.value_range)
         with pytest.raises(CodecError, match="strictly inside"):
             cs_enc(key, x, gen_sensing_matrix(b"window", 1, 4))
-        u, carries = _shift_core(
+        u, carries = wrap_add(
             np.zeros(4), np.array([100.0, -100.0, 0.0, 896.0]), ECG_L1, ECG_L2
         )
         assert np.all((u >= ECG_L1) & (u < ECG_L2))
@@ -549,6 +549,91 @@ class TestSerialization:
         with pytest.raises(CodecError):
             deserialize_shift_key(blob[:-2])
 
+    def test_ciphertext_stack_refused(self):
+        # packbits and tobytes would flatten the stack into one wrong frame
+        for qs in (None, 10):
+            c = CsCiphertext(
+                measurements=np.zeros((2, 3)),
+                carries=CarryVector(bits=np.zeros((2, 5), dtype=np.uint8)),
+                quant_step=qs,
+            )
+            with pytest.raises(CodecError, match="not a stack"):
+                serialize_ciphertext(c)
+
+    def test_shift_key_stack_refused(self):
+        stack = ShiftKey(entries=np.zeros((2, 4), dtype=np.int64), value_range=897)
+        with pytest.raises(CodecError, match="not a stack"):
+            serialize_shift_key(stack)
+
+
+class TestStacks:
+    """A (K, N) stack of shift keys gives, row for row, what each key
+    gives alone, without copying the stack."""
+
+    @pytest.fixture(scope="class")
+    def stacked(self):
+        x = _random_signal(np.random.default_rng(21), 64)
+        phi = gen_sensing_matrix(b"stack", 24, 64)
+        keys = [cs_gen(b"stack/%d" % i, 64, ECG_L1, ECG_L2) for i in range(5)]
+        entries = np.stack([key.entries for key in keys])
+        return x, phi, keys, ShiftKey(entries=entries, value_range=x.value_range)
+
+    @pytest.mark.parametrize("qs", [0, 20])
+    def test_rows_equal_the_per_frame_ciphertexts(self, stacked, qs):
+        x, phi, keys, stack = stacked
+        c = cs_enc(stack, x, phi)
+        if qs:
+            c = quantize(c, qs)
+        assert (stack.k, c.m, c.n, len(c.carries)) == (64, 24, 64, 64)
+        frames = []
+        for i, key in enumerate(keys):
+            alone = cs_enc(key, x, phi)
+            if qs:
+                alone = quantize(alone, qs)
+            row = c.row(i)
+            np.testing.assert_array_equal(row.measurements, alone.measurements)
+            np.testing.assert_array_equal(row.carries.bits, alone.carries.bits)
+            assert row.quant_step == alone.quant_step
+            frames.append(serialize_ciphertext(alone))
+            assert serialize_ciphertext(row) == frames[-1]
+        assert len(serialize_ciphertext(c.widest())) == max(map(len, frames))
+
+    def test_one_ciphertext_deshifts_under_every_key(self, stacked):
+        x, phi, keys, stack = stacked
+        c = quantize(cs_enc(keys[0], x, phi), 20)
+        got = cs_deshift(stack, c, phi, ECG_L1, ECG_L2)
+        assert got.shape == (len(keys), phi.m)
+        for row, key in zip(got, keys):
+            np.testing.assert_array_equal(row, cs_deshift(key, c, phi, ECG_L1, ECG_L2))
+
+    def test_stacks_are_not_copied(self, stacked):
+        x, phi, _, stack = stacked
+        entries = stack.entries.copy()
+        entries.flags.writeable = False
+        assert ShiftKey(entries=entries, value_range=x.value_range).entries is entries
+        c = cs_enc(stack, x, phi)
+        assert CsCiphertext(measurements=c.measurements, carries=c.carries).measurements is (
+            c.measurements
+        )
+        q = quantize(c, 20)
+        assert q.carries is c.carries
+        row = q.row(2)
+        assert row.measurements.base is q.measurements
+        assert row.carries.bits.base is c.carries.bits
+
+    def test_mismatched_stacks_refused(self, stacked):
+        x, phi, _, stack = stacked
+        c = cs_enc(stack, x, phi)
+        with pytest.raises(CodecError, match="differ in rows"):
+            CsCiphertext(measurements=c.measurements[:3], carries=c.carries)
+        three = ShiftKey(entries=stack.entries[:3], value_range=stack.value_range)
+        with pytest.raises(CodecError, match="3 keys for 5 ciphertext rows"):
+            cs_deshift(three, c, phi, ECG_L1, ECG_L2)
+        off_step = c.measurements.copy()
+        off_step[4, 0] = 21.0
+        with pytest.raises(CodecError, match="step multiples"):
+            CsCiphertext(measurements=off_step, carries=c.carries, quant_step=20)
+
 
 class TestPackingOracle:
     """The numpy packer against the per-bit loop it replaced."""
@@ -646,8 +731,8 @@ class TestStatisticalMasking:
         samples = 100_000
         x_entries = rng.integers(ECG_L1 + 1, ECG_L2, size=samples).astype(float)
         key = cs_gen(b"ks-invariant", samples, ECG_L1, ECG_L2)
-        shifted_x, _ = _shift_core(x_entries, key.entries, ECG_L1, ECG_L2)
-        shifted_zero, _ = _shift_core(
+        shifted_x, _ = wrap_add(x_entries, key.entries, ECG_L1, ECG_L2)
+        shifted_zero, _ = wrap_add(
             np.zeros(samples), key.entries, ECG_L1, ECG_L2
         )
         result = stats.ks_2samp(shifted_x, shifted_zero)

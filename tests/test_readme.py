@@ -1,7 +1,8 @@
 """README names only what exists: every backticked dotted name resolves
 in the package, every module of the layout table and every test a claim
-cites exists, and every `imdsec <verb>` and `--flag` it shows is one the
-command line accepts."""
+cites exists, every `imdsec <verb>` and `--flag` it shows is one the
+command line accepts, and its authentication table is the one derived
+from parties.STEPS."""
 
 import argparse
 import ast
@@ -10,6 +11,7 @@ import re
 from pathlib import Path
 
 import pytest
+import test_protocols
 
 from imdsec import cli
 
@@ -111,3 +113,14 @@ def test_every_bare_flag_belongs_to_some_verb():
     bare = {s for s in SPANS if re.fullmatch(r"--[a-z-]+", s)}
     known = {flag for parser in SUBPARSERS.values() for flag in parser._option_string_actions}
     assert bare and bare <= known, bare - known
+
+
+def test_authentication_table_is_the_one_derived_from_the_steps():
+    section = README.split("## Protocol authentication", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip("| ").split(" | ") for line in section.splitlines()[1:] if line[:2] == "| "]
+    assert rows[:2] == [["sender", "frame", "MAC key", "completes a flow"], ["---"] * 4]
+    derived = test_protocols.TestAuthenticationCoverage._derived()
+    assert rows[2:] == [
+        [sender, heading.name, key or "none", "yes" if completes else "no"]
+        for sender, heading, key, completes in derived
+    ]

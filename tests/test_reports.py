@@ -119,7 +119,7 @@ class TestStackedPass:
             )
         keys = [
             codec.ShiftKey(entries=row, value_range=signal.value_range)
-            for row in reports._keys(signal, 0, 0, self.SEEDS)
+            for row in reports._keys(signal, 0, 0, self.SEEDS).entries
         ]
         rows = []
         for row, deshifted in zip(report.rows, solved):
@@ -188,7 +188,7 @@ class TestOperatorCache:
 
     def test_cached_keys_equal_fresh_draws(self, short_records):
         signal = ecg.to_bounded_signal(short_records[0])
-        cached = reports._keys(signal, 7102, 5, 3)
+        cached = reports._keys(signal, 7102, 5, 3).entries
         assert cached.shape == (3, signal.n)
         for index, row in zip(range(5, 8), cached):
             fresh = codec.cs_gen(
@@ -203,7 +203,7 @@ class TestOperatorCache:
         assert reports._keys(signal, 7103, 0, 2) is first
         second = reports._keys(signal, 7104, 0, 2)
         assert len(drawn) == 4
-        assert not np.array_equal(first[0], second[0])
+        assert not np.array_equal(first.entries[0], second.entries[0])
 
     def test_phi_and_psi_stay_resident_across_a_key_set_change(self, short_records):
         config = SystemConfig(n=64, cr=50)
@@ -214,7 +214,7 @@ class TestOperatorCache:
 
     def test_shared_keys_are_read_only(self, short_records):
         keys = reports._keys(ecg.to_bounded_signal(short_records[0]), 7107, 0, 2)
-        for row in keys:
+        for row in keys.entries:
             with pytest.raises(ValueError, match="read-only"):
                 row[0] = 0
 
