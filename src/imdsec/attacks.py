@@ -240,6 +240,7 @@ class MitmResult:
     attacker_derived_key: bool
     honest_programmer_completed: bool
     honest_baseline_prd: float
+    transcript: Transcript  # the attacked world's
 
 
 def mitm_read_attack(
@@ -284,6 +285,7 @@ def mitm_read_attack(
         attacker_derived_key=derived is not None,
         honest_programmer_completed=world.programmer.read_complete,
         honest_baseline_prd=baseline_prd,
+        transcript=world.scheduler.transcript,
     )
 
 

@@ -124,9 +124,7 @@ class Scheduler:
             replacement = self.attacker.intercept(entry)
             if replacement is not None:
                 payloads = replacement
-        receiver = self.parties.get(entry.receiver)
-        if receiver is None:
-            return True
+        receiver = self.parties[entry.receiver]
         for payload in payloads:
             receiver.clock = self.clock
             self.submit(receiver.receive(payload, entry.link))

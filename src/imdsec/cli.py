@@ -199,6 +199,11 @@ def _cmd_session(args) -> int:
                         f"{args.config}: {key} takes {expected}, got {cfg[key]!r}"
                     ) from None
 
+    if args.attacker == "mitm" and args.scenario in ("pair", "auth"):
+        raise SystemExit(f"the mitm attacker attacks the read flow, which scenario "
+                         f"{args.scenario} does not reach")
+    if args.degraded_oob and args.attacker != "mitm":
+        raise SystemExit("degraded_oob applies to the mitm attacker only")
     try:
         config = SystemConfig(n=args.n, cr=args.cr, qs=args.qs)
     except ValueError as exc:
@@ -208,6 +213,9 @@ def _cmd_session(args) -> int:
         result = mitm_read_attack(
             seed=args.seed, config=config, degraded_oob=args.degraded_oob
         )
+        if args.out:
+            Path(args.out).write_text(result.transcript.dump())
+            print(f"wrote {args.out}")
         print(
             f"mitm: attacker PRD={result.attacker_prd:.2f} "
             f"derived_key={result.attacker_derived_key} "

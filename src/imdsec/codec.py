@@ -255,10 +255,13 @@ def cs_enc(key: ShiftKey, x: BoundedSignal, phi) -> CsCiphertext:
     key stack, one ciphertext row per key.
 
     phi is a SensingMatrix (see recovery module); its column count must
-    equal both the signal length and the key length.
+    equal both the signal length and the key length, and the key must be
+    drawn for the signal's window width.
     """
     if key.k != x.n:
         raise CodecError(f"key length {key.k} != signal length {x.n}")
+    if key.value_range != x.value_range:
+        raise CodecError(f"key window width {key.value_range} != signal's {x.value_range}")
     if phi.n != x.n:
         raise CodecError(f"matrix columns {phi.n} != signal length {x.n}")
     # values changed in place after construction must still be in the window
@@ -288,8 +291,9 @@ def cs_deshift(key: ShiftKey, c: CsCiphertext, phi, L1: int, L2: int) -> np.ndar
     """Remove the projected shift: y' + phi @ (range * (carries .* sign) - key),
     row for row; one ciphertext is de-shifted under every key of a stack.
 
-    For an unquantized ciphertext this reproduces phi @ x exactly up to
-    float round-off.
+    The key must be drawn for the window's width L2 - L1.  For an
+    unquantized ciphertext this reproduces phi @ x exactly up to float
+    round-off.
     """
     if key.k != c.n:
         raise CodecError(f"key length {key.k} != sample count {c.n}")
@@ -299,8 +303,8 @@ def cs_deshift(key: ShiftKey, c: CsCiphertext, phi, L1: int, L2: int) -> np.ndar
         )
     if key.entries.ndim == c.measurements.ndim == 2 and len(key.entries) != len(c.measurements):
         raise CodecError(f"{len(key.entries)} keys for {len(c.measurements)} ciphertext rows")
-    if L1 >= L2:
-        raise CodecError(f"need L1 < L2, got ({L1}, {L2})")
+    if key.value_range != L2 - L1:  # also refuses L1 >= L2
+        raise CodecError(f"key window width {key.value_range} != L2 - L1 = {L2 - L1}")
     shifts = key.entries
     correction = (L2 - L1) * (c.carries.bits * np.sign(shifts)) - shifts
     return c.measurements + np.matvec(phi.entries, correction)

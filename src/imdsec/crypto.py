@@ -24,24 +24,20 @@ A CryptoSuite instance carries its own operation counters and an
 optional deterministic RNG, so each simulated party can account for its
 own crypto workload and whole runs replay bit-for-bit from seeds.
 
-The process memoizes the last _MEMO_SIZE results of each public-key
-operation by its exact input: sealing by the recipient's raw public
-key, the ephemeral scalar and the message; unsealing by the raw private
-key and the blob; signing by the raw private key and the message; and
-verification by the raw public key, the message and the signature
-bytes.  Public key objects are unhashable and private ones hash by
-identity, so two built from the same bytes differ; keying on raw key
-bytes is what lets a key rebuilt from its bytes, as every certificate
-load rebuilds one, hit the memo (a private key travels in a _Key, so a
-miss signs or unseals with the caller's object instead of rebuilding
-it).  Messages, blobs and signatures are keyed as bytes, so any
-bytes-like input is accepted.  Each result, a rejecting verify's False
-included, is a pure function of its input; an exception (a failed
-unseal) is never stored, and every call is still counted, so
-transcripts and op counts are those of an uncached run, and each
-distinct input (an attacker's forged challenge) still costs a full
-unseal.  The memos hold up to _MEMO_SIZE plaintexts and _MEMO_SIZE
-signatures in process memory, all made with the simulator's demo keys.
+One form per key: a public key is the raw bytes a certificate carries,
+and a private key is the library object its owner holds, which hashes
+by identity (keymat builds each demo key once per process).  The process
+memoizes the last _MEMO_SIZE results of each public-key operation by its
+exact input, keys in those forms: sealing by (public key, ephemeral
+scalar, message), unsealing by (private key, blob), signing by (private
+key, message) and verification by (public key, message, signature).
+Messages, blobs and signatures are keyed as bytes, so any bytes-like
+input is accepted.  Each result, a rejecting verify's False included, is
+a pure function of its input; an exception (a failed unseal) is never
+stored, and every call is still counted, so transcripts and op counts
+are those of an uncached run, and each distinct input (an attacker's
+forged challenge) still costs a full unseal.  The memos hold up to
+_MEMO_SIZE plaintexts and signatures, all made with the demo keys.
 Symmetric keys are never memoized: a derivation costs two HMAC calls.
 """
 
@@ -53,7 +49,7 @@ import hmac as hmac_mod
 import random
 import secrets
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -165,12 +161,6 @@ class Certificate:
         parts = split_length_prefixed(buf, 5)
         return cls(*parts[:3], signature=SignatureBlob.from_parts(*parts[3:]))
 
-    def signing_public_key(self) -> Ed25519PublicKey:
-        return Ed25519PublicKey.from_public_bytes(self.signing_key)
-
-    def sealing_public_key(self) -> X25519PublicKey:
-        return X25519PublicKey.from_public_bytes(self.sealing_key)
-
 
 def split_length_prefixed(buf: bytes, count: Optional[int] = None) -> list[bytes]:
     """Inverse of length_prefixed: exactly `count` parts, or with no
@@ -201,21 +191,9 @@ class Credentials:
     certificate: Certificate
 
     @property
-    def public_key(self) -> Ed25519PublicKey:
-        """The key that verifies the doctor's signatures."""
-        return self.signing_key.public_key()
-
-
-@dataclass(frozen=True)
-class _Key:
-    """A private key object that hashes and compares by its raw bytes."""
-
-    raw: bytes
-    obj: object = field(compare=False)
-
-
-def _private(key) -> _Key:
-    return _Key(key.private_bytes_raw(), key)
+    def public_key(self) -> bytes:
+        """The raw key that verifies the doctor's signatures."""
+        return self.signing_key.public_key().public_bytes_raw()
 
 
 def _seal_key(shared: bytes, sender: bytes, recipient: bytes) -> bytes:
@@ -234,20 +212,20 @@ def _x25519_seal(recipient: bytes, ephemeral: bytes, message: bytes) -> bytes:
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _x25519_unseal(private_key: _Key, blob: bytes) -> bytes:
+def _x25519_unseal(private_key: X25519PrivateKey, blob: bytes) -> bytes:
     sender, sealed = blob[:X25519_BYTES], blob[X25519_BYTES:]
-    recipient = private_key.obj.public_key().public_bytes_raw()
+    recipient = private_key.public_key().public_bytes_raw()
     try:
         # a short or low-order ephemeral key raises ValueError
-        shared = private_key.obj.exchange(X25519PublicKey.from_public_bytes(sender))
+        shared = private_key.exchange(X25519PublicKey.from_public_bytes(sender))
         return AESGCM(_seal_key(shared, sender, recipient)).decrypt(_SEAL_NONCE, sealed, None)
     except (ValueError, InvalidTag) as exc:
         raise DecryptionError("public-key decryption failed") from exc
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _ed25519_sign(private_key: _Key, message: bytes) -> bytes:
-    return private_key.obj.sign(message)
+def _ed25519_sign(private_key: Ed25519PrivateKey, message: bytes) -> bytes:
+    return private_key.sign(message)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -321,28 +299,29 @@ class CryptoSuite:
 
     # -- public-key sealing --------------------------------------------------
 
-    def pk_enc(self, public_key: X25519PublicKey, message: bytes, ephemeral: bytes) -> bytes:
-        """Seal message to public_key with the ephemeral X25519 scalar."""
+    def pk_enc(self, public_key: bytes, message: bytes, ephemeral: bytes) -> bytes:
+        """Seal message to the raw X25519 public_key with the ephemeral scalar."""
         self.counters["pk_enc"] += 1
-        return _x25519_seal(public_key.public_bytes_raw(), bytes(ephemeral), bytes(message))
+        return _x25519_seal(bytes(public_key), bytes(ephemeral), bytes(message))
 
     def pk_dec(self, private_key: X25519PrivateKey, blob: bytes) -> bytes:
         self.counters["pk_dec"] += 1
-        return _x25519_unseal(_private(private_key), bytes(blob))
+        return _x25519_unseal(private_key, bytes(blob))
 
     # -- signatures ---------------------------------------------------------
 
     def sign(self, private_key: Ed25519PrivateKey, message: bytes) -> SignatureBlob:
         self.counters["sign"] += 1
-        signature = _ed25519_sign(_private(private_key), bytes(message))
+        signature = _ed25519_sign(private_key, bytes(message))
         return SignatureBlob(SIGNATURE_ALGORITHM, signature)
 
-    def verify(self, public_key: Ed25519PublicKey, message: bytes, sig: SignatureBlob) -> bool:
+    def verify(self, public_key: bytes, message: bytes, sig: SignatureBlob) -> bool:
+        """Check sig over message under the raw Ed25519 public_key."""
         self.counters["verify"] += 1
         if not isinstance(sig, SignatureBlob) or sig.algorithm != SIGNATURE_ALGORITHM:
             return False
         try:
-            return _ed25519_verify(public_key.public_bytes_raw(), bytes(message), bytes(sig.data))
+            return _ed25519_verify(bytes(public_key), bytes(message), bytes(sig.data))
         except Exception:
             return False
 
@@ -352,14 +331,13 @@ class CryptoSuite:
         self,
         authority_key: Ed25519PrivateKey,
         subject_id: bytes,
-        signing_key: Ed25519PublicKey,
-        sealing_key: X25519PublicKey,
+        signing_key: bytes,
+        sealing_key: bytes,
     ) -> Certificate:
-        signing, sealing = signing_key.public_bytes_raw(), sealing_key.public_bytes_raw()
-        cert = Certificate(subject_id, signing, sealing)
+        cert = Certificate(subject_id, signing_key, sealing_key)
         return replace(cert, signature=self.sign(authority_key, cert.signed_bytes()))
 
-    def verify_signed(self, public_key: Ed25519PublicKey, record) -> bool:
+    def verify_signed(self, public_key: bytes, record) -> bool:
         """Verify a certificate's or evidence record's signature over its
         signed_bytes().  Total like verify, and one verify like it: a
         record whose signed bytes cannot be built is rejected."""

@@ -62,9 +62,9 @@ class EvidenceRecord:
         return cls(*parts[:6], timestamp, signature)
 
 
-def evidence_verify(record: EvidenceRecord, public_key) -> bool:
+def evidence_verify(record: EvidenceRecord, public_key: bytes) -> bool:
     """Whether the doctor's signature verifies over the record's signed
-    bytes; total, like CryptoSuite.verify_signed."""
+    bytes under the raw public key; total, like CryptoSuite.verify_signed."""
     return CryptoSuite().verify_signed(public_key, record)
 
 

@@ -58,6 +58,6 @@ def doctor_certificate(doctor_id: bytes) -> Certificate:
     return CryptoSuite().cert_issue(
         authority_private_key(),
         doctor_id,
-        doctor_signing_key().public_key(),
-        doctor_sealing_key().public_key(),
+        doctor_signing_key().public_key().public_bytes_raw(),
+        doctor_sealing_key().public_key().public_bytes_raw(),
     )

@@ -488,7 +488,7 @@ class Smartphone(Party):
         config: SystemConfig,
         smartphone_id: bytes,
         implant_id: bytes,
-        ca_public_key,
+        ca_public_key: bytes,
         doctor_oob_directory: dict[bytes, str],
     ):
         super().__init__(seed, config)
@@ -505,7 +505,7 @@ class Smartphone(Party):
         self.k_r: Optional[SymmetricKey] = None
         self.kd_bytes: Optional[bytes] = None  # the serialized session shift key
         self.doctor_id: Optional[bytes] = None
-        self.doctor_public_key = None  # verifies the doctor's write signature
+        self.doctor_public_key: Optional[bytes] = None  # verifies the write signature
         self.nonce: Optional[bytes] = None
         self.ephemeral: Optional[bytes] = None  # the X25519 scalar the nonce was sealed with
         self.rm: Optional[bytes] = None
@@ -536,15 +536,14 @@ class Smartphone(Party):
             or not self.crypto.verify_signed(self.ca_public_key, certificate)
         ):
             raise Rejected(STAY, "certificate verification failed")
-        signing_key = certificate.signing_public_key()
-        sealing_key = certificate.sealing_public_key()
         nonce = self.crypto.random_bytes(NONCE_BYTES)
         rm = self.crypto.random_bytes(RM_BYTES)
         k_p = derive_k_p(self.crypto, rm, frame.session, nonce)
         ephemeral = self.crypto.random_bytes(crypto.X25519_BYTES)
-        challenge = self.crypto.pk_enc(sealing_key, nonce, ephemeral)
+        challenge = self.crypto.pk_enc(certificate.sealing_key, nonce, ephemeral)
         self.session, self.doctor_id = frame.session, frame.doctor_id
-        self.doctor_public_key, self.nonce, self.rm, self.k_p = signing_key, nonce, rm, k_p
+        self.doctor_public_key = certificate.signing_key
+        self.nonce, self.rm, self.k_p = nonce, rm, k_p
         self.ephemeral = ephemeral
         oob = TranscriptEntry(
             "oob", LINK_OOB, self.role, self.doctor_oob_directory[self.doctor_id], rm

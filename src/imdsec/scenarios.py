@@ -126,7 +126,7 @@ def build_world(
         config=config,
         smartphone_id=SMARTPHONE_ID,
         implant_id=IMPLANT_ID,
-        ca_public_key=authority_private_key().public_key(),
+        ca_public_key=authority_private_key().public_key().public_bytes_raw(),
         doctor_oob_directory={DOCTOR_ID: DOCTOR_PHONE},
     )
     imd = Imd(

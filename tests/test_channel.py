@@ -3,7 +3,7 @@ import random
 import pytest
 
 from imdsec.attacks import MAC_PROTECTED_FRAMES, BitFlipAttacker, DuplicateFrameAttacker
-from imdsec.channel import Attacker
+from imdsec.channel import Attacker, TranscriptEntry
 from imdsec.evidence import evidence_verify
 from imdsec.parties import ProtocolError, SystemConfig
 from imdsec.reports import EXPECTED_IMD_OPCOUNTS, OPCOUNT_OPS
@@ -31,6 +31,12 @@ class TestDeterminism:
         times = [e.time for e in result.transcript.entries]
         assert times == sorted(times)
         assert result.ok
+
+    def test_a_wire_frame_to_no_party_raises(self):
+        world = build_world(seed=1, config=FAST)
+        world.scheduler.submit([TranscriptEntry("wire", "s-i", "smartphone", "nobody", b"x")])
+        with pytest.raises(KeyError, match="nobody"):
+            world.scheduler.step()
 
 
 class TestGivenWorld:

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 import imdsec
+from imdsec import reports
+from imdsec.attacks import mitm_read_attack
 from imdsec.cli import main
 
 
@@ -166,6 +168,19 @@ class TestOpcount:
         assert "write,1,1,3,0,0" in out
         assert "PASS op-count table" in out
 
+    def test_a_count_off_the_table_prints_fail_and_exits_1(self, capsys, monkeypatch):
+        # the implant's write phase reports one MAC too many
+        counts = {phase: dict(row) for phase, row in reports.EXPECTED_IMD_OPCOUNTS.items()}
+        counts["write"]["mac"] += 1
+        monkeypatch.setattr(reports, "opcount_report", lambda seeds: {0: counts})
+        assert main(["opcount"]) == 1
+        out = capsys.readouterr().out
+        assert "write,1,1,4,0,0" in out
+        want = reports.EXPECTED_IMD_OPCOUNTS["write"]
+        assert out.endswith(
+            f"FAIL op-count table\n  - seed 0 phase write: got {counts['write']}, want {want}\n"
+        )
+
 
 class TestSession:
     def test_honest_full_session(self, tmp_path, capsys):
@@ -323,6 +338,44 @@ class TestMitmVerb:
         captured = capsys.readouterr().out
         assert code == 0, captured
         assert "PASS degraded out-of-band attack succeeds" in captured
+
+    def test_out_writes_the_attacked_transcript(self, tmp_path, capsys):
+        out = tmp_path / "mitm.txt"
+        code = main(["session", "--attacker", "mitm", "--seed", "2", "--out", str(out)])
+        captured = capsys.readouterr().out
+        assert code == 0, captured
+        assert f"wrote {out}" in captured
+        assert out.read_text() == mitm_read_attack(seed=2).transcript.dump()
+
+    MITM_NEEDS_READ = "the mitm attacker attacks the read flow, which scenario {} does not reach"
+    DEGRADED_NEEDS_MITM = "degraded_oob applies to the mitm attacker only"
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["--attacker", "mitm", "--scenario", "pair"], "", MITM_NEEDS_READ.format("pair")),
+            (["--attacker", "mitm", "--scenario", "auth"], "", MITM_NEEDS_READ.format("auth")),
+            (["--degraded-oob"], "", DEGRADED_NEEDS_MITM),
+            (["--degraded-oob", "--attacker", "replay"], "", DEGRADED_NEEDS_MITM),
+            ([], "attacker = mitm\nscenario = pair\n", MITM_NEEDS_READ.format("pair")),
+            (["--attacker", "mitm"], "scenario = auth\n", MITM_NEEDS_READ.format("auth")),
+            ([], "degraded_oob = yes\n", DEGRADED_NEEDS_MITM),
+            (["--degraded-oob"], "attacker = passive\n", DEGRADED_NEEDS_MITM),
+        ],
+        ids=["pair", "auth", "degraded-alone", "degraded-replay", "config-pair",
+             "config-auth", "config-degraded", "config-passive-degraded"],
+    )
+    def test_a_flag_the_run_would_ignore_is_refused(self, tmp_path, capsys, argv, config,
+                                                    message):
+        out = tmp_path / "t.txt"
+        if config:
+            (tmp_path / "s.cfg").write_text(config)
+            argv = argv + ["--config", str(tmp_path / "s.cfg")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["session", *argv, "--out", str(out)])
+        assert exit_info.value.code == message
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
 
 class TestClosedStdout:

@@ -295,23 +295,23 @@ class TestEncDeshift:
         assert not c.carries.bits.any()
 
     def test_two_sample_composition(self):
-        # masked samples 703 and 1048 summed by a ones-row projection
-        x = BoundedSignal(values=np.array([1000.0, 600.0]), L1=ECG_L1, L2=ECG_L2)
-        key = ShiftKey(entries=np.array([600, -449]), value_range=1200)
+        # masked samples 903 and 1048 summed by a ones-row projection
+        x = BoundedSignal(values=np.array([1400.0, 600.0]), L1=ECG_L1, L2=ECG_L2)
+        key = ShiftKey(entries=np.array([400, -449]), value_range=x.value_range)
         phi = _OnesMatrix()
         c = cs_enc(key, x, phi)
-        assert c.measurements[0] == pytest.approx(703 + 1048)
+        assert c.measurements[0] == pytest.approx(903 + 1048)
 
     def test_scalar_roundtrip_chain(self):
-        # masked 703 with carry 1 and shift 600: 703 + 897 - 600 = 1000
-        x = BoundedSignal(values=np.array([1000.0, 700.0]), L1=ECG_L1, L2=ECG_L2)
-        key = ShiftKey(entries=np.array([600, 0]), value_range=1200)
+        # masked 903 with carry 1 and shift 400: 903 + 897 - 400 = 1400
+        x = BoundedSignal(values=np.array([1400.0, 700.0]), L1=ECG_L1, L2=ECG_L2)
+        key = ShiftKey(entries=np.array([400, 0]), value_range=x.value_range)
         phi = _FirstCoordMatrix()
         c = cs_enc(key, x, phi)
-        assert c.measurements[0] == pytest.approx(703.0)
+        assert c.measurements[0] == pytest.approx(903.0)
         np.testing.assert_array_equal(c.carries.bits, [1, 0])
         y = cs_deshift(key, c, phi, ECG_L1, ECG_L2)
-        assert y[0] == pytest.approx(1000.0)
+        assert y[0] == pytest.approx(1400.0)
 
     def test_roundtrip_oracle(self):
         rng = np.random.default_rng(11)
@@ -633,6 +633,114 @@ class TestStacks:
         off_step[4, 0] = 21.0
         with pytest.raises(CodecError, match="step multiples"):
             CsCiphertext(measurements=off_step, carries=c.carries, quant_step=20)
+
+
+def _two_sample_cipher():
+    x = BoundedSignal(values=np.array([1400.0, 700.0]), L1=ECG_L1, L2=ECG_L2)
+    key = ShiftKey(entries=np.array([400, 0]), value_range=x.value_range)
+    return key, cs_enc(key, x, _FirstCoordMatrix())
+
+
+def _header(n, m, qs):
+    return struct.pack(">III", n, m, qs)
+
+
+@st.composite
+def wire_buffers(draw):
+    """Arbitrary bytes, or a ciphertext or shift-key header of small or
+    extreme fields followed by arbitrary bytes of about the length the
+    header asks for."""
+    kind = draw(st.sampled_from(["bytes", "ciphertext", "shift key"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=80))
+    delta = draw(st.integers(-2, 2))
+    if kind == "ciphertext":
+        n, m = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+        qs = draw(st.sampled_from([0, 1, 20, 2**32 - 1]))
+        if qs:
+            width = draw(st.integers(0, 34))
+            head, size = _header(n, m, qs) + bytes([width]), (m * width + 7) // 8
+        else:
+            head, size = _header(n, m, qs), 8 * m
+        size = max(0, size + (n + 7) // 8 + delta)
+    else:
+        k = draw(st.integers(0, 20))
+        rng = draw(st.sampled_from([0, 1, 897, 2**32 - 1]))
+        head, size = struct.pack(">II", k, rng), max(0, 4 * k + delta)
+    return head + draw(st.binary(min_size=size, max_size=size))
+
+
+class TestRefusals:
+    """Each refusal of the codec, reached by one input that breaks only
+    the rule it names."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: BoundedSignal(values=np.zeros((2, 2)), L1=-1, L2=1), "non-empty 1-D"),
+            (lambda: BoundedSignal(values=[1.0], L1=0.0, L2=2), "bounds must be integers"),
+            (lambda: BoundedSignal(values=[1.0], L1=2, L2=2), r"need L1 < L2, got \(2, 2\)"),
+            (lambda: BoundedSignal(values=[ECG_L1], L1=ECG_L1, L2=ECG_L2), "strictly inside"),
+            (lambda: ShiftKey(entries=np.zeros(0), value_range=897), "non-empty integer"),
+            (lambda: ShiftKey(entries=[0], value_range=0), "value_range must be positive"),
+            (lambda: ShiftKey(entries=[450], value_range=897), "exceed bound 449"),
+            (lambda: CarryVector(bits=np.zeros((1, 1, 2))), "1-D or a stack"),
+            (lambda: CarryVector(bits=[0, 2]), "0 or 1"),
+            (lambda: CsCiphertext(measurements=[], carries=CarryVector(bits=[0, 1])),
+             "non-empty vector or stack"),
+            (lambda: CsCiphertext(measurements=[0.0, 0.0], carries=CarryVector(bits=[0, 1])),
+             "smaller than sample count"),
+            (lambda: CsCiphertext(measurements=[0.0], carries=CarryVector(bits=[0, 1]),
+                                  quant_step=0), "step must be positive"),
+            (lambda: cs_gen(b"s", 4, 5, 5), r"need L1 < L2, got \(5, 5\)"),
+            (lambda: cs_deshift(cs_gen(b"s", 3, ECG_L1, ECG_L2), _two_sample_cipher()[1],
+                                _FirstCoordMatrix(), ECG_L1, ECG_L2), "key length 3 != sample"),
+            (lambda: cs_deshift(*_two_sample_cipher(), _FirstCoordMatrix(), ECG_L2, ECG_L1),
+             "key window width 897 != L2 - L1 = -897"),
+            (lambda: deserialize_ciphertext(_header(4, 4, 0)), "bad ciphertext dimensions N=4"),
+            (lambda: deserialize_ciphertext(_header(4, 2, 0) + bytes(9)),
+             "truncated measurement block"),
+            (lambda: deserialize_ciphertext(_header(4, 2, 10)), "missing bit-width byte"),
+            (lambda: deserialize_ciphertext(_header(4, 2, 10) + b"\x21" + bytes(9)),
+             "bad multiple width 33"),
+            (lambda: deserialize_ciphertext(_header(4, 2, 10) + b"\x08\x01"),
+             "truncated measurement block"),
+            (lambda: deserialize_shift_key(struct.pack(">II", 0, 897)), "bad shift key header"),
+        ],
+        ids=["signal-2d", "signal-float-bound", "signal-empty-window", "signal-on-bound",
+             "key-empty", "key-zero-range", "key-past-bound", "carries-3d", "carry-bit-2",
+             "cipher-empty", "cipher-m-equals-n", "cipher-zero-step", "gen-empty-window",
+             "deshift-key-length", "deshift-empty-window", "wire-dimensions",
+             "wire-raw-truncated", "wire-no-width", "wire-width-33", "wire-quantized-truncated",
+             "key-wire-header"],
+    )
+    def test_refused(self, build, message):
+        with pytest.raises(CodecError, match=message):
+            build()
+
+    def test_enc_refuses_a_key_of_another_window_width(self):
+        # a width-100 key would shift the 897-wide window by only +-50
+        x = _random_signal(np.random.default_rng(4), 64)
+        phi = gen_sensing_matrix(b"width", 16, 64)
+        with pytest.raises(CodecError, match="key window width 100 != signal's 897"):
+            cs_enc(cs_gen(b"k", 64, 0, 100), x, phi)
+
+    def test_deshift_refuses_a_window_of_another_width(self):
+        x = _random_signal(np.random.default_rng(5), 64)
+        phi = gen_sensing_matrix(b"width", 16, 64)
+        key = cs_gen(b"k", 64, ECG_L1, ECG_L2)
+        c = cs_enc(key, x, phi)
+        with pytest.raises(CodecError, match="key window width 897 != L2 - L1 = 100"):
+            cs_deshift(key, c, phi, 0, 100)
+
+    @settings(max_examples=500, deadline=None)
+    @given(wire_buffers())
+    def test_deserializers_return_or_raise_codec_error(self, buf):
+        for deserialize in (deserialize_ciphertext, deserialize_shift_key):
+            try:
+                deserialize(buf)
+            except CodecError:
+                pass
 
 
 class TestPackingOracle:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
@@ -64,6 +64,12 @@ def doctor_key():
 @pytest.fixture(scope="module")
 def sealing_key():
     return doctor_sealing_key()
+
+
+def raw_public(private_key) -> bytes:
+    """The raw public key of a private key object, the form a
+    certificate carries and CryptoSuite takes."""
+    return private_key.public_key().public_bytes_raw()
 
 
 def hkdf_sha256(ikm, salt, info, length):
@@ -181,10 +187,10 @@ class TestPublicKeyMemo:
 
     def test_equals_uncached_library_calls(self, suite, doctor_key, sealing_key):
         rng = random.Random(23)
-        pub, sealing_pub = doctor_key.public_key(), sealing_key.public_key()
+        pub, sealing_pub = raw_public(doctor_key), raw_public(sealing_key)
         for _ in range(20):
             message, ephemeral = rng.randbytes(rng.randint(1, 64)), rng.randbytes(32)
-            uncached = _x25519_seal.__wrapped__(sealing_pub.public_bytes_raw(), ephemeral, message)
+            uncached = _x25519_seal.__wrapped__(sealing_pub, ephemeral, message)
             assert unseal_reference(sealing_key, uncached) == message
             for _ in range(2):  # computed, then from the memo
                 assert CryptoSuite().pk_enc(sealing_pub, message, ephemeral) == uncached
@@ -196,12 +202,12 @@ class TestPublicKeyMemo:
                 assert suite.verify(pub, message, sig) is True
                 forged = SignatureBlob(sig.algorithm, rng.randbytes(len(sig.data)))
                 with pytest.raises(InvalidSignature):
-                    pub.verify(forged.data, message)
+                    doctor_key.public_key().verify(forged.data, message)
                 assert suite.verify(pub, message, forged) is False
         assert all(info.hits and info.misses for info in self._info().values())
 
     def test_every_call_is_counted(self, sealing_key):
-        blob = CryptoSuite().pk_enc(sealing_key.public_key(), b"counted", EPHEMERAL)
+        blob = CryptoSuite().pk_enc(raw_public(sealing_key), b"counted", EPHEMERAL)
         suite = CryptoSuite()
         for _ in range(3):
             assert suite.pk_dec(sealing_key, blob) == b"counted"
@@ -211,18 +217,24 @@ class TestPublicKeyMemo:
 
     def test_keys_are_keyed_by_their_raw_bytes(self, doctor_key):
         suite = CryptoSuite()
-        seed = doctor_key.private_bytes_raw()
-        for _ in range(3):  # a new private key object per call
-            sig = suite.sign(Ed25519PrivateKey.from_private_bytes(seed), b"m")
-        raw = doctor_key.public_key().public_bytes_raw()
-        for _ in range(3):  # a new public key object per call, as from a certificate
-            assert suite.verify(Ed25519PublicKey.from_public_bytes(raw), b"m", sig)
-        for memo in (_ed25519_sign, _ed25519_verify):
-            info = memo.cache_info()
-            assert (info.hits, info.misses) == (2, 1)
+        # a private key is keyed by its object: one rebuilt from the same
+        # bytes signs the same bytes under an entry of its own
+        rebuilt = Ed25519PrivateKey.from_private_bytes(doctor_key.private_bytes_raw())
+        sigs = [suite.sign(key, b"m") for key in (doctor_key, rebuilt, doctor_key, rebuilt)]
+        assert sigs[1:] == sigs[:-1]
+        info = _ed25519_sign.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
+        # a public key is keyed by its raw bytes, a new bytes object per
+        # certificate parse
+        cert_bytes = doctor_certificate(DOCTOR_ID).to_bytes()
+        for _ in range(3):
+            raw = Certificate.from_bytes(cert_bytes).signing_key
+            assert suite.verify(raw, b"m", sigs[0])
+        info = _ed25519_verify.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
 
     def test_tampered_challenge_raises_every_call_and_leaves_no_entry(self, sealing_key):
-        blob = bytearray(CryptoSuite().pk_enc(sealing_key.public_key(), b"nonce", EPHEMERAL))
+        blob = bytearray(CryptoSuite().pk_enc(raw_public(sealing_key), b"nonce", EPHEMERAL))
         blob[33] ^= 1
         suite = CryptoSuite()
         for _ in range(3):
@@ -233,7 +245,7 @@ class TestPublicKeyMemo:
         assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
 
     def test_memos_are_bounded(self, suite, doctor_key, sealing_key):
-        pub, sealing_pub = doctor_key.public_key(), sealing_key.public_key()
+        pub, sealing_pub = raw_public(doctor_key), raw_public(sealing_key)
         for i in range(3 * _MEMO_SIZE):
             message = b"bounded-%d" % i
             ephemeral = hashlib.sha256(message).digest()
@@ -303,7 +315,7 @@ class TestBytesLikeInput:
         assert suite.counters["kdf"] == 3
 
     def test_pk_enc_and_pk_dec(self, sealing_key):
-        pub = sealing_key.public_key()
+        pub = raw_public(sealing_key)
         forms = zip(self._forms(b"nonce"), self._forms(EPHEMERAL))
         blobs = [CryptoSuite().pk_enc(pub, message, ephemeral) for message, ephemeral in forms]
         assert blobs[0] == blobs[1] == blobs[2]
@@ -314,7 +326,7 @@ class TestBytesLikeInput:
             assert memo.cache_info().currsize == 1
 
     def test_sign_and_verify(self, doctor_key):
-        pub = doctor_key.public_key()
+        pub = raw_public(doctor_key)
         suite = CryptoSuite()
         sigs = [suite.sign(doctor_key, form) for form in self._forms(b"evidence")]
         assert sigs[0] == sigs[1] == sigs[2]
@@ -381,18 +393,18 @@ class TestSymmetric:
 
 class TestPublicKey:
     def test_roundtrip(self, suite, sealing_key):
-        blob = suite.pk_enc(sealing_key.public_key(), b"nonce-nonce-nonce", EPHEMERAL)
+        blob = suite.pk_enc(raw_public(sealing_key), b"nonce-nonce-nonce", EPHEMERAL)
         assert suite.pk_dec(sealing_key, blob) == b"nonce-nonce-nonce"
 
     def test_wrong_private_key_fails(self, suite, sealing_key):
-        blob = suite.pk_enc(sealing_key.public_key(), b"sixteen-byte-msg", EPHEMERAL)
+        blob = suite.pk_enc(raw_public(sealing_key), b"sixteen-byte-msg", EPHEMERAL)
         other = X25519PrivateKey.from_private_bytes(hashlib.sha256(b"other").digest())
         with pytest.raises(DecryptionError):
             suite.pk_dec(other, blob)
 
     def test_nonce_fuzz(self, suite, sealing_key):
         rng = random.Random(3)
-        pub = sealing_key.public_key()
+        pub = raw_public(sealing_key)
         for _ in range(1000):
             nonce = rng.randbytes(16)
             assert suite.pk_dec(sealing_key, suite.pk_enc(pub, nonce, rng.randbytes(32))) == nonce
@@ -400,13 +412,13 @@ class TestPublicKey:
     def test_seeded_encryption_is_deterministic(self, sealing_key):
         a = CryptoSuite(rng=random.Random(9))
         b = CryptoSuite(rng=random.Random(9))
-        pub = sealing_key.public_key()
+        pub = raw_public(sealing_key)
         assert a.pk_enc(pub, b"n" * 16, a.random_bytes(32)) == b.pk_enc(
             pub, b"n" * 16, b.random_bytes(32)
         )
 
     def test_a_sealed_nonce_is_the_ephemeral_key_then_64_bytes_in_all(self, sealing_key):
-        blob = CryptoSuite().pk_enc(sealing_key.public_key(), bytes(16), EPHEMERAL)
+        blob = CryptoSuite().pk_enc(raw_public(sealing_key), bytes(16), EPHEMERAL)
         ephemeral_pub = X25519PrivateKey.from_private_bytes(EPHEMERAL).public_key()
         assert blob[:32] == ephemeral_pub.public_bytes_raw()
         assert len(blob) == 32 + 16 + 16
@@ -425,7 +437,7 @@ class TestPublicKey:
              "short-tag", "short-ephemeral-key", "empty"],
     )
     def test_a_malformed_blob_raises_decryption_error(self, sealing_key, malform):
-        blob = CryptoSuite().pk_enc(sealing_key.public_key(), bytes(16), EPHEMERAL)
+        blob = CryptoSuite().pk_enc(raw_public(sealing_key), bytes(16), EPHEMERAL)
         suite = CryptoSuite()
         with pytest.raises(DecryptionError):
             suite.pk_dec(sealing_key, malform(blob))
@@ -435,15 +447,15 @@ class TestPublicKey:
 class TestSignatures:
     def test_roundtrip(self, suite, doctor_key):
         sig = suite.sign(doctor_key, b"message")
-        assert suite.verify(doctor_key.public_key(), b"message", sig)
+        assert suite.verify(raw_public(doctor_key), b"message", sig)
 
     def test_tampered_message_rejects(self, suite, doctor_key):
         sig = suite.sign(doctor_key, b"message")
-        assert not suite.verify(doctor_key.public_key(), b"messagf", sig)
+        assert not suite.verify(raw_public(doctor_key), b"messagf", sig)
 
     def test_signature_transplant_rejects(self, suite, doctor_key):
         rng = random.Random(13)
-        pub = doctor_key.public_key()
+        pub = raw_public(doctor_key)
         pairs = [(rng.randbytes(24), None) for _ in range(100)]
         pairs = [(m, suite.sign(doctor_key, m)) for m, _ in pairs]
         for i, (msg, _) in enumerate(pairs):
@@ -453,7 +465,7 @@ class TestSignatures:
     def test_verify_is_total(self, suite, doctor_key):
         assert (
             suite.verify(
-                doctor_key.public_key(), b"m", SignatureBlob("junk", b"\x00")
+                raw_public(doctor_key), b"m", SignatureBlob("junk", b"\x00")
             )
             is False
         )
@@ -462,13 +474,13 @@ class TestSignatures:
                              ids=["none", "raw-bytes", "tuple"])
     def test_verify_refuses_what_is_not_a_signature_blob(self, doctor_key, sig):
         suite = CryptoSuite()
-        assert suite.verify(doctor_key.public_key(), b"m", sig) is False
+        assert suite.verify(raw_public(doctor_key), b"m", sig) is False
         assert suite.counters["verify"] == 1
 
     def test_verify_refuses_a_message_that_is_not_bytes_like(self, doctor_key):
         suite = CryptoSuite()
         sig = suite.sign(doctor_key, b"m")
-        assert suite.verify(doctor_key.public_key(), "m", sig) is False
+        assert suite.verify(raw_public(doctor_key), "m", sig) is False
 
     @pytest.mark.parametrize(
         "forge",
@@ -482,8 +494,8 @@ class TestSignatures:
     def test_verify_refuses_a_signature_of_another_size_or_label(self, doctor_key, forge):
         suite = CryptoSuite()
         sig = suite.sign(doctor_key, b"m")
-        assert suite.verify(doctor_key.public_key(), b"m", sig) is True
-        assert suite.verify(doctor_key.public_key(), b"m", forge(sig)) is False
+        assert suite.verify(raw_public(doctor_key), b"m", sig) is True
+        assert suite.verify(raw_public(doctor_key), b"m", forge(sig)) is False
         assert suite.counters["verify"] == 2
 
 
@@ -491,18 +503,18 @@ class TestCertificates:
     @pytest.fixture
     def cert(self, suite, authority, doctor_key, sealing_key):
         return suite.cert_issue(
-            authority, b"DR-ALICE", doctor_key.public_key(), sealing_key.public_key()
+            authority, b"DR-ALICE", raw_public(doctor_key), raw_public(sealing_key)
         )
 
     def test_issue_and_verify(self, suite, authority, cert):
-        assert suite.verify_signed(authority.public_key(), cert)
+        assert suite.verify_signed(raw_public(authority), cert)
 
     def test_unknown_authority_rejects(self, suite, doctor_key, cert):
         # the doctor key stands in for an authority the verifier does not trust
-        assert not suite.verify_signed(doctor_key.public_key(), cert)
+        assert not suite.verify_signed(raw_public(doctor_key), cert)
 
     def test_field_mutation_rejects(self, suite, authority, cert):
-        pub = authority.public_key()
+        pub = raw_public(authority)
 
         def flipped(data):
             return data[:-1] + bytes([data[-1] ^ 1])
@@ -523,7 +535,7 @@ class TestCertificates:
     def test_unbuildable_signed_bytes_reject_with_one_verify(self, authority, cert):
         suite = CryptoSuite()
         broken = Certificate(cert.subject_id, None, cert.sealing_key, cert.signature)
-        assert suite.verify_signed(authority.public_key(), broken) is False
+        assert suite.verify_signed(raw_public(authority), broken) is False
         assert suite.counters["verify"] == 1
 
     def test_cert_serialization_roundtrip(self, cert):
@@ -537,9 +549,9 @@ class TestCertificates:
             for seed in (1, 2)
         )
         assert first is second
-        assert suite.verify_signed(authority.public_key(), first)
+        assert suite.verify_signed(raw_public(authority), first)
         assert first == suite.cert_issue(
-            authority, DOCTOR_ID, doctor_key.public_key(), sealing_key.public_key()
+            authority, DOCTOR_ID, raw_public(doctor_key), raw_public(sealing_key)
         )
         assert doctor_certificate.cache_info().misses == 1
 
@@ -575,7 +587,7 @@ def vector_output(primitive: str, key: bytes, data: bytes) -> bytes:
     if primitive == "sym_dec":
         return suite.sym_dec(SymmetricKey(key), data)
     if primitive == "seal":
-        return suite.pk_enc(doctor_sealing_key().public_key(), data, key)
+        return suite.pk_enc(raw_public(doctor_sealing_key()), data, key)
     if primitive == "unseal":
         return suite.pk_dec(doctor_sealing_key(), data)
     if primitive == "sign":
@@ -637,7 +649,7 @@ class TestRfcVectors:
         suite = CryptoSuite()
         sig = suite.sign(key, b"")
         assert sig.data.hex() == self.ED25519_SIGNATURE
-        assert suite.verify(key.public_key(), b"", sig) is True
+        assert suite.verify(raw_public(key), b"", sig) is True
 
     def test_x25519_rfc7748_alice_and_bob(self):
         alice = X25519PrivateKey.from_private_bytes(bytes.fromhex(self.ALICE_SECRET))
@@ -648,7 +660,7 @@ class TestRfcVectors:
         assert bob.exchange(alice.public_key()).hex() == self.SHARED
         # Alice's scalar as the ephemeral key of a seal to Bob: her public
         # key, then AES-128-GCM under HKDF of the RFC's shared secret
-        blob = CryptoSuite().pk_enc(bob.public_key(), b"nonce", bytes.fromhex(self.ALICE_SECRET))
+        blob = CryptoSuite().pk_enc(raw_public(bob), b"nonce", bytes.fromhex(self.ALICE_SECRET))
         assert blob[:32].hex() == self.ALICE_PUBLIC
         info = length_prefixed(b"imdsec/seal/v1", blob[:32], bytes.fromhex(self.BOB_PUBLIC))
         key = hkdf_sha256(bytes.fromhex(self.SHARED), b"", info, 16)

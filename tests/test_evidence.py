@@ -34,7 +34,7 @@ def signed_record():
     )
     payload = EvidenceRecord(**fields).signed_bytes()
     record = EvidenceRecord(signature=suite.sign(key, payload), **fields)
-    return record, key.public_key()
+    return record, key.public_key().public_bytes_raw()
 
 
 class TestVerification:

@@ -5,7 +5,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -398,7 +397,10 @@ class TestFailurePaths:
             signing_key=doctor,
             sealing_key=sealing,
             certificate=CryptoSuite().cert_issue(
-                doctor, b"DR-ALICE", doctor.public_key(), sealing.public_key()
+                doctor,
+                b"DR-ALICE",
+                doctor.public_key().public_bytes_raw(),
+                sealing.public_key().public_bytes_raw(),
             ),
         )
         result = run_session("auth", config=FAST, world=world)
@@ -447,6 +449,27 @@ class TestFailurePaths:
         world.scheduler.run_until_quiet()
         _only_the_verdict(world, world.smartphone, encode_message(attacker.msg), LINK_SI,
                           (ABORT, "write signature invalid"))
+
+    def test_a_stale_command_report_from_an_earlier_world_aborts(self):
+        # WRITE_REQ to the smartphone carries no MAC: the implant's report
+        # recorded in an earlier world of the same pairing, its session
+        # rewritten, opens under K_I, but its ts7 is past the window
+        earlier = run_session("full", seed=14, config=FAST, reconstruct=False)
+        recorded = next(
+            decode_message(e.payload) for e in earlier.transcript.wire_entries()
+            if e.sender == "imd" and decode_message(e.payload).heading == Heading.WRITE_REQ
+        )
+        attacker = _Withhold("imd", Heading.WRITE_REQ)
+        world = build_world(seed=15, config=FAST, reconstruct=False,
+                            master_key=earlier.world.master_key, attacker=attacker)
+        drive(world, SCENARIOS["full"])
+        smartphone = world.smartphone
+        assert smartphone.expected == Heading.WRITE_REQ
+        smartphone.clock = earlier.world.scheduler.clock + FRESHNESS_WINDOW + 1
+        replayed = WireMessage(recorded.heading, smartphone.session, recorded.fields)
+        _only_the_verdict(world, smartphone, encode_message(replayed), LINK_SI,
+                          (ABORT, "command report mismatch"))
+        assert len(smartphone.ledger) == 0
 
     def test_tampered_telemetry_never_reaches_the_solver(self):
         from imdsec.attacks import BitFlipAttacker
@@ -808,8 +831,7 @@ class TestOpenBugs:
         assert request.heading == Heading.AUTH_REQ
         fields = dict(zip(step_of("programmer", Heading.AUTH_REQ).fields, request.fields))
         nonce = bytes(range(16))
-        sealing_key = X25519PublicKey.from_public_bytes(fields["sealing_key"])
-        challenge = CryptoSuite().pk_enc(sealing_key, nonce, bytes(range(32)))
+        challenge = CryptoSuite().pk_enc(fields["sealing_key"], nonce, bytes(range(32)))
         step = step_of("smartphone", Heading.AUTH_REQ)
         forged = _forged(step, attacker.msg, world.programmer, challenge=challenge)
         world.scheduler.submit(

@@ -71,6 +71,18 @@ class TestSweep:
             if row.qs:
                 assert 0 < row.payload_bytes <= row.raw_bytes // 2
 
+    def test_communication_saving_names_each_oversized_cell(self):
+        # one acceptable quantized cell over half the raw size; the raw
+        # cell, the not-good cell and the cell at exactly half pass
+        cells = [(20, "very-good", 513), (0, "very-good", 1100), (100, "not-good", 600),
+                 (60, "very-good-or-good", 512)]
+        rows = [SweepRow("r", "synthetic", 50.0, qs, 1.0, quality, payload, 1024)
+                for qs, quality, payload in cells]
+        report = SweepReport(kind="sweep", header="", rows=rows, metadata={})
+        assert check_communication_saving(report) == [
+            "cell (r, CR=50, qs=20): payload 513 B exceeds half of 1024 B"
+        ]
+
     def test_metadata_records_rerun_parameters(self, small_sweep):
         md = small_sweep.metadata
         assert md["seeds"] == "6"
@@ -321,6 +333,22 @@ class TestAttackReport:
         assert float(extras["random_min_prd"]) >= 9.0
         assert row.prd_median < 9.0
 
+    def test_separation_names_each_failure(self):
+        def row(cr, legitimate, uniform, random_min):
+            extra = (("uniform_best_prd", str(uniform)), ("uniform_best_shift", "0"),
+                     ("random_min_prd", str(random_min)))
+            return SweepRow("r", "synthetic", cr, 20, legitimate, "", 0, 1024, extra)
+
+        # CR 50 separates; at CR 90 the legitimate recovery is not good
+        # and both attacks recover below the line
+        report = SweepReport(kind="attack", header="", metadata={},
+                             rows=[row(50.0, 3.0, 40.0, 35.0), row(90.0, 9.5, 8.0, 2.5)])
+        assert check_attack_separation(report) == [
+            "CR=90: legitimate PRD 9.50 >= 9",
+            "CR=90: uniform-guess PRD 8.00 < 9",
+            "CR=90: random-guess min 2.50 < 9",
+        ]
+
     def test_roundtrip_keeps_extra_columns(self, records, tmp_path):
         report = attack_report(records[:1], cr_grid=(50,), seeds=1, trials=3)
         path = tmp_path / "attack.csv"
@@ -345,6 +373,16 @@ class TestOpcounts:
             assert phases["pair"]["kdf"] == 1
             assert phases["read"]["cs_enc"] == 1
             assert phases["write"]["mac"] == 3
+
+    def test_a_count_off_the_table_is_named(self):
+        runs = {seed: {phase: dict(counts) for phase, counts in EXPECTED_IMD_OPCOUNTS.items()}
+                for seed in (0, 1)}
+        runs[1]["read"]["cs_enc"] = 2
+        del runs[1]["auth"]
+        assert check_opcounts(runs) == [
+            f"seed 1 phase auth: got None, want {EXPECTED_IMD_OPCOUNTS['auth']}",
+            f"seed 1 phase read: got {runs[1]['read']}, want {EXPECTED_IMD_OPCOUNTS['read']}",
+        ]
 
     def test_expected_table_shape(self):
         assert set(EXPECTED_IMD_OPCOUNTS) == {"pair", "auth", "read", "write"}
