@@ -35,7 +35,7 @@ from .codec import (
     shift_bound,
     wrap_add,
 )
-from .crypto import CryptoSuite
+from .crypto import CryptoError, CryptoSuite
 from .parties import STEPS, Step, SystemConfig, derive_k_p, step_of, unpack_signals
 from .recovery import RecoveryParams, SensingMatrix, SparsityBasis, batch_prds, prd
 from .recovery import omp_reconstruct, quantization_params
@@ -230,7 +230,7 @@ class MitmReadAttacker(Attacker):
             k_p = derive_k_p(suite, self.rm, challenge.session, nonce)
             kd_bytes = suite.sym_dec(k_p, key_delivery.enc_kd)
             return deserialize_shift_key(kd_bytes)
-        except Exception:
+        except (CryptoError, ValueError):
             return None
 
 
@@ -301,8 +301,8 @@ def forge_read_auth_attempts(attempts: int = 1000, seed: int = 0) -> int:
         raise RuntimeError("auth setup failed")
     world = result.world
     smartphone = world.smartphone
-    sn = world.programmer.session
-    nonce = smartphone.nonce  # granted: first factor compromised
+    sn = world.programmer.current.session
+    nonce = smartphone.current.nonce  # granted: first factor compromised
     rng = random.Random(seed ^ 0xF0F0)
     suite = CryptoSuite()
     step = step_of("programmer", Heading.READ_AUTH_REQ)
@@ -310,7 +310,7 @@ def forge_read_auth_attempts(attempts: int = 1000, seed: int = 0) -> int:
     rejected = 0
     for _ in range(attempts):
         rm_guess = rng.randbytes(16)
-        if rm_guess == smartphone.rm:
+        if rm_guess == smartphone.current.rm:
             continue  # astronomically unlikely; keep the count honest
         k_guess = derive_k_p(suite, rm_guess, sn, nonce)
         frame = step.encode(sn, {"ts4": u64_bytes(smartphone.clock)}, suite, k_guess)

@@ -2,8 +2,8 @@
 
 Every protocol step is one row of STEPS: who sends which heading to
 whom on which link, the names of the frame's fields, the field holding
-its timestamp, the key of its MAC, the party attribute its session
-number must match, and what a failed MAC or unreadable content costs.
+its timestamp, the key of its MAC, the value its session number must
+match, and what a failed MAC or unreadable content costs.
 Party.receive checks every frame against its row in one fixed order:
 
     expected heading and link -> session -> field count -> timestamp
@@ -37,6 +37,15 @@ length-prefixed part, so no two derivations share an input:
 
 The smartphone keeps the session shift key only as kd_bytes, the
 serialized form it derives K_R from, sends and logs.
+
+Pairing state lasts as long as the pairing and stays on the party:
+ids, credentials, config, K_I, the smartphone's pair_session and ledger
+and the implant's applied_commands.  A doctor session's state (auth,
+read and write) is one SessionState record, the party's ``current``:
+the smartphone's AUTH_REQ handler, the implant's READ_ALLOW handler
+and Programmer.start_auth each build a fresh one, and later handlers
+fill in its fields.  Party._lookup resolves a row's session= and key=
+names: k_i and pair_session on the party, the rest in its record.
 
 Every row belongs to one of four flows, each a contiguous run of STEPS:
 pair, auth, read and write.  The sender of a flow's first row opens it
@@ -80,9 +89,10 @@ doctor's phone, which carries only the random message RM.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, ClassVar, Optional, Sequence
 
@@ -118,6 +128,7 @@ __all__ = [
     "NotReady",
     "Rejected",
     "SystemConfig",
+    "SessionState",
     "Step",
     "STEPS",
     "FLOW_ROLES",
@@ -200,16 +211,63 @@ class SystemConfig:
         return recovery.cached_operator(recovery.build_basis, self.n)
 
 
+@dataclass
+class SessionState:
+    """One party's state of one doctor session: the opener passes what it
+    learns, later handlers fill in the rest, and each party uses the
+    fields its part of the protocol needs.  SECRETS names the fields
+    that must never reach the wire in the clear."""
+
+    session: int
+    session_doctor: Optional[bytes] = None  # the doctor_id of AUTH_REQ or READ_ALLOW
+    doctor_public_key: Optional[bytes] = None  # verifies the write signature
+    nonce: Optional[bytes] = None
+    ephemeral: Optional[bytes] = None  # the X25519 scalar the nonce was sealed with
+    rm: Optional[bytes] = None
+    k_p: Optional[SymmetricKey] = None
+    k_r: Optional[SymmetricKey] = None
+    shift_key: Optional[codec.ShiftKey] = None
+    # the smartphone_id of the AUTH_REQ reply
+    session_smartphone: Optional[bytes] = field(default=None, init=False)
+    kd_bytes: Optional[bytes] = field(default=None, init=False)  # the serialized shift key
+    c2_bytes: Optional[bytes] = field(default=None, init=False)
+    pending_sig: Optional[SignatureBlob] = field(default=None, init=False)
+    pending_ts6: Optional[int] = field(default=None, init=False)
+    pending_cmd: Optional[bytes] = field(default=None, init=False)
+    command: Optional[bytes] = field(default=None, init=False)
+
+    SECRETS: ClassVar[tuple[str, ...]] = (
+        "nonce", "ephemeral", "rm", "k_p", "k_r", "shift_key", "kd_bytes", "pending_cmd", "command"
+    )
+
+    def secrets(self) -> dict[str, bytes]:
+        """Each secret field that is set, a key as its raw bytes and a
+        shift key in its serialized form."""
+        secrets = {}
+        for name in self.SECRETS:
+            value = getattr(self, name)
+            if isinstance(value, SymmetricKey):
+                value = value.data
+            elif isinstance(value, codec.ShiftKey):
+                value = codec.serialize_shift_key(value)
+            if value is not None:
+                secrets[name] = value
+        return secrets
+
+
+_RECORD_FIELDS = frozenset(f.name for f in dataclasses.fields(SessionState))
+
+
 @dataclass(frozen=True)
 class Step:
     """One protocol frame, as its sender builds it and its receiver checks it.
 
     flow names the flow the row belongs to: "pair", "auth", "read" or
     "write".  fields name the frame's fields; with a key, a MAC tag under
-    that party attribute follows them.  ts names the field holding an
-    8-byte timestamp that must be fresh.  session names the receiver
-    attribute the session number must equal (None: the step opens a
-    session).  check names a receiver method run after freshness and
+    that key follows them.  ts names the field holding an 8-byte
+    timestamp that must be fresh.  session names the receiver's value
+    the session number must equal (None: the step opens a session).
+    check names a receiver method run after freshness and
     before the MAC; it may raise Rejected or replace frame.key.
     unreadable is the (policy, reason) for a CryptoError or ValueError
     out of the handler; on a row without it, the error propagates.
@@ -369,6 +427,7 @@ class Party:
         self.outcome: str = "idle"
         self.rejections: list[tuple[str, str]] = []  # (policy, reason) per rejected frame
         self.completed: Counter[str] = Counter()  # times this party finished each flow
+        self.current: Optional[SessionState] = None  # the doctor session under way
         self._advance(-1)
 
     @property
@@ -401,6 +460,10 @@ class Party:
         elif step.sender == self.role:
             step = None
         self._awaiting = step
+
+    def _lookup(self, name: str):
+        """The value a STEPS session= or key= name stands for."""
+        return getattr(self.current if name in _RECORD_FIELDS else self, name)
 
     def _fresh(self, ts: int) -> bool:
         return freshness_check(ts, self.clock)
@@ -440,7 +503,7 @@ class Party:
         step = self._awaiting
         if step is None or msg.heading != step.heading or link != step.link:
             raise Rejected(DROP, "unexpected heading")
-        if step.session is not None and msg.session != getattr(self, step.session):
+        if step.session is not None and msg.session != self._lookup(step.session):
             raise Rejected(DROP, "session mismatch")
         frame = step.read(msg)
         if frame is None:
@@ -454,7 +517,7 @@ class Party:
             if not self._fresh(frame.ts):
                 raise Rejected(DROP, "stale timestamp")
         if step.key is not None:
-            frame.key = getattr(self, step.key)
+            frame.key = self._lookup(step.key)
         if step.check is not None:
             getattr(self, step.check)(frame)
         if step.key is not None and not self.crypto.mac_verify(
@@ -473,7 +536,7 @@ class Party:
         step = STEPS[row]
         if step.ts is not None:
             fields.setdefault(step.ts, u64_bytes(self.clock))
-        key = None if step.key is None else getattr(self, step.key)
+        key = None if step.key is None else self._lookup(step.key)
         payload = step.encode(session, fields, self.crypto, key)
         self._advance(row)
         return TranscriptEntry("wire", step.link, self.role, step.receiver, payload)
@@ -499,18 +562,7 @@ class Smartphone(Party):
         self.ledger = EvidenceLedger()
 
         self.pair_session: Optional[int] = None
-        self.session: Optional[int] = None
         self.k_i: Optional[SymmetricKey] = None
-        self.k_p: Optional[SymmetricKey] = None
-        self.k_r: Optional[SymmetricKey] = None
-        self.kd_bytes: Optional[bytes] = None  # the serialized session shift key
-        self.doctor_id: Optional[bytes] = None
-        self.doctor_public_key: Optional[bytes] = None  # verifies the write signature
-        self.nonce: Optional[bytes] = None
-        self.ephemeral: Optional[bytes] = None  # the X25519 scalar the nonce was sealed with
-        self.rm: Optional[bytes] = None
-        self.pending_sig = None
-        self.pending_ts6: Optional[int] = None
 
     # -- pairing -----------------------------------------------------------
 
@@ -541,53 +593,55 @@ class Smartphone(Party):
         k_p = derive_k_p(self.crypto, rm, frame.session, nonce)
         ephemeral = self.crypto.random_bytes(crypto.X25519_BYTES)
         challenge = self.crypto.pk_enc(certificate.sealing_key, nonce, ephemeral)
-        self.session, self.doctor_id = frame.session, frame.doctor_id
-        self.doctor_public_key = certificate.signing_key
-        self.nonce, self.rm, self.k_p = nonce, rm, k_p
-        self.ephemeral = ephemeral
+        self.current = SessionState(
+            frame.session, session_doctor=frame.doctor_id, nonce=nonce, ephemeral=ephemeral,
+            rm=rm, k_p=k_p, doctor_public_key=certificate.signing_key,
+        )
         oob = TranscriptEntry(
-            "oob", LINK_OOB, self.role, self.doctor_oob_directory[self.doctor_id], rm
+            "oob", LINK_OOB, self.role, self.doctor_oob_directory[frame.doctor_id], rm
         )
         return dict(smartphone_id=self.smartphone_id, challenge=challenge), [oob]
 
     # -- read ------------------------------------------------------------------
 
     def _on_read_auth_req(self, frame) -> dict[str, bytes]:
+        current = self.current
         key_seed = self.crypto.random_bytes(16)
         kd_bytes = codec.serialize_shift_key(codec.cs_gen(key_seed, self.config.n, *ecg.WINDOW))
-        k_r = derive_k_r(self.crypto, kd_bytes, self.session)
+        k_r = derive_k_r(self.crypto, kd_bytes, current.session)
         c1 = self.crypto.sym_enc(self.k_i, length_prefixed(kd_bytes, k_r.data))
-        self.kd_bytes, self.k_r = kd_bytes, k_r
-        return dict(doctor_id=self.doctor_id, c1=c1)
+        current.kd_bytes, current.k_r = kd_bytes, k_r
+        return dict(doctor_id=current.session_doctor, c1=c1)
 
     def _on_read_ready(self, frame) -> dict[str, bytes]:
-        return dict(enc_kd=self.crypto.sym_enc(self.k_p, self.kd_bytes))
+        return dict(enc_kd=self.crypto.sym_enc(self.current.k_p, self.current.kd_bytes))
 
     # -- write -------------------------------------------------------------------
 
     def _on_write_auth_req(self, frame) -> dict[str, bytes]:
-        self.pending_sig = SignatureBlob(crypto.SIGNATURE_ALGORITHM, frame.sig)
-        self.pending_ts6 = frame.ts
-        return dict(doctor_id=self.doctor_id)
+        self.current.pending_sig = SignatureBlob(crypto.SIGNATURE_ALGORITHM, frame.sig)
+        self.current.pending_ts6 = frame.ts
+        return dict(doctor_id=self.current.session_doctor)
 
     def _on_write_req(self, frame) -> None:
         """Log the command the implant reports, once the doctor signed it."""
+        current = self.current
         plain = self.crypto.sym_dec(self.k_i, frame.report)
         command, implant_id, ts7_raw = split_length_prefixed(plain, 3)
         ts7 = ts_from_bytes(ts7_raw)
         if implant_id != self.implant_id or not self._fresh(ts7):
             raise Rejected(ABORT, "command report mismatch")
         record = EvidenceRecord(
-            doctor_id=self.doctor_id,
+            doctor_id=current.session_doctor,
             smartphone_id=self.smartphone_id,
             implant_id=self.implant_id,
             ciphertext=frame.c2,
-            shift_key=self.kd_bytes,
+            shift_key=current.kd_bytes,
             command=command,
-            timestamp=self.pending_ts6,
-            signature=self.pending_sig,
+            timestamp=current.pending_ts6,
+            signature=current.pending_sig,
         )
-        if not self.crypto.verify_signed(self.doctor_public_key, record):
+        if not self.crypto.verify_signed(current.doctor_public_key, record):
             raise Rejected(ABORT, "write signature invalid")
         self.ledger.append(record)
 
@@ -608,13 +662,7 @@ class Imd(Party):
         self._master_key = master_key
         self.data_source = data_source
 
-        self.session: Optional[int] = None
-        self.session_doctor: Optional[bytes] = None
         self.k_i: Optional[SymmetricKey] = None
-        self.shift_key: Optional[codec.ShiftKey] = None
-        self.k_r: Optional[SymmetricKey] = None
-        self.c2_bytes: Optional[bytes] = None
-        self.pending_cmd: Optional[bytes] = None
         self.applied_commands: list[bytes] = []
 
     def _derive_pairing_key(self, frame):
@@ -629,36 +677,39 @@ class Imd(Party):
     def _on_read_allow(self, frame) -> None:
         plain = self.crypto.sym_dec(self.k_i, frame.c1)
         kd_bytes, kr_bytes = split_length_prefixed(plain, 2)
-        self.shift_key, self.k_r = codec.deserialize_shift_key(kd_bytes), SymmetricKey(kr_bytes)
-        self.session, self.session_doctor = frame.session, frame.doctor_id
+        shift_key, k_r = codec.deserialize_shift_key(kd_bytes), SymmetricKey(kr_bytes)
+        self.current = SessionState(
+            frame.session, session_doctor=frame.doctor_id, shift_key=shift_key, k_r=k_r
+        )
 
     def _on_read_req(self, frame) -> dict[str, bytes]:
         phi = self.config.sensing_matrix()
         blobs = []
         for signal in self.data_source():
-            cipher = codec.cs_enc(self.shift_key, signal, phi)
+            cipher = codec.cs_enc(self.current.shift_key, signal, phi)
             self.crypto.counters["cs_enc"] += 1
             if self.config.qs:
                 cipher = codec.quantize(cipher, self.config.qs)
             blobs.append(codec.serialize_ciphertext(cipher))
-        self.c2_bytes = pack_signals(blobs)
-        return dict(c2=self.c2_bytes)
+        self.current.c2_bytes = pack_signals(blobs)
+        return dict(c2=self.current.c2_bytes)
 
     def _check_session_doctor(self, frame):
-        if frame.doctor_id != self.session_doctor:
+        if frame.doctor_id != self.current.session_doctor:
             raise Rejected(DROP, "doctor mismatch")
 
     def _on_write_req(self, frame) -> dict[str, bytes]:
-        cmd = self.crypto.sym_dec(self.k_r, frame.c3)
+        current = self.current
+        cmd = self.crypto.sym_dec(current.k_r, frame.c3)
         report = self.crypto.sym_enc(
             self.k_i, length_prefixed(cmd, self.implant_id, u64_bytes(self.clock))
         )
-        self.pending_cmd = cmd
-        return dict(c2=self.c2_bytes, report=report)
+        current.pending_cmd = cmd
+        return dict(c2=current.c2_bytes, report=report)
 
     def _on_set_allow(self, frame) -> None:
-        self.applied_commands.append(self.pending_cmd)
-        self.pending_cmd = None
+        self.applied_commands.append(self.current.pending_cmd)
+        self.current.pending_cmd = None
 
 
 class Programmer(Party):
@@ -677,61 +728,52 @@ class Programmer(Party):
         self.doctor_id = credentials.certificate.subject_id
         self.target_implant_id = target_implant_id
         self.reconstruct = reconstruct
-
-        self.session: Optional[int] = None
-        self.smartphone_id: Optional[bytes] = None
-        self.nonce: Optional[bytes] = None
-        self.rm: Optional[bytes] = None
-        self.k_p: Optional[SymmetricKey] = None
-        self.k_r: Optional[SymmetricKey] = None
-        self.shift_key: Optional[codec.ShiftKey] = None
-        self.kd_bytes: Optional[bytes] = None  # shift_key as received and signed
-        self.c2_bytes: Optional[bytes] = None
         self.recovered_signals: list[np.ndarray] = []
-        self.command: Optional[bytes] = None
 
     # -- authentication ----------------------------------------------------
 
     def start_auth(self) -> list[TranscriptEntry]:
-        self.session = self.rng.getrandbits(64)
+        self.current = SessionState(self.rng.getrandbits(64))
         cert = self.credentials.certificate
         fields = dict(doctor_id=self.doctor_id, sealing_key=cert.sealing_key, cert=cert.to_bytes())
-        return [self._send(Heading.AUTH_REQ, self.session, **fields)]
+        return [self._send(Heading.AUTH_REQ, self.current.session, **fields)]
 
     def _on_auth_req(self, frame) -> None:
-        self.nonce = self.crypto.pk_dec(self.credentials.sealing_key, frame.challenge)
-        self.smartphone_id = frame.smartphone_id
+        nonce = self.crypto.pk_dec(self.credentials.sealing_key, frame.challenge)
+        self.current.nonce, self.current.session_smartphone = nonce, frame.smartphone_id
 
     def enter_rm(self, rm: bytes):
         """The doctor reads RM off their phone and types it in."""
         if "auth" not in self.completed:
             raise ProtocolError("authentication has not completed")
-        self.rm = rm
-        self.k_p = derive_k_p(self.crypto, rm, self.session, self.nonce)
+        current = self.current
+        current.rm = rm
+        current.k_p = derive_k_p(self.crypto, rm, current.session, current.nonce)
 
     @property
     def authenticated(self) -> bool:
         """The auth flow completed and the doctor entered RM."""
-        return "auth" in self.completed and self.rm is not None
+        return "auth" in self.completed and self.current.rm is not None
 
     # -- read -------------------------------------------------------------------
 
     def start_read(self) -> list[TranscriptEntry]:
         if not self.authenticated:
             raise NotReady("read requires completed authentication")
-        return [self._send(Heading.READ_AUTH_REQ, self.session)]
+        return [self._send(Heading.READ_AUTH_REQ, self.current.session)]
 
     def _on_read_ready(self, frame) -> None:
-        kd_bytes = self.crypto.sym_dec(self.k_p, frame.enc_kd)
+        current = self.current
+        kd_bytes = self.crypto.sym_dec(current.k_p, frame.enc_kd)
         shift_key = codec.deserialize_shift_key(kd_bytes)
-        k_r = derive_k_r(self.crypto, kd_bytes, self.session)
-        self.shift_key, self.kd_bytes, self.k_r = shift_key, kd_bytes, k_r
+        k_r = derive_k_r(self.crypto, kd_bytes, current.session)
+        current.shift_key, current.kd_bytes, current.k_r = shift_key, kd_bytes, k_r
 
     def _on_read_req(self, frame) -> None:
         # every signal is de-shifted, so reconstruct changes no verdict
         phi = self.config.sensing_matrix()
         received = [
-            (cipher, codec.cs_deshift(self.shift_key, cipher, phi, *ecg.WINDOW))
+            (cipher, codec.cs_deshift(self.current.shift_key, cipher, phi, *ecg.WINDOW))
             for cipher in map(codec.deserialize_ciphertext, unpack_signals(frame.c2))
         ]
         signals = []
@@ -741,7 +783,7 @@ class Programmer(Party):
                 recovery.omp_reconstruct(y, phi, psi, recovery.quantization_params(cipher))[1]
                 for cipher, y in received
             ]
-        self.c2_bytes = frame.c2
+        self.current.c2_bytes = frame.c2
         self.recovered_signals.extend(signals)
 
     @property
@@ -755,21 +797,22 @@ class Programmer(Party):
             raise NotReady("write requires a completed read in this session")
         if len(command) > 256:
             raise ProtocolError("command too long")
-        self.command = command
+        current = self.current
+        current.command = command
         record = EvidenceRecord(
             doctor_id=self.doctor_id,
-            smartphone_id=self.smartphone_id,
+            smartphone_id=current.session_smartphone,
             implant_id=self.target_implant_id,
-            ciphertext=self.c2_bytes,
-            shift_key=self.kd_bytes,
+            ciphertext=current.c2_bytes,
+            shift_key=current.kd_bytes,
             command=command,
             timestamp=self.clock,
         )
         sig = self.crypto.sign(self.credentials.signing_key, record.signed_bytes())
-        return [self._send(Heading.WRITE_AUTH_REQ, self.session, sig=sig.data)]
+        return [self._send(Heading.WRITE_AUTH_REQ, current.session, sig=sig.data)]
 
     def _on_write_ready(self, frame) -> dict[str, bytes]:
-        return dict(c3=self.crypto.sym_enc(self.k_r, self.command))
+        return dict(c3=self.crypto.sym_enc(self.current.k_r, self.current.command))
 
     @property
     def write_complete(self) -> bool:

@@ -66,20 +66,10 @@ class World:
         }
         if self.smartphone.k_i is not None:
             secrets["k_i"] = self.smartphone.k_i.data
-        if self.smartphone.k_p is not None:
-            secrets["k_p"] = self.smartphone.k_p.data
-        if self.smartphone.k_r is not None:
-            secrets["k_r"] = self.smartphone.k_r.data
-        if self.smartphone.kd_bytes is not None:
-            secrets["shift_key"] = self.smartphone.kd_bytes
-        if self.smartphone.rm is not None:
-            secrets["rm"] = self.smartphone.rm
-        if self.smartphone.nonce is not None:
-            secrets["nonce"] = self.smartphone.nonce
-        if self.smartphone.ephemeral is not None:
-            secrets["ephemeral_scalar"] = self.smartphone.ephemeral
-        if self.programmer.command is not None:
-            secrets["command"] = self.programmer.command
+        for party in (self.smartphone, self.imd, self.programmer):
+            if party.current is not None:
+                for name, secret in party.current.secrets().items():
+                    secrets[f"{party.role}.{name}"] = secret
         for i, record in enumerate(self.imd.data_source.records):
             secrets[f"raw_data_{i}"] = ecg.raw_signal_bytes(record)
         return secrets

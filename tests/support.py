@@ -66,7 +66,13 @@ def party_state(world) -> dict:
     """The protocol state of a world's parties, for checks that a frame
     changed nothing."""
     state = {
-        p.role: (p.expected, p.expected_link, p.outcome, p.session, sorted(p.completed))
+        p.role: (
+            p.expected,
+            p.expected_link,
+            p.outcome,
+            p.current.session if p.current else None,
+            sorted(p.completed),
+        )
         for p in (world.smartphone, world.imd, world.programmer)
     }
     state["applied"] = len(world.imd.applied_commands)

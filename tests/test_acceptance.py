@@ -130,8 +130,8 @@ def test_c6_protocol_suite_fuzz():
     honest = run_session("full", seed=100, config=SystemConfig())
     assert honest.ok
     w = honest.world
-    assert w.smartphone.k_p == w.programmer.k_p
-    assert w.smartphone.k_r == w.imd.k_r == w.programmer.k_r
+    assert w.smartphone.current.k_p == w.programmer.current.k_p
+    assert w.smartphone.current.k_r == w.imd.current.k_r == w.programmer.current.k_r
 
     # no secret bytes anywhere on the wire
     wire_blob = b"".join(

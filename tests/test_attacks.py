@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import imdsec
 from imdsec import attacks, codec, ecg, recovery
 from imdsec.attacks import (
+    MitmReadAttacker,
     default_shift_grid,
     forge_read_auth_attempts,
     indistinguishability_test,
@@ -15,7 +17,13 @@ from imdsec.attacks import (
     random_guess_attack,
     uniform_guess_attack,
 )
+from imdsec.channel import Transcript
+from imdsec.crypto import CryptoSuite
+from imdsec.keymat import doctor_sealing_key
+from imdsec.parties import SystemConfig, step_of
 from imdsec.reports import sweep_solver_params
+from imdsec.scenarios import SCENARIOS, build_world, drive
+from imdsec.wire import Heading, decode_message
 
 L1, L2 = 590, 1487
 
@@ -159,6 +167,62 @@ class TestMitm:
     def test_rm_forgeries_all_rejected(self):
         attempts = 10_000
         assert forge_read_auth_attempts(attempts=attempts, seed=4) == attempts
+
+
+def _rewritten(transcript, sender, heading, **fields):
+    """transcript with the named fields of sender's heading frames
+    replaced; the two rows rewritten here carry no MAC."""
+    step = step_of(sender, heading)
+    out = Transcript()
+    for entry in transcript.entries:
+        if entry.kind == "wire" and entry.sender == sender and entry.payload[0] == heading:
+            msg = decode_message(entry.payload)
+            named = dict(zip(step.fields, msg.fields), **fields)
+            entry = replace(entry, payload=step.encode(msg.session, named, CryptoSuite(), None))
+        out.append(entry)
+    return out
+
+
+class TestMitmKeyDerivation:
+    """MitmReadAttacker.derive_shift_key holds both factors; content it
+    cannot read gives None, and any other error propagates."""
+
+    @pytest.fixture(scope="class")
+    def mitm(self):
+        attacker = MitmReadAttacker(degraded_oob=True, stolen_sealing_key=doctor_sealing_key())
+        world = build_world(seed=3, config=SystemConfig(n=64, qs=0), attacker=attacker)
+        drive(world, SCENARIOS["read"])
+        assert attacker.derive_shift_key(world.scheduler.transcript) is not None
+        return attacker, world
+
+    @pytest.mark.parametrize(
+        "sender, heading, junk",
+        [
+            # an all-zero ephemeral X25519 key: the unseal fails
+            ("smartphone", Heading.AUTH_REQ, lambda k_p: dict(challenge=bytes(80))),
+            # shorter than a GCM nonce
+            ("smartphone", Heading.READ_READY, lambda k_p: dict(enc_kd=b"junk")),
+            # opens under K_P, but holds no shift key
+            ("smartphone", Heading.READ_READY,
+             lambda k_p: dict(enc_kd=CryptoSuite().sym_enc(k_p, b"no shift key"))),
+        ],
+        ids=["junk-challenge", "junk-enc-kd", "enc-kd-without-a-shift-key"],
+    )
+    def test_unreadable_content_derives_no_key(self, mitm, sender, heading, junk):
+        attacker, world = mitm
+        fields = junk(world.smartphone.current.k_p)
+        transcript = _rewritten(world.scheduler.transcript, sender, heading, **fields)
+        assert attacker.derive_shift_key(transcript) is None
+
+    def test_any_other_error_propagates(self, mitm, monkeypatch):
+        attacker, world = mitm
+
+        def renamed(buf):
+            raise AttributeError("a renamed attribute")
+
+        monkeypatch.setattr(attacks, "deserialize_shift_key", renamed)
+        with pytest.raises(AttributeError):
+            attacker.derive_shift_key(world.scheduler.transcript)
 
 
 class TestIndistinguishability:

@@ -107,8 +107,8 @@ class TestPassiveAttacker:
         assert result.ok
         # what a tap sees is the transcript's wire entries
         blob = b"".join(e.payload for e in result.transcript.wire_entries())
-        assert world.imd.c2_bytes is not None
-        assert world.imd.c2_bytes in blob  # the ciphertext is public
+        assert world.imd.current.c2_bytes is not None
+        assert world.imd.current.c2_bytes in blob  # the ciphertext is public
         for name, secret in world.secret_values().items():
             assert secret not in blob, name
 

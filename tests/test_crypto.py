@@ -266,7 +266,7 @@ class TestPublicKeyMemo:
         before = _x25519_unseal.cache_info()
         for challenge in forged:
             fields = dict(smartphone_id=SMARTPHONE_ID, challenge=challenge)
-            frame = step.encode(programmer.session, fields, CryptoSuite(), None)
+            frame = step.encode(programmer.current.session, fields, CryptoSuite(), None)
             assert programmer.receive(frame, step.link) == []
         assert programmer.expected == Heading.AUTH_REQ
         assert programmer.crypto.counters["pk_dec"] == len(forged) == 50

@@ -81,7 +81,7 @@ def _forged(step, msg, receiver, **fields):
     named = dict(zip(step.fields, msg.fields), **fields)
     if step.ts is not None:
         named[step.ts] = u64_bytes(receiver.clock)
-    key = None if step.key is None else getattr(receiver, step.key)
+    key = None if step.key is None else receiver._lookup(step.key)
     return step.encode(msg.session, named, CryptoSuite(), key)
 
 
@@ -99,16 +99,16 @@ class TestHonestFlows:
     def test_auth_key_agreement(self):
         result = run_session("auth", seed=3, config=FAST)
         assert result.ok
-        assert result.world.smartphone.k_p == result.world.programmer.k_p
+        assert result.world.smartphone.current.k_p == result.world.programmer.current.k_p
 
     def test_read_key_and_shift_key_distribution(self):
         result = run_session("read", seed=4, config=FAST)
         assert result.ok
         w = result.world
-        assert w.smartphone.k_r == w.imd.k_r == w.programmer.k_r
-        sent = codec.deserialize_shift_key(w.smartphone.kd_bytes)
-        np.testing.assert_array_equal(sent.entries, w.imd.shift_key.entries)
-        np.testing.assert_array_equal(sent.entries, w.programmer.shift_key.entries)
+        assert w.smartphone.current.k_r == w.imd.current.k_r == w.programmer.current.k_r
+        sent = codec.deserialize_shift_key(w.smartphone.current.kd_bytes)
+        np.testing.assert_array_equal(sent.entries, w.imd.current.shift_key.entries)
+        np.testing.assert_array_equal(sent.entries, w.programmer.current.shift_key.entries)
 
     def test_read_recovers_telemetry(self):
         # full-size benchmark: half compression, step-20 quantizer
@@ -180,8 +180,8 @@ class TestDoctorSolveStop:
         assert result.ok
         w = result.world
         phi = config.sensing_matrix()
-        cipher = codec.deserialize_ciphertext(unpack_signals(w.programmer.c2_bytes)[0])
-        y = codec.cs_deshift(w.programmer.shift_key, cipher, phi, *ecg.WINDOW)
+        cipher = codec.deserialize_ciphertext(unpack_signals(w.programmer.current.c2_bytes)[0])
+        y = codec.cs_deshift(w.programmer.current.shift_key, cipher, phi, *ecg.WINDOW)
         truth = w.imd.data_source.records[0].samples.astype(float)
         return w.programmer.recovered_signals[0], cipher, y, truth
 
@@ -301,35 +301,40 @@ def test_smartphone_doctor_frame_sizes_of_a_default_full_session():
 
 
 class TestAuthenticationCoverage:
-    """Which rows of STEPS complete a flow for their receiver without a MAC.
+    """Which rows of STEPS complete a flow for their receiver without a
+    MAC, and which carry a timestamp that no MAC covers.
 
     A row completes a flow for its receiver when no later row of that
     flow involves the receiver.  A row without a MAC key can come from
     anyone who has seen the public session number.  The nonce challenge
     is sealed to the doctor's public X25519 key, which anyone can do, so
     it binds nothing the smartphone holds: that reply stays on the list
-    until it is bound to such a secret (ROADMAP item 2)."""
+    until it is bound to such a secret (ROADMAP item 2).  A row's MAC
+    covers every field before it, so a row's timestamp is covered
+    exactly when the row has a MAC key, which its receiver checks in
+    Party.receive; None marks a row without a timestamp."""
 
-    # (sender, heading, MAC key, completes a flow for the receiver)
+    # (sender, heading, MAC key, completes a flow for the receiver,
+    # timestamp covered by a MAC)
     TABLE = [
-        ("smartphone", Heading.PAIR_REQ, "k_i", False),
-        ("imd", Heading.PAIR_SUCC, None, True),
-        ("programmer", Heading.AUTH_REQ, None, False),
-        ("smartphone", Heading.AUTH_REQ, None, True),
-        ("programmer", Heading.READ_AUTH_REQ, "k_p", False),
-        ("smartphone", Heading.READ_ALLOW, "k_i", False),
-        ("imd", Heading.READ_READY, None, False),
-        ("smartphone", Heading.READ_READY, None, False),
-        ("programmer", Heading.READ_REQ, None, False),
-        ("imd", Heading.READ_REQ, "k_r", True),
-        ("programmer", Heading.WRITE_AUTH_REQ, "k_p", False),
-        ("smartphone", Heading.WRITE_ALLOW, "k_i", False),
-        ("imd", Heading.WRITE_READY, None, False),
-        ("smartphone", Heading.WRITE_READY, None, False),
-        ("programmer", Heading.WRITE_REQ, "k_r", False),
-        ("imd", Heading.WRITE_REQ, None, False),
-        ("smartphone", Heading.SET_ALLOW, "k_i", False),
-        ("imd", Heading.WRITE_SUCC, None, True),
+        ("smartphone", Heading.PAIR_REQ, "k_i", False, True),
+        ("imd", Heading.PAIR_SUCC, None, True, None),
+        ("programmer", Heading.AUTH_REQ, None, False, False),
+        ("smartphone", Heading.AUTH_REQ, None, True, None),
+        ("programmer", Heading.READ_AUTH_REQ, "k_p", False, True),
+        ("smartphone", Heading.READ_ALLOW, "k_i", False, True),
+        ("imd", Heading.READ_READY, None, False, None),
+        ("smartphone", Heading.READ_READY, None, False, None),
+        ("programmer", Heading.READ_REQ, None, False, None),
+        ("imd", Heading.READ_REQ, "k_r", True, None),
+        ("programmer", Heading.WRITE_AUTH_REQ, "k_p", False, True),
+        ("smartphone", Heading.WRITE_ALLOW, "k_i", False, True),
+        ("imd", Heading.WRITE_READY, None, False, None),
+        ("smartphone", Heading.WRITE_READY, None, False, None),
+        ("programmer", Heading.WRITE_REQ, "k_r", False, None),
+        ("imd", Heading.WRITE_REQ, None, False, None),
+        ("smartphone", Heading.SET_ALLOW, "k_i", False, True),
+        ("imd", Heading.WRITE_SUCC, None, True, None),
     ]
     # rows that break "no unauthenticated row completes a flow" today
     EXCEPTIONS = [
@@ -338,13 +343,17 @@ class TestAuthenticationCoverage:
         ("imd", Heading.WRITE_SUCC),
     ]
 
+    # rows whose timestamp no MAC covers today: ts2, which ROADMAP item
+    # 2a binds
+    UNCOVERED = [("programmer", Heading.AUTH_REQ)]
+
     @staticmethod
     def _derived():
         return [
             (step.sender, step.heading, step.key, not any(
                 later.flow == step.flow and step.receiver in (later.sender, later.receiver)
                 for later in STEPS[row + 1:]
-            ))
+            ), None if step.ts is None else step.key is not None)
             for row, step in enumerate(STEPS)
         ]
 
@@ -352,9 +361,16 @@ class TestAuthenticationCoverage:
         assert self._derived() == self.TABLE
 
     def test_no_unauthenticated_row_completes_a_flow_but_the_listed_ones(self):
-        breaking = [(sender, heading) for sender, heading, key, completes in self._derived()
+        breaking = [(sender, heading) for sender, heading, key, completes, _ in self._derived()
                     if key is None and completes]
         assert breaking == self.EXCEPTIONS
+
+    def test_every_timestamp_is_under_a_mac_but_the_listed_ones(self):
+        assert all(step.ts in step.fields for step in STEPS if step.ts is not None)
+        uncovered = [(sender, heading) for sender, heading, _, _, covered in self._derived()
+                     if covered is False]
+        assert uncovered == self.UNCOVERED
+        assert step_of(*self.UNCOVERED[0]).ts == "ts2"
 
 
 def _state(party):
@@ -428,7 +444,7 @@ class TestFailurePaths:
         programmer = world.programmer
 
         outs = programmer.start_write(b"cmd: signed")
-        programmer.command = b"cmd: injected"  # C3 will carry this instead
+        programmer.current.command = b"cmd: injected"  # C3 will carry this instead
         world.scheduler.submit(outs)
         world.scheduler.run_until_quiet()
 
@@ -444,7 +460,7 @@ class TestFailurePaths:
         world = build_world(seed=14, config=FAST, attacker=attacker)
         assert run_session("read", config=FAST, world=world).ok
         outs = world.programmer.start_write(b"cmd: signed")
-        world.programmer.command = b"cmd: injected"
+        world.programmer.current.command = b"cmd: injected"
         world.scheduler.submit(outs)
         world.scheduler.run_until_quiet()
         _only_the_verdict(world, world.smartphone, encode_message(attacker.msg), LINK_SI,
@@ -466,7 +482,7 @@ class TestFailurePaths:
         smartphone = world.smartphone
         assert smartphone.expected == Heading.WRITE_REQ
         smartphone.clock = earlier.world.scheduler.clock + FRESHNESS_WINDOW + 1
-        replayed = WireMessage(recorded.heading, smartphone.session, recorded.fields)
+        replayed = WireMessage(recorded.heading, smartphone.current.session, recorded.fields)
         _only_the_verdict(world, smartphone, encode_message(replayed), LINK_SI,
                           (ABORT, "command report mismatch"))
         assert len(smartphone.ledger) == 0
@@ -517,7 +533,7 @@ class TestFailurePaths:
         result = run_session("auth", seed=19, config=FAST)
         assert result.ok
         smartphone = result.world.smartphone
-        session = result.world.programmer.session
+        session = result.world.programmer.current.session
         drops = smartphone.drops
         expected = (smartphone.expected, smartphone.expected_link)
         forged = 5
@@ -623,7 +639,7 @@ class TestInjectedFramesDoNotWedge:
 def _telemetry(world, config):
     """The implant's telemetry payload, encoded at config's operating point."""
     signal = world.imd.data_source()[0]
-    cipher = codec.cs_enc(world.programmer.shift_key, signal, config.sensing_matrix())
+    cipher = codec.cs_enc(world.programmer.current.shift_key, signal, config.sensing_matrix())
     return pack_signals([codec.serialize_ciphertext(cipher)])
 
 
@@ -636,10 +652,10 @@ UNREADABLE = [
      (STAY, "nonce challenge unreadable")),
     # decrypts and carries a shift key, but K_R is 5 bytes long
     ("smartphone", Heading.READ_ALLOW, lambda w: dict(c1=CryptoSuite().sym_enc(
-        w.imd.k_i, length_prefixed(w.smartphone.kd_bytes, b"short"),
+        w.imd.k_i, length_prefixed(w.smartphone.current.kd_bytes, b"short"),
     )), (DROP, "key delivery unreadable")),
     ("smartphone", Heading.READ_READY,
-     lambda w: dict(enc_kd=CryptoSuite().sym_enc(w.programmer.k_p, b"junk")),
+     lambda w: dict(enc_kd=CryptoSuite().sym_enc(w.programmer.current.k_p, b"junk")),
      (STAY, "shift key unreadable")),
     # telemetry of another operating point: CR 75 sent to a CR-50 programmer
     ("imd", Heading.READ_REQ,
@@ -652,7 +668,8 @@ UNREADABLE = [
      (STAY, "command report unreadable")),
 ]
 
-# what each policy may change on the party it rejects a frame for
+# what each policy may change on the party it rejects a frame for: no
+# policy changes the session record or any of its fields
 RECORDED_BY = {
     DROP: {"rejections"},
     STAY: {"rejections"},
@@ -661,8 +678,13 @@ RECORDED_BY = {
 
 
 def _held(party):
-    """A party's attributes, a list as a tuple of its items."""
-    return {name: tuple(v) if isinstance(v, list) else v for name, v in vars(party).items()}
+    """A party's attributes, a list as a tuple of its items, and its
+    session record's fields as "current.<field>", so that a record
+    changed in place shows."""
+    held = {name: tuple(v) if isinstance(v, list) else v for name, v in vars(party).items()}
+    if party.current is not None:
+        held.update({f"current.{name}": v for name, v in vars(party.current).items()})
+    return held
 
 
 def _same(a, b):
@@ -761,7 +783,7 @@ class TestMalformedChallenge:
         assert step.unreadable == (STAY, "nonce challenge unreadable")
         assert programmer.receive(_forged(step, msg, programmer), step.link) == []
         assert "auth" in programmer.completed
-        assert programmer.nonce == world.smartphone.nonce
+        assert programmer.current.nonce == world.smartphone.current.nonce
 
 
 class _DropCommand(Attacker):
@@ -838,7 +860,7 @@ class TestOpenBugs:
             [TranscriptEntry("wire", step.link, "smartphone", "programmer", forged)]
         )
         world.scheduler.run_until_quiet()
-        assert world.programmer.nonce != nonce
+        assert world.programmer.current.nonce != nonce
         assert "auth" not in world.programmer.completed
 
     @pytest.mark.xfail(
@@ -859,7 +881,7 @@ class TestOpenBugs:
             if e.sender == "smartphone"
         ]
         assert [(m.heading, m.session) for m in replies] == [
-            (Heading.AUTH_REQ, world.programmer.session)
+            (Heading.AUTH_REQ, world.programmer.current.session)
         ]
 
     @pytest.mark.xfail(
@@ -880,21 +902,12 @@ class TestSingleThreadDiscipline:
         assert result.ok
         sched = world.scheduler
         rng = np.random.default_rng(0)
-
-        def snapshot(p):
-            return (
-                p.expected,
-                p.expected_link,
-                p.outcome,
-                p.session,
-            )
-
         parties = {
             "smartphone": world.smartphone,
             "imd": world.imd,
             "programmer": world.programmer,
         }
-        before = {name: snapshot(p) for name, p in parties.items()}
+        before = party_state(world)
         drops_before = {name: p.drops for name, p in parties.items()}
 
         sent = 0
@@ -912,8 +925,7 @@ class TestSingleThreadDiscipline:
             sent += 1
         sched.run_until_quiet()
 
-        for name, party in parties.items():
-            assert snapshot(party) == before[name]
+        assert party_state(world) == before
         assert (
             sum(p.drops for p in parties.values())
             == sum(drops_before.values()) + sent
@@ -951,7 +963,7 @@ class TestTotality:
         party = getattr(worlds[0], role)
         if aimed and party.expected is not None:
             heading, link = party.expected, party.expected_link
-        session = party.session if own_session and party.session is not None else foreign
+        session = party.current.session if own_session and party.current else foreign
         # None stands for a timestamp fresh at the party's clock
         frame = [u64_bytes(party.clock) if f is None else f for f in fields]
         raw = encode_message(WireMessage(heading, session, tuple(frame)))
@@ -1003,7 +1015,7 @@ class TestAuthReqBitFlips:
             assert attacker.flipped
             assert len(world.imd.applied_commands) <= len(world.smartphone.ledger)
             if "auth" in world.programmer.completed:
-                assert world.programmer.nonce == world.smartphone.nonce, bit
+                assert world.programmer.current.nonce == world.smartphone.current.nonce, bit
             if result.ok:
                 surviving.append(bit)
         return entry, surviving
@@ -1042,7 +1054,7 @@ class TestSecrecyOnWire:
         result = run_session("auth", seed=18, config=FAST)
         oob = [e for e in result.transcript.entries if e.kind == "oob"]
         assert len(oob) == 1
-        assert oob[0].payload == result.world.smartphone.rm
+        assert oob[0].payload == result.world.smartphone.current.rm
 
 
 class TestTelemetryPayload:

@@ -118,9 +118,13 @@ def test_every_bare_flag_belongs_to_some_verb():
 def test_authentication_table_is_the_one_derived_from_the_steps():
     section = README.split("## Protocol authentication", 1)[1].split("\n## ", 1)[0]
     rows = [line.strip("| ").split(" | ") for line in section.splitlines()[1:] if line[:2] == "| "]
-    assert rows[:2] == [["sender", "frame", "MAC key", "completes a flow"], ["---"] * 4]
+    assert rows[:2] == [
+        ["sender", "frame", "MAC key", "completes a flow", "timestamp under the MAC"],
+        ["---"] * 5,
+    ]
     derived = test_protocols.TestAuthenticationCoverage._derived()
+    words = {True: "yes", False: "no", None: "-"}
     assert rows[2:] == [
-        [sender, heading.name, key or "none", "yes" if completes else "no"]
-        for sender, heading, key, completes in derived
+        [sender, heading.name, key or "none", words[completes], words[covered]]
+        for sender, heading, key, completes, covered in derived
     ]
